@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Set, TypeVar
 
 from .fields import (
     Window,
@@ -27,17 +27,11 @@ from .fields import (
     overlay_strips,
     render_ppm,
 )
-from .maps import (
-    FamilyF,
-    FamilyG,
-    InvalidMapError,
-    IterationConfig,
-    MapExpr,
-)
+from .maps import Family, InvalidMapError, IterationConfig, MapExpr
 from .orbits import Undetermined, orbit_to_csv, run_orbit
 from .parser import MapSyntaxError, format_map, parse_complex, parse_map
 from .sampling import SampleSet
-from .strips import Family, strip_of
+from .strips import strip_of
 from .verify import (
     NoKnownPeriodError,
     verify_composite_laws,
@@ -52,12 +46,13 @@ from .verify import (
 SUITES = ("halfplane-bound", "strip-containment", "disjointness",
           "period-shift", "composite-laws", "image-superset", "conjugacy")
 
-_CONFIG_KEYS = {
-    "map", "map-g", "z0", "window", "nx", "ny", "res", "out", "seed",
-    "samples", "workers", "max-iter", "overflow-log-threshold",
-    "escape-real-threshold", "degeneracy-eps", "generic-escape-radius",
-    "k-max", "s", "i", "j", "a", "b", "family", "param", "z", "suite",
-}
+# default windows of the two family suites: the closed absorbing half
+# plane for halfplane-bound, a window reaching into the escape strips for
+# strip-containment
+_HALFPLANE_WINDOW = {Family.F: Window(0.0, 100.0, -100.0, 100.0),
+                     Family.G: Window(-100.0, 0.0, -100.0, 100.0)}
+_STRIP_WINDOW = {Family.F: Window(-30.0, 5.0, -20.0, 20.0),
+                 Family.G: Window(-5.0, 30.0, -20.0, 20.0)}
 
 T = TypeVar("T")
 
@@ -66,7 +61,20 @@ class CliError(Exception):
     """Usage-level failure; reported on stderr with exit code 2."""
 
 
+def _config_keys() -> Set[str]:
+    """Every long option of every subcommand except --config, plus the
+    nx/ny pair that stands in for --res."""
+    keys = {"nx", "ny"}
+    for action in build_parser()._subparsers._group_actions:
+        for sub in action.choices.values():
+            for option in sub._actions:
+                keys.update(flag[2:] for flag in option.option_strings
+                            if flag.startswith("--"))
+    return keys - {"config", "help"}
+
+
 def load_config(path: str) -> Dict[str, str]:
+    known = _config_keys()
     values: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -77,7 +85,7 @@ def load_config(path: str) -> Dict[str, str]:
                 raise CliError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
-            if key not in _CONFIG_KEYS:
+            if key not in known:
                 raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value
     return values
@@ -103,6 +111,12 @@ def _parse_window(text: str) -> Window:
         return Window(a, b, c, d)
     except ValueError as exc:
         raise CliError(f"bad window: {exc}") from exc
+
+
+def _parse_switch(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise CliError(f"expected 'true' or 'false', got {text!r}")
+    return text == "true"
 
 
 def _parse_res(text: str) -> tuple:
@@ -131,8 +145,7 @@ def _resolve_res(args, cfg: Dict[str, str], default):
 
 
 def _iteration_config(args: argparse.Namespace, cfg: Dict[str, str],
-                      max_iter_default: int = 1000,
-                      record_orbit: bool = False) -> IterationConfig:
+                      max_iter_default: int = 1000) -> IterationConfig:
     return IterationConfig(
         max_iter=_resolve(args, cfg, "max-iter", int, max_iter_default),
         overflow_log_threshold=_resolve(
@@ -142,7 +155,6 @@ def _iteration_config(args: argparse.Namespace, cfg: Dict[str, str],
         degeneracy_eps=_resolve(args, cfg, "degeneracy-eps", float, 1e-12),
         generic_escape_radius=_resolve(
             args, cfg, "generic-escape-radius", float, 1e10),
-        record_orbit=record_orbit,
     )
 
 
@@ -178,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strips", help="strip index of a point")
     common(p)
-    p.add_argument("--family", choices=["F", "G"])
+    p.add_argument("--family", type=Family, help="F or G")
     p.add_argument("--param")
     p.add_argument("--z")
 
@@ -218,8 +230,7 @@ def _cmd_orbit(args, cfg: Dict[str, str]) -> int:
         raise CliError("orbit needs --map and --z0")
     expr = parse_map(map_text)
     z0 = parse_complex(z0_text)
-    icfg = _iteration_config(args, cfg, record_orbit=True)
-    rec = run_orbit(expr, z0, icfg)
+    rec = run_orbit(expr, z0, _iteration_config(args, cfg))
     orbit_to_csv(rec, sys.stdout)
     if isinstance(rec.classification, Undetermined) and \
             rec.classification.reason == "nan":
@@ -228,12 +239,12 @@ def _cmd_orbit(args, cfg: Dict[str, str]) -> int:
     return 0
 
 
-def _family_of(expr: MapExpr):
-    if isinstance(expr, FamilyF):
-        return Family.F, expr.lam
-    if isinstance(expr, FamilyG):
-        return Family.G, expr.mu
-    return None
+def _family_map(expr: MapExpr, what: str) -> MapExpr:
+    """expr itself if it is an F or G map (it then has sign, family and
+    param), else a usage error naming what needed one."""
+    if getattr(expr, "sign", None) is None:
+        raise CliError(f"{what} needs a top-level F or G map")
+    return expr
 
 
 def _cmd_render(args, cfg: Dict[str, str]) -> int:
@@ -254,14 +265,12 @@ def _cmd_render(args, cfg: Dict[str, str]) -> int:
     workers = _resolve(args, cfg, "workers", int, None)
     field = classify_grid(expr, window, res[0], res[1], icfg, workers=workers)
     target = field
-    if getattr(args, "overlay_strips", None):
-        fam = _family_of(expr)
-        if fam is None:
-            raise CliError("--overlay-strips needs a top-level F or G map")
-        target = overlay_strips(field, fam[0], fam[1])
+    if _resolve(args, cfg, "overlay-strips", _parse_switch, False):
+        _family_map(expr, "--overlay-strips")
+        target = overlay_strips(field, expr.family, expr.param)
     with open(out_path, "wb") as fh:
         render_ppm(target, fh)
-    csv_path = getattr(args, "csv", None)
+    csv_path = _resolve(args, cfg, "csv", str, None)
     if csv_path:
         with open(csv_path, "w", encoding="ascii") as fh:
             export_field_csv(field, fh)
@@ -270,12 +279,11 @@ def _cmd_render(args, cfg: Dict[str, str]) -> int:
 
 
 def _cmd_strips(args, cfg: Dict[str, str]) -> int:
-    family_text = _resolve(args, cfg, "family", str, None)
+    family = _resolve(args, cfg, "family", Family, None)
     param_text = _resolve(args, cfg, "param", str, None)
     z_text = _resolve(args, cfg, "z", str, None)
-    if family_text is None or param_text is None or z_text is None:
+    if family is None or param_text is None or z_text is None:
         raise CliError("strips needs --family, --param and --z")
-    family = Family.F if family_text == "F" else Family.G
     sid = strip_of(parse_complex(z_text), family, parse_complex(param_text))
     print(f"k={sid.k}" if sid is not None else "none")
     return 0
@@ -289,12 +297,6 @@ def _cmd_parse(args, cfg: Dict[str, str]) -> int:
     return 0
 
 
-def _default_halfplane_window(expr: MapExpr) -> Window:
-    if isinstance(expr, FamilyG):
-        return Window(-100.0, 0.0, -100.0, 100.0)
-    return Window(0.0, 100.0, -100.0, 100.0)
-
-
 def _run_suite(name: str, args, cfg: Dict[str, str]) -> "VerificationReport":
     seed = _resolve(args, cfg, "seed", int, 1)
     samples_n = _resolve(args, cfg, "samples", int, 2000)
@@ -302,20 +304,26 @@ def _run_suite(name: str, args, cfg: Dict[str, str]) -> "VerificationReport":
     icfg = _iteration_config(args, cfg)
 
     if name == "halfplane-bound":
-        expr = parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)"))
+        expr = _family_map(
+            parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)")), name)
         window = _resolve(args, cfg, "window", _parse_window,
-                          _default_halfplane_window(expr))
+                          _HALFPLANE_WINDOW[expr.family])
+        # the bound is a theorem about the absorbing half plane
+        # sign*Re z <= 0 only; samples outside it are a usage error
+        if max(expr.sign * window.x_min, expr.sign * window.x_max) > 0.0:
+            side = "Re z >= 0" if expr.sign < 0 else "Re z <= 0"
+            raise CliError(f"{name} needs a window inside the absorbing "
+                           f"half plane {side} of the map")
         n = _resolve(args, cfg, "samples", int, 10000)
         k_max = _resolve(args, cfg, "k-max", int, 200)
         return verify_halfplane_bound(
             expr, SampleSet.generate(seed, n, window), k_max)
 
     if name == "strip-containment":
-        expr = parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)"))
-        default_window = (Window(-5.0, 30.0, -20.0, 20.0)
-                          if isinstance(expr, FamilyG)
-                          else Window(-30.0, 5.0, -20.0, 20.0))
-        window = _resolve(args, cfg, "window", _parse_window, default_window)
+        expr = _family_map(
+            parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)")), name)
+        window = _resolve(args, cfg, "window", _parse_window,
+                          _STRIP_WINDOW[expr.family])
         nx, ny = _resolve_res(args, cfg, (500, 500))
         icfg = _iteration_config(args, cfg, max_iter_default=500)
         field = classify_grid(expr, window, nx, ny, icfg, workers=workers)

@@ -9,6 +9,7 @@ byte-exact, so golden tests can compare files directly.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
 import numpy as np
 
 from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, validate
-from .orbits import BoundedAtBudget, Escaping, NonEscapingProven, classify
+from .orbits import BoundedAtBudget, Escaping, NonEscapingProven, _g17, classify
 from .strips import Family, strip_boundaries
 
 __all__ = [
@@ -46,6 +47,9 @@ class Window:
     y_max: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in
+                   (self.x_min, self.x_max, self.y_min, self.y_max)):
+            raise ValueError("window bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("window must have x_min < x_max and y_min < y_max")
 
@@ -206,10 +210,6 @@ def overlay_strips(field: EscapeField, family: Family,
 # ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
-
 
 def export_field_csv(field: EscapeField, out: TextIO) -> None:
     """Rows "i,j,re,im,class,step" in storage order; step is empty unless

@@ -21,11 +21,13 @@ point back to the additive constant of the map.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 __all__ = [
+    "Family",
     "FamilyF",
     "FamilyG",
     "ScaledExp",
@@ -69,6 +71,14 @@ class DegeneratePhaseError(ArithmeticError):
     undetermined."""
 
 
+class Family(enum.Enum):
+    """Which exponential family a map or strip query refers to (F or its
+    mirror G)."""
+
+    F = "F"
+    G = "G"
+
+
 @dataclass(frozen=True, slots=True)
 class FamilyF:
     """z -> exp(-z + lam) + xi, with Re lam < 0 and Re xi >= 1.
@@ -78,6 +88,8 @@ class FamilyF:
 
     lam: complex
     xi: complex
+    sign: ClassVar[float] = -1.0
+    family: ClassVar[Family] = Family.F
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +101,17 @@ class FamilyG:
 
     mu: complex
     zeta: complex
+    sign: ClassVar[float] = 1.0
+    family: ClassVar[Family] = Family.G
+
+
+# One description of both families: z -> exp(sign*z + param) + const,
+# with the closed half plane sign*Re z <= 0 absorbing.  Every other node
+# lacks ``sign``, so ``getattr(expr, "sign", None)`` tells a family map
+# apart.  ``param``/``const`` alias the parameter slots themselves: a
+# property would cost about five times as much on the evaluate path.
+FamilyF.param, FamilyF.const = FamilyF.lam, FamilyF.xi
+FamilyG.param, FamilyG.const = FamilyG.mu, FamilyG.zeta
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +191,7 @@ class IterationConfig:
     generic_escape_radius: modulus threshold of the escape test used for
         every other map shape.
     degeneracy_eps: |cos angle| below this on a Directed point means the
-        sign of the next exponent is unresolvable.
+        sign of the next exponent is unresolvable; must lie in (0, 1).
     """
 
     max_iter: int = 1000
@@ -176,7 +199,6 @@ class IterationConfig:
     escape_real_threshold: float = 50.0
     degeneracy_eps: float = 1e-12
     generic_escape_radius: float = 1e10
-    record_orbit: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -185,6 +207,8 @@ class IterationConfig:
             raise ValueError("overflow_log_threshold must lie in (1, 709)")
         if not self.escape_real_threshold > 0:
             raise ValueError("escape_real_threshold must be positive")
+        if not (0.0 < self.degeneracy_eps < 1.0):
+            raise ValueError("degeneracy_eps must lie in (0, 1)")
         if not self.generic_escape_radius > 1:
             raise ValueError("generic_escape_radius must exceed 1")
 
@@ -301,44 +325,26 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
     exponent is then below phase resolution.
     """
     thresh = cfg.overflow_log_threshold
-    if isinstance(expr, FamilyF):
-        lam, xi = expr.lam, expr.xi
+    sign = getattr(expr, "sign", None)
+    if sign is not None:
+        p, const = expr.param, expr.const
         if isinstance(z, complex):
-            wr = lam.real - z.real
-            wi = lam.imag - z.imag
+            wr = sign * z.real + p.real
+            wi = sign * z.imag + p.imag
             if wr <= thresh:
                 m = math.exp(wr)
                 cr, ci = _cis(m, wi)
-                return complex(cr + xi.real, ci + xi.imag)
-            # additive xi is ~1e-300 relative at this scale and is dropped
+                return complex(cr + const.real, ci + const.imag)
+            # const is ~1e-300 relative at this scale and is dropped
             return Directed(wr, wi)
-        c = _phase_cos(z.angle)
-        if c >= cfg.degeneracy_eps:
-            # Re(-z) is hugely negative: the exponential underflows to 0
-            return xi
+        c = sign * _phase_cos(z.angle)
         if c <= -cfg.degeneracy_eps:
-            mag = _exp_sat(z.log_modulus)
-            return Directed(mag * (-c) + lam.real,
-                            _scale(mag, -math.sin(z.angle)) + lam.imag)
-        raise DegeneratePhaseError(f"|cos {z.angle}| < {cfg.degeneracy_eps}")
-
-    if isinstance(expr, FamilyG):
-        mu, zeta = expr.mu, expr.zeta
-        if isinstance(z, complex):
-            wr = z.real + mu.real
-            wi = z.imag + mu.imag
-            if wr <= thresh:
-                m = math.exp(wr)
-                cr, ci = _cis(m, wi)
-                return complex(cr + zeta.real, ci + zeta.imag)
-            return Directed(wr, wi)
-        c = _phase_cos(z.angle)
-        if c <= -cfg.degeneracy_eps:
-            return zeta
+            # Re(sign*z) is hugely negative: the exponential underflows to 0
+            return const
         if c >= cfg.degeneracy_eps:
             mag = _exp_sat(z.log_modulus)
-            return Directed(mag * c + mu.real,
-                            _scale(mag, math.sin(z.angle)) + mu.imag)
+            return Directed(mag * c + p.real,
+                            _scale(mag, sign * math.sin(z.angle)) + p.imag)
         raise DegeneratePhaseError(f"|cos {z.angle}| < {cfg.degeneracy_eps}")
 
     if isinstance(expr, ScaledExp):
@@ -401,7 +407,7 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
 def period_of(expr: MapExpr) -> Optional[complex]:
     """Return a structurally known additive period c with f(z+c) = f(z),
     or None when no period is derivable (Compose is conservative)."""
-    if isinstance(expr, (FamilyF, FamilyG)):
+    if getattr(expr, "sign", None) is not None:
         return TWO_PI_I
     if isinstance(expr, ScaledExp):
         return TWO_PI_I / expr.lam

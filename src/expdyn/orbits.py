@@ -29,8 +29,7 @@ from .maps import (
     DegeneratePhaseError,
     Directed,
     ExtendedPoint,
-    FamilyF,
-    FamilyG,
+    Family,
     IterationConfig,
     MapExpr,
     _exp_sat,
@@ -61,6 +60,10 @@ class AbsorptionRule(enum.Enum):
     UNDERFLOW_TO_FIXED_NEIGHBORHOOD = "underflow-to-fixed-neighborhood"
 
 
+_HALF_PLANE_RULE = {Family.F: AbsorptionRule.RIGHT_HALF_PLANE_F,
+                    Family.G: AbsorptionRule.LEFT_HALF_PLANE_G}
+
+
 @dataclass(frozen=True, slots=True)
 class Escaping:
     step: int
@@ -88,7 +91,7 @@ Classification = Union[Escaping, NonEscapingProven, BoundedAtBudget, Undetermine
 @dataclass(frozen=True, slots=True)
 class OrbitRecord:
     seed: complex
-    points: Optional[Tuple[ExtendedPoint, ...]]
+    points: Tuple[ExtendedPoint, ...]
     classification: Classification
     steps_taken: int
 
@@ -114,15 +117,13 @@ def _is_nan(z: ExtendedPoint) -> bool:
     return math.isnan(z.log_modulus) or math.isnan(z.angle)
 
 
-def _escaped(expr: MapExpr, z: ExtendedPoint, nxt: ExtendedPoint,
+def _escaped(sign: Optional[float], z: ExtendedPoint, nxt: ExtendedPoint,
              cfg: IterationConfig) -> bool:
-    # Families: consecutive deepening into the repelling half plane.
-    if isinstance(expr, FamilyF):
-        r = _effective_real(z)
-        return r <= -cfg.escape_real_threshold and _effective_real(nxt) <= r
-    if isinstance(expr, FamilyG):
-        r = _effective_real(z)
-        return r >= cfg.escape_real_threshold and _effective_real(nxt) >= r
+    # Families: consecutive deepening into the repelling half plane
+    # sign*Re z > 0.
+    if sign is not None:
+        r = sign * _effective_real(z)
+        return r >= cfg.escape_real_threshold and sign * _effective_real(nxt) >= r
     # Generic shapes: two consecutive modulus checks on finite points, or
     # a strictly growing chain of overflowed points.  A mixed pair proves
     # nothing: a single jump onto the overflow rung can still collapse
@@ -144,17 +145,15 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool):
     validate(expr)
     z: ExtendedPoint = complex(z0)
     points = [z] if record else None
-    is_f = isinstance(expr, FamilyF)
-    is_g = isinstance(expr, FamilyG)
+    sign = getattr(expr, "sign", None)
 
     for n in range(cfg.max_iter + 1):
         if isinstance(z, complex):
             if _is_nan(z):
                 return Undetermined("nan"), points, n
-            if is_f and z.real >= 0.0:
-                return NonEscapingProven(AbsorptionRule.RIGHT_HALF_PLANE_F, n), points, n
-            if is_g and z.real <= 0.0:
-                return NonEscapingProven(AbsorptionRule.LEFT_HALF_PLANE_G, n), points, n
+            if sign is not None and sign * z.real <= 0.0:
+                return (NonEscapingProven(_HALF_PLANE_RULE[expr.family], n),
+                        points, n)
         if n == cfg.max_iter:
             return BoundedAtBudget(), points, n
         try:
@@ -165,12 +164,12 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool):
             points.append(nxt)
         if _is_nan(nxt):
             return Undetermined("nan"), points, n + 1
-        if (is_f or is_g) and isinstance(z, Directed) and isinstance(nxt, complex):
+        if sign is not None and isinstance(z, Directed) and isinstance(nxt, complex):
             # exponential underflowed: the orbit landed exactly on the
             # additive constant, inside the absorbing half plane
             return (NonEscapingProven(AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, n),
                     points, n + 1)
-        if _escaped(expr, z, nxt, cfg):
+        if _escaped(sign, z, nxt, cfg):
             return Escaping(n), points, n + 1
         z = nxt
 
@@ -187,12 +186,9 @@ def classify(expr: MapExpr, z0: complex,
 def run_orbit(expr: MapExpr, z0: complex,
               cfg: IterationConfig = DEFAULT_CONFIG) -> OrbitRecord:
     """Classify one seed keeping the full trace (terminal point included)."""
-    record = cfg.record_orbit
-    verdict, points, steps = _iterate(expr, z0, cfg, record=record)
-    return OrbitRecord(seed=complex(z0),
-                       points=tuple(points) if record else None,
-                       classification=verdict,
-                       steps_taken=steps)
+    verdict, points, steps = _iterate(expr, z0, cfg, record=True)
+    return OrbitRecord(seed=complex(z0), points=tuple(points),
+                       classification=verdict, steps_taken=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +202,6 @@ def _g17(x: float) -> str:
 def orbit_to_csv(rec: OrbitRecord, out: TextIO) -> None:
     """Write "n,kind,a,b" rows (kind F: a=Re, b=Im; kind D: a=log-modulus,
     b=angle) followed by a "# classification=...,step=..." trailer."""
-    if rec.points is None:
-        raise ValueError("orbit was run without record_orbit")
     out.write("n,kind,a,b\n")
     for n, p in enumerate(rec.points):
         if isinstance(p, complex):

@@ -16,21 +16,15 @@ at the literal unshifted bands.  Boundary lines belong to no strip.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from .maps import Family
+
 __all__ = ["Family", "StripId", "strip_of", "strip_boundaries"]
 
 _HALF_PI = math.pi / 2.0
-
-
-class Family(enum.Enum):
-    """Which exponential family a strip query refers to (F or its mirror G)."""
-
-    F = "F"
-    G = "G"
 
 
 @dataclass(frozen=True, slots=True)

@@ -48,7 +48,7 @@ from .orbits import (
 )
 from .parser import format_complex
 from .sampling import SampleSet
-from .strips import Family, strip_of
+from .strips import strip_of
 
 __all__ = [
     "VerificationReport",
@@ -138,12 +138,10 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
     always negative, so the iteration is vectorized directly.
     """
     validate(expr)
-    if isinstance(expr, FamilyF):
-        par, const, sgn = expr.lam, expr.xi, -1.0
-    elif isinstance(expr, FamilyG):
-        par, const, sgn = expr.mu, expr.zeta, 1.0
-    else:
+    sgn = getattr(expr, "sign", None)
+    if sgn is None:
         raise TypeError("half-plane bound applies to the two families only")
+    par, const = expr.param, expr.const
     bound = 1.0 + abs(const) + tol
     report = VerificationReport("halfplane-bound", total=samples.count)
 
@@ -162,7 +160,7 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
         report.violations.append(_violation(
             complex(samples.points[idx]),
             f"|f^k(z)| <= {bound!r} for k <= {k_max}",
-            f"max modulus {worst[idx]!r}"))
+            f"max modulus {float(worst[idx])!r}"))
     return report
 
 
@@ -174,11 +172,7 @@ def verify_strip_containment(fld: EscapeField,
                              expr: Union[FamilyF, FamilyG]) -> VerificationReport:
     """Every escaping cell center must land in an escape strip."""
     validate(expr)
-    if isinstance(expr, FamilyF):
-        family, param = Family.F, expr.lam
-    elif isinstance(expr, FamilyG):
-        family, param = Family.G, expr.mu
-    else:
+    if getattr(expr, "sign", None) is None:
         raise TypeError("strip containment applies to the two families only")
     report = VerificationReport("strip-containment", total=fld.nx * fld.ny)
     report.skipped_undetermined = int(np.count_nonzero(
@@ -186,7 +180,7 @@ def verify_strip_containment(fld: EscapeField,
     for idx in fld.escaping_indices():
         i, j = int(idx) % fld.nx, int(idx) // fld.nx
         center = fld.center(i, j)
-        if strip_of(center, family, param) is None:
+        if strip_of(center, expr.family, expr.param) is None:
             report.violations.append(_violation(
                 center,
                 "escaping cell inside an escape strip of the open half plane",

@@ -189,7 +189,7 @@ def test_09_oracle_equivalence():
             (Conjugate(complex(2, 0), complex(1, 0), F11),
              Window(-10, 10, -10, 10), 1000, 999),
         ]
-        cfg = IterationConfig(max_iter=100, record_orbit=True)
+        cfg = IterationConfig(max_iter=100)
         total = 0
         for expr, window, count, seed in cases:
             for z0 in SampleSet.generate(seed, count, window).points:

@@ -118,6 +118,16 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["verdict"] == "fail"
 
+    def test_halfplane_window_outside_absorbing_half_plane_exit_2(self, capsys):
+        for extra in (["--window", "-10,0,-5,5"],
+                      ["--map", "G(-1, -1)", "--window", "-5,1,-5,5"],
+                      ["--map", "exp(1)"]):
+            code, out, err = run(capsys, "verify", "--suite", "halfplane-bound",
+                                 "--samples", "20", *extra)
+            assert code == 2
+            assert out == ""
+            assert "error" in err
+
     def test_seeded_runs_identical(self, capsys):
         argv = ["verify", "--suite", "period-shift", "--seed", "11",
                 "--samples", "150", "--max-iter", "200"]
@@ -164,6 +174,29 @@ class TestConfigFile:
                          "--out", str(out))
         assert code == 0
         assert out.read_bytes().startswith(b"P6\n6 5\n255\n")
+
+    def test_family_value_checked_like_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = f\nparam = -1+0i\nz = -2+3.14159i\n")
+        code, out, _ = run(capsys, "strips", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+
+    def test_every_render_flag_is_a_key(self, capsys, tmp_path):
+        argv = ["--map", "F(-1, 1)", "--window", "-6,2,-4,4", "--res", "16,12",
+                "--max-iter", "60"]
+        cfg = tmp_path / "render.cfg"
+        cfg.write_text(f"csv = {tmp_path / 'c.csv'}\noverlay_strips = true\n")
+        code, _, _ = run(capsys, "render", "--config", str(cfg), *argv,
+                         "--out", str(tmp_path / "c.ppm"))
+        assert code == 0
+        code, _, _ = run(capsys, "render", *argv, "--overlay-strips",
+                         "--csv", str(tmp_path / "f.csv"),
+                         "--out", str(tmp_path / "f.ppm"))
+        assert code == 0
+        for ext in ("csv", "ppm"):
+            assert (tmp_path / f"c.{ext}").read_bytes() == \
+                (tmp_path / f"f.{ext}").read_bytes()
 
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -34,6 +34,13 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(0.0, 1.0, 2.0, 1.0)
 
+    def test_rejects_non_finite(self):
+        # an infinite bound would give NaN cell centers
+        for bounds in ((-math.inf, 0, -1, 1), (0, 1, -1, math.inf),
+                       (0, math.nan, -1, 1)):
+            with pytest.raises(ValueError):
+                Window(*bounds)
+
 
 class TestClassifyGrid:
     def test_all_absorbed_window(self):

@@ -25,6 +25,10 @@ from helpers import complexes, family_f_maps, map_exprs, naive_apply
 
 F11 = FamilyF(complex(-1, 0), complex(1, 0))
 G11 = FamilyG(complex(-1, 0), complex(-1, 0))
+# (map, a Directed angle pointing into its absorbing half plane, one
+# pointing into its escaping half plane, the sign of z in its exponent);
+# both maps have parameter -1 and additive constant -sign
+LADDER_CASES = [(F11, 0.0, math.pi, -1.0), (G11, math.pi, 0.0, 1.0)]
 TWO_PI_I = complex(0.0, 2.0 * math.pi)
 
 
@@ -104,23 +108,27 @@ class TestEvaluate:
         assert got == Directed(749.0, 0.0)
 
     def test_directed_underflow_collapses_to_xi(self):
-        assert evaluate(F11, Directed(749.0, 0.0)) == complex(1, 0)
+        for fam, absorbing, _, sign in LADDER_CASES:
+            assert evaluate(fam, Directed(749.0, absorbing)) == complex(-sign, 0)
 
     def test_directed_deepening(self):
-        got = evaluate(F11, Directed(700.5, math.pi))
-        assert isinstance(got, Directed)
         mag = math.exp(700.5)
-        assert got.log_modulus == mag * (-math.cos(math.pi)) - 1.0
-        assert got.angle == -mag * math.sin(math.pi)
+        for fam, _, escaping, sign in LADDER_CASES:
+            got = evaluate(fam, Directed(700.5, escaping))
+            assert isinstance(got, Directed)
+            assert got.log_modulus == mag * (sign * math.cos(escaping)) - 1.0
+            assert got.angle == sign * mag * math.sin(escaping)
 
     def test_directed_saturates_past_double_range(self):
-        got = evaluate(F11, Directed(749.0, math.pi))
-        assert isinstance(got, Directed)
-        assert got.log_modulus == math.inf
+        for fam, _, escaping, _ in LADDER_CASES:
+            got = evaluate(fam, Directed(749.0, escaping))
+            assert isinstance(got, Directed)
+            assert got.log_modulus == math.inf
 
     def test_directed_degenerate_phase(self):
-        with pytest.raises(DegeneratePhaseError):
-            evaluate(F11, Directed(800.0, math.pi / 2))
+        for fam in (F11, G11):
+            with pytest.raises(DegeneratePhaseError):
+                evaluate(fam, Directed(800.0, math.pi / 2))
 
     def test_directed_angle_beyond_resolution(self):
         with pytest.raises(DegeneratePhaseError):

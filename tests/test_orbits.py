@@ -46,6 +46,12 @@ class TestIterationConfig:
         with pytest.raises(ValueError):
             IterationConfig(generic_escape_radius=1.0)
 
+    def test_degeneracy_eps_in_unit_interval(self):
+        # eps <= 0 would switch the degenerate-phase check off
+        for eps in (-1.0, 0.0, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                IterationConfig(degeneracy_eps=eps)
+
     def test_defaults(self):
         cfg = IterationConfig()
         assert cfg.max_iter == 1000
@@ -53,7 +59,6 @@ class TestIterationConfig:
         assert cfg.escape_real_threshold == 50.0
         assert cfg.generic_escape_radius == 1e10
         assert cfg.degeneracy_eps == 1e-12
-        assert cfg.record_orbit is False
 
 
 class TestClassify:
@@ -72,10 +77,14 @@ class TestClassify:
         assert classify(G11, complex(-3, 0)) == NonEscapingProven(LEFT, 0)
 
     def test_pullback_seed_escapes(self):
+        # G(lam + pi*i, -xi) sends -z to -F(z), so the mirrored seed escapes
+        # under the mirrored G map at the same step
         seed = pullback_escaping_seed(F11, depth=10)
-        verdict = classify(F11, seed, IterationConfig(max_iter=100))
-        assert isinstance(verdict, Escaping)
-        assert verdict.step <= 100
+        g = FamilyG(complex(-1, math.pi), complex(-1, 0))
+        for fam, z0 in ((F11, seed), (g, -seed)):
+            verdict = classify(fam, z0, IterationConfig(max_iter=100))
+            assert isinstance(verdict, Escaping)
+            assert verdict.step <= 100
 
     def test_pullback_seed_escapes_general_params(self):
         fam = FamilyF(complex(-1.5, 0.8), complex(2, -1))
@@ -84,11 +93,12 @@ class TestClassify:
         assert isinstance(verdict, Escaping)
 
     def test_directed_collapse_is_proven(self):
-        # deep in the left half plane with phase 0: one rung up, then the
-        # exponential underflows to xi inside the right half plane
-        verdict = classify(F11, complex(-750, 0))
-        assert verdict == NonEscapingProven(
-            AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, 1)
+        # deep in the escaping half plane with a phase pointing back: one
+        # rung up, then the exponential underflows to the additive constant
+        # inside the absorbing half plane
+        for fam, z0 in ((F11, complex(-750, 0)), (G11, complex(750, math.pi))):
+            assert classify(fam, z0) == NonEscapingProven(
+                AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, 1)
 
     def test_scaled_exp_escapes_via_overflow_chain(self):
         verdict = classify(ScaledExp(complex(1, 0)), complex(10, 0))
@@ -117,7 +127,7 @@ class TestClassify:
 
 class TestRunOrbit:
     def test_trace_matches_termination(self):
-        cfg = IterationConfig(max_iter=3, record_orbit=True)
+        cfg = IterationConfig(max_iter=3)
         rec = run_orbit(F11, complex(-1, 0), cfg)
         assert rec.classification == NonEscapingProven(RIGHT, 1)
         assert rec.points == (complex(-1, 0), complex(2, 0))
@@ -125,27 +135,27 @@ class TestRunOrbit:
         assert len(rec.points) == rec.steps_taken + 1
 
     def test_immediate_absorption_records_seed_only(self):
-        rec = run_orbit(F11, complex(5, 0), IterationConfig(record_orbit=True))
+        rec = run_orbit(F11, complex(5, 0), IterationConfig())
         assert rec.points == (complex(5, 0),)
         assert rec.classification == NonEscapingProven(RIGHT, 0)
         assert rec.steps_taken == 0
 
     def test_escaping_orbit_includes_terminal_point(self):
-        cfg = IterationConfig(max_iter=50, record_orbit=True)
+        cfg = IterationConfig(max_iter=50)
         rec = run_orbit(ScaledExp(complex(1, 0)), complex(10, 0), cfg)
         assert isinstance(rec.classification, Escaping)
         assert len(rec.points) == rec.steps_taken + 1
         assert isinstance(rec.points[-1], Directed)
 
     def test_budget_orbit_length(self):
-        cfg = IterationConfig(max_iter=7, record_orbit=True)
+        cfg = IterationConfig(max_iter=7)
         rec = run_orbit(ScaledExp(complex(0.2, 0)), complex(0, 0), cfg)
         assert rec.classification == BoundedAtBudget()
         assert rec.steps_taken == 7
         assert len(rec.points) == 8
 
     def test_classification_agrees_with_classify(self):
-        cfg = IterationConfig(max_iter=40, record_orbit=True)
+        cfg = IterationConfig(max_iter=40)
         for k in range(60):
             z = complex(-20 + 0.7 * k, -10 + 0.35 * k)
             assert run_orbit(F11, z, cfg).classification == \
@@ -154,7 +164,7 @@ class TestRunOrbit:
 
 class TestOrbitCsv:
     def test_golden_format(self):
-        cfg = IterationConfig(max_iter=3, record_orbit=True)
+        cfg = IterationConfig(max_iter=3)
         rec = run_orbit(F11, complex(-1, 0), cfg)
         out = io.StringIO()
         orbit_to_csv(rec, out)
@@ -165,7 +175,7 @@ class TestOrbitCsv:
             "# classification=NonEscapingProven,step=1\n")
 
     def test_directed_rows_use_log_scale(self):
-        cfg = IterationConfig(max_iter=5, record_orbit=True)
+        cfg = IterationConfig(max_iter=5)
         rec = run_orbit(F11, complex(-750, 0), cfg)
         out = io.StringIO()
         orbit_to_csv(rec, out)
@@ -174,16 +184,11 @@ class TestOrbitCsv:
         assert lines[-1] == "# classification=NonEscapingProven,step=1"
 
     def test_seventeen_significant_digits(self):
-        cfg = IterationConfig(max_iter=1, record_orbit=True)
+        cfg = IterationConfig(max_iter=1)
         rec = run_orbit(F11, complex(-0.1234567890123456789, 0), cfg)
         out = io.StringIO()
         orbit_to_csv(rec, out)
         assert "-0.12345678901234568" in out.getvalue()
-
-    def test_requires_recorded_orbit(self):
-        rec = run_orbit(F11, complex(5, 0), IterationConfig())
-        with pytest.raises(ValueError):
-            orbit_to_csv(rec, io.StringIO())
 
 
 class TestEngineProperties:
@@ -206,7 +211,7 @@ class TestEngineProperties:
     def test_absorption_soundness(self, fam, z):
         # once proven non-escaping, 100 further steps stay within
         # distance 1 of xi (from the step after absorption on)
-        cfg = IterationConfig(max_iter=60, record_orbit=True)
+        cfg = IterationConfig(max_iter=60)
         rec = run_orbit(fam, z, cfg)
         if not isinstance(rec.classification, NonEscapingProven):
             return
