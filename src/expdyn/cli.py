@@ -3,7 +3,9 @@
 Subcommands: orbit (trace one seed as CSV), render (escape field to PPM,
 optionally CSV), strips (strip index of a point), verify (run one or all
 verification suites, JSON reports on stdout) and parse (canonical form of
-a map expression).
+a map expression).  The iteration budget --max-iter (orbit, render,
+verify) is the one engine setting; the thresholds of the verdict rules
+are constants of IterationConfig.
 
 Reports and data go to stdout, human messages to stderr.  A plain-text
 config file ("key = value" lines, '#' comments) can predefine any value;
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Set, TypeVar
+from types import SimpleNamespace
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
+                    TypeVar, Union)
 
 from .fields import (
     Window,
@@ -27,13 +31,15 @@ from .fields import (
     overlay_strips,
     render_ppm,
 )
-from .maps import Family, InvalidMapError, IterationConfig, MapExpr
+from .maps import (DEFAULT_CONFIG, Family, InvalidMapError, IterationConfig,
+                   MapExpr)
 from .orbits import Undetermined, orbit_to_csv, run_orbit
 from .parser import MapSyntaxError, format_map, parse_complex, parse_map
 from .sampling import SampleSet
 from .strips import strip_of
 from .verify import (
     NoKnownPeriodError,
+    VerificationReport,
     verify_composite_laws,
     verify_conjugacy,
     verify_disjointness,
@@ -42,17 +48,6 @@ from .verify import (
     verify_period_shift,
     verify_strip_containment,
 )
-
-SUITES = ("halfplane-bound", "strip-containment", "disjointness",
-          "period-shift", "composite-laws", "image-superset", "conjugacy")
-
-# default windows of the two family suites: the closed absorbing half
-# plane for halfplane-bound, a window reaching into the escape strips for
-# strip-containment
-_HALFPLANE_WINDOW = {Family.F: Window(0.0, 100.0, -100.0, 100.0),
-                     Family.G: Window(-100.0, 0.0, -100.0, 100.0)}
-_STRIP_WINDOW = {Family.F: Window(-30.0, 5.0, -20.0, 20.0),
-                 Family.G: Window(-5.0, 30.0, -20.0, 20.0)}
 
 T = TypeVar("T")
 
@@ -137,25 +132,20 @@ def _resolve_res(args, cfg: Dict[str, str], default):
     res = _resolve(args, cfg, "res", _parse_res, None)
     if res is not None:
         return res
-    nx = _resolve(args, cfg, "nx", int, None)
-    ny = _resolve(args, cfg, "ny", int, None)
-    if nx is not None and ny is not None:
-        return nx, ny
-    return default
+    nx = _resolve(args, cfg, "nx", str, None)
+    ny = _resolve(args, cfg, "ny", str, None)
+    if nx is None and ny is None:
+        return default
+    if nx is None or ny is None:
+        raise CliError("config keys nx and ny must be given together")
+    return _parse_res(f"{nx},{ny}")
 
 
 def _iteration_config(args: argparse.Namespace, cfg: Dict[str, str],
-                      max_iter_default: int = 1000) -> IterationConfig:
+                      default: int = DEFAULT_CONFIG.max_iter
+                      ) -> IterationConfig:
     return IterationConfig(
-        max_iter=_resolve(args, cfg, "max-iter", int, max_iter_default),
-        overflow_log_threshold=_resolve(
-            args, cfg, "overflow-log-threshold", float, 700.0),
-        escape_real_threshold=_resolve(
-            args, cfg, "escape-real-threshold", float, 50.0),
-        degeneracy_eps=_resolve(args, cfg, "degeneracy-eps", float, 1e-12),
-        generic_escape_radius=_resolve(
-            args, cfg, "generic-escape-radius", float, 1e10),
-    )
+        max_iter=_resolve(args, cfg, "max-iter", int, default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,21 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "suites for exponential-type entire maps")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, run: Callable, help: str):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="config file with 'key = value' lines")
-        p.add_argument("--max-iter", type=int)
-        p.add_argument("--overflow-log-threshold", type=float)
-        p.add_argument("--escape-real-threshold", type=float)
-        p.add_argument("--degeneracy-eps", type=float)
-        p.add_argument("--generic-escape-radius", type=float)
+        return p
 
-    p = sub.add_parser("orbit", help="trace one seed, CSV on stdout")
-    common(p)
+    p = command("orbit", _cmd_orbit, "trace one seed, CSV on stdout")
+    p.add_argument("--max-iter", type=int)
     p.add_argument("--map")
     p.add_argument("--z0")
 
-    p = sub.add_parser("render", help="classify a grid and write a PPM image")
-    common(p)
+    p = command("render", _cmd_render, "classify a grid and write a PPM image")
+    p.add_argument("--max-iter", type=int)
     p.add_argument("--map")
     p.add_argument("--window")
     p.add_argument("--res")
@@ -188,14 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlay-strips", action="store_true", default=None)
     p.add_argument("--workers", type=int)
 
-    p = sub.add_parser("strips", help="strip index of a point")
-    common(p)
+    p = command("strips", _cmd_strips, "strip index of a point")
     p.add_argument("--family", type=Family, help="F or G")
     p.add_argument("--param")
     p.add_argument("--z")
 
-    p = sub.add_parser("verify", help="run verification suites, JSON on stdout")
-    common(p)
+    p = command("verify", _cmd_verify,
+                "run verification suites, JSON on stdout")
+    p.add_argument("--max-iter", type=int)
     p.add_argument("--suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)
@@ -210,10 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second exponent for composite-laws / image-superset")
     p.add_argument("--a", help="conjugacy scale (complex)")
     p.add_argument("--b", help="conjugacy offset (complex)")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="worker processes of the grid suites "
+                        "(strip-containment, disjointness)")
 
-    p = sub.add_parser("parse", help="canonical form of a map expression")
-    common(p)
+    p = command("parse", _cmd_parse, "canonical form of a map expression")
     p.add_argument("--map")
 
     return top
@@ -297,84 +286,100 @@ def _cmd_parse(args, cfg: Dict[str, str]) -> int:
     return 0
 
 
-def _run_suite(name: str, args, cfg: Dict[str, str]) -> "VerificationReport":
-    seed = _resolve(args, cfg, "seed", int, 1)
-    samples_n = _resolve(args, cfg, "samples", int, 2000)
-    workers = _resolve(args, cfg, "workers", int, None)
-    icfg = _iteration_config(args, cfg)
+def _halfplane_bound(r: SimpleNamespace) -> VerificationReport:
+    # the bound is a theorem about the absorbing half plane sign*Re z <= 0
+    # only; samples outside it are a usage error
+    sign, window = r.expr.sign, r.window
+    if max(sign * window.x_min, sign * window.x_max) > 0.0:
+        side = "Re z >= 0" if sign < 0 else "Re z <= 0"
+        raise CliError("halfplane-bound needs a window inside the absorbing "
+                       f"half plane {side} of the map")
+    return verify_halfplane_bound(r.expr, r.samples, r.opt("k-max", int, 200))
 
-    if name == "halfplane-bound":
-        expr = _family_map(
-            parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)")), name)
-        window = _resolve(args, cfg, "window", _parse_window,
-                          _HALFPLANE_WINDOW[expr.family])
-        # the bound is a theorem about the absorbing half plane
-        # sign*Re z <= 0 only; samples outside it are a usage error
-        if max(expr.sign * window.x_min, expr.sign * window.x_max) > 0.0:
-            side = "Re z >= 0" if expr.sign < 0 else "Re z <= 0"
-            raise CliError(f"{name} needs a window inside the absorbing "
-                           f"half plane {side} of the map")
-        n = _resolve(args, cfg, "samples", int, 10000)
-        k_max = _resolve(args, cfg, "k-max", int, 200)
-        return verify_halfplane_bound(
-            expr, SampleSet.generate(seed, n, window), k_max)
 
-    if name == "strip-containment":
-        expr = _family_map(
-            parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)")), name)
-        window = _resolve(args, cfg, "window", _parse_window,
-                          _STRIP_WINDOW[expr.family])
+def _disjointness(r: SimpleNamespace) -> VerificationReport:
+    expr_g = parse_map(r.opt("map-g", str, "G(-1, -1)"))
+    return verify_disjointness(r.grid(r.expr), r.grid(expr_g))
+
+
+class _Suite(NamedTuple):
+    """Defaults and runner of one verify suite.
+
+    window is one window, or one per family for the suites that need an
+    F or G map.  samples is the default sample count, None for the grid
+    suites, which classify a --res grid over the window instead.
+    """
+
+    map: str
+    window: Union[Window, Dict[Family, Window]]
+    samples: Optional[int]
+    run: Callable[[SimpleNamespace], VerificationReport]
+    max_iter: int = DEFAULT_CONFIG.max_iter
+
+
+# in the order `--suite all` runs them
+_SUITES = {
+    "halfplane-bound": _Suite(
+        "F(-1, 1)",  # the closed absorbing half plane
+        {Family.F: Window(0.0, 100.0, -100.0, 100.0),
+         Family.G: Window(-100.0, 0.0, -100.0, 100.0)},
+        10000, _halfplane_bound),
+    "strip-containment": _Suite(
+        "F(-1, 1)",  # reaching into the escape strips
+        {Family.F: Window(-30.0, 5.0, -20.0, 20.0),
+         Family.G: Window(-5.0, 30.0, -20.0, 20.0)},
+        None, lambda r: verify_strip_containment(r.grid(r.expr), r.expr),
+        max_iter=500),
+    "disjointness": _Suite(
+        "F(-1, 1)", Window(-30.0, 30.0, -30.0, 30.0), None, _disjointness,
+        max_iter=500),
+    "period-shift": _Suite(
+        "exp(1)", Window(-3.0, 3.0, -3.0, 3.0), 2000,
+        lambda r: verify_period_shift(
+            r.expr, r.opt("s", int, 2), r.samples, r.icfg)),
+    "composite-laws": _Suite(
+        "exp(1)", Window(-2.0, 2.0, -2.0, 2.0), 2000,
+        lambda r: verify_composite_laws(
+            r.expr, r.opt("i", int, 2), r.opt("j", int, 1), r.samples,
+            r.icfg)),
+    "image-superset": _Suite(
+        "F(-1, 1)", Window(-10.0, 10.0, -10.0, 10.0), 2000,
+        lambda r: verify_image_superset(
+            r.expr, r.opt("j", int, 2), r.samples, r.icfg)),
+    "conjugacy": _Suite(
+        "F(-1, 1)", Window(-10.0, 2.0, -8.0, 8.0), 2000,
+        lambda r: verify_conjugacy(
+            r.expr, r.opt("a", parse_complex, complex(2.0, 0.0)),
+            r.opt("b", parse_complex, complex(1.0, 0.0)), r.samples, r.icfg)),
+}
+SUITES = tuple(_SUITES)
+
+
+def _run_suite(name: str, args, cfg: Dict[str, str]) -> VerificationReport:
+    suite = _SUITES.get(name)
+    if suite is None:
+        raise CliError(f"unknown suite {name!r}")
+
+    def opt(key: str, convert: Callable[[str], T], default: Optional[T]):
+        return _resolve(args, cfg, key, convert, default)
+
+    seed = opt("seed", int, 1)
+    n = opt("samples", int, suite.samples)
+    workers = opt("workers", int, None)
+    icfg = _iteration_config(args, cfg, suite.max_iter)
+    expr = parse_map(opt("map", str, suite.map))
+    window = suite.window
+    if isinstance(window, dict):
+        window = window[_family_map(expr, name).family]
+    window = opt("window", _parse_window, window)
+
+    def grid(e: MapExpr):
         nx, ny = _resolve_res(args, cfg, (500, 500))
-        icfg = _iteration_config(args, cfg, max_iter_default=500)
-        field = classify_grid(expr, window, nx, ny, icfg, workers=workers)
-        return verify_strip_containment(field, expr)
+        return classify_grid(e, window, nx, ny, icfg, workers=workers)
 
-    if name == "disjointness":
-        expr_f = parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)"))
-        expr_g = parse_map(_resolve(args, cfg, "map-g", str, "G(-1, -1)"))
-        window = _resolve(args, cfg, "window", _parse_window,
-                          Window(-30.0, 30.0, -30.0, 30.0))
-        nx, ny = _resolve_res(args, cfg, (500, 500))
-        icfg = _iteration_config(args, cfg, max_iter_default=500)
-        field_f = classify_grid(expr_f, window, nx, ny, icfg, workers=workers)
-        field_g = classify_grid(expr_g, window, nx, ny, icfg, workers=workers)
-        return verify_disjointness(field_f, field_g)
-
-    if name == "period-shift":
-        expr = parse_map(_resolve(args, cfg, "map", str, "exp(1)"))
-        window = _resolve(args, cfg, "window", _parse_window,
-                          Window(-3.0, 3.0, -3.0, 3.0))
-        s = _resolve(args, cfg, "s", int, 2)
-        return verify_period_shift(
-            expr, s, SampleSet.generate(seed, samples_n, window), icfg)
-
-    if name == "composite-laws":
-        expr = parse_map(_resolve(args, cfg, "map", str, "exp(1)"))
-        window = _resolve(args, cfg, "window", _parse_window,
-                          Window(-2.0, 2.0, -2.0, 2.0))
-        i = _resolve(args, cfg, "i", int, 2)
-        j = _resolve(args, cfg, "j", int, 1)
-        return verify_composite_laws(
-            expr, i, j, SampleSet.generate(seed, samples_n, window), icfg)
-
-    if name == "image-superset":
-        expr = parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)"))
-        window = _resolve(args, cfg, "window", _parse_window,
-                          Window(-10.0, 10.0, -10.0, 10.0))
-        j = _resolve(args, cfg, "j", int, 2)
-        return verify_image_superset(
-            expr, j, SampleSet.generate(seed, samples_n, window), icfg)
-
-    if name == "conjugacy":
-        expr = parse_map(_resolve(args, cfg, "map", str, "F(-1, 1)"))
-        window = _resolve(args, cfg, "window", _parse_window,
-                          Window(-10.0, 2.0, -8.0, 8.0))
-        a = _resolve(args, cfg, "a", parse_complex, complex(2.0, 0.0))
-        b = _resolve(args, cfg, "b", parse_complex, complex(1.0, 0.0))
-        return verify_conjugacy(
-            expr, a, b, SampleSet.generate(seed, samples_n, window), icfg)
-
-    raise CliError(f"unknown suite {name!r}")
+    samples = SampleSet.generate(seed, n, window) if suite.samples else None
+    return suite.run(SimpleNamespace(expr=expr, window=window, icfg=icfg,
+                                     samples=samples, grid=grid, opt=opt))
 
 
 def _cmd_verify(args, cfg: Dict[str, str]) -> int:
@@ -416,21 +421,10 @@ def _fuse_literal_values(argv: List[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_fuse_literal_values(list(argv)))
+    args = build_parser().parse_args(_fuse_literal_values(list(argv)))
     try:
         cfg = load_config(args.config) if args.config else {}
-        if args.command == "orbit":
-            return _cmd_orbit(args, cfg)
-        if args.command == "render":
-            return _cmd_render(args, cfg)
-        if args.command == "strips":
-            return _cmd_strips(args, cfg)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        if args.command == "parse":
-            return _cmd_parse(args, cfg)
-        raise CliError(f"unknown command {args.command!r}")
+        return args.run(args, cfg)
     except (CliError, MapSyntaxError, InvalidMapError, NoKnownPeriodError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,6 +141,8 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
     sgn = getattr(expr, "sign", None)
     if sgn is None:
         raise TypeError("half-plane bound applies to the two families only")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     par, const = expr.param, expr.const
     bound = 1.0 + abs(const) + tol
     report = VerificationReport("halfplane-bound", total=samples.count)

@@ -1,7 +1,13 @@
 import json
 
+import pytest
+
 from expdyn import cli
 from expdyn.orbits import OrbitRecord, Undetermined
+
+# the engine thresholds are constants of IterationConfig, not settings
+THRESHOLDS = ("overflow-log-threshold", "escape-real-threshold",
+              "degeneracy-eps", "generic-escape-radius")
 
 
 def run(capsys, *argv):
@@ -128,6 +134,14 @@ class TestVerifyCommand:
             assert out == ""
             assert "error" in err
 
+    def test_halfplane_k_max_below_one_exit_2(self, capsys):
+        for k_max in ("0", "-5"):
+            code, out, err = run(capsys, "verify", "--suite", "halfplane-bound",
+                                 "--samples", "20", "--k-max", k_max)
+            assert code == 2
+            assert out == ""
+            assert "k_max" in err
+
     def test_seeded_runs_identical(self, capsys):
         argv = ["verify", "--suite", "period-shift", "--seed", "11",
                 "--samples", "150", "--max-iter", "200"]
@@ -198,6 +212,32 @@ class TestConfigFile:
             assert (tmp_path / f"c.{ext}").read_bytes() == \
                 (tmp_path / f"f.{ext}").read_bytes()
 
+    def test_nx_without_ny_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for text in ("nx = 7\n", "ny = 7\n"):
+            cfg.write_text(text)
+            code, out, err = run(capsys, "verify", "--config", str(cfg),
+                                 "--suite", "strip-containment")
+            assert code == 2
+            assert out == ""
+            assert "nx and ny" in err
+
+    def test_unknown_suite_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite = bogus\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown suite" in err
+
+    def test_removed_threshold_keys_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for key in THRESHOLDS:
+            cfg.write_text(f"{key.replace('-', '_')} = 1\n")
+            code, _, err = run(capsys, "strips", "--config", str(cfg))
+            assert code == 2
+            assert "unknown config key" in err
+
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -210,3 +250,20 @@ class TestConfigFile:
         cfg.write_text("just a line\n")
         code, _, _ = run(capsys, "strips", "--config", str(cfg))
         assert code == 2
+
+
+class TestArguments:
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        capsys.readouterr()
+        return exc.value.code
+
+    def test_removed_threshold_flags_exit_2(self, capsys):
+        for command in ("orbit", "render", "strips", "verify", "parse"):
+            for flag in THRESHOLDS:
+                assert self.usage_error(capsys, command, f"--{flag}", "1") == 2
+
+    def test_max_iter_only_where_it_acts(self, capsys):
+        for command in ("strips", "parse"):
+            assert self.usage_error(capsys, command, "--max-iter", "5") == 2

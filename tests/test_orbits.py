@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -11,6 +12,7 @@ from expdyn.maps import (
     FamilyG,
     InvalidMapError,
     IterationConfig,
+    Iterate,
     ScaledExp,
     evaluate,
 )
@@ -37,20 +39,14 @@ class TestIterationConfig:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             IterationConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            IterationConfig(overflow_log_threshold=710.0)
-        with pytest.raises(ValueError):
-            IterationConfig(overflow_log_threshold=0.5)
-        with pytest.raises(ValueError):
-            IterationConfig(escape_real_threshold=0.0)
-        with pytest.raises(ValueError):
-            IterationConfig(generic_escape_radius=1.0)
 
-    def test_degeneracy_eps_in_unit_interval(self):
-        # eps <= 0 would switch the degenerate-phase check off
-        for eps in (-1.0, 0.0, 1.0, math.nan):
-            with pytest.raises(ValueError):
-                IterationConfig(degeneracy_eps=eps)
+    def test_thresholds_are_constants(self):
+        assert [f.name for f in dataclasses.fields(IterationConfig)] == \
+            ["max_iter"]
+        for name in ("overflow_log_threshold", "escape_real_threshold",
+                     "degeneracy_eps", "generic_escape_radius"):
+            with pytest.raises(TypeError):
+                IterationConfig(**{name: 1.0})
 
     def test_defaults(self):
         cfg = IterationConfig()
@@ -99,6 +95,19 @@ class TestClassify:
         for fam, z0 in ((F11, complex(-750, 0)), (G11, complex(750, math.pi))):
             assert classify(fam, z0) == NonEscapingProven(
                 AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, 1)
+
+    def test_real_parameters_match_complex(self):
+        # the underflow collapses onto the additive constant, which must
+        # come back complex however the map was built
+        cases = ((FamilyF, -1, 1, complex(-800, 0), Directed(700.5, 0.0)),
+                 (FamilyG, -1, -1, complex(750, math.pi),
+                  Directed(700.5, math.pi)))
+        for fam, p, c, z0, deep in cases:
+            want = fam(complex(p), complex(c))
+            for built in (fam(p, c), fam(float(p), float(c))):
+                assert classify(built, z0) == classify(want, z0)
+                assert evaluate(Iterate(built, 2), deep) == \
+                    evaluate(Iterate(want, 2), deep)
 
     def test_scaled_exp_escapes_via_overflow_chain(self):
         verdict = classify(ScaledExp(complex(1, 0)), complex(10, 0))

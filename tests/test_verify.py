@@ -93,6 +93,12 @@ class TestHalfplaneBound:
                 Iterate(F11, 2),
                 SampleSet.generate(1, 1, Window(0, 1, 0, 1)), 1)
 
+    def test_rejects_k_max_below_one(self):
+        ss = SampleSet.generate(1, 5, Window(0, 1, 0, 1))
+        for k_max in (0, -5):
+            with pytest.raises(ValueError):
+                verify_halfplane_bound(F11, ss, k_max)
+
 
 class TestStripContainment:
     def test_family_f_field_passes(self):
