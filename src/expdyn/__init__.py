@@ -8,7 +8,6 @@ laws the escape sets obey.
 
 from .fields import (
     EscapeField,
-    MarkedField,
     Window,
     classify_grid,
     export_field_csv,
@@ -68,7 +67,7 @@ __all__ = [
     "Conjugate", "DegeneratePhaseError", "Directed", "EscapeField",
     "Escaping", "ExtendedPoint", "Family", "FamilyF", "FamilyG",
     "InvalidMapError", "IterationConfig", "Iterate", "MapExpr",
-    "MapSyntaxError", "MarkedField", "NoKnownPeriodError",
+    "MapSyntaxError", "NoKnownPeriodError",
     "NonEscapingProven", "OrbitRecord", "SampleSet", "ScaledExp", "Shift",
     "StripId", "Undetermined", "VerificationReport", "Window", "classify",
     "classify_grid", "evaluate", "export_field_csv", "format_complex",

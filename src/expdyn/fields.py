@@ -25,7 +25,6 @@ from .strips import Family, strip_boundaries
 __all__ = [
     "Window",
     "EscapeField",
-    "MarkedField",
     "classify_grid",
     "render_ppm",
     "export_field_csv",
@@ -104,15 +103,6 @@ class EscapeField:
         return np.nonzero(self.kinds == KIND_ESCAPING)[0]
 
 
-@dataclass(frozen=True)
-class MarkedField:
-    """Field plus per-cell overlay marks (rendered white, classifications
-    untouched)."""
-
-    field: EscapeField
-    marks: np.ndarray
-
-
 def _classification_code(verdict) -> Tuple[int, int]:
     if isinstance(verdict, Escaping):
         return KIND_ESCAPING, verdict.step
@@ -141,12 +131,17 @@ def _compute_row(expr: MapExpr, window: Window, nx: int, ny: int,
 def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
                   cfg: IterationConfig = DEFAULT_CONFIG,
                   workers: Optional[int] = None) -> EscapeField:
-    """Classify every cell center; identical output for any worker count."""
+    """Classify every cell center; identical output for any worker count.
+
+    workers None means one per CPU; a count below 1 is a ValueError.
+    """
     validate(expr)
     if nx < 1 or ny < 1:
         raise ValueError("grid must be at least 1x1")
     if workers is None:
         workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     row_fn = partial(_compute_row, expr, window, nx, ny, cfg)
     if workers <= 1 or ny == 1:
         rows = [row_fn(j) for j in range(ny)]
@@ -167,17 +162,15 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
 # rendering
 # ---------------------------------------------------------------------------
 
-def render_ppm(field: Union[EscapeField, MarkedField], out: BinaryIO) -> None:
+def render_ppm(field: EscapeField, out: BinaryIO,
+               marks: Optional[np.ndarray] = None) -> None:
     """Binary P6 image, rows top to bottom, byte-exact for a given field.
 
     Palette: Escaping{n} -> (min(255, 8+4n), 0, 64); proven non-escaping
     -> black; bounded-at-budget -> (0, 48, 0); undetermined -> grey;
-    overlay marks -> white.
+    cells with a true mark (one boolean per cell, as overlay_strips
+    returns) -> white.
     """
-    marks = None
-    if isinstance(field, MarkedField):
-        marks = field.marks
-        field = field.field
     rgb = np.zeros((field.nx * field.ny, 3), dtype=np.uint8)
     esc = field.kinds == KIND_ESCAPING
     rgb[esc, 0] = np.minimum(255, 8 + 4 * field.steps[esc]).astype(np.uint8)
@@ -191,8 +184,9 @@ def render_ppm(field: Union[EscapeField, MarkedField], out: BinaryIO) -> None:
 
 
 def overlay_strips(field: EscapeField, family: Family,
-                   param: complex) -> MarkedField:
-    """Mark every cell whose vertical span crosses a strip boundary.
+                   param: complex) -> np.ndarray:
+    """Read-only boolean mark per cell, in storage order: true where the
+    cell's vertical span crosses a strip boundary.
 
     Spans are half-open [lo, hi), so a boundary sitting exactly on a
     shared cell edge marks one row, not two.
@@ -204,7 +198,7 @@ def overlay_strips(field: EscapeField, family: Family,
         if any(b < hi for b in strip_boundaries(lo, hi, family, param)):
             marks[j * field.nx:(j + 1) * field.nx] = True
     marks.setflags(write=False)
-    return MarkedField(field=field, marks=marks)
+    return marks
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +257,10 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
     xs = {}
     ys = {}
     for i, j, x, y, kind, step in rows:
-        if kind not in "EPBU":
+        if kind not in ("E", "P", "B", "U"):
             raise ValueError(f"unknown cell class {kind!r}")
+        if i < 0 or j < 0 or kinds[j * nx + i]:
+            raise ValueError(f"CSV cell ({i}, {j}) is repeated or out of range")
         kinds[j * nx + i] = ord(kind)
         steps[j * nx + i] = step
         xs[i] = x

@@ -228,7 +228,7 @@ class TestConfigFile:
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert "unknown suite" in err
+        assert "bogus" in err
 
     def test_removed_threshold_keys_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -236,7 +236,7 @@ class TestConfigFile:
             cfg.write_text(f"{key.replace('-', '_')} = 1\n")
             code, _, err = run(capsys, "strips", "--config", str(cfg))
             assert code == 2
-            assert "unknown config key" in err
+            assert key in err
 
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -244,6 +244,70 @@ class TestConfigFile:
         code, _, err = run(capsys, "strips", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+    def test_key_not_a_flag_of_the_subcommand_exit_2(self, capsys, tmp_path):
+        # keys are the running subcommand's exact flags, not those of any
+        # subcommand nor abbreviations; the error names the key and the
+        # config file
+        cfg = tmp_path / "run.cfg"
+        for text, argv, key in (
+                ("max_iter = 0\n",
+                 ["strips", "--family", "F", "--param", "-1", "--z", "-2+3i"],
+                 "max-iter"),
+                ("window = -1,1,-1,1\n", ["parse", "--map", "exp(1)"],
+                 "window"),
+                ("work = 1\n",
+                 ["render", "--map", "F(-1, 1)", "--window", "-1,1,-1,1",
+                  "--res", "4,4", "--out", str(tmp_path / "x.ppm")],
+                 "work")):
+            cfg.write_text(text)
+            code, out, err = run(capsys, *argv, "--config", str(cfg))
+            assert code == 2
+            assert out == ""
+            assert key in err
+            assert str(cfg) in err
+        assert not (tmp_path / "x.ppm").exists()
+
+    def test_config_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"config = {cfg}\n")
+        code, _, err = run(capsys, "parse", "--map", "exp(1)",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "config" in err
+
+    def test_overlay_strips_switch_value(self, capsys, tmp_path):
+        argv = ["render", "--map", "F(-1, 1)", "--window", "-6,2,-4,4",
+                "--res", "16,12", "--max-iter", "60"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("overlay_strips = false\n")
+        assert run(capsys, *argv, "--config", str(cfg),
+                   "--out", str(tmp_path / "c.ppm"))[0] == 0
+        assert run(capsys, *argv, "--overlay-strips=false",
+                   "--out", str(tmp_path / "f.ppm"))[0] == 0
+        assert run(capsys, *argv, "--out", str(tmp_path / "n.ppm"))[0] == 0
+        plain = (tmp_path / "n.ppm").read_bytes()
+        assert (tmp_path / "c.ppm").read_bytes() == plain
+        assert (tmp_path / "f.ppm").read_bytes() == plain
+        cfg.write_text("overlay_strips = maybe\n")
+        code, _, err = run(capsys, *argv, "--config", str(cfg),
+                           "--out", str(tmp_path / "m.ppm"))
+        assert code == 2
+        assert "maybe" in err
+
+    def test_flag_beats_config_window_and_res(self, capsys, tmp_path):
+        argv = ["verify", "--suite", "strip-containment", "--max-iter", "100"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window = -20,5,-10,10\nnx = 30\nny = 30\n")
+        _, want, _ = run(capsys, *argv, "--window", "-10,5,-6,6",
+                         "--res", "12,12")
+        code, got, _ = run(capsys, *argv, "--config", str(cfg),
+                           "--window", "-10,5,-6,6", "--res", "12,12")
+        assert code == 0
+        assert got == want
+        _, cfg_only, _ = run(capsys, *argv, "--config", str(cfg))
+        assert json.loads(cfg_only)["total"] == 900
+        assert json.loads(got)["total"] == 144
 
     def test_missing_value_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -254,15 +318,37 @@ class TestConfigFile:
 
 class TestArguments:
     def usage_error(self, capsys, *argv):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(list(argv))
+        code = cli.main(list(argv))
         capsys.readouterr()
-        return exc.value.code
+        return code
 
     def test_removed_threshold_flags_exit_2(self, capsys):
         for command in ("orbit", "render", "strips", "verify", "parse"):
             for flag in THRESHOLDS:
                 assert self.usage_error(capsys, command, f"--{flag}", "1") == 2
+
+    def test_abbreviated_flag_exit_2(self, capsys, tmp_path):
+        # a flag is its exact name, like its config key
+        assert self.usage_error(
+            capsys, "render", "--map", "F(-1, 1)", "--window", "-1,1,-1,1",
+            "--res", "4,4", "--out", str(tmp_path / "x.ppm"),
+            "--work", "1") == 2
+        assert not (tmp_path / "x.ppm").exists()
+
+    def test_workers_below_one_exit_2(self, capsys, tmp_path):
+        for workers in ("0", "-2"):
+            code, _, err = run(capsys, "render", "--map", "F(-1, 1)",
+                               "--window", "-1,1,-1,1", "--res", "4,4",
+                               "--out", str(tmp_path / "x.ppm"),
+                               "--workers", workers)
+            assert code == 2
+            assert "workers" in err
+            assert not (tmp_path / "x.ppm").exists()
+        code, out, err = run(capsys, "verify", "--suite", "all",
+                             "--workers", "0")
+        assert code == 2
+        assert out == ""
+        assert "workers" in err
 
     def test_max_iter_only_where_it_acts(self, capsys):
         for command in ("strips", "parse"):

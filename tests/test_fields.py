@@ -74,6 +74,13 @@ class TestClassifyGrid:
         assert field.center(0, 0) == complex(0.5, 1.5)
         assert field.center(3, 1) == complex(3.5, 0.5)
 
+    def test_rejects_workers_below_one(self):
+        # None means one worker per CPU; 0 or a negative count is an error,
+        # not a silent serial run
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                classify_grid(F11, Window(0, 1, 0, 1), 2, 2, workers=workers)
+
     def test_validation_propagates(self):
         with pytest.raises(InvalidMapError):
             classify_grid(FamilyF(complex(1, 0), complex(1, 0)),
@@ -122,9 +129,9 @@ class TestRenderPpm:
         # bottom edge of row 2; half-open spans mark exactly those rows
         field = make_field(Window(-1, 1, 0, 2 * math.pi), 1, 4,
                            [("B", -1)] * 4)
-        marked = overlay_strips(field, Family.F, complex(-1, 0))
+        marks = overlay_strips(field, Family.F, complex(-1, 0))
         out = io.BytesIO()
-        render_ppm(marked, out)
+        render_ppm(field, out, marks=marks)
         body = out.getvalue()[len(b"P6\n1 4\n255\n"):]
         rows = [body[3 * k:3 * k + 3] for k in range(4)]
         assert rows[0] == b"\xff\xff\xff"
@@ -136,8 +143,8 @@ class TestOverlay:
     def test_boundary_rows_marked(self):
         field = make_field(Window(-5, 5, 0, 2 * math.pi), 1, 628,
                            [("B", -1)] * 628)
-        marked = overlay_strips(field, Family.F, complex(-1, 0))
-        marked_rows = {j for j in range(628) if marked.marks[j]}
+        marks = overlay_strips(field, Family.F, complex(-1, 0))
+        marked_rows = {j for j in range(628) if marks[j]}
         # independent check: direct interval membership per row
         expected = set()
         for j in range(628):
@@ -151,14 +158,14 @@ class TestOverlay:
 
     def test_window_inside_strip_has_no_marks(self):
         field = make_field(Window(-5, 5, 1.8, 4.5), 2, 10, [("B", -1)] * 20)
-        marked = overlay_strips(field, Family.F, complex(-1, 0))
-        assert not marked.marks.any()
+        marks = overlay_strips(field, Family.F, complex(-1, 0))
+        assert not marks.any()
 
     def test_family_g_marks(self):
         field = make_field(Window(-5, 5, -2, 2), 1, 100, [("B", -1)] * 100)
-        marked = overlay_strips(field, Family.G, complex(-1, 0))
+        marks = overlay_strips(field, Family.G, complex(-1, 0))
         ys = [field.window.y_max - (j + 0.5) * field.dy
-              for j in range(100) if marked.marks[j]]
+              for j in range(100) if marks[j]]
         assert len(ys) == 2
         assert any(abs(y - math.pi / 2) < 0.05 for y in ys)
         assert any(abs(y + math.pi / 2) < 0.05 for y in ys)
@@ -166,8 +173,12 @@ class TestOverlay:
     def test_classifications_untouched(self):
         field = make_field(Window(-1, 1, -4, 4), 2, 4,
                            [("E", 1)] * 8)
-        marked = overlay_strips(field, Family.F, complex(-1, 0))
-        assert marked.field is field
+        kinds, steps = field.kinds.copy(), field.steps.copy()
+        marks = overlay_strips(field, Family.F, complex(-1, 0))
+        assert np.array_equal(field.kinds, kinds)
+        assert np.array_equal(field.steps, steps)
+        assert marks.dtype == bool and marks.shape == (8,)
+        assert not marks.flags.writeable
 
 
 class TestFieldCsv:
@@ -213,6 +224,25 @@ class TestFieldCsv:
         text = "i,j,re,im,class,step\n0,0,0.5,0.5,B,\n2,0,2.5,0.5,B,\n"
         with pytest.raises(ValueError):
             import_field_csv(io.StringIO(text))
+
+    def test_import_rejects_repeated_cell(self):
+        # right row count, but (0, 1) twice and (1, 1) missing
+        text = ("i,j,re,im,class,step\n0,0,0.5,1.5,B,\n1,0,1.5,1.5,B,\n"
+                "0,1,0.5,0.5,B,\n0,1,0.5,0.5,B,\n")
+        with pytest.raises(ValueError, match="repeated or out of range"):
+            import_field_csv(io.StringIO(text))
+
+    def test_import_rejects_negative_index(self):
+        text = ("i,j,re,im,class,step\n0,0,0.5,1.5,B,\n-1,0,1.5,1.5,B,\n"
+                "0,1,0.5,0.5,B,\n1,1,1.5,0.5,B,\n")
+        with pytest.raises(ValueError, match="repeated or out of range"):
+            import_field_csv(io.StringIO(text))
+
+    def test_import_rejects_class_that_is_not_one_letter(self):
+        for kind in ("", "EP"):
+            text = f"i,j,re,im,class,step\n0,0,0.5,0.5,{kind},\n"
+            with pytest.raises(ValueError, match="unknown cell class"):
+                import_field_csv(io.StringIO(text))
 
     def test_import_rejects_bad_header(self):
         with pytest.raises(ValueError):
