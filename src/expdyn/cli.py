@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int)
     p.add_argument("--suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_positive_int)
     p.add_argument("--map")
     p.add_argument("--map-g", default="G(-1, -1)",
                    help="G-family map for the disjointness suite")

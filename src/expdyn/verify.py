@@ -1,23 +1,20 @@
 """Sampling-based verification suites for the escape-set laws.
 
 Each suite checks one statement against concrete orbits and returns a
-:class:`VerificationReport`.  The grading is asymmetric on purpose:
-
-* conflicts with a rigorous verdict (an orbit proven non-escaping that a
-  paired classification calls escaping, or vice versa) are violations at
-  zero tolerance;
-* disagreements between two heuristic verdicts are tallied and only fail
-  the suite when agreement over determined samples drops below 99%,
-  because finite budgets make boundary seeds flaky;
-* undetermined or budget-limited comparisons are counted as skipped,
-  never as pass or fail.
+:class:`VerificationReport`.  One rule grades every comparison of two
+verdicts in the sample suites: an ``Escaping`` verdict against a
+``NonEscapingProven`` one is a violation, a comparison with a
+``BoundedAtBudget`` or ``Undetermined`` side is counted as skipped, never
+as pass or fail, and anything else passes.  The only determined verdicts
+are the two rigorous ones, so two determined verdicts that differ always
+conflict.  The grid suites likewise count budget-limited and undetermined
+cells as skipped.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
-import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -28,7 +25,6 @@ from .maps import (
     Compose,
     Conjugate,
     DegeneratePhaseError,
-    Directed,
     FamilyF,
     FamilyG,
     IterationConfig,
@@ -39,13 +35,7 @@ from .maps import (
     period_of,
     validate,
 )
-from .orbits import (
-    BoundedAtBudget,
-    Classification,
-    Escaping,
-    NonEscapingProven,
-    classify,
-)
+from .orbits import Classification, Escaping, NonEscapingProven, classify
 from .parser import format_complex
 from .sampling import SampleSet
 from .strips import strip_of
@@ -62,9 +52,12 @@ __all__ = [
     "verify_conjugacy",
 ]
 
-log = logging.getLogger("expdyn.verify")
-
-AGREEMENT_THRESHOLD = 0.99
+# slack on the half-plane bound 1 + |const|
+BOUND_TOL = 1e-9
+# period shift: g^n(z) and f^(n*s)(z) + c agree to this relative error;
+# the orbits are followed until either modulus passes the cap
+REL_TOL = 1e-6
+MODULUS_CAP = 1e8
 
 ClassifyFn = Callable[[MapExpr, complex, IterationConfig], Classification]
 
@@ -103,25 +96,37 @@ def _violation(inp: object, expected: str, observed: str) -> Dict[str, str]:
     return {"input": str(inp), "expected": expected, "observed": observed}
 
 
-def _is_escaping(c: Classification) -> bool:
+def _is_escaping(c: Optional[Classification]) -> bool:
     return isinstance(c, Escaping)
 
 
-def _is_proven(c: Classification) -> bool:
-    return isinstance(c, NonEscapingProven)
+def _determined(*cs: Optional[Classification]) -> bool:
+    """True when every verdict is Escaping or NonEscapingProven; a
+    comparison with any other side (None: no verdict) is skipped."""
+    return all(isinstance(c, (Escaping, NonEscapingProven)) for c in cs)
 
 
-def _is_determined(c: Classification) -> bool:
-    return isinstance(c, (Escaping, NonEscapingProven))
-
-
-def _rigorous_conflict(c1: Classification, c2: Classification) -> bool:
-    return (_is_escaping(c1) and _is_proven(c2)) or \
-           (_is_proven(c1) and _is_escaping(c2))
+def _conflict(c1: Optional[Classification], c2: Optional[Classification]) -> bool:
+    """An Escaping verdict against a NonEscapingProven one: a violation."""
+    return {type(c1), type(c2)} == {Escaping, NonEscapingProven}
 
 
 def _kind_name(c: Classification) -> str:
     return type(c).__name__
+
+
+def _image(expr: MapExpr, z: complex, cfg: IterationConfig) -> Optional[complex]:
+    """expr(z), or None when the phase is degenerate or the image is not
+    a finite complex number (Directed, NaN or infinite)."""
+    try:
+        w = evaluate(expr, z, cfg)
+    except DegeneratePhaseError:
+        return None
+    return w if isinstance(w, complex) and cmath.isfinite(w) else None
+
+
+def _undetermined_cells(fld: EscapeField) -> np.ndarray:
+    return (fld.kinds == KIND_BUDGET) | (fld.kinds == KIND_UNDETERMINED)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +134,10 @@ def _kind_name(c: Classification) -> str:
 # ---------------------------------------------------------------------------
 
 def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
-                           k_max: int, tol: float = 1e-9) -> VerificationReport:
+                           k_max: int) -> VerificationReport:
     """Orbits started in the absorbing half plane stay within 1 + |const|.
 
-    Checks |f^k(z)| <= 1 + |xi| + tol (1 + |zeta| for G-maps) for every
+    Checks |f^k(z)| <= 1 + |xi| + BOUND_TOL (1 + |zeta| for G-maps) for every
     sample and every k up to k_max.  Samples must come from the absorbing
     half plane (Re >= 0 for F, <= 0 for G); inside it the exponent is
     always negative, so the iteration is vectorized directly.
@@ -144,7 +149,7 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     par, const = expr.param, expr.const
-    bound = 1.0 + abs(const) + tol
+    bound = 1.0 + abs(const) + BOUND_TOL
     report = VerificationReport("halfplane-bound", total=samples.count)
 
     zr = samples.points.real.copy()
@@ -177,8 +182,7 @@ def verify_strip_containment(fld: EscapeField,
     if getattr(expr, "sign", None) is None:
         raise TypeError("strip containment applies to the two families only")
     report = VerificationReport("strip-containment", total=fld.nx * fld.ny)
-    report.skipped_undetermined = int(np.count_nonzero(
-        (fld.kinds == KIND_BUDGET) | (fld.kinds == KIND_UNDETERMINED)))
+    report.skipped_undetermined = int(np.count_nonzero(_undetermined_cells(fld)))
     for idx in fld.escaping_indices():
         i, j = int(idx) % fld.nx, int(idx) // fld.nx
         center = fld.center(i, j)
@@ -201,9 +205,8 @@ def verify_disjointness(field_f: EscapeField,
             field_f.window != field_g.window:
         raise ValueError("fields must share window and resolution")
     report = VerificationReport("disjointness", total=field_f.nx * field_f.ny)
-    und_f = (field_f.kinds == KIND_BUDGET) | (field_f.kinds == KIND_UNDETERMINED)
-    und_g = (field_g.kinds == KIND_BUDGET) | (field_g.kinds == KIND_UNDETERMINED)
-    report.skipped_undetermined = int(np.count_nonzero(und_f | und_g))
+    report.skipped_undetermined = int(np.count_nonzero(
+        _undetermined_cells(field_f) | _undetermined_cells(field_g)))
     both = np.nonzero((field_f.kinds == KIND_ESCAPING)
                       & (field_g.kinds == KIND_ESCAPING))[0]
     for idx in both:
@@ -219,17 +222,8 @@ def verify_disjointness(field_f: EscapeField,
 # period shift: g = f^s + c reproduces f's orbits
 # ---------------------------------------------------------------------------
 
-def _finite_or_none(z) -> Optional[complex]:
-    if isinstance(z, Directed):
-        return None
-    if math.isnan(z.real) or math.isnan(z.imag):
-        return None
-    return z
-
-
 def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
-                        cfg: IterationConfig, rel_tol: float = 1e-6,
-                        modulus_cap: float = 1e8,
+                        cfg: IterationConfig,
                         classify_fn: ClassifyFn = classify) -> VerificationReport:
     """For a map f of period c and g = f^s + c, g^n must equal f^(n*s) + c
     along every orbit, and the classifications of f and g must not clash.
@@ -246,33 +240,27 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
 
     for z0 in samples.points:
         z0 = complex(z0)
-        u: object = z0
-        v: object = z0
+        u = v = z0
         for _ in range(cfg.max_iter):
-            try:
-                u = evaluate(shifted, u, cfg)
-                v = evaluate(s_fold, v, cfg)
-            except DegeneratePhaseError:
+            u, v = _image(shifted, u, cfg), _image(s_fold, v, cfg)
+            if u is None or v is None:
                 break
-            uf, vf = _finite_or_none(u), _finite_or_none(v)
-            if uf is None or vf is None:
-                break
-            target = vf + c
-            if abs(uf - target) > rel_tol * (1.0 + abs(vf)):
+            target = v + c
+            if abs(u - target) > REL_TOL * (1.0 + abs(v)):
                 report.violations.append(_violation(
                     z0,
-                    f"g^n(z) == f^(n*s)(z) + c within rel {rel_tol}",
-                    f"|diff| = {abs(uf - target)!r} at |f^(n*s)(z)| = {abs(vf)!r}"))
+                    f"g^n(z) == f^(n*s)(z) + c within rel {REL_TOL}",
+                    f"|diff| = {abs(u - target)!r} at |f^(n*s)(z)| = {abs(v)!r}"))
                 break
-            if abs(uf) > modulus_cap or abs(vf) > modulus_cap:
+            if abs(u) > MODULUS_CAP or abs(v) > MODULUS_CAP:
                 break
         c1 = classify_fn(expr, z0, cfg)
         c2 = classify_fn(shifted, z0, cfg)
-        if _rigorous_conflict(c1, c2):
+        if _conflict(c1, c2):
             report.violations.append(_violation(
                 z0, "no escaping-vs-proven conflict between f and g",
                 f"f: {_kind_name(c1)}, g: {_kind_name(c2)}"))
-        elif not (_is_determined(c1) and _is_determined(c2)):
+        elif not _determined(c1, c2):
             report.skipped_undetermined += 1
     return report
 
@@ -287,9 +275,10 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
     """Subset, iterate and invariance laws for h = f o g with g = f^j.
 
     Per sample: (a) escape under h implies escape under f or g; (b) the
-    verdicts of h and of f^(i+j) may not conflict and must agree on at
-    least 99% of determined samples; (c) the escape set of h is invariant
-    under g, so g of an escaping seed may not be proven non-escaping.
+    verdicts of h and of f^(i+j) may not conflict; (c) the escape set of
+    h is invariant under g, so g of an escaping seed may not be proven
+    non-escaping.  A sample with any skipped comparison counts as
+    skipped once.
     """
     validate(expr)
     if i < 1 or j < 1:
@@ -298,9 +287,6 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
     composite = Compose(expr, g)
     tall = Iterate(expr, i + j)
     report = VerificationReport("composite-laws", total=samples.count)
-    determined_pairs = 0
-    agreements = 0
-    budget_flagged = 0
 
     for z0 in samples.points:
         z0 = complex(z0)
@@ -310,67 +296,36 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
         c_g = classify_fn(g, z0, cfg)
         skipped = False
 
-        if _is_escaping(c_comp):
-            if _is_determined(c_f) and _is_determined(c_g):
-                if not (_is_escaping(c_f) or _is_escaping(c_g)):
-                    report.violations.append(_violation(
-                        z0, "escape under f o g implies escape under f or g",
-                        f"f: {_kind_name(c_f)}, g: {_kind_name(c_g)}"))
-            elif not (_is_escaping(c_f) or _is_escaping(c_g)):
+        # (a) "escapes under f or g" passes when either escapes, conflicts
+        # when both are proven and is undetermined otherwise
+        if _is_escaping(c_comp) and not (_is_escaping(c_f) or _is_escaping(c_g)):
+            if _determined(c_f, c_g):
+                report.violations.append(_violation(
+                    z0, "escape under f o g implies escape under f or g",
+                    f"f: {_kind_name(c_f)}, g: {_kind_name(c_g)}"))
+            else:
                 skipped = True
 
-        if _is_determined(c_comp) and _is_determined(c_tall):
-            determined_pairs += 1
-            if type(c_comp) is type(c_tall):
-                agreements += 1
-            else:
-                report.violations.append(_violation(
-                    z0, "verdicts of f o g and of the tall iterate agree",
-                    f"f o g: {_kind_name(c_comp)}, iterate: {_kind_name(c_tall)}"))
-        else:
+        if _conflict(c_comp, c_tall):
+            report.violations.append(_violation(
+                z0, "verdicts of f o g and of the tall iterate agree",
+                f"f o g: {_kind_name(c_comp)}, iterate: {_kind_name(c_tall)}"))
+        elif not _determined(c_comp, c_tall):
             skipped = True
 
         if _is_escaping(c_comp):
-            try:
-                w = evaluate(g, z0, cfg)
-            except DegeneratePhaseError:
-                w = None
-            w = _finite_or_none(w) if w is not None else None
-            if w is None:
+            w = _image(g, z0, cfg)
+            c_w = None if w is None else classify_fn(composite, w, cfg)
+            if _conflict(c_comp, c_w):
+                report.violations.append(_violation(
+                    z0, "g(z) of an escaping seed must not be proven bounded",
+                    f"classification at g(z): {_kind_name(c_w)}"))
+            elif not _determined(c_w):
                 skipped = True
-            else:
-                c_w = classify_fn(composite, w, cfg)
-                if _is_proven(c_w):
-                    report.violations.append(_violation(
-                        z0, "g(z) of an escaping seed must not be proven bounded",
-                        f"classification at g(z): {_kind_name(c_w)}"))
-                elif isinstance(c_w, BoundedAtBudget):
-                    budget_flagged += 1
-                elif not _is_determined(c_w):
-                    skipped = True
 
         if skipped:
             report.skipped_undetermined += 1
-
-    if budget_flagged:
-        log.info("composite-laws: %d invariance image orbits hit the budget",
-                 budget_flagged)
-    _check_agreement(report, determined_pairs, agreements)
     return report
-
-
-def _check_agreement(report: VerificationReport, pairs: int, agreements: int) -> None:
-    if pairs == 0:
-        return
-    ratio = agreements / pairs
-    if ratio < AGREEMENT_THRESHOLD:
-        report.violations.append(_violation(
-            "aggregate",
-            f"determined verdicts agree on >= {AGREEMENT_THRESHOLD:.0%} of samples",
-            f"{agreements}/{pairs} = {ratio:.4f}"))
-    elif agreements != pairs:
-        log.info("%s: %d/%d determined verdicts agree",
-                 report.suite_name, agreements, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +346,15 @@ def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
     for w0 in samples.points:
         w0 = complex(w0)
         c1 = classify_fn(expr, w0, cfg)
-        if not _is_determined(c1):
-            report.skipped_undetermined += 1
-            continue
-        if not _is_proven(c1):
-            continue
-        try:
-            w1 = evaluate(g, w0, cfg)
-        except DegeneratePhaseError:
-            report.skipped_undetermined += 1
-            continue
-        w1 = _finite_or_none(w1)
-        if w1 is None:
-            report.skipped_undetermined += 1
-            continue
-        c2 = classify_fn(expr, w1, cfg)
-        if _is_escaping(c2):
+        if _is_escaping(c1):
+            continue  # the law says nothing about escaping seeds
+        w1 = _image(g, w0, cfg) if _determined(c1) else None
+        c2 = None if w1 is None else classify_fn(expr, w1, cfg)
+        if _conflict(c1, c2):
             report.violations.append(_violation(
                 w0, "image of a proven non-escaping seed must not escape",
                 f"classification at f^j(w): {_kind_name(c2)}"))
-        elif not _is_determined(c2):
+        elif not _determined(c2):
             report.skipped_undetermined += 1
     return report
 
@@ -430,22 +374,15 @@ def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
     g = Conjugate(a, b, expr)
     validate(g)
     report = VerificationReport("conjugacy", total=samples.count)
-    determined_pairs = 0
-    agreements = 0
 
     for z0 in samples.points:
         z0 = complex(z0)
         c1 = classify_fn(expr, z0, cfg)
         c2 = classify_fn(g, a * z0 + b, cfg)
-        if _rigorous_conflict(c1, c2):
+        if _conflict(c1, c2):
             report.violations.append(_violation(
                 z0, "no escaping-vs-proven conflict between f and its conjugate",
                 f"f: {_kind_name(c1)}, conjugate: {_kind_name(c2)}"))
-        elif _is_determined(c1) and _is_determined(c2):
-            determined_pairs += 1
-            if type(c1) is type(c2):
-                agreements += 1
-        else:
+        elif not _determined(c1, c2):
             report.skipped_undetermined += 1
-    _check_agreement(report, determined_pairs, agreements)
     return report

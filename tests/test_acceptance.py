@@ -35,6 +35,8 @@ from expdyn.maps import (
 from expdyn.orbits import run_orbit
 from expdyn.sampling import SampleSet, splitmix64
 from expdyn.verify import (
+    MODULUS_CAP,
+    REL_TOL,
     verify_composite_laws,
     verify_conjugacy,
     verify_disjointness,
@@ -144,9 +146,9 @@ def test_04_disjointness():
 def test_05_period_shift():
     with announce(5, "period-shift orbit identity"):
         samples = SampleSet.generate(2718, 2000, Window(-3, 3, -3, 3))
+        assert (REL_TOL, MODULUS_CAP) == (1e-6, 1e8)
         rep = verify_period_shift(EXP1, 2, samples,
-                                  IterationConfig(max_iter=400),
-                                  rel_tol=1e-6, modulus_cap=1e8)
+                                  IterationConfig(max_iter=400))
         assert rep.verdict == "pass", rep.violations[:3]
         # the built map really is f^2 + 2*pi*i
         c = TWO_PI_I

@@ -350,6 +350,20 @@ class TestArguments:
         assert out == ""
         assert "workers" in err
 
+    def test_zero_samples_exit_2(self, capsys, tmp_path):
+        # a pass on no sample at all says nothing
+        code, out, err = run(capsys, "verify", "--suite", "period-shift",
+                             "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "samples" in err
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("suite = period-shift\nsamples = 0\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "samples" in err
+
     def test_max_iter_only_where_it_acts(self, capsys):
         for command in ("strips", "parse"):
             assert self.usage_error(capsys, command, "--max-iter", "5") == 2

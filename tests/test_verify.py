@@ -1,19 +1,25 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from expdyn.fields import Window, classify_grid
 from expdyn.maps import (
     Compose,
+    DegeneratePhaseError,
+    Directed,
     FamilyF,
     FamilyG,
     IterationConfig,
     Iterate,
     ScaledExp,
     Shift,
+    evaluate,
 )
 from expdyn.orbits import (
     AbsorptionRule,
+    BoundedAtBudget,
     Escaping,
     NonEscapingProven,
     classify,
@@ -21,6 +27,7 @@ from expdyn.orbits import (
 from expdyn.sampling import SampleSet
 from expdyn.verify import (
     NoKnownPeriodError,
+    _image,
     verify_composite_laws,
     verify_conjugacy,
     verify_disjointness,
@@ -37,6 +44,15 @@ G11 = FamilyG(complex(-1, 0), complex(-1, 0))
 EXP1 = ScaledExp(complex(1, 0))
 CFG = IterationConfig(max_iter=300)
 PROVEN = NonEscapingProven(AbsorptionRule.RIGHT_HALF_PLANE_F, 0)
+# F11 sends Re z <= -800 past the overflow rung; its second step is
+# degenerate when the first lands on the angle pi/2
+OVERFLOWING = complex(-800, 0.5)
+DEGENERATE = complex(-800, -math.pi / 2)
+
+
+def points(*zs):
+    return SampleSet(seed=0, count=len(zs), window=Window(0, 1, 0, 1),
+                     points=np.array(zs, dtype=complex))
 
 
 def small_field(expr, window, n=60, max_iter=200):
@@ -58,6 +74,24 @@ class TestReport:
         a = verify_period_shift(EXP1, 2, ss, CFG)
         b = verify_period_shift(EXP1, 2, ss, CFG)
         assert a.to_json() == b.to_json()
+
+
+class TestImage:
+    def test_finite_image(self):
+        assert _image(F11, complex(0, 0), CFG) == complex(math.exp(-1) + 1, 0)
+
+    def test_overflowed_image_is_none(self):
+        assert isinstance(evaluate(F11, OVERFLOWING, CFG), Directed)
+        assert _image(F11, OVERFLOWING, CFG) is None
+
+    def test_nan_image_is_none(self):
+        assert math.isnan(evaluate(F11, complex(0, math.inf), CFG).real)
+        assert _image(F11, complex(0, math.inf), CFG) is None
+
+    def test_degenerate_phase_is_none(self):
+        with pytest.raises(DegeneratePhaseError):
+            evaluate(Iterate(F11, 2), DEGENERATE, CFG)
+        assert _image(Iterate(F11, 2), DEGENERATE, CFG) is None
 
 
 class TestHalfplaneBound:
@@ -212,6 +246,48 @@ class TestCompositeLaws:
         assert rep.verdict == "fail"
         assert any("f or g" in v["expected"] for v in rep.violations)
 
+    def test_subset_law_skips_an_undetermined_side(self):
+        ss = SampleSet.generate(9, 4, Window(-1, 1, -1, 1))
+
+        def liar(expr, z, cfg):
+            if isinstance(expr, FamilyF):
+                return BoundedAtBudget()
+            if isinstance(expr, Iterate) and expr.s == 1:
+                return PROVEN            # g = f^1
+            return Escaping(2)
+
+        rep = verify_composite_laws(F11, 2, 1, ss, CFG, classify_fn=liar)
+        assert rep.verdict == "pass"
+        assert rep.skipped_undetermined == 4
+
+    @staticmethod
+    def invariance_liar(seeds, at_image):
+        # every verdict at the seeds escapes; g(z) gets at_image
+        def liar(expr, z, cfg):
+            return Escaping(2) if z in seeds else at_image
+        return liar
+
+    def test_invariance_violation_when_proven_at_image(self):
+        ss = SampleSet.generate(9, 4, Window(-1, 1, -1, 1))
+        seeds = {complex(z) for z in ss.points}
+        rep = verify_composite_laws(F11, 2, 1, ss, CFG,
+                                    classify_fn=self.invariance_liar(seeds, PROVEN))
+        assert rep.verdict == "fail"
+        assert rep.skipped_undetermined == 0
+        assert [v["expected"] for v in rep.violations] == \
+            ["g(z) of an escaping seed must not be proven bounded"] * 4
+        assert rep.violations[0]["observed"] == \
+            "classification at g(z): NonEscapingProven"
+
+    def test_invariance_budget_at_image_is_skipped(self):
+        ss = SampleSet.generate(9, 4, Window(-1, 1, -1, 1))
+        seeds = {complex(z) for z in ss.points}
+        rep = verify_composite_laws(
+            F11, 2, 1, ss, CFG,
+            classify_fn=self.invariance_liar(seeds, BoundedAtBudget()))
+        assert rep.verdict == "pass"
+        assert rep.skipped_undetermined == 4
+
 
 class TestImageSuperset:
     def test_family_f_passes(self):
@@ -234,6 +310,18 @@ class TestImageSuperset:
 
         rep = verify_image_superset(F11, 1, ss, CFG, classify_fn=liar)
         assert rep.verdict == "fail"
+
+    def test_image_without_finite_value_is_skipped(self):
+        def liar(expr, z, cfg):
+            # an image that got classified would "escape" and fail
+            return PROVEN if z in (OVERFLOWING, DEGENERATE) else Escaping(1)
+
+        rep = verify_image_superset(F11, 1, points(OVERFLOWING), CFG,
+                                    classify_fn=liar)
+        assert rep.verdict == "pass" and rep.skipped_undetermined == 1
+        rep = verify_image_superset(F11, 2, points(DEGENERATE), CFG,
+                                    classify_fn=liar)
+        assert rep.verdict == "pass" and rep.skipped_undetermined == 1
 
 
 class TestConjugacy:
