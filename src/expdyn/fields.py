@@ -19,7 +19,7 @@ from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
 import numpy as np
 
 from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, validate
-from .orbits import BoundedAtBudget, Escaping, NonEscapingProven, _g17, classify
+from .orbits import BoundedAtBudget, Escaping, NonEscapingProven, _g17, _iterate
 from .strips import Family, strip_boundaries
 
 __all__ = [
@@ -122,9 +122,8 @@ def _compute_row(expr: MapExpr, window: Window, nx: int, ny: int,
     steps = [0] * nx
     for i in range(nx):
         x = window.x_min + (i + 0.5) * dx
-        code, step = _classification_code(classify(expr, complex(x, y), cfg))
-        kinds[i] = code
-        steps[i] = step
+        verdict = _iterate(expr, complex(x, y), cfg, record=False)[0]
+        kinds[i], steps[i] = _classification_code(verdict)
     return j, bytes(kinds), steps
 
 
@@ -133,7 +132,8 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
                   workers: Optional[int] = None) -> EscapeField:
     """Classify every cell center; identical output for any worker count.
 
-    workers None means one per CPU; a count below 1 is a ValueError.
+    The map is validated once per call, not once per cell.  workers None
+    means one per CPU; a count below 1 is a ValueError.
     """
     validate(expr)
     if nx < 1 or ny < 1:

@@ -21,10 +21,11 @@ point back to the additive constant of the map.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, List, Optional, Tuple, Union
 
 __all__ = [
     "Family",
@@ -215,11 +216,29 @@ DEFAULT_CONFIG = IterationConfig()
 # validation
 # ---------------------------------------------------------------------------
 
+# Each node kind's arguments in field order, the order the grammar writes
+# them: "c" a complex parameter, "i" an int, "m" a sub-map.
+NODE_ARGS = {FamilyF: "cc", FamilyG: "cc", ScaledExp: "c", Iterate: "mi",
+             Shift: "mc", Compose: "mm", Conjugate: "ccm"}
+
+
+def node_fields(expr: MapExpr) -> List[Tuple[str, str, object]]:
+    """(field name, argument kind, value) of each argument, in field order."""
+    kinds = NODE_ARGS.get(type(expr))
+    if kinds is None:
+        raise TypeError(f"not a map expression: {expr!r}")
+    return [(name, kind, getattr(expr, name))
+            for name, kind in zip(expr.__match_args__, kinds)]
+
+
 def validate(expr: MapExpr) -> None:
     """Raise :class:`InvalidMapError` naming the first violated constraint.
 
     The error carries the node path (root / base / outer / inner chains)
-    and the inequality that failed.
+    and the inequality that failed.  After a node's own constraints, its
+    complex parameters must be finite and its sub-maps valid, in field
+    order.  A map is validated once per call of ``classify``,
+    ``run_orbit`` or ``classify_grid``, not once per seed.
     """
     _validate(expr, "")
 
@@ -241,22 +260,14 @@ def _validate(expr: MapExpr, path: str) -> None:
     elif isinstance(expr, Iterate):
         if expr.s < 1:
             raise InvalidMapError(path, "s >= 1", f"got {expr.s}")
-        _validate(expr.base, _join(path, "base"))
-    elif isinstance(expr, Shift):
-        _validate(expr.base, _join(path, "base"))
-    elif isinstance(expr, Compose):
-        _validate(expr.outer, _join(path, "outer"))
-        _validate(expr.inner, _join(path, "inner"))
     elif isinstance(expr, Conjugate):
         if expr.a == 0:
             raise InvalidMapError(path, "a != 0")
-        _validate(expr.base, _join(path, "base"))
-    else:
-        raise TypeError(f"not a map expression: {expr!r}")
-
-
-def _join(path: str, field: str) -> str:
-    return f"{path}.{field}" if path else field
+    for name, arg, value in node_fields(expr):
+        if arg == "m":
+            _validate(value, f"{path}.{name}" if path else name)
+        elif arg == "c" and not cmath.isfinite(value):
+            raise InvalidMapError(path, f"{name} finite", f"got {value}")
 
 
 # ---------------------------------------------------------------------------

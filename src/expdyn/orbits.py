@@ -137,12 +137,12 @@ def _escaped(sign: Optional[float], z: ExtendedPoint, nxt: ExtendedPoint,
 
 
 def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool):
-    """Shared loop behind classify and run_orbit.
+    """Shared loop behind classify, run_orbit and classify_grid; callers
+    validate expr.
 
     Returns (classification, points-or-None, steps_taken) where
     steps_taken counts map applications actually performed.
     """
-    validate(expr)
     z: ExtendedPoint = complex(z0)
     points = [z] if record else None
     sign = getattr(expr, "sign", None)
@@ -179,13 +179,14 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool):
 def classify(expr: MapExpr, z0: complex,
              cfg: IterationConfig = DEFAULT_CONFIG) -> Classification:
     """Classify one seed.  Pure function of (expr, z0, cfg)."""
-    verdict, _, _ = _iterate(expr, z0, cfg, record=False)
-    return verdict
+    validate(expr)
+    return _iterate(expr, z0, cfg, record=False)[0]
 
 
 def run_orbit(expr: MapExpr, z0: complex,
               cfg: IterationConfig = DEFAULT_CONFIG) -> OrbitRecord:
     """Classify one seed keeping the full trace (terminal point included)."""
+    validate(expr)
     verdict, points, steps = _iterate(expr, z0, cfg, record=True)
     return OrbitRecord(seed=complex(z0), points=tuple(points),
                        classification=verdict, steps_taken=steps)

@@ -6,15 +6,19 @@
 
 A complex literal c is "a", "a+bi" or "a-bi" with decimal reals (optional
 exponent part); the "i" suffix is the only accepted spelling, no "j".
-Whitespace is insignificant.  Parsed expressions are validated before
-being returned; ``format_map`` is the inverse on expression trees.
+A node's arguments are written in its field order (``maps.NODE_ARGS``);
+a literal that overflows to infinity is a syntax error.  Whitespace is
+insignificant.  Parsed expressions are validated before being returned;
+``format_map`` is the inverse on expression trees.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .maps import (
+    NODE_ARGS,
     Compose,
     Conjugate,
     FamilyF,
@@ -23,6 +27,7 @@ from .maps import (
     MapExpr,
     ScaledExp,
     Shift,
+    node_fields,
     validate,
 )
 
@@ -30,6 +35,9 @@ __all__ = ["MapSyntaxError", "parse_map", "parse_complex", "format_map", "format
 
 _REAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _INT = re.compile(r"\d+")
+# node class -> keyword; no keyword is a prefix of another
+_KEYWORDS = {FamilyF: "F", FamilyG: "G", ScaledExp: "exp", Iterate: "iter",
+             Shift: "shift", Compose: "comp", Conjugate: "conj"}
 
 
 class MapSyntaxError(ValueError):
@@ -55,13 +63,13 @@ class _Scanner:
             raise MapSyntaxError(f"expected {token!r}", self.pos)
         self.pos += len(token)
 
-    def match_keyword(self) -> str:
+    def match_keyword(self) -> type:
         self.skip_ws()
-        for kw in ("iter", "shift", "comp", "conj", "exp", "F", "G"):
+        for cls, kw in _KEYWORDS.items():
             if self.text.startswith(kw, self.pos):
                 self.pos += len(kw)
-                return kw
-        raise MapSyntaxError("expected one of F, G, exp, iter, shift, comp, conj",
+                return cls
+        raise MapSyntaxError(f"expected one of {', '.join(_KEYWORDS.values())}",
                              self.pos)
 
     def real(self) -> float:
@@ -69,8 +77,11 @@ class _Scanner:
         m = _REAL.match(self.text, self.pos)
         if m is None:
             raise MapSyntaxError("expected a decimal real", self.pos)
+        value = float(m.group())
+        if math.isinf(value):
+            raise MapSyntaxError("decimal real overflows to infinity", self.pos)
         self.pos = m.end()
-        return float(m.group())
+        return value
 
     def integer(self) -> int:
         self.skip_ws()
@@ -97,40 +108,21 @@ class _Scanner:
         return complex(re_part, 0.0)
 
     def expr(self) -> MapExpr:
-        kw = self.match_keyword()
+        cls = self.match_keyword()
         self.expect("(")
-        if kw == "F":
-            lam = self.complex_lit()
-            self.expect(",")
-            xi = self.complex_lit()
-            node: MapExpr = FamilyF(lam, xi)
-        elif kw == "G":
-            mu = self.complex_lit()
-            self.expect(",")
-            zeta = self.complex_lit()
-            node = FamilyG(mu, zeta)
-        elif kw == "exp":
-            node = ScaledExp(self.complex_lit())
-        elif kw == "iter":
-            base = self.expr()
-            self.expect(",")
-            node = Iterate(base, self.integer())
-        elif kw == "shift":
-            base = self.expr()
-            self.expect(",")
-            node = Shift(base, self.complex_lit())
-        elif kw == "comp":
-            outer = self.expr()
-            self.expect(",")
-            node = Compose(outer, self.expr())
-        else:  # conj
-            a = self.complex_lit()
-            self.expect(",")
-            b = self.complex_lit()
-            self.expect(",")
-            node = Conjugate(a, b, self.expr())
+        read = {"c": self.complex_lit, "i": self.integer, "m": self.expr}
+        args = []
+        for kind in NODE_ARGS[cls]:
+            if args:
+                self.expect(",")
+            args.append(read[kind]())
         self.expect(")")
-        return node
+        return cls(*args)
+
+    def end(self, what: str) -> None:
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise MapSyntaxError(f"trailing input after {what}", self.pos)
 
 
 def parse_map(text: str) -> MapExpr:
@@ -141,9 +133,7 @@ def parse_map(text: str) -> MapExpr:
     """
     sc = _Scanner(text)
     node = sc.expr()
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise MapSyntaxError("trailing input after expression", sc.pos)
+    sc.end("expression")
     validate(node)
     return node
 
@@ -152,9 +142,7 @@ def parse_complex(text: str) -> complex:
     """Parse a standalone complex literal ("a", "a+bi", "a-bi")."""
     sc = _Scanner(text)
     value = sc.complex_lit()
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise MapSyntaxError("trailing input after complex literal", sc.pos)
+    sc.end("complex literal")
     return value
 
 
@@ -168,19 +156,6 @@ def format_complex(z: complex) -> str:
 
 def format_map(expr: MapExpr) -> str:
     """Canonical text for an expression; parse_map(format_map(e)) == e."""
-    if isinstance(expr, FamilyF):
-        return f"F({format_complex(expr.lam)}, {format_complex(expr.xi)})"
-    if isinstance(expr, FamilyG):
-        return f"G({format_complex(expr.mu)}, {format_complex(expr.zeta)})"
-    if isinstance(expr, ScaledExp):
-        return f"exp({format_complex(expr.lam)})"
-    if isinstance(expr, Iterate):
-        return f"iter({format_map(expr.base)}, {expr.s})"
-    if isinstance(expr, Shift):
-        return f"shift({format_map(expr.base)}, {format_complex(expr.c)})"
-    if isinstance(expr, Compose):
-        return f"comp({format_map(expr.outer)}, {format_map(expr.inner)})"
-    if isinstance(expr, Conjugate):
-        return (f"conj({format_complex(expr.a)}, {format_complex(expr.b)}, "
-                f"{format_map(expr.base)})")
-    raise TypeError(f"not a map expression: {expr!r}")
+    write = {"c": format_complex, "i": str, "m": format_map}
+    args = ", ".join(write[kind](value) for _, kind, value in node_fields(expr))
+    return f"{_KEYWORDS[type(expr)]}({args})"

@@ -36,24 +36,17 @@ class StripId:
 def strip_of(z: complex, family: Family, param: complex) -> Optional[StripId]:
     """Strip containing z, or None (wrong half plane or on a boundary).
 
-    param is lam for family F and mu for family G.  Equivalent sign test:
-    for F a strip exists iff Re z < 0 and cos(Im z - Im lam) < 0; for G
-    iff Re z > 0 and cos(Im z + Im mu) > 0.
+    param is lam for family F and mu for family G.  With the family sign
+    s (-1 for F, +1 for G), z lies in strip k iff s*Re z > 0 and
+    4k-2+s < t < 4k+s for t = (Im z + s*Im param)/(pi/2).
     """
-    if family is Family.F:
-        if not z.real < 0.0:
-            return None
-        t = (z.imag - param.imag) / _HALF_PI
-        # 4k-3 < t < 4k-1  <=>  (t+2)/4 in (k - 1/4, k + 1/4)
-        k = round((t + 2.0) / 4.0)
-        if 4 * k - 3 < t < 4 * k - 1:
-            return StripId(k, family)
+    s = -1 if family is Family.F else 1
+    if not s * z.real > 0.0:
         return None
-    if not z.real > 0.0:
-        return None
-    t = (z.imag + param.imag) / _HALF_PI
-    k = round(t / 4.0)
-    if 4 * k - 1 < t < 4 * k + 1:
+    t = (z.imag + s * param.imag) / _HALF_PI
+    # (t+1-s)/4 lies in (k - 1/4, k + 1/4) inside strip k
+    k = round((t + (1 - s)) / 4.0)
+    if 4 * k - 2 + s < t < 4 * k + s:
         return StripId(k, family)
     return None
 

@@ -47,6 +47,21 @@ class TestParse:
         assert "Re(lambda)" in err
 
 
+class TestNonFiniteInput:
+    # an overflowing literal or a non-finite map parameter is a usage error
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--map", "shift(F(-1, 1), 1e400)"),
+        ("verify", "--suite", "conjugacy", "--a", "1e400", "--samples", "5"),
+        ("orbit", "--map", "F(-1, 1)", "--z0", "-1e400", "--max-iter", "3"),
+        ("strips", "--family", "F", "--param", "-1", "--z", "-1e400+3i"),
+    ])
+    def test_exit_2_with_empty_stdout(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "infinity" in err
+
+
 class TestOrbit:
     def test_orbit_csv(self, capsys):
         code, out, _ = run(capsys, "orbit", "--map", "F(-1, 1)",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from expdyn import fields, orbits
 from expdyn.fields import (
     EscapeField,
     Window,
@@ -13,7 +14,7 @@ from expdyn.fields import (
     overlay_strips,
     render_ppm,
 )
-from expdyn.maps import FamilyF, FamilyG, InvalidMapError, IterationConfig
+from expdyn.maps import FamilyF, FamilyG, InvalidMapError, IterationConfig, validate
 from expdyn.strips import Family
 
 F11 = FamilyF(complex(-1, 0), complex(1, 0))
@@ -85,6 +86,18 @@ class TestClassifyGrid:
         with pytest.raises(InvalidMapError):
             classify_grid(FamilyF(complex(1, 0), complex(1, 0)),
                           Window(0, 1, 0, 1), 2, 2)
+
+    def test_map_validated_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counting_validate(expr):
+            calls.append(expr)
+            validate(expr)
+
+        for module in (fields, orbits):
+            monkeypatch.setattr(module, "validate", counting_validate)
+        classify_grid(F11, Window(-2, 2, -2, 2), 4, 4, workers=1)
+        assert calls == [F11]
 
     def test_no_escaping_cell_with_nonnegative_real(self):
         # grid restatement of strip containment for family F

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -73,6 +74,26 @@ class TestValidate:
         with pytest.raises(InvalidMapError) as exc:
             validate(bad)
         assert exc.value.path == "inner.base"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("node, name", [
+        (F11, "lam"), (F11, "xi"), (G11, "mu"), (G11, "zeta"),
+        (ScaledExp(complex(1, 0)), "lam"), (Shift(F11, complex(1, 0)), "c"),
+        (Conjugate(complex(2, 0), complex(1, 0), F11), "a"),
+        (Conjugate(complex(2, 0), complex(1, 0), F11), "b"),
+    ])
+    def test_non_finite_parameter_rejected(self, node, name, value):
+        # a non-finite real or imaginary part, two levels down the tree
+        good = getattr(node, name)
+        for bad in (complex(value, good.imag), complex(good.real, value)):
+            expr = Compose(F11, Iterate(replace(node, **{name: bad}), 2))
+            with pytest.raises(InvalidMapError) as exc:
+                validate(expr)
+            assert exc.value.path == "inner.base"
+
+    def test_own_constraint_reported_before_finiteness(self):
+        with pytest.raises(InvalidMapError, match=r"Re\(zeta\) <= -1"):
+            validate(FamilyG(complex(-1, 0), complex(math.inf, 0)))
 
     def test_trees_are_immutable(self):
         with pytest.raises(AttributeError):

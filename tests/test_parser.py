@@ -72,6 +72,18 @@ class TestParse:
         with pytest.raises(MapSyntaxError):
             parse_map("F(-1+0j, 1)")
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1e400", 0), ("-1e400", 0), (" 1+1e400i", 3), ("2-1e309i", 2)])
+    def test_overflowing_literal_rejected(self, text, offset):
+        with pytest.raises(MapSyntaxError, match="infinity") as exc:
+            parse_complex(text)
+        assert exc.value.offset == offset
+
+    def test_overflowing_map_parameter_rejected(self):
+        with pytest.raises(MapSyntaxError) as exc:
+            parse_map("shift(F(-1, 1), 1e400)")
+        assert exc.value.offset == 16
+
     def test_missing_i_suffix(self):
         with pytest.raises(MapSyntaxError, match="expected 'i'"):
             parse_complex("1+2")
@@ -89,6 +101,20 @@ class TestFormat:
         expr = Shift(Iterate(ScaledExp(complex(1, 0)), 2),
                      complex(0, 2 * math.pi))
         assert format_map(expr) == "shift(iter(exp(1.0), 2), 0.0+6.283185307179586i)"
+
+    @pytest.mark.parametrize("expr, text", [
+        (FamilyF(-1, 1), "F(-1, 1)"),
+        (FamilyF(complex(-1, 0.5), complex(1, 0)), "F(-1.0+0.5i, 1.0)"),
+        (FamilyG(complex(-2, 0), complex(-1, -3)), "G(-2.0, -1.0-3.0i)"),
+        (ScaledExp(complex(0, 1)), "exp(0.0+1.0i)"),
+        (Iterate(ScaledExp(complex(1, 0)), 3), "iter(exp(1.0), 3)"),
+        (Shift(ScaledExp(complex(1, 0)), complex(0, -2)), "shift(exp(1.0), 0.0-2.0i)"),
+        (Compose(FamilyF(-1, 1), FamilyG(-1, -1)), "comp(F(-1, 1), G(-1, -1))"),
+        (Conjugate(complex(2, 0), complex(1, 1), FamilyF(-1, 1)),
+         "conj(2.0, 1.0+1.0i, F(-1, 1))"),
+    ])
+    def test_each_node_kind(self, expr, text):
+        assert format_map(expr) == text
 
     @given(map_exprs(max_leaves=6))
     @settings(max_examples=300, deadline=None)
