@@ -29,6 +29,7 @@ from .maps import (
     MapExpr,
     ScaledExp,
     Shift,
+    chart,
     evaluate,
     period_of,
     validate,
@@ -49,7 +50,6 @@ from .parser import MapSyntaxError, format_complex, format_map, parse_complex, p
 from .sampling import SampleSet, splitmix64
 from .strips import Family, StripId, strip_boundaries, strip_of
 from .verify import (
-    NoKnownPeriodError,
     VerificationReport,
     verify_composite_laws,
     verify_conjugacy,
@@ -67,10 +67,9 @@ __all__ = [
     "Conjugate", "DegeneratePhaseError", "Directed", "EscapeField",
     "Escaping", "ExtendedPoint", "Family", "FamilyF", "FamilyG",
     "InvalidMapError", "IterationConfig", "Iterate", "MapExpr",
-    "MapSyntaxError", "NoKnownPeriodError",
-    "NonEscapingProven", "OrbitRecord", "SampleSet", "ScaledExp", "Shift",
-    "StripId", "Undetermined", "VerificationReport", "Window", "classify",
-    "classify_grid", "evaluate", "export_field_csv", "format_complex",
+    "MapSyntaxError", "NonEscapingProven", "OrbitRecord", "SampleSet", "ScaledExp", "Shift",
+    "StripId", "Undetermined", "VerificationReport", "Window", "chart",
+    "classify", "classify_grid", "evaluate", "export_field_csv", "format_complex",
     "format_map", "import_field_csv", "orbit_to_csv", "overlay_strips",
     "parse_complex", "parse_map", "period_of", "render_ppm", "run_orbit",
     "splitmix64", "strip_boundaries", "strip_of", "validate",

@@ -13,9 +13,11 @@ Its keys are exactly the long flags of the running subcommand ('_' may
 stand for '-'; no abbreviations, no keys of other subcommands), and nx/ny
 together stand for --res.  Each line becomes the argument --key=value,
 placed right after the subcommand, so config values go through the same
-argparse parser as flags and explicit flags win.  --overlay-strips takes
-an optional true/false, so that it has a config value too.  Usage errors
-carry argparse's wording.  Identical argv + config + seed produce byte
+argparse parser as flags and explicit flags win.  The literals and
+counts of the verify suites (--a, --b, --map-g, --s, --i, --j) are
+parsed with the flags, so a bad one fails before the first suite runs.
+--overlay-strips takes an optional true/false, so that it has a config
+value too.  Usage errors carry argparse's wording.  Identical argv + config + seed produce byte
 identical output.
 
 Exit codes: 0 success / all suites pass; 1 verification violations;
@@ -125,6 +127,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _checked(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type that runs parse, so that a bad value is a usage
+    error naming its flag, raised before the subcommand runs."""
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _conjugacy_scale(text: str) -> complex:
+    a = parse_complex(text)
+    if a == 0:
+        raise ValueError("the conjugacy scale must be nonzero")
+    return a
+
+
 def _parse_res(text: str) -> Tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -176,19 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=_positive_int)
     p.add_argument("--map")
-    p.add_argument("--map-g", default="G(-1, -1)",
+    p.add_argument("--map-g", type=_checked(parse_map), default="G(-1, -1)",
                    help="G-family map for the disjointness suite")
     p.add_argument("--window", type=_parse_window)
     p.add_argument("--res", type=_parse_res, default=(500, 500))
     p.add_argument("--k-max", type=int, default=200)
-    p.add_argument("--s", type=int, default=2,
+    p.add_argument("--s", type=_positive_int, default=2,
                    help="iterate exponent for period-shift")
-    p.add_argument("--i", type=int, default=2,
+    p.add_argument("--i", type=_positive_int, default=2,
                    help="first exponent for composite-laws")
-    p.add_argument("--j", type=int,
+    p.add_argument("--j", type=_positive_int,
                    help="second exponent for composite-laws / image-superset")
-    p.add_argument("--a", default="2", help="conjugacy scale (complex)")
-    p.add_argument("--b", default="1", help="conjugacy offset (complex)")
+    p.add_argument("--a", type=_checked(_conjugacy_scale), default="2",
+                   help="conjugacy scale (complex, nonzero)")
+    p.add_argument("--b", type=_checked(parse_complex), default="1",
+                   help="conjugacy offset (complex)")
     p.add_argument("--workers", type=_positive_int,
                    help="worker processes of the grid suites "
                         "(strip-containment, disjointness)")
@@ -277,11 +299,6 @@ def _halfplane_bound(r: SimpleNamespace) -> VerificationReport:
     return verify_halfplane_bound(r.expr, r.samples, r.args.k_max)
 
 
-def _disjointness(r: SimpleNamespace) -> VerificationReport:
-    expr_g = parse_map(r.args.map_g)
-    return verify_disjointness(r.grid(r.expr), r.grid(expr_g))
-
-
 class _Suite(NamedTuple):
     """Defaults and runner of one verify suite.
 
@@ -313,7 +330,8 @@ _SUITES = {
         None, lambda r: verify_strip_containment(r.grid(r.expr), r.expr),
         max_iter=500),
     "disjointness": _Suite(
-        "F(-1, 1)", Window(-30.0, 30.0, -30.0, 30.0), None, _disjointness,
+        "F(-1, 1)", Window(-30.0, 30.0, -30.0, 30.0), None,
+        lambda r: verify_disjointness(r.grid(r.expr), r.grid(r.args.map_g)),
         max_iter=500),
     "period-shift": _Suite(
         "exp(1)", Window(-3.0, 3.0, -3.0, 3.0), 2000,
@@ -331,8 +349,7 @@ _SUITES = {
     "conjugacy": _Suite(
         "F(-1, 1)", Window(-10.0, 2.0, -8.0, 8.0), 2000,
         lambda r: verify_conjugacy(
-            r.expr, parse_complex(r.args.a), parse_complex(r.args.b),
-            r.samples, r.icfg)),
+            r.expr, r.args.a, r.args.b, r.samples, r.icfg)),
 }
 SUITES = tuple(_SUITES)
 
@@ -407,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise CliError(f"{args.config}: {exc}") from None
         return args.run(args)
     except (CliError, ValueError, OSError) as exc:
-        # ValueError covers map syntax, map validation and period errors
+        # ValueError covers map syntax and map validation errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

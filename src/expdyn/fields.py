@@ -19,7 +19,8 @@ from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
 import numpy as np
 
 from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, validate
-from .orbits import BoundedAtBudget, Escaping, NonEscapingProven, _g17, _iterate
+from .orbits import (BoundedAtBudget, Escaping, NonEscapingProven, _chart_tests,
+                     _g17, _iterate)
 from .strips import Family, strip_boundaries
 
 __all__ = [
@@ -120,9 +121,10 @@ def _compute_row(expr: MapExpr, window: Window, nx: int, ny: int,
     y = window.y_max - (j + 0.5) * dy
     kinds = bytearray(nx)
     steps = [0] * nx
+    tests = _chart_tests(expr)
     for i in range(nx):
         x = window.x_min + (i + 0.5) * dx
-        verdict = _iterate(expr, complex(x, y), cfg, record=False)[0]
+        verdict = _iterate(expr, complex(x, y), cfg, False, tests)[0]
         kinds[i], steps[i] = _classification_code(verdict)
     return j, bytes(kinds), steps
 

@@ -46,6 +46,7 @@ __all__ = [
     "validate",
     "evaluate",
     "period_of",
+    "chart",
 ]
 
 TWO_PI_I = complex(0.0, 2.0 * math.pi)
@@ -408,12 +409,15 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
 
 
 # ---------------------------------------------------------------------------
-# additive periods
+# additive periods and affine charts
 # ---------------------------------------------------------------------------
 
-def period_of(expr: MapExpr) -> Optional[complex]:
-    """Return a structurally known additive period c with f(z+c) = f(z),
-    or None when no period is derivable (Compose is conservative)."""
+def period_of(expr: MapExpr) -> complex:
+    """Return a structurally known additive period c with f(z+c) = f(z).
+
+    Every node kind has one: a period of a composite's inner map is a
+    period of the composite.
+    """
     if getattr(expr, "sign", None) is not None:
         return TWO_PI_I
     if isinstance(expr, ScaledExp):
@@ -421,7 +425,39 @@ def period_of(expr: MapExpr) -> Optional[complex]:
     if isinstance(expr, (Iterate, Shift)):
         # the first application of the base absorbs the period
         return period_of(expr.base)
+    if isinstance(expr, Compose):
+        return period_of(expr.inner)
     if isinstance(expr, Conjugate):
-        c = period_of(expr.base)
-        return None if c is None else expr.a * c
+        return expr.a * period_of(expr.base)
+    raise TypeError(f"not a map expression: {expr!r}")
+
+
+Chart = Tuple[float, complex, complex]
+
+
+def chart(expr: MapExpr) -> Optional[Chart]:
+    """(sign, a, b) when expr is, in the coordinate u = (z - b)/a, a family
+    map exp(sign*u + param) + const; None otherwise.
+
+    The family tests then hold on u: the closed half plane sign*Re u <= 0
+    absorbs, and deepening at sign*Re u >= escape_real_threshold escapes.
+    A conjugate by phi(z) = a'*z + b' composes phi with its base's chart;
+    shift(f, c) of a family map f is the family map with constant
+    const + c while that stays in range.  Iterate and Compose get None:
+    the two-step deepening rule has not been shown valid for f^s or for
+    a composite.
+    """
+    sign = getattr(expr, "sign", None)
+    if sign is not None:
+        return sign, 1.0, 0.0
+    if isinstance(expr, Conjugate):
+        inner = chart(expr.base)
+        if inner is None:
+            return None
+        sign, a, b = inner
+        return sign, expr.a * a, expr.a * b + expr.b
+    if isinstance(expr, Shift):
+        sign = getattr(expr.base, "sign", None)
+        if sign is not None and sign * (expr.base.const + expr.c).real <= -1.0:
+            return sign, 1.0, 0.0
     return None

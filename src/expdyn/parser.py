@@ -5,7 +5,8 @@
           | "comp(" expr "," expr ")" | "conj(" c "," c "," expr ")"
 
 A complex literal c is "a", "a+bi" or "a-bi" with decimal reals (optional
-exponent part); the "i" suffix is the only accepted spelling, no "j".
+exponent part); b carries no sign of its own ("1+-2i" is an error), and
+the "i" suffix is the only accepted spelling, no "j".
 A node's arguments are written in its field order (``maps.NODE_ARGS``);
 a literal that overflows to infinity is a syntax error.  Whitespace is
 insignificant.  Parsed expressions are validated before being returned;
@@ -98,6 +99,10 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             sign = -1.0 if self.text[self.pos] == "-" else 1.0
             self.pos += 1
+            self.skip_ws()
+            if self.text.startswith(("+", "-"), self.pos):
+                raise MapSyntaxError("doubled sign before imaginary part",
+                                     self.pos)
             im_part = self.real()
             self.skip_ws()
             if self.pos < len(self.text) and self.text[self.pos] == "i":

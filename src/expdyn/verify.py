@@ -35,14 +35,13 @@ from .maps import (
     period_of,
     validate,
 )
-from .orbits import Classification, Escaping, NonEscapingProven, classify
+from .orbits import Classification, Escaping, NonEscapingProven, _classify
 from .parser import format_complex
 from .sampling import SampleSet
 from .strips import strip_of
 
 __all__ = [
     "VerificationReport",
-    "NoKnownPeriodError",
     "verify_halfplane_bound",
     "verify_strip_containment",
     "verify_disjointness",
@@ -59,11 +58,10 @@ BOUND_TOL = 1e-9
 REL_TOL = 1e-6
 MODULUS_CAP = 1e8
 
+# The sample suites validate their maps once on entry and by default
+# classify through the non-validating path; a classify_fn passed in
+# (tests, tracing) is called as given.
 ClassifyFn = Callable[[MapExpr, complex, IterationConfig], Classification]
-
-
-class NoKnownPeriodError(ValueError):
-    """The map has no structurally derivable additive period."""
 
 
 @dataclass
@@ -224,7 +222,7 @@ def verify_disjointness(field_f: EscapeField,
 
 def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
                         cfg: IterationConfig,
-                        classify_fn: ClassifyFn = classify) -> VerificationReport:
+                        classify_fn: ClassifyFn = _classify) -> VerificationReport:
     """For a map f of period c and g = f^s + c, g^n must equal f^(n*s) + c
     along every orbit, and the classifications of f and g must not clash.
     """
@@ -232,10 +230,9 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
     if s < 1:
         raise ValueError("s must be >= 1")
     c = period_of(expr)
-    if c is None:
-        raise NoKnownPeriodError("map has no structurally known period")
     s_fold = Iterate(expr, s)
     shifted = Shift(s_fold, c)
+    validate(shifted)  # the period c must be finite
     report = VerificationReport("period-shift", total=samples.count)
 
     for z0 in samples.points:
@@ -271,7 +268,7 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
 
 def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
                           cfg: IterationConfig,
-                          classify_fn: ClassifyFn = classify) -> VerificationReport:
+                          classify_fn: ClassifyFn = _classify) -> VerificationReport:
     """Subset, iterate and invariance laws for h = f o g with g = f^j.
 
     Per sample: (a) escape under h implies escape under f or g; (b) the
@@ -334,7 +331,7 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
 
 def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
                           cfg: IterationConfig,
-                          classify_fn: ClassifyFn = classify) -> VerificationReport:
+                          classify_fn: ClassifyFn = _classify) -> VerificationReport:
     """If w is proven non-escaping then g(w) = f^j(w) may not escape:
     the orbit of g(w) under f is the tail of a bounded orbit."""
     validate(expr)
@@ -365,11 +362,16 @@ def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
 
 def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
                      cfg: IterationConfig,
-                     classify_fn: ClassifyFn = classify) -> VerificationReport:
+                     classify_fn: ClassifyFn = _classify) -> VerificationReport:
     """Classify f at z and g = phi o f o phi^-1 at phi(z) = a*z + b.
 
-    g is classified directly by the generic engine rules, never by
-    delegating to f, so the comparison is not circular.
+    The orbit of g is its own: each step is evaluate on the Conjugate
+    node, a*f((z-b)/a) + b in floating point, never f's orbit mapped
+    through phi.  When f has a chart, g's termination tests read the
+    composed chart (maps.chart), so both orbits meet the same half plane
+    and escape test; the suite then checks that rounding along g's orbit
+    does not move a verdict.  A map without a chart is classified by the
+    generic modulus rule on both sides.
     """
     g = Conjugate(a, b, expr)
     validate(g)

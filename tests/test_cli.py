@@ -157,6 +157,17 @@ class TestVerifyCommand:
             assert out == ""
             assert "k_max" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--a", "1e400"), ("--b", "1e400"), ("--map-g", "G(-1, 1e400)"),
+        ("--a", "0"), ("--s", "0"), ("--i", "0"), ("--j", "-1")])
+    def test_all_checks_suite_arguments_before_any_report(self, capsys, flag,
+                                                           value):
+        code, out, err = run(capsys, "verify", "--suite", "all", flag, value,
+                             "--samples", "5", "--res", "10,10")
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}:" in err
+
     def test_seeded_runs_identical(self, capsys):
         argv = ["verify", "--suite", "period-shift", "--seed", "11",
                 "--samples", "150", "--max-iter", "200"]

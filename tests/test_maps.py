@@ -17,6 +17,7 @@ from expdyn.maps import (
     Iterate,
     ScaledExp,
     Shift,
+    chart,
     evaluate,
     period_of,
     validate,
@@ -274,5 +275,59 @@ class TestPeriodOf:
         a = complex(0, 2)
         assert period_of(Conjugate(a, complex(1, 1), F11)) == a * TWO_PI_I
 
-    def test_compose_is_conservative(self):
-        assert period_of(Compose(F11, G11)) is None
+    def test_compose_takes_inner_period(self):
+        # o(i(z + c)) = o(i(z)) for a period c of the inner map
+        assert period_of(Compose(F11, ScaledExp(complex(0, 2)))) == \
+            TWO_PI_I / complex(0, 2)
+        assert period_of(Compose(ScaledExp(complex(0, 2)), G11)) == TWO_PI_I
+        inner = ScaledExp(complex(0.5, 1))
+        c = period_of(Compose(F11, inner))
+        for z in (complex(-1, 0.3), complex(0.2, -2)):
+            a = evaluate(Compose(F11, inner), z)
+            b = evaluate(Compose(F11, inner), z + c)
+            assert abs(a - b) <= 1e-9 * (1 + abs(a))
+
+
+# ---------------------------------------------------------------------------
+# affine charts
+# ---------------------------------------------------------------------------
+
+class TestChart:
+    def test_families_are_their_own_chart(self):
+        assert chart(F11) == (-1.0, 1, 0)
+        assert chart(G11) == (1.0, 1, 0)
+
+    def test_conjugate_composes_with_base_chart(self):
+        inner = Conjugate(complex(0, 2), complex(1, 1), F11)
+        assert chart(inner) == (-1.0, complex(0, 2), complex(1, 1))
+        # phi(z) = 3z - 1 after the inner chart u = (z - (1+i))/(2i)
+        assert chart(Conjugate(complex(3, 0), complex(-1, 0), inner)) == \
+            (-1.0, complex(0, 6), complex(2, 3))
+        assert chart(Conjugate(complex(-1, 0), 0j, G11)) == (1.0, -1, 0)
+
+    def test_chart_coordinate_makes_the_map_a_family_map(self):
+        # phi^-1(g(z)) = F(phi^-1(z)) with phi(u) = a*u + b
+        expr = Conjugate(complex(2, 0), complex(1, 0),
+                         Conjugate(complex(0.5, 1), complex(-3, 0), F11))
+        _, a, b = chart(expr)
+        for z in (complex(-4, 1), complex(2, -3), complex(0.5, 0.5)):
+            u = (z - b) / a
+            assert abs((evaluate(expr, z) - b) / a - evaluate(F11, u)) <= \
+                1e-12 * (1 + abs(evaluate(F11, u)))
+
+    def test_shift_keeps_family_chart_while_constant_in_range(self):
+        assert chart(Shift(F11, complex(0.5, 3))) == (-1.0, 1, 0)
+        assert chart(Shift(F11, complex(0, -1))) == (-1.0, 1, 0)
+        assert chart(Shift(G11, complex(-2, 0))) == (1.0, 1, 0)
+        # the shifted constant leaves Re xi >= 1 / Re zeta <= -1
+        assert chart(Shift(F11, complex(-0.5, 0))) is None
+        assert chart(Shift(G11, complex(0.25, 0))) is None
+        # a shift of anything but a family map
+        assert chart(Shift(Conjugate(2, 1, F11), 1)) is None
+
+    def test_other_nodes_have_no_chart(self):
+        exp1 = ScaledExp(complex(1, 0))
+        for expr in (exp1, Iterate(F11, 2), Compose(F11, F11),
+                     Compose(F11, G11), Conjugate(2, 1, exp1),
+                     Conjugate(2, 1, Iterate(F11, 1))):
+            assert chart(expr) is None

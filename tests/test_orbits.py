@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expdyn.fields import Window, classify_grid
 from expdyn.maps import (
+    Conjugate,
     Directed,
     FamilyF,
     FamilyG,
@@ -14,6 +16,8 @@ from expdyn.maps import (
     IterationConfig,
     Iterate,
     ScaledExp,
+    Shift,
+    chart,
     evaluate,
 )
 from expdyn.orbits import (
@@ -26,6 +30,7 @@ from expdyn.orbits import (
     orbit_to_csv,
     run_orbit,
 )
+from expdyn.sampling import SampleSet
 
 from helpers import complexes, family_f_maps, family_g_maps, pullback_escaping_seed
 
@@ -257,3 +262,78 @@ class TestEngineProperties:
         n_large = classify(F11, z, IterationConfig(max_iter=600))
         if isinstance(n_small, Escaping):
             assert n_large == n_small
+
+
+class TestChartVerdicts:
+    """The family tests read through chart(expr) on conj and shift."""
+
+    CONJ_F = Conjugate(complex(2, 0), complex(1, 0), F11)
+    # (map, its constant in the chart coordinate u = (z - b)/a)
+    TRANSPORTED = [
+        (CONJ_F, complex(1, 0)),
+        (Conjugate(complex(0.5, 1), complex(-3, 0), G11), complex(-1, 0)),
+        (Shift(F11, complex(0.5, 0)), complex(1.5, 0)),
+    ]
+
+    @pytest.mark.parametrize("expr, const", TRANSPORTED)
+    def test_transported_absorption_soundness(self, expr, const):
+        # after a proven verdict, 100 further steps keep u within
+        # distance 1 of the chart's constant
+        _, a, b = chart(expr)
+        cfg = IterationConfig(max_iter=60)
+        proven = 0
+        for z0 in SampleSet.generate(5, 400, Window(-20, 20, -20, 20)).points:
+            rec = run_orbit(expr, complex(z0), cfg)
+            if not isinstance(rec.classification, NonEscapingProven):
+                continue
+            proven += 1
+            w = rec.points[-1]
+            for _ in range(100):
+                w = evaluate(expr, w, cfg)
+                assert isinstance(w, complex)
+                assert abs((w - b) / a - const) <= 1.0 + 1e-9
+        assert proven >= 100
+
+    def test_collapse_under_a_chart_is_taken_by_the_half_plane(self):
+        # u = -750: one rung up, then the exponential underflows onto
+        # phi(xi) = 3; the half-plane test takes it with no further step
+        rec = run_orbit(self.CONJ_F, complex(-1499, 0))
+        assert rec.classification == NonEscapingProven(RIGHT, 2)
+        assert rec.steps_taken == 2 and rec.points[-1] == complex(3, 0)
+
+    def test_render_deep_grid_spends_no_budget(self):
+        field = classify_grid(self.CONJ_F, Window(-19, 5, -16, 16), 40, 40,
+                              IterationConfig(max_iter=60), workers=1)
+        kinds = set(field.kinds.tobytes().decode())
+        assert "B" not in kinds and "P" in kinds and "E" in kinds
+
+    @pytest.mark.parametrize("mu, zeta", [
+        (complex(-1, 0), complex(-1, 0)), (complex(-0.5, 1), complex(-2, 0.5)),
+        (complex(-2, -1), complex(-1.5, -3))])
+    def test_g_is_a_conjugate_of_f(self, mu, zeta):
+        # G(mu, zeta) = conj(-1, 0, F(mu - i*pi, -zeta)): the same
+        # half-plane test, and the same verdict kind on every seed whose
+        # G orbit stays finite.  Overflow-ladder seeds are left out: their
+        # phase can be lost to rounding (ROADMAP item 1).
+        g = FamilyG(mu, zeta)
+        f = Conjugate(complex(-1, 0), 0j,
+                      FamilyF(mu - complex(0, math.pi), -zeta))
+        sign_g, a_g, b_g = chart(g)
+        sign_f, a_f, b_f = chart(f)
+        for z in (complex(0.5, 3), complex(-2, -1), 0j):
+            assert sign_g * ((z - b_g) / a_g).real == \
+                sign_f * ((z - b_f) / a_f).real
+        cfg = IterationConfig(max_iter=200)
+        compared = 0
+        for z0 in SampleSet.generate(3, 1000, Window(-10, 10, -10, 10)).points:
+            rec = run_orbit(g, complex(z0), cfg)
+            if not all(isinstance(p, complex) for p in rec.points):
+                continue
+            compared += 1
+            assert type(classify(f, complex(z0), cfg)) is \
+                type(rec.classification)
+        assert compared >= 900
+        # first-rung ladder seeds, whose phases are still exact: the
+        # chart turns f's Directed points by arg(-1) = pi as well
+        for z0 in (complex(750, 0), complex(750, 1), complex(760, -2)):
+            assert type(classify(f, z0)) is type(classify(g, z0))

@@ -88,6 +88,18 @@ class TestParse:
         with pytest.raises(MapSyntaxError, match="expected 'i'"):
             parse_complex("1+2")
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1+-2i", 2), ("1-+2i", 2), ("1 - -2i", 4)])
+    def test_doubled_sign_rejected(self, text, offset):
+        with pytest.raises(MapSyntaxError, match="doubled sign") as exc:
+            parse_complex(text)
+        assert exc.value.offset == offset
+
+    def test_doubled_sign_in_map_rejected(self):
+        with pytest.raises(MapSyntaxError) as exc:
+            parse_map("F(-1+-1i, 1)")
+        assert exc.value.offset == 5
+
 
 class TestFormat:
     def test_real_only_stays_bare(self):

@@ -4,18 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from expdyn import orbits, verify
 from expdyn.fields import Window, classify_grid
 from expdyn.maps import (
     Compose,
+    Conjugate,
     DegeneratePhaseError,
     Directed,
     FamilyF,
     FamilyG,
+    InvalidMapError,
     IterationConfig,
     Iterate,
     ScaledExp,
     Shift,
     evaluate,
+    validate,
 )
 from expdyn.orbits import (
     AbsorptionRule,
@@ -26,7 +30,6 @@ from expdyn.orbits import (
 )
 from expdyn.sampling import SampleSet
 from expdyn.verify import (
-    NoKnownPeriodError,
     _image,
     verify_composite_laws,
     verify_conjugacy,
@@ -58,6 +61,30 @@ def points(*zs):
 def small_field(expr, window, n=60, max_iter=200):
     return classify_grid(expr, window, n, n,
                          IterationConfig(max_iter=max_iter), workers=1)
+
+
+class TestValidation:
+    def test_each_map_validated_once_per_suite(self, monkeypatch):
+        calls = []
+
+        def counting_validate(expr):
+            calls.append(expr)
+            validate(expr)
+
+        for module in (verify, orbits):
+            monkeypatch.setattr(module, "validate", counting_validate)
+        ss = SampleSet.generate(2, 40, Window(-3, 3, -3, 3))
+        conj = Conjugate(complex(2, 0), complex(1, 0), F11)
+        for run, maps in [
+                (lambda: verify_period_shift(F11, 2, ss, CFG),
+                 [F11, Shift(Iterate(F11, 2), complex(0, 2 * math.pi))]),
+                (lambda: verify_composite_laws(F11, 2, 1, ss, CFG), [F11]),
+                (lambda: verify_image_superset(F11, 2, ss, CFG), [F11]),
+                (lambda: verify_conjugacy(F11, complex(2, 0), complex(1, 0),
+                                          ss, CFG), [conj])]:
+            calls.clear()
+            run()
+            assert calls == maps
 
 
 class TestReport:
@@ -190,10 +217,17 @@ class TestPeriodShift:
         rep = verify_period_shift(F11, 1, ss, CFG)
         assert rep.verdict == "pass"
 
-    def test_unknown_period_is_an_error(self):
-        with pytest.raises(NoKnownPeriodError):
-            verify_period_shift(Compose(F11, G11), 1,
-                                SampleSet.generate(1, 1, Window(0, 1, 0, 1)),
+    def test_compose_map_takes_inner_period(self):
+        # a period of the inner map is a period of the composite
+        rep = verify_period_shift(Compose(F11, G11), 1,
+                                  SampleSet.generate(1, 50, Window(-3, 3, -3, 3)),
+                                  CFG)
+        assert rep.verdict == "pass" and rep.total == 50
+
+    def test_non_finite_period_is_invalid(self):
+        with pytest.raises(InvalidMapError, match="c finite"):
+            verify_period_shift(ScaledExp(complex(1e-320, 0)), 1,
+                                SampleSet.generate(1, 3, Window(0, 1, 0, 1)),
                                 CFG)
 
     def test_planted_conflict_fails(self):
