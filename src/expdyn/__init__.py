@@ -31,6 +31,7 @@ from .maps import (
     Shift,
     chart,
     evaluate,
+    evaluate_points,
     period_of,
     validate,
 )
@@ -43,6 +44,7 @@ from .orbits import (
     OrbitRecord,
     Undetermined,
     classify,
+    classify_points,
     orbit_to_csv,
     run_orbit,
 )
@@ -69,7 +71,8 @@ __all__ = [
     "InvalidMapError", "IterationConfig", "Iterate", "MapExpr",
     "MapSyntaxError", "NonEscapingProven", "OrbitRecord", "SampleSet", "ScaledExp", "Shift",
     "StripId", "Undetermined", "VerificationReport", "Window", "chart",
-    "classify", "classify_grid", "evaluate", "export_field_csv", "format_complex",
+    "classify", "classify_grid", "classify_points", "evaluate",
+    "evaluate_points", "export_field_csv", "format_complex",
     "format_map", "import_field_csv", "orbit_to_csv", "overlay_strips",
     "parse_complex", "parse_map", "period_of", "render_ppm", "run_orbit",
     "splitmix64", "strip_boundaries", "strip_of", "validate",

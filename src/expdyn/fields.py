@@ -1,10 +1,15 @@
 """Escape-time fields over rectangular windows, with PPM and CSV export.
 
 Cells are sampled at their centers (so window edges are unbiased) and
-classified independently; grid rows are distributed across workers and
-reassembled by row index, which makes the result identical for any
-worker count.  PPM (binary P6) is the image format: dependency-free and
-byte-exact, so golden tests can compare files directly.
+classified independently.  The grid is cut, in storage order, into
+blocks of a fixed size; each block goes through
+``orbits.classify_points``, which moves its seeds in lockstep and gives
+each cell the verdict ``classify`` gives it.  Blocks are distributed
+across workers and put back by position.  The bytes of a field depend on
+the libm behind Python's ``math`` module, not on numpy's SIMD build, the
+worker count or the block size.  PPM (binary P6) is the image format:
+dependency-free and byte-exact, so golden tests can compare files
+directly.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import BinaryIO, Iterable, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
 from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, validate
-from .orbits import (BoundedAtBudget, Escaping, NonEscapingProven, _chart_tests,
-                     _g17, _iterate)
+from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED,
+                     _chart_tests, _classify_points, _g17)
 from .strips import Family, strip_boundaries
 
 __all__ = [
@@ -32,12 +37,6 @@ __all__ = [
     "import_field_csv",
     "overlay_strips",
 ]
-
-KIND_ESCAPING = ord("E")
-KIND_PROVEN = ord("P")
-KIND_BUDGET = ord("B")
-KIND_UNDETERMINED = ord("U")
-
 
 @dataclass(frozen=True, slots=True)
 class Window:
@@ -104,29 +103,23 @@ class EscapeField:
         return np.nonzero(self.kinds == KIND_ESCAPING)[0]
 
 
-def _classification_code(verdict) -> Tuple[int, int]:
-    if isinstance(verdict, Escaping):
-        return KIND_ESCAPING, verdict.step
-    if isinstance(verdict, NonEscapingProven):
-        return KIND_PROVEN, verdict.step
-    if isinstance(verdict, BoundedAtBudget):
-        return KIND_BUDGET, -1
-    return KIND_UNDETERMINED, -1
+# Cells per block of the grid engine.  A fixed constant, not a setting:
+# the verdicts are the same for every block size, and blocks of this size
+# keep the lockstep arrays small (the peak memory of a whole 512x512 grid
+# at once is about twice that of a row at a time).
+_BLOCK = 4096
 
 
-def _compute_row(expr: MapExpr, window: Window, nx: int, ny: int,
-                 cfg: IterationConfig, j: int) -> Tuple[int, bytes, List[int]]:
+def _grid_block(expr: MapExpr, window: Window, nx: int, ny: int,
+                cfg: IterationConfig, start: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Verdict codes of the cells start, start+1, ... (at most _BLOCK,
+    in storage order), centers computed as EscapeField.center does."""
+    k = np.arange(start, min(start + _BLOCK, nx * ny))
     dx = (window.x_max - window.x_min) / nx
     dy = (window.y_max - window.y_min) / ny
-    y = window.y_max - (j + 0.5) * dy
-    kinds = bytearray(nx)
-    steps = [0] * nx
-    tests = _chart_tests(expr)
-    for i in range(nx):
-        x = window.x_min + (i + 0.5) * dx
-        verdict = _iterate(expr, complex(x, y), cfg, False, tests)[0]
-        kinds[i], steps[i] = _classification_code(verdict)
-    return j, bytes(kinds), steps
+    x = window.x_min + (k % nx + 0.5) * dx
+    y = window.y_max - (k // nx + 0.5) * dy
+    return _classify_points(expr, x, y, cfg, _chart_tests(expr))
 
 
 def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
@@ -134,8 +127,10 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
                   workers: Optional[int] = None) -> EscapeField:
     """Classify every cell center; identical output for any worker count.
 
-    The map is validated once per call, not once per cell.  workers None
-    means one per CPU; a count below 1 is a ValueError.
+    Cells go through orbits.classify_points in blocks of a fixed size,
+    so each cell gets classify's verdict.  The map is validated once per
+    call, not once per cell or block.  workers None means one per CPU; a
+    count below 1 is a ValueError.
     """
     validate(expr)
     if nx < 1 or ny < 1:
@@ -144,17 +139,21 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    row_fn = partial(_compute_row, expr, window, nx, ny, cfg)
-    if workers <= 1 or ny == 1:
-        rows = [row_fn(j) for j in range(ny)]
-    else:
-        with multiprocessing.Pool(processes=min(workers, ny)) as pool:
-            rows = pool.map(row_fn, range(ny))
+    block_fn = partial(_grid_block, expr, window, nx, ny, cfg)
+    starts = range(0, nx * ny, _BLOCK)
     kinds = np.empty(nx * ny, dtype=np.uint8)
     steps = np.empty(nx * ny, dtype=np.int64)
-    for j, krow, srow in rows:
-        kinds[j * nx:(j + 1) * nx] = np.frombuffer(krow, dtype=np.uint8)
-        steps[j * nx:(j + 1) * nx] = srow
+
+    def fill(blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> None:
+        for start, (k, s) in zip(starts, blocks):
+            kinds[start:start + len(k)] = k
+            steps[start:start + len(k)] = s
+
+    if workers <= 1 or len(starts) == 1:
+        fill(map(block_fn, starts))
+    else:
+        with multiprocessing.Pool(processes=min(workers, len(starts))) as pool:
+            fill(pool.imap(block_fn, starts))
     kinds.setflags(write=False)
     steps.setflags(write=False)
     return EscapeField(window=window, nx=nx, ny=ny, kinds=kinds, steps=steps)
@@ -209,17 +208,23 @@ def overlay_strips(field: EscapeField, family: Family,
 
 def export_field_csv(field: EscapeField, out: TextIO) -> None:
     """Rows "i,j,re,im,class,step" in storage order; step is empty unless
-    the cell escaped or was proven non-escaping."""
+    the cell escaped or was proven non-escaping.
+
+    Each column's x and each row's y is formatted once, and each grid
+    row is written as one string.
+    """
     out.write("i,j,re,im,class,step\n")
+    nx = field.nx
+    xs = [_g17(field.window.x_min + (i + 0.5) * field.dx) for i in range(nx)]
+    # a step of -1 (none) reads as empty text
+    names = [""] + [str(s) for s in range(int(field.steps.max()) + 1)]
     for j in range(field.ny):
-        y = field.window.y_max - (j + 0.5) * field.dy
-        base = j * field.nx
-        for i in range(field.nx):
-            x = field.window.x_min + (i + 0.5) * field.dx
-            kind = chr(field.kinds[base + i])
-            step = field.steps[base + i]
-            step_txt = str(int(step)) if step >= 0 else ""
-            out.write(f"{i},{j},{_g17(x)},{_g17(y)},{kind},{step_txt}\n")
+        y = _g17(field.window.y_max - (j + 0.5) * field.dy)
+        row = slice(j * nx, (j + 1) * nx)
+        kinds = field.kinds[row].tobytes().decode("ascii")
+        steps = (np.maximum(field.steps[row], -1) + 1).tolist()
+        out.write("".join([f"{i},{j},{x},{y},{k},{names[s]}\n" for i, x, k, s
+                           in zip(range(nx), xs, kinds, steps)]))
 
 
 def import_field_csv(src: Union[TextIO, Iterable[str]],

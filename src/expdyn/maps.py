@@ -17,6 +17,11 @@ Values too large for floating point are carried on a log scale: a
 that representation.  When the exponent of the next step is hugely
 negative the exponential term underflows and evaluation collapses the
 point back to the additive constant of the map.
+
+``evaluate_points`` applies a map once to a whole batch of points.  It
+repeats ``evaluate`` operation by operation on numpy arrays and calls the
+same ``math`` functions per element, so each point gets the bits
+``evaluate`` gives it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple, Union
+from typing import Callable, ClassVar, List, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "Family",
@@ -45,6 +52,7 @@ __all__ = [
     "DegeneratePhaseError",
     "validate",
     "evaluate",
+    "evaluate_points",
     "period_of",
     "chart",
 ]
@@ -404,6 +412,171 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
             return a * v + b
         return _normalize(v.log_modulus + math.log(abs(a)),
                           v.angle + math.atan2(a.imag, a.real), thresh)
+
+    raise TypeError(f"not a map expression: {expr!r}")
+
+
+# ---------------------------------------------------------------------------
+# one step on a batch of points
+# ---------------------------------------------------------------------------
+
+# A batch is three arrays: point k is complex(re[k], im[k]), or
+# Directed(re[k], im[k]) where directed[k].  Each branch below repeats
+# evaluate's branch for the node kind, test by test and operation by
+# operation.  numpy's exp/cos/sin/log and its complex / and * are not
+# used: on a share of inputs they differ from math's and CPython's in the
+# last ulp, and that would move verdicts.
+
+Points = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _apply(fn: Callable[[float], float], x: np.ndarray,
+           where: np.ndarray) -> np.ndarray:
+    """fn, a math function, on x where `where` holds (0.0 elsewhere)."""
+    out = np.zeros(len(x))
+    out[where] = np.fromiter(map(fn, x[where].tolist()), dtype=float)
+    return out
+
+
+def _exp_sat_points(x: np.ndarray, where: np.ndarray) -> np.ndarray:
+    # _exp_sat: math.exp below the cut, +inf from it on and for NaN
+    low = where & (x < _EXP_OVERFLOW)
+    return np.where(low, _apply(math.exp, x, low), math.inf)
+
+
+def _scale_points(mag: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # _scale: an exact zero factor wins over an infinite magnitude
+    return np.where(x == 0.0, 0.0, mag * x)
+
+
+def _phase_ok(angle: np.ndarray, where: np.ndarray) -> np.ndarray:
+    # where _phase_cos does not raise
+    return where & (-PHASE_RESOLUTION_LIMIT <= angle) \
+        & (angle <= PHASE_RESOLUTION_LIMIT)
+
+
+def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
+                thresh: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(w) of a finite exponent w = wr + i*wi where `where` holds, as
+    evaluate's finite branches take it: (re, im, directed), Directed(w)
+    itself past thresh; _cis's rules for a non-finite angle."""
+    low = where & (wr <= thresh)
+    m = _apply(math.exp, wr, low)
+    ok = low & np.isfinite(wi)
+    lost = np.where(m == 0.0, 0.0, math.nan)
+    return (np.where(ok, m * _apply(math.cos, wi, ok), np.where(low, lost, wr)),
+            np.where(ok, m * _apply(math.sin, wi, ok), np.where(low, lost, wi)),
+            where & ~low)
+
+
+def _normalize_points(lm: np.ndarray, angle: np.ndarray, where: np.ndarray,
+                      thresh: float) -> Points:
+    """_normalize where `where` holds: (re, im, directed, degenerate)."""
+    big = where & (lm > thresh)
+    bad = where & ~big & ~np.isfinite(angle)
+    down = where & ~big & ~bad
+    m = _apply(math.exp, lm, down)
+    return (np.where(down, m * _apply(math.cos, angle, down), lm),
+            np.where(down, m * _apply(math.sin, angle, down), angle), big, bad)
+
+
+def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
+    """(xr + i*xi) / a by CPython's complex division (Smith's algorithm,
+    _Py_c_quot), elementwise; a is nonzero."""
+    if abs(a.real) >= abs(a.imag):
+        ratio = a.imag / a.real
+        denom = a.real + a.imag * ratio
+        return (xr + xi * ratio) / denom, (xi - xr * ratio) / denom
+    ratio = a.real / a.imag
+    denom = a.real * ratio + a.imag
+    return (xr * ratio + xi) / denom, (xi * ratio - xr) / denom
+
+
+def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
+                    directed: np.ndarray,
+                    cfg: IterationConfig = DEFAULT_CONFIG) -> Points:
+    """evaluate applied to each point of a batch.
+
+    Point k is complex(re[k], im[k]), or Directed(re[k], im[k]) where
+    directed[k].  Returns (re, im, directed, degenerate): degenerate[k]
+    is true where evaluate raises DegeneratePhaseError, and the other
+    arrays mean nothing there.  Elsewhere every point has the bits
+    evaluate gives it.
+    """
+    with np.errstate(all="ignore"):
+        return _points(expr, re, im, directed, cfg)
+
+
+def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
+            cfg: IterationConfig) -> Points:
+    thresh, eps = cfg.overflow_log_threshold, cfg.degeneracy_eps
+    sign = getattr(expr, "sign", None)
+    if sign is not None:
+        p, const = expr.param, expr.const
+        out_re, out_im, out_d = _exp_points(sign * re + p.real,
+                                            sign * im + p.imag, ~d, thresh)
+        low = ~d & ~out_d
+        ph = _phase_ok(im, d)
+        c = sign * _apply(math.cos, im, ph)
+        under = ph & (c <= -eps)
+        over = ph & (c >= eps)
+        mag = _exp_sat_points(re, over)
+        s = sign * _apply(math.sin, im, over)
+        out_re = np.where(low, out_re + const.real, out_re)
+        out_im = np.where(low, out_im + const.imag, out_im)
+        out_re = np.where(under, const.real,
+                          np.where(over, mag * c + p.real, out_re))
+        out_im = np.where(under, const.imag,
+                          np.where(over, _scale_points(mag, s) + p.imag, out_im))
+        return out_re, out_im, out_d | over, d & ~under & ~over
+
+    if isinstance(expr, ScaledExp):
+        lr, li = expr.lam.real, expr.lam.imag
+        out_re, out_im, out_d = _exp_points(lr * re - li * im,
+                                            lr * im + li * re, ~d, thresh)
+        ph = _phase_ok(im, d)
+        ca, sa = _apply(math.cos, im, ph), _apply(math.sin, im, ph)
+        dr = lr * ca - li * sa
+        di = lr * sa + li * ca
+        scale = abs(expr.lam)
+        under = ph & (dr <= -eps * scale)
+        over = ph & (dr >= eps * scale)
+        mag = _exp_sat_points(re, over)
+        out_re = np.where(under, 0.0, np.where(over, mag * dr, out_re))
+        out_im = np.where(under, 0.0,
+                          np.where(over, _scale_points(mag, di), out_im))
+        return out_re, out_im, out_d | over, d & ~under & ~over
+
+    if isinstance(expr, Iterate):
+        bad = np.zeros(len(re), dtype=bool)
+        for _ in range(expr.s):
+            re, im, d, b = _points(expr.base, re, im, d, cfg)
+            bad |= b
+        return re, im, d, bad
+
+    if isinstance(expr, Shift):
+        re, im, d, bad = _points(expr.base, re, im, d, cfg)
+        c = complex(expr.c)
+        return np.where(d, re, re + c.real), np.where(d, im, im + c.imag), d, bad
+
+    if isinstance(expr, Compose):
+        re, im, d, bad = _points(expr.inner, re, im, d, cfg)
+        re, im, d, b = _points(expr.outer, re, im, d, cfg)
+        return re, im, d, bad | b
+
+    if isinstance(expr, Conjugate):
+        a, b = complex(expr.a), complex(expr.b)
+        log_a, arg_a = math.log(abs(a)), math.atan2(a.imag, a.real)
+        qr, qi = _quot(re - b.real, im - b.imag, a)
+        nr, ni, nd, bad = _normalize_points(re - log_a, im - arg_a, d, thresh)
+        vr, vi, vd, b1 = _points(expr.base, np.where(d, nr, qr),
+                                 np.where(d, ni, qi), nd, cfg)
+        nr, ni, nd, b2 = _normalize_points(vr + log_a, vi + arg_a, vd, thresh)
+        # a*v + b by CPython's complex product (_Py_c_prod)
+        pr = a.real * vr - a.imag * vi + b.real
+        pi = a.real * vi + a.imag * vr + b.imag
+        return (np.where(vd, nr, pr), np.where(vd, ni, pi), nd,
+                bad | b1 | b2)
 
     raise TypeError(f"not a map expression: {expr!r}")
 

@@ -18,6 +18,15 @@ of verdict come out of this:
   so one crossing alone is not evidence.
 
 ``BoundedAtBudget`` and ``Undetermined`` are the honest remainders.
+
+Two engines run these rules.  ``_iterate`` follows one seed and backs
+``classify`` and ``run_orbit``.  ``classify_points`` moves an array of
+seeds in lockstep through ``maps.evaluate_points`` and runs the same
+tests in the same order; it backs ``classify_grid``.  Every exp, cos,
+sin and log of both is the ``math`` function, and complex quotients and
+products are CPython's, so the two agree seed by seed, in verdict class
+and step, and their results depend on the libm behind ``math``, not on
+numpy's SIMD build.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, TextIO, Tuple, Union
+from typing import Optional, TextIO, Tuple, Union
+
+import numpy as np
 
 from .maps import (
     DEFAULT_CONFIG,
@@ -35,8 +46,14 @@ from .maps import (
     ExtendedPoint,
     IterationConfig,
     MapExpr,
+    _apply,
     _exp_sat,
+    _exp_sat_points,
+    _phase_ok,
+    _points,
+    _quot,
     _scale,
+    _scale_points,
     chart,
     evaluate,
     validate,
@@ -51,6 +68,7 @@ __all__ = [
     "Classification",
     "OrbitRecord",
     "classify",
+    "classify_points",
     "run_orbit",
     "orbit_to_csv",
 ]
@@ -63,6 +81,12 @@ class AbsorptionRule(enum.Enum):
     LEFT_HALF_PLANE_G = "left-half-plane-G"
     UNDERFLOW_TO_FIXED_NEIGHBORHOOD = "underflow-to-fixed-neighborhood"
 
+
+# byte codes of the four verdict classes in classify_points and fields
+KIND_ESCAPING = ord("E")
+KIND_PROVEN = ord("P")
+KIND_BUDGET = ord("B")
+KIND_UNDETERMINED = ord("U")
 
 # keyed by the chart's sign, the family's sign
 _HALF_PLANE_RULE = {-1.0: AbsorptionRule.RIGHT_HALF_PLANE_F,
@@ -109,10 +133,18 @@ def _effective_real(z: ExtendedPoint) -> float:
     return _scale(_exp_sat(z.log_modulus), math.cos(z.angle))
 
 
+_LN2 = math.log(2.0)
+
+
 def _log_modulus(z: ExtendedPoint) -> float:
+    """ln|z|, also where |z| passes DBL_MAX with finite parts: abs then
+    raises OverflowError, and z is halved first, which is exact."""
     if isinstance(z, Directed):
         return z.log_modulus
-    m = abs(z)
+    try:
+        m = abs(z)
+    except OverflowError:
+        return math.log(abs(0.5 * z)) + _LN2
     return math.log(m) if m > 0.0 else -math.inf
 
 
@@ -141,16 +173,16 @@ def _escaped(sign: Optional[float], z: ExtendedPoint, nxt: ExtendedPoint,
     return lm >= math.log(cfg.generic_escape_radius) and _log_modulus(nxt) >= lm
 
 
-_ChartTests = Tuple[Optional[float],
-                    Optional[Callable[[ExtendedPoint], ExtendedPoint]]]
+# (a, b, ln|a|, arg a) of the chart coordinate u = (z - b)/a
+_UChart = Tuple[complex, complex, float, float]
+_ChartTests = Tuple[Optional[float], Optional[_UChart]]
 
 
 def _chart_tests(expr: MapExpr) -> _ChartTests:
-    """(sign, to_u) for _iterate, looked up once per map.
+    """(sign, uc) for _iterate and _classify_points, looked up once per map.
 
-    sign is None when expr has no chart.  to_u maps z to u = (z - b)/a,
-    a Directed u keeping its log scale as evaluate's Conjugate branch
-    computes it; it is None for the identity chart, which tests z itself.
+    sign is None when expr has no chart.  uc gives u = (z - b)/a (see
+    _to_u); it is None for the identity chart, which tests z itself.
     """
     ch = chart(expr)
     if ch is None:
@@ -158,19 +190,23 @@ def _chart_tests(expr: MapExpr) -> _ChartTests:
     sign, a, b = ch
     if a == 1 and b == 0:
         return sign, None
-    log_a, arg_a = math.log(abs(a)), math.atan2(a.imag, a.real)
+    return sign, (complex(a), complex(b), math.log(abs(a)),
+                  math.atan2(a.imag, a.real))
 
-    def to_u(z: ExtendedPoint) -> ExtendedPoint:
-        if isinstance(z, complex):
-            return (z - b) / a
-        return Directed(z.log_modulus - log_a, z.angle - arg_a)
-    return sign, to_u
+
+def _to_u(z: ExtendedPoint, uc: _UChart) -> ExtendedPoint:
+    # a Directed u keeps its log scale, as evaluate's Conjugate branch
+    # computes it
+    a, b, log_a, arg_a = uc
+    if isinstance(z, complex):
+        return (z - b) / a
+    return Directed(z.log_modulus - log_a, z.angle - arg_a)
 
 
 def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
              tests: _ChartTests):
-    """Shared loop behind classify, run_orbit and classify_grid; callers
-    validate expr and pass _chart_tests(expr).
+    """Shared loop behind classify and run_orbit; callers validate expr
+    and pass _chart_tests(expr).  _classify_points repeats it on arrays.
 
     The termination tests read the map's chart: they test u = (z - b)/a,
     in which the map is a family map.  Returns (classification,
@@ -179,8 +215,8 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
     """
     z: ExtendedPoint = complex(z0)
     points = [z] if record else None
-    sign, to_u = tests
-    u = z if to_u is None else to_u(z)
+    sign, uc = tests
+    u = z if uc is None else _to_u(z, uc)
 
     for n in range(cfg.max_iter + 1):
         if isinstance(z, complex):
@@ -199,7 +235,7 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
             points.append(nxt)
         if _is_nan(nxt):
             return Undetermined("nan"), points, n + 1
-        if sign is not None and to_u is None and isinstance(z, Directed) \
+        if sign is not None and uc is None and isinstance(z, Directed) \
                 and isinstance(nxt, complex):
             # exponential underflowed: the orbit landed exactly on the
             # additive constant, inside the absorbing half plane.  Under
@@ -207,7 +243,7 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
             # half-plane test takes it before the next application.
             return (NonEscapingProven(AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, n),
                     points, n + 1)
-        v = nxt if to_u is None else to_u(nxt)
+        v = nxt if uc is None else _to_u(nxt, uc)
         if _escaped(sign, u, v, cfg):
             return Escaping(n), points, n + 1
         z, u = nxt, v
@@ -215,16 +251,121 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
     raise AssertionError("unreachable")
 
 
+# ---------------------------------------------------------------------------
+# lockstep classification of a batch of seeds
+# ---------------------------------------------------------------------------
+
+def _to_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray,
+                 uc: _UChart) -> Tuple[np.ndarray, np.ndarray]:
+    a, b, log_a, arg_a = uc
+    qr, qi = _quot(re - b.real, im - b.imag, a)
+    return np.where(d, re - log_a, qr), np.where(d, im - arg_a, qi)
+
+
+def _effective_real_points(re: np.ndarray, im: np.ndarray,
+                           d: np.ndarray) -> np.ndarray:
+    ph = _phase_ok(im, d)
+    mag = _exp_sat_points(re, ph)
+    return np.where(ph, _scale_points(mag, _apply(math.cos, im, ph)),
+                    np.where(d, math.nan, re))
+
+
+def _log_modulus_points(re: np.ndarray, im: np.ndarray,
+                        where: np.ndarray) -> np.ndarray:
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return _apply(_log_modulus, z, where)
+
+
+def _escaped_points(sign: Optional[float], ur: np.ndarray, ui: np.ndarray,
+                    ud: np.ndarray, vr: np.ndarray, vi: np.ndarray,
+                    vd: np.ndarray, cfg: IterationConfig) -> np.ndarray:
+    """_escaped of each pair (u, v), u and v in chart coordinates."""
+    if sign is not None:
+        r = sign * _effective_real_points(ur, ui, ud)
+        return (r >= cfg.escape_real_threshold) \
+            & (sign * _effective_real_points(vr, vi, vd) >= r)
+    both = ~ud & ~vd
+    lu = _log_modulus_points(ur, ui, both)
+    far = both & (lu >= math.log(cfg.generic_escape_radius))
+    return np.where(ud, vd & (vr > ur),
+                    far & (_log_modulus_points(vr, vi, far) >= lu))
+
+
+def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
+                     cfg: IterationConfig,
+                     tests: _ChartTests) -> Tuple[np.ndarray, np.ndarray]:
+    """classify_points of the seeds re + i*im for a caller that has
+    validated expr and passes _chart_tests(expr).
+
+    Every step runs _iterate's tests in _iterate's order on all live
+    seeds at once: nan, the half plane, the budget, the step itself
+    (degenerate phase), nan, underflow (identity chart only) and escape.
+    Seeds that stop are compressed out.
+    """
+    n = len(re)
+    kinds = np.full(n, KIND_BUDGET, dtype=np.uint8)
+    steps = np.full(n, -1, dtype=np.int64)
+    sign, uc = tests
+    idx = np.arange(n)
+    d = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        ur, ui = (re, im) if uc is None else _to_u_points(re, im, d, uc)
+        for step in range(cfg.max_iter + 1):
+            stop = ~d & (np.isnan(re) | np.isnan(im))
+            kinds[idx[stop]] = KIND_UNDETERMINED
+            if sign is not None:
+                hit = ~d & ~stop & (sign * ur <= 0.0)
+                kinds[idx[hit]] = KIND_PROVEN
+                steps[idx[hit]] = step
+                stop |= hit
+            keep = ~stop
+            idx, re, im, d, ur, ui = (idx[keep], re[keep], im[keep], d[keep],
+                                      ur[keep], ui[keep])
+            if step == cfg.max_iter or not len(idx):
+                break  # what is left stays bounded at budget
+            nr, ni, nd, stop = _points(expr, re, im, d, cfg)
+            stop |= np.isnan(nr) | np.isnan(ni)
+            kinds[idx[stop]] = KIND_UNDETERMINED
+            if sign is not None and uc is None:
+                hit = ~stop & d & ~nd  # underflow, as in _iterate
+                kinds[idx[hit]] = KIND_PROVEN
+                steps[idx[hit]] = step
+                stop |= hit
+            vr, vi = (nr, ni) if uc is None else _to_u_points(nr, ni, nd, uc)
+            hit = ~stop & _escaped_points(sign, ur, ui, d, vr, vi, nd, cfg)
+            kinds[idx[hit]] = KIND_ESCAPING
+            steps[idx[hit]] = step
+            keep = ~(stop | hit)
+            idx, re, im, d, ur, ui = (idx[keep], nr[keep], ni[keep], nd[keep],
+                                      vr[keep], vi[keep])
+    return kinds, steps
+
+
 def classify(expr: MapExpr, z0: complex,
              cfg: IterationConfig = DEFAULT_CONFIG) -> Classification:
     """Classify one seed.  Pure function of (expr, z0, cfg)."""
     validate(expr)
-    return _classify(expr, z0, cfg)
-
-
-def _classify(expr: MapExpr, z0: complex, cfg: IterationConfig) -> Classification:
-    """classify for a caller that has validated expr."""
     return _iterate(expr, z0, cfg, False, _chart_tests(expr))[0]
+
+
+def classify_points(expr: MapExpr, points: np.ndarray,
+                    cfg: IterationConfig = DEFAULT_CONFIG
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Classify each seed of a 1-D complex array, all in lockstep.
+
+    Returns (kinds, steps): kinds[k] is the byte code (KIND_ESCAPING,
+    KIND_PROVEN, KIND_BUDGET or KIND_UNDETERMINED) of
+    classify(expr, points[k], cfg), steps[k] the step of an Escaping or
+    NonEscapingProven verdict and -1 otherwise.  The codes agree with
+    classify seed by seed: the step is maps.evaluate_points, which calls
+    the same math functions as evaluate, and the tests are _iterate's.
+    """
+    validate(expr)
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 1:
+        raise ValueError(f"points must be a 1-D array, got shape {pts.shape}")
+    return _classify_points(expr, pts.real, pts.imag, cfg, _chart_tests(expr))
 
 
 def run_orbit(expr: MapExpr, z0: complex,

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from .fields import EscapeField, KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED
+from .fields import EscapeField
 from .maps import (
     Compose,
     Conjugate,
@@ -32,10 +32,13 @@ from .maps import (
     MapExpr,
     Shift,
     evaluate,
+    evaluate_points,
     period_of,
     validate,
 )
-from .orbits import Classification, Escaping, NonEscapingProven, _classify
+from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED,
+                     Classification, Escaping, NonEscapingProven, _chart_tests,
+                     _iterate)
 from .parser import format_complex
 from .sampling import SampleSet
 from .strips import strip_of
@@ -59,9 +62,19 @@ REL_TOL = 1e-6
 MODULUS_CAP = 1e8
 
 # The sample suites validate their maps once on entry and by default
-# classify through the non-validating path; a classify_fn passed in
-# (tests, tracing) is called as given.
+# classify through the non-validating path, each map's chart looked up
+# once per suite; a classify_fn passed in (tests, tracing) is called as
+# given, once per classification.
 ClassifyFn = Callable[[MapExpr, complex, IterationConfig], Classification]
+
+
+def _classifier(classify_fn: Optional[ClassifyFn], expr: MapExpr,
+                cfg: IterationConfig) -> Callable[[complex], Classification]:
+    """The classification of one seed under the validated map expr."""
+    if classify_fn is not None:
+        return lambda z0: classify_fn(expr, z0, cfg)
+    tests = _chart_tests(expr)
+    return lambda z0: _iterate(expr, z0, cfg, False, tests)[0]
 
 
 @dataclass
@@ -123,6 +136,13 @@ def _image(expr: MapExpr, z: complex, cfg: IterationConfig) -> Optional[complex]
     return w if isinstance(w, complex) and cmath.isfinite(w) else None
 
 
+def _same_points(p, q) -> np.ndarray:
+    """Which points of two (re, im, directed) batches are equal bit for
+    bit (0.0 and -0.0 differ; a NaN equals itself)."""
+    return ((p[0].view(np.int64) == q[0].view(np.int64))
+            & (p[1].view(np.int64) == q[1].view(np.int64)) & (p[2] == q[2]))
+
+
 def _undetermined_cells(fld: EscapeField) -> np.ndarray:
     return (fld.kinds == KIND_BUDGET) | (fld.kinds == KIND_UNDETERMINED)
 
@@ -137,31 +157,40 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
 
     Checks |f^k(z)| <= 1 + |xi| + BOUND_TOL (1 + |zeta| for G-maps) for every
     sample and every k up to k_max.  Samples must come from the absorbing
-    half plane (Re >= 0 for F, <= 0 for G); inside it the exponent is
-    always negative, so the iteration is vectorized directly.
+    half plane (Re >= 0 for F, <= 0 for G).  All orbits advance together
+    through maps.evaluate_points, the step of the orbit engine; an iterate
+    that leaves the double range or has a degenerate phase counts as
+    unbounded.  An orbit stops once it is back, bit for bit, at its last
+    or second-last point: the step is a function of the point, so every
+    later point is one already measured.
     """
     validate(expr)
-    sgn = getattr(expr, "sign", None)
-    if sgn is None:
+    if getattr(expr, "sign", None) is None:
         raise TypeError("half-plane bound applies to the two families only")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    par, const = expr.param, expr.const
-    bound = 1.0 + abs(const) + BOUND_TOL
+    bound = 1.0 + abs(expr.const) + BOUND_TOL
     report = VerificationReport("halfplane-bound", total=samples.count)
 
-    zr = samples.points.real.copy()
-    zi = samples.points.imag.copy()
-    worst = np.zeros_like(zr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k_max):
-            t = np.exp(sgn * zr + par.real)
-            ang = sgn * zi + par.imag
-            zr = t * np.cos(ang) + const.real
-            zi = t * np.sin(ang) + const.imag
-            np.maximum(worst, np.hypot(zr, zi), out=worst)
-    bad = np.nonzero(~(worst <= bound))[0]
-    for idx in bad:
+    worst = np.zeros(samples.count)
+    live = np.arange(samples.count)  # orbits still moving
+    z = (samples.points.real, samples.points.imag,
+         np.zeros(samples.count, dtype=bool))
+    before = None
+    for _ in range(k_max):
+        *nxt, bad = evaluate_points(expr, *z)
+        nr, ni, nd = nxt
+        worst[live] = np.maximum(
+            worst[live], np.where(nd | bad, np.inf, np.hypot(nr, ni)))
+        keep = ~bad & ~_same_points(nxt, z)
+        if before is not None:
+            keep &= ~_same_points(nxt, before)
+        live = live[keep]
+        before = [a[keep] for a in z]
+        z = [a[keep] for a in nxt]
+        if not len(live):
+            break
+    for idx in np.nonzero(~(worst <= bound))[0]:
         report.violations.append(_violation(
             complex(samples.points[idx]),
             f"|f^k(z)| <= {bound!r} for k <= {k_max}",
@@ -222,7 +251,8 @@ def verify_disjointness(field_f: EscapeField,
 
 def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
                         cfg: IterationConfig,
-                        classify_fn: ClassifyFn = _classify) -> VerificationReport:
+                        classify_fn: Optional[ClassifyFn] = None
+                        ) -> VerificationReport:
     """For a map f of period c and g = f^s + c, g^n must equal f^(n*s) + c
     along every orbit, and the classifications of f and g must not clash.
     """
@@ -233,6 +263,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
     s_fold = Iterate(expr, s)
     shifted = Shift(s_fold, c)
     validate(shifted)  # the period c must be finite
+    classify_f = _classifier(classify_fn, expr, cfg)
+    classify_g = _classifier(classify_fn, shifted, cfg)
     report = VerificationReport("period-shift", total=samples.count)
 
     for z0 in samples.points:
@@ -251,8 +283,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
                 break
             if abs(u) > MODULUS_CAP or abs(v) > MODULUS_CAP:
                 break
-        c1 = classify_fn(expr, z0, cfg)
-        c2 = classify_fn(shifted, z0, cfg)
+        c1 = classify_f(z0)
+        c2 = classify_g(z0)
         if _conflict(c1, c2):
             report.violations.append(_violation(
                 z0, "no escaping-vs-proven conflict between f and g",
@@ -268,7 +300,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
 
 def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
                           cfg: IterationConfig,
-                          classify_fn: ClassifyFn = _classify) -> VerificationReport:
+                          classify_fn: Optional[ClassifyFn] = None
+                          ) -> VerificationReport:
     """Subset, iterate and invariance laws for h = f o g with g = f^j.
 
     Per sample: (a) escape under h implies escape under f or g; (b) the
@@ -283,14 +316,18 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
     g = Iterate(expr, j)
     composite = Compose(expr, g)
     tall = Iterate(expr, i + j)
+    classify_comp = _classifier(classify_fn, composite, cfg)
+    classify_tall = _classifier(classify_fn, tall, cfg)
+    classify_f = _classifier(classify_fn, expr, cfg)
+    classify_g = _classifier(classify_fn, g, cfg)
     report = VerificationReport("composite-laws", total=samples.count)
 
     for z0 in samples.points:
         z0 = complex(z0)
-        c_comp = classify_fn(composite, z0, cfg)
-        c_tall = classify_fn(tall, z0, cfg)
-        c_f = classify_fn(expr, z0, cfg)
-        c_g = classify_fn(g, z0, cfg)
+        c_comp = classify_comp(z0)
+        c_tall = classify_tall(z0)
+        c_f = classify_f(z0)
+        c_g = classify_g(z0)
         skipped = False
 
         # (a) "escapes under f or g" passes when either escapes, conflicts
@@ -312,7 +349,7 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
 
         if _is_escaping(c_comp):
             w = _image(g, z0, cfg)
-            c_w = None if w is None else classify_fn(composite, w, cfg)
+            c_w = None if w is None else classify_comp(w)
             if _conflict(c_comp, c_w):
                 report.violations.append(_violation(
                     z0, "g(z) of an escaping seed must not be proven bounded",
@@ -331,22 +368,24 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
 
 def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
                           cfg: IterationConfig,
-                          classify_fn: ClassifyFn = _classify) -> VerificationReport:
+                          classify_fn: Optional[ClassifyFn] = None
+                          ) -> VerificationReport:
     """If w is proven non-escaping then g(w) = f^j(w) may not escape:
     the orbit of g(w) under f is the tail of a bounded orbit."""
     validate(expr)
     if j < 1:
         raise ValueError("j must be >= 1")
     g = Iterate(expr, j)
+    classify_f = _classifier(classify_fn, expr, cfg)
     report = VerificationReport("image-superset", total=samples.count)
 
     for w0 in samples.points:
         w0 = complex(w0)
-        c1 = classify_fn(expr, w0, cfg)
+        c1 = classify_f(w0)
         if _is_escaping(c1):
             continue  # the law says nothing about escaping seeds
         w1 = _image(g, w0, cfg) if _determined(c1) else None
-        c2 = None if w1 is None else classify_fn(expr, w1, cfg)
+        c2 = None if w1 is None else classify_f(w1)
         if _conflict(c1, c2):
             report.violations.append(_violation(
                 w0, "image of a proven non-escaping seed must not escape",
@@ -362,7 +401,8 @@ def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
 
 def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
                      cfg: IterationConfig,
-                     classify_fn: ClassifyFn = _classify) -> VerificationReport:
+                     classify_fn: Optional[ClassifyFn] = None
+                     ) -> VerificationReport:
     """Classify f at z and g = phi o f o phi^-1 at phi(z) = a*z + b.
 
     The orbit of g is its own: each step is evaluate on the Conjugate
@@ -375,12 +415,14 @@ def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
     """
     g = Conjugate(a, b, expr)
     validate(g)
+    classify_f = _classifier(classify_fn, expr, cfg)
+    classify_g = _classifier(classify_fn, g, cfg)
     report = VerificationReport("conjugacy", total=samples.count)
 
     for z0 in samples.points:
         z0 = complex(z0)
-        c1 = classify_fn(expr, z0, cfg)
-        c2 = classify_fn(g, a * z0 + b, cfg)
+        c1 = classify_f(z0)
+        c2 = classify_g(a * z0 + b)
         if _conflict(c1, c2):
             report.violations.append(_violation(
                 z0, "no escaping-vs-proven conflict between f and its conjugate",

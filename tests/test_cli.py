@@ -121,6 +121,26 @@ class TestRender:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestModulusPastDblMax:
+    # the first image of this seed has finite parts and |z| past DBL_MAX
+    MAP = "conj(2e4, 0, exp(1))"
+
+    def test_orbit(self, capsys):
+        code, out, err = run(capsys, "orbit", "--map", self.MAP,
+                             "--z0", "13999800+47123.88980384689i",
+                             "--max-iter", "5")
+        assert code == 0 and err == ""
+        assert out.endswith("# classification=BoundedAtBudget,step=5\n")
+
+    def test_render(self, capsys, tmp_path):
+        ppm = tmp_path / "x.ppm"
+        code, _, err = run(capsys, "render", "--map", self.MAP,
+                           "--window=13999790,13999810,47120,47130",
+                           "--res", "4,4", "--workers", "1", "--out", str(ppm))
+        assert code == 0 and "Traceback" not in err
+        assert ppm.read_bytes().startswith(b"P6\n4 4\n255\n")
+
+
 class TestVerifyCommand:
     def test_single_suite_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "halfplane-bound",

@@ -14,7 +14,11 @@ from expdyn.fields import (
     overlay_strips,
     render_ppm,
 )
-from expdyn.maps import FamilyF, FamilyG, InvalidMapError, IterationConfig, validate
+from expdyn.maps import (Directed, FamilyF, FamilyG, InvalidMapError,
+                         IterationConfig, validate)
+from expdyn.orbits import (BoundedAtBudget, Escaping, NonEscapingProven,
+                           Undetermined, _chart_tests, _g17, _iterate)
+from expdyn.parser import parse_map
 from expdyn.strips import Family
 
 F11 = FamilyF(complex(-1, 0), complex(1, 0))
@@ -106,6 +110,107 @@ class TestClassifyGrid:
         for idx in field.escaping_indices():
             i, j = int(idx) % field.nx, int(idx) // field.nx
             assert field.center(i, j).real < 0
+
+
+def scalar_grid(expr, window, nx, ny, cfg):
+    """The grid cell by cell through the scalar _iterate: (kinds, steps,
+    what the orbits reached), the oracle of the block engine."""
+    tests = _chart_tests(expr)
+    dx = (window.x_max - window.x_min) / nx
+    dy = (window.y_max - window.y_min) / ny
+    kinds, steps, reached = [], [], set()
+    for j in range(ny):
+        y = window.y_max - (j + 0.5) * dy
+        for i in range(nx):
+            x = window.x_min + (i + 0.5) * dx
+            verdict, points, _ = _iterate(expr, complex(x, y), cfg, True, tests)
+            if isinstance(verdict, (Escaping, NonEscapingProven)):
+                code, step = ("E" if isinstance(verdict, Escaping) else "P",
+                              verdict.step)
+            else:
+                code, step = ("B" if isinstance(verdict, BoundedAtBudget)
+                              else "U"), -1
+            kinds.append(ord(code))
+            steps.append(step)
+            reached.add(code)
+            if isinstance(verdict, Undetermined):
+                reached.add(verdict.reason)
+            if any(isinstance(p, Directed) for p in points):
+                reached.add("ladder")
+    return (np.array(kinds, dtype=np.uint8), np.array(steps, dtype=np.int64),
+            reached)
+
+
+class TestBlockEngine:
+    """classify_grid against the scalar loop, cell by cell."""
+
+    # one row per node kind: map, window, res, max_iter and what the
+    # scalar orbits of the window must reach
+    CASES = [
+        ("F(-1, 1)", (-30, 5, -20, 20), (24, 24), 60, {"E", "P", "ladder"}),
+        ("F(-1, 1)", (-30, 5, -20, 20), (24, 24), 2, {"E", "P", "B"}),
+        ("G(-1, -1)", (-5, 30, -20, 20), (24, 24), 60,
+         {"E", "P", "degenerate-phase", "ladder"}),
+        ("exp(0.5+2i)", (-10, 10, -10, 10), (24, 24), 40,
+         {"E", "B", "degenerate-phase", "ladder"}),
+        ("iter(exp(1), 2)", (-3, 3, -3, 3), (24, 24), 30,
+         {"E", "B", "degenerate-phase", "ladder"}),
+        ("shift(exp(1), 1)", (-3, 3, -3, 3), (24, 24), 30,
+         {"E", "degenerate-phase", "ladder"}),
+        ("shift(F(-1, 1), 0.5)", (-30, 5, -20, 20), (24, 24), 60,
+         {"E", "P", "ladder"}),
+        ("comp(exp(1), iter(exp(1), 1))", (-2, 2, -2, 2), (24, 24), 30,
+         {"E", "B", "degenerate-phase", "ladder"}),
+        ("conj(3+1i, -1, G(-1, -1))", (-30, 30, -30, 30), (24, 24), 60,
+         {"E", "P", "degenerate-phase", "ladder"}),
+        ("conj(1e5+1e5i, 0, exp(1))", (6.9e7, 7.1e7, 6.9e7, 7.1e7), (12, 12),
+         20, {"E", "nan", "degenerate-phase", "ladder"}),
+        # |z| passes DBL_MAX with finite parts on the first step
+        ("conj(2e4, 0, exp(1))", (13999790, 13999810, 47120, 47130), (4, 4),
+         5, {"B"}),
+    ]
+
+    @pytest.mark.parametrize("text, window, res, max_iter, reach", CASES)
+    def test_cells_match_scalar_loop(self, text, window, res, max_iter, reach):
+        expr, window = parse_map(text), Window(*window)
+        cfg = IterationConfig(max_iter=max_iter)
+        kinds, steps, reached = scalar_grid(expr, window, *res, cfg)
+        assert reach <= reached
+        field = classify_grid(expr, window, *res, cfg, workers=1)
+        assert np.array_equal(field.kinds, kinds)
+        assert np.array_equal(field.steps, steps)
+
+    def test_overflow_seed_window(self):
+        # the cells of this window sit next to 13999800+47123.88980384689i,
+        # whose first image has |z| past DBL_MAX
+        field = classify_grid(parse_map("conj(2e4, 0, exp(1))"),
+                              Window(13999799, 13999801, 47122.88980384689,
+                                     47124.88980384689), 1, 1,
+                              IterationConfig(max_iter=5), workers=1)
+        assert field.center(0, 0) == complex(13999800, 47123.88980384689)
+        assert field.cell(0, 0) == ("B", None)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_ending_mid_row(self, workers):
+        # 97 x 61 cells: the first block ends 22 cells into row 42
+        nx, ny = 97, 61
+        assert fields._BLOCK < nx * ny and fields._BLOCK % nx
+        cfg = IterationConfig(max_iter=60)
+        window = Window(-19, 5, -16, 16)
+        expr = parse_map("conj(2, 1, F(-1, 1))")
+        kinds, steps, _ = scalar_grid(expr, window, nx, ny, cfg)
+        field = classify_grid(expr, window, nx, ny, cfg, workers=workers)
+        assert np.array_equal(field.kinds, kinds)
+        assert np.array_equal(field.steps, steps)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_size_does_not_move_a_cell(self, monkeypatch, workers):
+        cfg = IterationConfig(max_iter=100)
+        window = Window(-30, 5, -20, 20)
+        whole = classify_grid(F11, window, 37, 23, cfg, workers=1)
+        monkeypatch.setattr(fields, "_BLOCK", 100)
+        blocks = classify_grid(F11, window, 37, 23, cfg, workers=workers)
+        assert blocks.cells_equal(whole)
 
 
 class TestRenderPpm:
@@ -232,6 +337,27 @@ class TestFieldCsv:
         out = io.StringIO()
         export_field_csv(field, out)
         assert out.getvalue().splitlines()[1].endswith(",B,")
+
+    def test_matches_cell_by_cell_formatter(self):
+        def per_cell(field):
+            lines = ["i,j,re,im,class,step\n"]
+            for j in range(field.ny):
+                y = field.window.y_max - (j + 0.5) * field.dy
+                for i in range(field.nx):
+                    x = field.window.x_min + (i + 0.5) * field.dx
+                    k, step = field.cell(i, j)
+                    step_txt = "" if step is None else str(step)
+                    lines.append(f"{i},{j},{_g17(x)},{_g17(y)},{k},{step_txt}\n")
+            return "".join(lines)
+
+        for field in (
+                classify_grid(F11, Window(-30, 5, -20, 20), 37, 23,
+                              IterationConfig(max_iter=100), workers=1),
+                classify_grid(G11, Window(-0.1, 1e-3, -7e5, 3.3), 5, 3,
+                              IterationConfig(max_iter=3), workers=1)):
+            out = io.StringIO()
+            export_field_csv(field, out)
+            assert out.getvalue() == per_cell(field)
 
     def test_import_rejects_partial_grid(self):
         text = "i,j,re,im,class,step\n0,0,0.5,0.5,B,\n2,0,2.5,0.5,B,\n"

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from expdyn.maps import (
     Shift,
     chart,
     evaluate,
+    evaluate_points,
     period_of,
     validate,
 )
@@ -192,6 +194,59 @@ class TestEvaluate:
     def test_non_finite_phase_becomes_nan(self):
         got = evaluate(F11, complex(0.0, math.inf))
         assert math.isnan(got.real) and math.isnan(got.imag)
+
+
+def _bits(x: float) -> str:
+    # tells -0.0 from 0.0; every NaN reads alike
+    return repr(float(x))
+
+
+class TestEvaluatePoints:
+    """evaluate_points against evaluate, point by point, to the bit."""
+
+    FINITE = ([complex(x, y) for x in (-760, -701, -30, -2.5, -1, 0, 0.5, 3,
+                                       699.5, 705, 1e6)
+               for y in (-1e17, -4, -math.pi / 2, 0, 1e-300, 2.75, 7e16)]
+              + [complex(math.nan, 0), complex(0, math.inf),
+                 complex(-math.inf, 1), complex(-0.0, -0.0),
+                 complex(1.5e308, -1.5e308)])
+    DIRECTED = [Directed(lm, angle)
+                for lm in (700.5, 705, 709.0, 709.5, 800, 1e300, math.inf)
+                for angle in (0.0, 1.0, math.pi / 2, -math.pi / 2 + 1e-13,
+                              math.pi, 2.0 ** 53, -5e15, math.nan)]
+
+    @pytest.mark.parametrize("expr", [
+        F11, G11, FamilyF(-1, 1), FamilyF(complex(-0.5, 2), complex(3, -1)),
+        ScaledExp(complex(1, 0)), ScaledExp(complex(-0.5, 2)),
+        Iterate(F11, 3), Iterate(ScaledExp(1), 2),
+        Shift(G11, complex(0.5, 1)), Shift(ScaledExp(1), 1.0),
+        Compose(ScaledExp(1), F11), Compose(G11, Iterate(F11, 2)),
+        Conjugate(2, 1, F11), Conjugate(complex(3, 1), -1, G11),
+        Conjugate(complex(0.25, -4), complex(1, 1), ScaledExp(1)),
+        Conjugate(complex(1e5, 1e5), 0j, ScaledExp(1))])
+    def test_matches_evaluate(self, expr):
+        pts = self.FINITE + self.DIRECTED
+        re = np.array([p.real if isinstance(p, complex) else p.log_modulus
+                       for p in pts])
+        im = np.array([p.imag if isinstance(p, complex) else p.angle
+                       for p in pts])
+        directed = np.array([isinstance(p, Directed) for p in pts])
+        out_re, out_im, out_d, bad = evaluate_points(expr, re, im, directed)
+        for k, p in enumerate(pts):
+            try:
+                want = evaluate(expr, p)
+            except DegeneratePhaseError:
+                assert bad[k], p
+                continue
+            assert not bad[k], p
+            assert out_d[k] == isinstance(want, Directed), p
+            got = (out_re[k], out_im[k])
+            if isinstance(want, Directed):
+                assert [_bits(v) for v in got] == \
+                    [_bits(want.log_modulus), _bits(want.angle)], p
+            else:
+                assert [_bits(v) for v in got] == \
+                    [_bits(want.real), _bits(want.imag)], p
 
 
 class TestEvaluateProperties:

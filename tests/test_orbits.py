@@ -1,13 +1,17 @@
 import dataclasses
 import io
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expdyn import orbits
 from expdyn.fields import Window, classify_grid
 from expdyn.maps import (
+    Compose,
     Conjugate,
     Directed,
     FamilyF,
@@ -27,6 +31,7 @@ from expdyn.orbits import (
     NonEscapingProven,
     Undetermined,
     classify,
+    classify_points,
     orbit_to_csv,
     run_orbit,
 )
@@ -337,3 +342,71 @@ class TestChartVerdicts:
         # chart turns f's Directed points by arg(-1) = pi as well
         for z0 in (complex(750, 0), complex(750, 1), complex(760, -2)):
             assert type(classify(f, z0)) is type(classify(g, z0))
+
+
+def verdict_code(verdict):
+    """(kind code, step) as classify_points reports a verdict."""
+    if isinstance(verdict, Escaping):
+        return ord("E"), verdict.step
+    if isinstance(verdict, NonEscapingProven):
+        return ord("P"), verdict.step
+    if isinstance(verdict, BoundedAtBudget):
+        return ord("B"), -1
+    return ord("U"), -1
+
+
+# |z| of its first image passes DBL_MAX, with both parts finite
+OVERFLOW_MAP = Conjugate(complex(2e4, 0), 0j, ScaledExp(complex(1, 0)))
+OVERFLOW_SEED = complex(13999800, 47123.88980384689)
+
+
+class TestClassifyPoints:
+    SEEDS = [complex(3, 4), complex(-0.5, 0), complex(-750, 0),
+             complex(750, math.pi), complex(-4.25, 3.125), complex(10, 0),
+             complex(0, 0), complex(math.nan, 0), complex(0, math.inf),
+             OVERFLOW_SEED, complex(-30, 17.5), complex(-701, -2)]
+
+    @pytest.mark.parametrize("expr", [
+        F11, G11, FamilyF(-1, 1), FamilyG(-1.0, -1.0),
+        ScaledExp(complex(1, 0)), ScaledExp(complex(0.5, 2)),
+        Iterate(ScaledExp(complex(1, 0)), 2), Shift(F11, 0.5),
+        Shift(ScaledExp(1), 1), Compose(F11, G11),
+        Conjugate(2, 1, F11), Conjugate(complex(3, 1), -1, G11),
+        Conjugate(complex(0.5, 1), complex(-3, 0), F11), OVERFLOW_MAP])
+    def test_codes_match_classify(self, expr):
+        for max_iter in (1, 5, 60):
+            cfg = IterationConfig(max_iter=max_iter)
+            kinds, steps = classify_points(expr, np.array(self.SEEDS), cfg)
+            assert kinds.dtype == np.uint8 and steps.dtype == np.int64
+            assert [(int(k), int(s)) for k, s in zip(kinds, steps)] == \
+                [verdict_code(classify(expr, z, cfg)) for z in self.SEEDS]
+
+    def test_empty_batch(self):
+        kinds, steps = classify_points(F11, np.array([], dtype=complex))
+        assert kinds.shape == steps.shape == (0,)
+
+    def test_invalid_map_raises(self):
+        with pytest.raises(InvalidMapError):
+            classify_points(FamilyF(complex(1, 0), complex(1, 0)),
+                            np.zeros(3, dtype=complex))
+
+    def test_points_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            classify_points(F11, np.zeros((2, 2), dtype=complex))
+
+
+class TestModulusOverflow:
+    def test_log_modulus_past_dbl_max(self):
+        z = complex(1.5e308, 1.5e308)
+        assert orbits._log_modulus(z) == pytest.approx(
+            math.log(1.5e308) + 0.5 * math.log(2.0), rel=1e-15)
+        assert orbits._log_modulus(complex(3.0, 4.0)) == math.log(5.0)
+        assert orbits._log_modulus(0j) == -math.inf
+
+    def test_classify_past_dbl_max(self):
+        cfg = IterationConfig(max_iter=5)
+        rec = run_orbit(OVERFLOW_MAP, OVERFLOW_SEED, cfg)
+        z1 = rec.points[1]
+        assert math.isfinite(z1.real) and math.isfinite(z1.imag)
+        assert math.hypot(z1.real / 2, z1.imag / 2) > 0.5 * sys.float_info.max
+        assert classify(OVERFLOW_MAP, OVERFLOW_SEED, cfg) == BoundedAtBudget()

@@ -87,6 +87,41 @@ class TestValidation:
             assert calls == maps
 
 
+    def test_each_chart_looked_up_once_per_suite(self, monkeypatch):
+        calls = []
+
+        def counting_chart_tests(expr):
+            calls.append(expr)
+            return orbits._chart_tests(expr)
+
+        monkeypatch.setattr(verify, "_chart_tests", counting_chart_tests)
+        ss = SampleSet.generate(2, 40, Window(-3, 3, -3, 3))
+        a, b = complex(2, 0), complex(1, 0)
+        shifted = Shift(Iterate(F11, 2), complex(0, 2 * math.pi))
+        for run, maps in [
+                (lambda fn: verify_period_shift(F11, 2, ss, CFG, fn),
+                 [F11, shifted]),
+                (lambda fn: verify_composite_laws(F11, 2, 1, ss, CFG, fn),
+                 [Compose(F11, Iterate(F11, 1)), Iterate(F11, 3), F11,
+                  Iterate(F11, 1)]),
+                (lambda fn: verify_image_superset(F11, 2, ss, CFG, fn), [F11]),
+                (lambda fn: verify_conjugacy(F11, a, b, ss, CFG, fn),
+                 [F11, Conjugate(a, b, F11)])]:
+            calls.clear()
+            default = run(None)
+            assert calls == maps
+            # a classify_fn passed in is called as given, per seed
+            seen = []
+
+            def counting_classify(expr, z0, cfg):
+                seen.append(expr)
+                return classify(expr, z0, cfg)
+
+            calls.clear()
+            assert run(counting_classify).to_json() == default.to_json()
+            assert calls == [] and len(seen) >= ss.count
+
+
 class TestReport:
     def test_json_shape(self):
         rep = verify_halfplane_bound(
