@@ -16,7 +16,9 @@ Values too large for floating point are carried on a log scale: a
 (unreduced) angle, and one map application is continued analytically on
 that representation.  When the exponent of the next step is hugely
 negative the exponential term underflows and evaluation collapses the
-point back to the additive constant of the map.
+point back to the additive constant of the map.  A finite point whose
+conjugation ``(z - b)/a`` or ``a*v + b`` overflows moves onto the ladder
+the same way.
 
 ``evaluate_points`` applies a map once to a whole batch of points.  It
 repeats ``evaluate`` operation by operation on numpy arrays and calls the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, ClassVar, List, Optional, Tuple, Union
 
@@ -306,6 +309,35 @@ def _cis(m: float, angle: float) -> tuple:
     return math.nan, math.nan
 
 
+_LN2 = math.log(2.0)
+
+
+def _log_modulus(z: ExtendedPoint) -> float:
+    """ln|z|, also where |z| passes DBL_MAX with finite parts: abs then
+    raises OverflowError, and z is halved first, which is exact."""
+    if isinstance(z, Directed):
+        return z.log_modulus
+    try:
+        m = abs(z)
+    except OverflowError:
+        return math.log(abs(0.5 * z)) + _LN2
+    return math.log(m) if m > 0.0 else -math.inf
+
+
+_PAIR = struct.Struct("dd")
+
+
+def _same_point(p: ExtendedPoint, q: ExtendedPoint) -> bool:
+    """p and q are the same point bit for bit: the same kind and the same
+    bits of both floats (0.0 and -0.0 differ; a NaN equals itself).
+    The scalar twin of _same_points."""
+    if isinstance(p, complex):
+        return isinstance(q, complex) and \
+            _PAIR.pack(p.real, p.imag) == _PAIR.pack(q.real, q.imag)
+    return isinstance(q, Directed) and \
+        _PAIR.pack(p.log_modulus, p.angle) == _PAIR.pack(q.log_modulus, q.angle)
+
+
 def _normalize(log_modulus: float, angle: float, threshold: float) -> ExtendedPoint:
     # Directed values must stay above the overflow threshold; anything
     # representable is demoted back to an ordinary complex number.
@@ -401,15 +433,24 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
         return evaluate(expr.outer, evaluate(expr.inner, z, cfg), cfg)
 
     if isinstance(expr, Conjugate):
+        # A finite point whose (z - b)/a or a*v + b overflows moves onto
+        # the ladder instead, b dropped as Shift drops its constant there
         a, b = expr.a, expr.b
         if isinstance(z, complex):
             pre: ExtendedPoint = (z - b) / a
+            if not cmath.isfinite(pre) and cmath.isfinite(z):
+                pre = Directed(_log_modulus(z - b), cmath.phase(z - b))
         else:
-            pre = _normalize(z.log_modulus - math.log(abs(a)),
-                             z.angle - math.atan2(a.imag, a.real), thresh)
+            pre = z
+        if isinstance(pre, Directed):
+            pre = _normalize(pre.log_modulus - math.log(abs(a)),
+                             pre.angle - math.atan2(a.imag, a.real), thresh)
         v = evaluate(expr.base, pre, cfg)
         if isinstance(v, complex):
-            return a * v + b
+            w = a * v + b
+            if cmath.isfinite(w) or not cmath.isfinite(v):
+                return w
+            v = Directed(_log_modulus(v), cmath.phase(v))
         return _normalize(v.log_modulus + math.log(abs(a)),
                           v.angle + math.atan2(a.imag, a.real), thresh)
 
@@ -436,6 +477,27 @@ def _apply(fn: Callable[[float], float], x: np.ndarray,
     out = np.zeros(len(x))
     out[where] = np.fromiter(map(fn, x[where].tolist()), dtype=float)
     return out
+
+
+def _finite(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return np.isfinite(re) & np.isfinite(im)
+
+
+def _polar_points(re: np.ndarray, im: np.ndarray,
+                  where: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(_log_modulus, cmath.phase) of the finite points where `where`
+    holds, evaluate's Directed stand-in for an overflowing one."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return _apply(_log_modulus, z, where), _apply(cmath.phase, z, where)
+
+
+def _same_points(p: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                 q: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Which points of two (re, im, directed) batches are equal bit for
+    bit (0.0 and -0.0 differ; a NaN equals itself), as _same_point."""
+    return ((p[0].view(np.int64) == q[0].view(np.int64))
+            & (p[1].view(np.int64) == q[1].view(np.int64)) & (p[2] == q[2]))
 
 
 def _exp_sat_points(x: np.ndarray, where: np.ndarray) -> np.ndarray:
@@ -567,15 +629,26 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
     if isinstance(expr, Conjugate):
         a, b = complex(expr.a), complex(expr.b)
         log_a, arg_a = math.log(abs(a)), math.atan2(a.imag, a.real)
-        qr, qi = _quot(re - b.real, im - b.imag, a)
-        nr, ni, nd, bad = _normalize_points(re - log_a, im - arg_a, d, thresh)
-        vr, vi, vd, b1 = _points(expr.base, np.where(d, nr, qr),
-                                 np.where(d, ni, qi), nd, cfg)
-        nr, ni, nd, b2 = _normalize_points(vr + log_a, vi + arg_a, vd, thresh)
-        # a*v + b by CPython's complex product (_Py_c_prod)
+        xr, xi = re - b.real, im - b.imag
+        qr, qi = _quot(xr, xi, a)
+        # finite points whose quotient overflows, carried as Directed ones
+        pd = d | (_finite(re, im) & ~_finite(qr, qi))
+        lm, ang = _polar_points(xr, xi, pd & ~d)
+        nr, ni, nd, bad = _normalize_points(np.where(d, re, lm) - log_a,
+                                            np.where(d, im, ang) - arg_a,
+                                            pd, thresh)
+        vr, vi, vd, b1 = _points(expr.base, np.where(pd, nr, qr),
+                                 np.where(pd, ni, qi), nd, cfg)
+        # a*v + b by CPython's complex product (_Py_c_prod); where a
+        # finite v overflows it, v is carried as a Directed one
         pr = a.real * vr - a.imag * vi + b.real
         pi = a.real * vi + a.imag * vr + b.imag
-        return (np.where(vd, nr, pr), np.where(vd, ni, pi), nd,
+        wd = vd | (_finite(vr, vi) & ~_finite(pr, pi))
+        lm, ang = _polar_points(vr, vi, wd & ~vd)
+        nr, ni, nd, b2 = _normalize_points(np.where(vd, vr, lm) + log_a,
+                                           np.where(vd, vi, ang) + arg_a,
+                                           wd, thresh)
+        return (np.where(wd, nr, pr), np.where(wd, ni, pi), nd,
                 bad | b1 | b2)
 
     raise TypeError(f"not a map expression: {expr!r}")

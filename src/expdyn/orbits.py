@@ -17,7 +17,11 @@ of verdict come out of this:
   map with the wrong sign provably returns next to the fixed constant,
   so one crossing alone is not evidence.
 
-``BoundedAtBudget`` and ``Undetermined`` are the honest remainders.
+``BoundedAtBudget`` and ``Undetermined`` are the honest remainders.  An
+orbit whose step returns the point it was given, bit for bit, ends
+``BoundedAtBudget`` at once: the step is a pure function, so every later
+step would repeat the same tests with the same outcome until the budget
+ran out.  Only the count of applications performed changes.
 
 Two engines run these rules.  ``_iterate`` follows one seed and backs
 ``classify`` and ``run_orbit``.  ``classify_points`` moves an array of
@@ -49,9 +53,12 @@ from .maps import (
     _apply,
     _exp_sat,
     _exp_sat_points,
+    _log_modulus,
     _phase_ok,
     _points,
     _quot,
+    _same_point,
+    _same_points,
     _scale,
     _scale_points,
     chart,
@@ -133,21 +140,6 @@ def _effective_real(z: ExtendedPoint) -> float:
     return _scale(_exp_sat(z.log_modulus), math.cos(z.angle))
 
 
-_LN2 = math.log(2.0)
-
-
-def _log_modulus(z: ExtendedPoint) -> float:
-    """ln|z|, also where |z| passes DBL_MAX with finite parts: abs then
-    raises OverflowError, and z is halved first, which is exact."""
-    if isinstance(z, Directed):
-        return z.log_modulus
-    try:
-        m = abs(z)
-    except OverflowError:
-        return math.log(abs(0.5 * z)) + _LN2
-    return math.log(m) if m > 0.0 else -math.inf
-
-
 def _is_nan(z: ExtendedPoint) -> bool:
     if isinstance(z, complex):
         return math.isnan(z.real) or math.isnan(z.imag)
@@ -209,7 +201,9 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
     and pass _chart_tests(expr).  _classify_points repeats it on arrays.
 
     The termination tests read the map's chart: they test u = (z - b)/a,
-    in which the map is a family map.  Returns (classification,
+    in which the map is a family map.  The orbit ends at the first step
+    that returns its point bit for bit (maps._same_point), once that
+    step's escape test has not fired.  Returns (classification,
     points-or-None, steps_taken) where steps_taken counts map
     applications actually performed.
     """
@@ -246,6 +240,11 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
         v = nxt if uc is None else _to_u(nxt, uc)
         if _escaped(sign, u, v, cfg):
             return Escaping(n), points, n + 1
+        # A fixed point of the step: every later step would repeat this
+        # one's tests on the same pair until the budget runs out.  `==`
+        # holds for any two equal points but NaNs, which ended above.
+        if nxt == z and _same_point(nxt, z):
+            return BoundedAtBudget(), points, n + 1
         z, u = nxt, v
 
     raise AssertionError("unreachable")
@@ -300,8 +299,9 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
 
     Every step runs _iterate's tests in _iterate's order on all live
     seeds at once: nan, the half plane, the budget, the step itself
-    (degenerate phase), nan, underflow (identity chart only) and escape.
-    Seeds that stop are compressed out.
+    (degenerate phase), nan, underflow (identity chart only), escape and
+    the repeated point (maps._same_points).  Seeds that stop are
+    compressed out.
     """
     n = len(re)
     kinds = np.full(n, KIND_BUDGET, dtype=np.uint8)
@@ -336,7 +336,8 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
             hit = ~stop & _escaped_points(sign, ur, ui, d, vr, vi, nd, cfg)
             kinds[idx[hit]] = KIND_ESCAPING
             steps[idx[hit]] = step
-            keep = ~(stop | hit)
+            # a seed at a fixed point of the step stays bounded at budget
+            keep = ~(stop | hit | _same_points((nr, ni, nd), (re, im, d)))
             idx, re, im, d, ur, ui = (idx[keep], nr[keep], ni[keep], nd[keep],
                                       vr[keep], vi[keep])
     return kinds, steps

@@ -31,6 +31,7 @@ from .maps import (
     Iterate,
     MapExpr,
     Shift,
+    _same_points,
     evaluate,
     evaluate_points,
     period_of,
@@ -134,13 +135,6 @@ def _image(expr: MapExpr, z: complex, cfg: IterationConfig) -> Optional[complex]
     except DegeneratePhaseError:
         return None
     return w if isinstance(w, complex) and cmath.isfinite(w) else None
-
-
-def _same_points(p, q) -> np.ndarray:
-    """Which points of two (re, im, directed) batches are equal bit for
-    bit (0.0 and -0.0 differ; a NaN equals itself)."""
-    return ((p[0].view(np.int64) == q[0].view(np.int64))
-            & (p[1].view(np.int64) == q[1].view(np.int64)) & (p[2] == q[2]))
 
 
 def _undetermined_cells(fld: EscapeField) -> np.ndarray:

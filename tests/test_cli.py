@@ -72,6 +72,16 @@ class TestOrbit:
                        "1,F,2,0\n"
                        "# classification=NonEscapingProven,step=1\n")
 
+    def test_trace_ends_at_a_fixed_point(self, capsys):
+        # the step maps the point of row 4 to itself: row 5 repeats it
+        code, out, _ = run(capsys, "orbit", "--map", "iter(exp(1), 3)", "--z0",
+                           "-1.4629668047662054-0.34743441032888267i")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 8
+        assert lines[-3:] == ["4,D,inf,0", "5,D,inf,0",
+                              "# classification=BoundedAtBudget,step=5"]
+
     def test_nan_abort_exit_3(self, capsys, monkeypatch):
         def fake_run_orbit(expr, z0, cfg):
             return OrbitRecord(seed=z0, points=(z0,),

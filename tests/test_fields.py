@@ -163,11 +163,15 @@ class TestBlockEngine:
          {"E", "B", "degenerate-phase", "ladder"}),
         ("conj(3+1i, -1, G(-1, -1))", (-30, 30, -30, 30), (24, 24), 60,
          {"E", "P", "degenerate-phase", "ladder"}),
+        # a*v + b overflows on a finite v: v moves onto the ladder
         ("conj(1e5+1e5i, 0, exp(1))", (6.9e7, 7.1e7, 6.9e7, 7.1e7), (12, 12),
-         20, {"E", "nan", "degenerate-phase", "ladder"}),
+         20, {"E", "degenerate-phase", "ladder"}),
         # |z| passes DBL_MAX with finite parts on the first step
         ("conj(2e4, 0, exp(1))", (13999790, 13999810, 47120, 47130), (4, 4),
          5, {"B"}),
+        # the exponent's imaginary part overflows on the row y = 0
+        ("exp(0+1e300i)", (-1e9, 1e9, -1, 1), (12, 11), 20,
+         {"nan", "degenerate-phase", "ladder"}),
     ]
 
     @pytest.mark.parametrize("text, window, res, max_iter, reach", CASES)

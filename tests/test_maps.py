@@ -18,6 +18,8 @@ from expdyn.maps import (
     Iterate,
     ScaledExp,
     Shift,
+    _same_point,
+    _same_points,
     chart,
     evaluate,
     evaluate_points,
@@ -191,6 +193,19 @@ class TestEvaluate:
         assert isinstance(got, Directed)
         assert got.log_modulus == pytest.approx(749.0 + 1.0)
 
+    def test_conjugate_image_overflow_moves_onto_the_ladder(self):
+        # a*v + b overflows on the finite v = exp(699 + i)
+        w = evaluate(Conjugate(1e5, 0, ScaledExp(1)), complex(69900000, 100000))
+        assert isinstance(w, Directed)
+        assert w.log_modulus == pytest.approx(699 + math.log(1e5), rel=1e-15)
+        assert w.angle == pytest.approx(1.0, rel=1e-15)
+
+    def test_conjugate_preimage_overflow_moves_onto_the_ladder(self):
+        # (z - b)/a overflows: u = Directed(ln|z| + ln 1e5, arg z), whose
+        # image under exp(i u) underflows to 0
+        assert evaluate(Conjugate(1e-5, 0, ScaledExp(1j)),
+                        complex(1e304, 1e303)) == 0j
+
     def test_non_finite_phase_becomes_nan(self):
         got = evaluate(F11, complex(0.0, math.inf))
         assert math.isnan(got.real) and math.isnan(got.imag)
@@ -209,7 +224,8 @@ class TestEvaluatePoints:
                for y in (-1e17, -4, -math.pi / 2, 0, 1e-300, 2.75, 7e16)]
               + [complex(math.nan, 0), complex(0, math.inf),
                  complex(-math.inf, 1), complex(-0.0, -0.0),
-                 complex(1.5e308, -1.5e308)])
+                 complex(1.5e308, -1.5e308), complex(69900000, 100000),
+                 complex(1e304, 1e303)])
     DIRECTED = [Directed(lm, angle)
                 for lm in (700.5, 705, 709.0, 709.5, 800, 1e300, math.inf)
                 for angle in (0.0, 1.0, math.pi / 2, -math.pi / 2 + 1e-13,
@@ -223,7 +239,8 @@ class TestEvaluatePoints:
         Compose(ScaledExp(1), F11), Compose(G11, Iterate(F11, 2)),
         Conjugate(2, 1, F11), Conjugate(complex(3, 1), -1, G11),
         Conjugate(complex(0.25, -4), complex(1, 1), ScaledExp(1)),
-        Conjugate(complex(1e5, 1e5), 0j, ScaledExp(1))])
+        Conjugate(complex(1e5, 1e5), 0j, ScaledExp(1)),
+        Conjugate(1e5, 0, ScaledExp(1)), Conjugate(1e-5, 0, ScaledExp(1j))])
     def test_matches_evaluate(self, expr):
         pts = self.FINITE + self.DIRECTED
         re = np.array([p.real if isinstance(p, complex) else p.log_modulus
@@ -247,6 +264,31 @@ class TestEvaluatePoints:
             else:
                 assert [_bits(v) for v in got] == \
                     [_bits(want.real), _bits(want.imag)], p
+
+
+class TestSamePoint:
+    """Bit equality of two points, the scalar twin against the array one."""
+
+    PAIRS = [(0j, 0j, True), (0j, complex(-0.0, 0.0), False),
+             (complex(1, -0.0), complex(1, 0.0), False),
+             (complex(1, 2), complex(1, 2.0000000000000004), False),
+             (complex(math.nan, 0), complex(math.nan, 0), True),
+             (Directed(math.inf, 0.0), Directed(math.inf, 0.0), True),
+             (Directed(math.inf, 0.0), Directed(math.inf, -0.0), False),
+             (Directed(800.0, 1.0), complex(800, 1), False),
+             (complex(800, 1), Directed(800.0, 1.0), False)]
+
+    def test_twins_agree(self):
+        def batch(pts):
+            re, im, directed = zip(*[
+                (p.real, p.imag, False) if isinstance(p, complex)
+                else (p.log_modulus, p.angle, True) for p in pts])
+            return np.array(re), np.array(im), np.array(directed)
+
+        want = [same for _, _, same in self.PAIRS]
+        assert [_same_point(p, q) for p, q, _ in self.PAIRS] == want
+        assert _same_points(batch([p for p, _, _ in self.PAIRS]),
+                            batch([q for _, q, _ in self.PAIRS])).tolist() == want
 
 
 class TestEvaluateProperties:

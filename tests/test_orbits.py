@@ -21,6 +21,7 @@ from expdyn.maps import (
     Iterate,
     ScaledExp,
     Shift,
+    _same_point,
     chart,
     evaluate,
 )
@@ -360,11 +361,18 @@ OVERFLOW_MAP = Conjugate(complex(2e4, 0), 0j, ScaledExp(complex(1, 0)))
 OVERFLOW_SEED = complex(13999800, 47123.88980384689)
 
 
+# a*v + b of its first step overflows on a finite v = exp(699 + i)
+CONJ_OVERFLOW_MAP = Conjugate(complex(1e5, 0), 0j, ScaledExp(complex(1, 0)))
+CONJ_OVERFLOW_SEED = complex(69900000, 100000)
+
+
 class TestClassifyPoints:
     SEEDS = [complex(3, 4), complex(-0.5, 0), complex(-750, 0),
              complex(750, math.pi), complex(-4.25, 3.125), complex(10, 0),
              complex(0, 0), complex(math.nan, 0), complex(0, math.inf),
-             OVERFLOW_SEED, complex(-30, 17.5), complex(-701, -2)]
+             OVERFLOW_SEED, complex(-30, 17.5), complex(-701, -2),
+             CONJ_OVERFLOW_SEED, CONJ_OVERFLOW_SEED + complex(-1e5, 1e5),
+             CONJ_OVERFLOW_SEED + complex(1e5, -3e5), complex(1e304, 1e303)]
 
     @pytest.mark.parametrize("expr", [
         F11, G11, FamilyF(-1, 1), FamilyG(-1.0, -1.0),
@@ -372,7 +380,8 @@ class TestClassifyPoints:
         Iterate(ScaledExp(complex(1, 0)), 2), Shift(F11, 0.5),
         Shift(ScaledExp(1), 1), Compose(F11, G11),
         Conjugate(2, 1, F11), Conjugate(complex(3, 1), -1, G11),
-        Conjugate(complex(0.5, 1), complex(-3, 0), F11), OVERFLOW_MAP])
+        Conjugate(complex(0.5, 1), complex(-3, 0), F11), OVERFLOW_MAP,
+        CONJ_OVERFLOW_MAP, Conjugate(1e-5, 0, ScaledExp(1j))])
     def test_codes_match_classify(self, expr):
         for max_iter in (1, 5, 60):
             cfg = IterationConfig(max_iter=max_iter)
@@ -410,3 +419,71 @@ class TestModulusOverflow:
         assert math.isfinite(z1.real) and math.isfinite(z1.imag)
         assert math.hypot(z1.real / 2, z1.imag / 2) > 0.5 * sys.float_info.max
         assert classify(OVERFLOW_MAP, OVERFLOW_SEED, cfg) == BoundedAtBudget()
+
+
+class TestConjugateOverflow:
+    def test_first_step_moves_onto_the_ladder(self):
+        rec = run_orbit(CONJ_OVERFLOW_MAP, CONJ_OVERFLOW_SEED,
+                        IterationConfig(max_iter=5))
+        z1 = rec.points[1]
+        assert isinstance(z1, Directed)
+        assert z1.log_modulus == pytest.approx(699 + math.log(1e5), rel=1e-15)
+        assert not isinstance(rec.classification, Undetermined)
+
+
+# an orbit of iter(exp(1), 3) that saturates at Directed(inf, 0.0)
+SATURATED_SEED = complex(-1.4629668047662054, -0.34743441032888267)
+
+
+class TestFixedPointStop:
+    """An orbit ends, bounded at budget, once the step returns the point it
+    was given."""
+
+    def test_saturated_orbit_stops_at_the_repeat(self):
+        rec = run_orbit(Iterate(ScaledExp(1), 3), SATURATED_SEED)
+        assert rec.classification == BoundedAtBudget()
+        assert rec.steps_taken == 5
+        assert rec.points[-2:] == (Directed(math.inf, 0.0),) * 2
+
+    def test_lockstep_engine_stops_at_the_repeat(self, monkeypatch):
+        live = []  # seeds moved by each lockstep application
+        apply = orbits._points
+
+        def counting(*args):
+            live.append(len(args[1]))
+            return apply(*args)
+
+        monkeypatch.setattr(orbits, "_points", counting)
+        kinds, _ = classify_points(Iterate(ScaledExp(1), 3),
+                                   np.array([SATURATED_SEED]))
+        assert kinds.tolist() == [ord("B")]
+        assert live == [1] * 5
+
+    def test_signed_zero_is_not_a_repeat(self):
+        # z -> exp(z) - 1 takes 0-0j to 0j, equal but not the same bits,
+        # and 0j to itself
+        rec = run_orbit(Shift(ScaledExp(1), -1), complex(0.0, -0.0))
+        assert rec.points == (complex(0.0, -0.0), 0j, 0j)
+        assert [math.copysign(1, p.imag) for p in rec.points] == [-1, 1, 1]
+        assert rec.classification == BoundedAtBudget()
+        assert rec.steps_taken == 2
+
+    def test_composite_laws_sample(self):
+        # the maps and seeds of verify_composite_laws(exp(1), 2, 1) at 314
+        samples = SampleSet.generate(314, 2000, Window(-2, 2, -2, 2))
+        f = ScaledExp(complex(1, 0))
+        g = Iterate(f, 1)
+        cfg = IterationConfig()
+        for expr in (Compose(f, g), Iterate(f, 3), f, g):
+            codes, stopped = [], 0
+            for z0 in samples.points:
+                rec = run_orbit(expr, complex(z0), cfg)
+                codes.append(verdict_code(rec.classification))
+                if rec.classification == BoundedAtBudget() and \
+                        rec.steps_taken < cfg.max_iter:
+                    last = rec.points[-1]
+                    assert _same_point(evaluate(expr, last), last)
+                    stopped += 1
+            assert stopped == codes.count((ord("B"), -1))
+            kinds, steps = classify_points(expr, samples.points, cfg)
+            assert list(zip(kinds.tolist(), steps.tolist())) == codes
