@@ -182,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_parse_switch,
                    help="mark strip boundaries white (optional value "
                         "true or false)")
-    p.add_argument("--workers", type=_positive_int)
+    p.add_argument("--workers", type=_positive_int,
+                   help="accepted and has no effect: the grid is classified "
+                        "in this process")
 
     p = command("strips", _cmd_strips, "strip index of a point")
     p.add_argument("--family", type=Family, help="F or G")
@@ -212,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_checked(parse_complex), default="1",
                    help="conjugacy offset (complex)")
     p.add_argument("--workers", type=_positive_int,
-                   help="worker processes of the grid suites "
-                        "(strip-containment, disjointness)")
+                   help="accepted and has no effect: the grid suites "
+                        "(strip-containment, disjointness) classify in "
+                        "this process")
 
     p = command("parse", _cmd_parse, "canonical form of a map expression")
     p.add_argument("--map")
@@ -257,13 +260,15 @@ def _family_map(expr: MapExpr, what: str) -> MapExpr:
 def _cmd_render(args) -> int:
     _require(args, "map", "window", "res", "out")
     expr = parse_map(args.map)
+    if args.overlay_strips:
+        # before the grid, so that a wrong map fails at once
+        _family_map(expr, "--overlay-strips")
     nx, ny = args.res
     field = classify_grid(expr, args.window, nx, ny,
                           IterationConfig(max_iter=args.max_iter),
                           workers=args.workers)
     marks = None
     if args.overlay_strips:
-        _family_map(expr, "--overlay-strips")
         marks = overlay_strips(field, expr.family, expr.param)
     with open(args.out, "wb") as fh:
         render_ppm(field, fh, marks=marks)

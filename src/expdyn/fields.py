@@ -2,12 +2,12 @@
 
 Cells are sampled at their centers (so window edges are unbiased) and
 classified independently.  The grid is cut, in storage order, into
-blocks of a fixed size; each block goes through
-``orbits.classify_points``, which moves its seeds in lockstep and gives
-each cell the verdict ``classify`` gives it.  Blocks are distributed
-across workers and put back by position.  The bytes of a field depend on
-the libm behind Python's ``math`` module, not on numpy's SIMD build, the
-worker count or the block size.  PPM (binary P6) is the image format:
+blocks of a fixed size, classified one after another in the calling
+process; each block goes through ``orbits.classify_points``, which moves
+its seeds in lockstep and gives each cell the verdict ``classify`` gives
+it.  The bytes of a field depend on the libm behind Python's ``math``
+module, not on numpy's SIMD build or the block size.  PPM (binary P6)
+is the image format:
 dependency-free and byte-exact, so golden tests can compare files
 directly.
 """
@@ -15,10 +15,7 @@ directly.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
-from functools import partial
 from typing import BinaryIO, Iterable, Optional, TextIO, Tuple, Union
 
 import numpy as np
@@ -51,6 +48,10 @@ class Window:
             raise ValueError("window bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("window must have x_min < x_max and y_min < y_max")
+        if not (math.isfinite(self.x_max - self.x_min)
+                and math.isfinite(self.y_max - self.y_min)):
+            # an infinite width would put every cell center at inf
+            raise ValueError("window width and height must be finite")
 
 
 @dataclass(frozen=True)
@@ -110,50 +111,32 @@ class EscapeField:
 _BLOCK = 4096
 
 
-def _grid_block(expr: MapExpr, window: Window, nx: int, ny: int,
-                cfg: IterationConfig, start: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Verdict codes of the cells start, start+1, ... (at most _BLOCK,
-    in storage order), centers computed as EscapeField.center does."""
-    k = np.arange(start, min(start + _BLOCK, nx * ny))
-    dx = (window.x_max - window.x_min) / nx
-    dy = (window.y_max - window.y_min) / ny
-    x = window.x_min + (k % nx + 0.5) * dx
-    y = window.y_max - (k // nx + 0.5) * dy
-    return _classify_points(expr, x, y, cfg, _chart_tests(expr))
-
-
 def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
                   cfg: IterationConfig = DEFAULT_CONFIG,
                   workers: Optional[int] = None) -> EscapeField:
-    """Classify every cell center; identical output for any worker count.
+    """Classify every cell center, in the calling process.
 
     Cells go through orbits.classify_points in blocks of a fixed size,
     so each cell gets classify's verdict.  The map is validated once per
-    call, not once per cell or block.  workers None means one per CPU; a
-    count below 1 is a ValueError.
+    call, not once per cell or block.  workers is accepted and has no
+    effect; a count below 1 is a ValueError.
     """
     validate(expr)
     if nx < 1 or ny < 1:
         raise ValueError("grid must be at least 1x1")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    block_fn = partial(_grid_block, expr, window, nx, ny, cfg)
-    starts = range(0, nx * ny, _BLOCK)
+    tests = _chart_tests(expr)
+    dx = (window.x_max - window.x_min) / nx
+    dy = (window.y_max - window.y_min) / ny
     kinds = np.empty(nx * ny, dtype=np.uint8)
     steps = np.empty(nx * ny, dtype=np.int64)
-
-    def fill(blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> None:
-        for start, (k, s) in zip(starts, blocks):
-            kinds[start:start + len(k)] = k
-            steps[start:start + len(k)] = s
-
-    if workers <= 1 or len(starts) == 1:
-        fill(map(block_fn, starts))
-    else:
-        with multiprocessing.Pool(processes=min(workers, len(starts))) as pool:
-            fill(pool.imap(block_fn, starts))
+    for start in range(0, nx * ny, _BLOCK):
+        # centers computed as EscapeField.center does
+        k = np.arange(start, min(start + _BLOCK, nx * ny))
+        x = window.x_min + (k % nx + 0.5) * dx
+        y = window.y_max - (k // nx + 0.5) * dy
+        kinds[k], steps[k] = _classify_points(expr, x, y, cfg, tests)
     kinds.setflags(write=False)
     steps.setflags(write=False)
     return EscapeField(window=window, nx=nx, ny=ny, kinds=kinds, steps=steps)
@@ -250,9 +233,16 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
         parts = line.split(",")
         if len(parts) != 6:
             raise ValueError(f"malformed CSV row: {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        rows.append((i, j, float(parts[2]), float(parts[3]), parts[4],
-                     int(parts[5]) if parts[5] else -1))
+        i, j, kind, step = int(parts[0]), int(parts[1]), parts[4], parts[5]
+        if kind not in ("E", "P", "B", "U"):
+            raise ValueError(f"unknown cell class {kind!r}")
+        # the export rule: a non-negative integer step for E and P, none
+        # for B and U
+        if not (step.isdigit() if kind in ("E", "P") else step == ""):
+            raise ValueError(f"step {step!r} does not fit class {kind!r} "
+                             f"in row {line!r}")
+        rows.append((i, j, float(parts[2]), float(parts[3]), kind,
+                     int(step) if step else -1))
     if not rows:
         raise ValueError("empty CSV")
     nx = max(r[0] for r in rows) + 1
@@ -264,8 +254,6 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
     xs = {}
     ys = {}
     for i, j, x, y, kind, step in rows:
-        if kind not in ("E", "P", "B", "U"):
-            raise ValueError(f"unknown cell class {kind!r}")
         if i < 0 or j < 0 or kinds[j * nx + i]:
             raise ValueError(f"CSV cell ({i}, {j}) is repeated or out of range")
         kinds[j * nx + i] = ord(kind)

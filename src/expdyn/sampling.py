@@ -2,8 +2,7 @@
 
 Samples are drawn from a splitmix64 stream and mapped into a rectangular
 window by a rejection-free affine transform, so a (seed, count, window)
-triple always yields the same points, on any platform and regardless of
-how many workers later consume them.
+triple always yields the same points, on any platform.
 """
 
 from __future__ import annotations

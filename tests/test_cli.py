@@ -115,6 +115,36 @@ class TestRender:
                            "--overlay-strips")
         assert code == 2
 
+    def test_overlay_fails_before_classifying(self, capsys, tmp_path,
+                                              monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("classified a grid")
+
+        monkeypatch.setattr(cli, "classify_grid", no_grid)
+        code, _, err = run(capsys, "render", "--map", "conj(2, 1, F(-1, 1))",
+                           "--window", "-19,5,-16,16", "--res", "400,400",
+                           "--out", str(tmp_path / "x.ppm"),
+                           "--overlay-strips")
+        assert code == 2
+        assert "needs a top-level F or G map" in err
+        assert not (tmp_path / "x.ppm").exists()
+
+    def test_window_span_overflow_exit_2(self, capsys, tmp_path):
+        # finite bounds, infinite width: every cell center would be inf
+        code, out, err = run(capsys, "render", "--map", "F(-1, 1)",
+                             "--window=-1e308,1e308,-1,1", "--res", "4,2",
+                             "--out", str(tmp_path / "x.ppm"),
+                             "--csv", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "width and height" in err
+        assert not (tmp_path / "x.ppm").exists()
+        assert not (tmp_path / "x.csv").exists()
+        code, out, err = run(capsys, "verify", "--suite", "disjointness",
+                             "--window=-1,1,-1e308,1e308", "--res", "4,4")
+        assert code == 2
+        assert out == ""
+        assert "width and height" in err
+
     def test_render_invalid_map_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "render", "--map", "F(1,1)",
                          "--window", "-1,1,-1,1", "--res", "4,4",

@@ -1,5 +1,6 @@
 import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ class TestWindow:
             with pytest.raises(ValueError):
                 Window(*bounds)
 
+    def test_rejects_span_that_overflows(self):
+        # finite bounds whose width or height is inf would put every cell
+        # center at inf
+        for bounds in ((-1e308, 1e308, -1, 1), (-1, 1, -1.5e308, 1e308)):
+            with pytest.raises(ValueError, match="width and height"):
+                Window(*bounds)
+        assert Window(-8e307, 8e307, -1, 1).x_max == 8e307
+
 
 class TestClassifyGrid:
     def test_all_absorbed_window(self):
@@ -65,13 +74,22 @@ class TestClassifyGrid:
                               IterationConfig(max_iter=300), workers=1)
         assert len(field.escaping_indices()) >= 1
 
-    def test_worker_count_independence(self):
+    def test_worker_count_independence(self, monkeypatch):
+        # workers is accepted and starts no process: the grid of nine
+        # blocks is classified in this one
         cfg = IterationConfig(max_iter=120)
-        w = Window(-20, 5, -10, 10)
-        a = classify_grid(F11, w, 40, 30, cfg, workers=1)
-        b = classify_grid(F11, w, 40, 30, cfg, workers=4)
-        assert a.cells_equal(b)
-        assert np.array_equal(a.steps, b.steps)
+        w = Window(-30, 5, -20, 20)
+        monkeypatch.setattr(fields, "_BLOCK", 100)
+        one = classify_grid(F11, w, 37, 23, cfg, workers=1)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("classify_grid started a process")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_process)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            no_process)
+        two = classify_grid(F11, w, 37, 23, cfg, workers=2)
+        assert two.cells_equal(one)
 
     def test_cell_centers(self):
         field = classify_grid(F11, Window(0, 4, 0, 2), 4, 2,
@@ -80,8 +98,8 @@ class TestClassifyGrid:
         assert field.center(3, 1) == complex(3.5, 0.5)
 
     def test_rejects_workers_below_one(self):
-        # None means one worker per CPU; 0 or a negative count is an error,
-        # not a silent serial run
+        # the count has no effect, but 0 or a negative count is still an
+        # error, not a silent run
         for workers in (0, -2):
             with pytest.raises(ValueError, match="workers"):
                 classify_grid(F11, Window(0, 1, 0, 1), 2, 2, workers=workers)
@@ -194,8 +212,7 @@ class TestBlockEngine:
         assert field.center(0, 0) == complex(13999800, 47123.88980384689)
         assert field.cell(0, 0) == ("B", None)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_blocks_ending_mid_row(self, workers):
+    def test_blocks_ending_mid_row(self):
         # 97 x 61 cells: the first block ends 22 cells into row 42
         nx, ny = 97, 61
         assert fields._BLOCK < nx * ny and fields._BLOCK % nx
@@ -203,17 +220,16 @@ class TestBlockEngine:
         window = Window(-19, 5, -16, 16)
         expr = parse_map("conj(2, 1, F(-1, 1))")
         kinds, steps, _ = scalar_grid(expr, window, nx, ny, cfg)
-        field = classify_grid(expr, window, nx, ny, cfg, workers=workers)
+        field = classify_grid(expr, window, nx, ny, cfg)
         assert np.array_equal(field.kinds, kinds)
         assert np.array_equal(field.steps, steps)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_block_size_does_not_move_a_cell(self, monkeypatch, workers):
+    def test_block_size_does_not_move_a_cell(self, monkeypatch):
         cfg = IterationConfig(max_iter=100)
         window = Window(-30, 5, -20, 20)
         whole = classify_grid(F11, window, 37, 23, cfg, workers=1)
         monkeypatch.setattr(fields, "_BLOCK", 100)
-        blocks = classify_grid(F11, window, 37, 23, cfg, workers=workers)
+        blocks = classify_grid(F11, window, 37, 23, cfg, workers=1)
         assert blocks.cells_equal(whole)
 
 
@@ -385,6 +401,27 @@ class TestFieldCsv:
         for kind in ("", "EP"):
             text = f"i,j,re,im,class,step\n0,0,0.5,0.5,{kind},\n"
             with pytest.raises(ValueError, match="unknown cell class"):
+                import_field_csv(io.StringIO(text))
+
+    # the export writes a step exactly for E and P, as a non-negative
+    # integer; a row that breaks this rule is not one of its rows
+    def test_import_rejects_step_on_budget_cell(self):
+        for row in ("B,7", "U,0", "B,-1"):
+            text = f"i,j,re,im,class,step\n0,0,0.5,0.5,{row}\n"
+            with pytest.raises(ValueError, match="does not fit class"):
+                import_field_csv(io.StringIO(text))
+
+    def test_import_rejects_missing_step(self):
+        for row in ("E,", "P,"):
+            text = f"i,j,re,im,class,step\n0,0,0.5,0.5,{row}\n"
+            with pytest.raises(ValueError, match="does not fit class"):
+                import_field_csv(io.StringIO(text))
+
+    def test_import_rejects_negative_step(self):
+        # E,-9 would render red 228: 8 + 4*(-9) wraps in uint8
+        for row in ("E,-9", "P,-1", "E,+3", "E,1.5"):
+            text = f"i,j,re,im,class,step\n0,0,0.5,0.5,{row}\n"
+            with pytest.raises(ValueError, match="does not fit class"):
                 import_field_csv(io.StringIO(text))
 
     def test_import_rejects_bad_header(self):
