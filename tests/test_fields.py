@@ -212,7 +212,8 @@ class TestBlockEngine:
         assert field.center(0, 0) == complex(13999800, 47123.88980384689)
         assert field.cell(0, 0) == ("B", None)
 
-    def test_blocks_ending_mid_row(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_ending_mid_row(self, workers):
         # 97 x 61 cells: the first block ends 22 cells into row 42
         nx, ny = 97, 61
         assert fields._BLOCK < nx * ny and fields._BLOCK % nx
@@ -220,16 +221,17 @@ class TestBlockEngine:
         window = Window(-19, 5, -16, 16)
         expr = parse_map("conj(2, 1, F(-1, 1))")
         kinds, steps, _ = scalar_grid(expr, window, nx, ny, cfg)
-        field = classify_grid(expr, window, nx, ny, cfg)
+        field = classify_grid(expr, window, nx, ny, cfg, workers=workers)
         assert np.array_equal(field.kinds, kinds)
         assert np.array_equal(field.steps, steps)
 
-    def test_block_size_does_not_move_a_cell(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_size_does_not_move_a_cell(self, monkeypatch, workers):
         cfg = IterationConfig(max_iter=100)
         window = Window(-30, 5, -20, 20)
         whole = classify_grid(F11, window, 37, 23, cfg, workers=1)
         monkeypatch.setattr(fields, "_BLOCK", 100)
-        blocks = classify_grid(F11, window, 37, 23, cfg, workers=1)
+        blocks = classify_grid(F11, window, 37, 23, cfg, workers=workers)
         assert blocks.cells_equal(whole)
 
 
