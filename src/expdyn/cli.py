@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int)
     p.add_argument("--map")
     p.add_argument("--map-g", type=_checked(parse_map), default="G(-1, -1)",
-                   help="G-family map for the disjointness suite")
+                   help="map of the other family, for disjointness")
     p.add_argument("--window", type=_parse_window)
     p.add_argument("--res", type=_parse_res, default=(500, 500))
     p.add_argument("--k-max", type=int, default=200)
@@ -388,6 +388,12 @@ def _run_suite(name: str, args) -> VerificationReport:
 def _cmd_verify(args) -> int:
     _require(args, "suite")
     names = SUITES if args.suite == "all" else (args.suite,)
+    if "disjointness" in names:
+        # the law is about f in F and g in F' (either order): before any report
+        f = parse_map(args.map or _SUITES["disjointness"].map)
+        if _family_map(f, "disjointness").family == \
+                _family_map(args.map_g, "disjointness").family:
+            raise CliError("disjointness needs one F map and one G map")
     any_fail = False
     for name in names:
         report = _run_suite(name, args)

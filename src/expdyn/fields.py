@@ -193,21 +193,27 @@ def export_field_csv(field: EscapeField, out: TextIO) -> None:
     """Rows "i,j,re,im,class,step" in storage order; step is empty unless
     the cell escaped or was proven non-escaping.
 
-    Each column's x and each row's y is formatted once, and each grid
-    row is written as one string.
+    Each column's x, each row's y and each step present is formatted
+    once, and each grid row is written as one string.
     """
     out.write("i,j,re,im,class,step\n")
     nx = field.nx
     xs = [_g17(field.window.x_min + (i + 0.5) * field.dx) for i in range(nx)]
-    # a step of -1 (none) reads as empty text
-    names = [""] + [str(s) for s in range(int(field.steps.max()) + 1)]
+    # names[c] is the text of the c-th smallest step present ("" for none,
+    # -1), found a sorted block at a time: time and memory follow the cells
+    present = set()
+    for start in range(0, field.steps.size, _BLOCK):
+        b = np.sort(field.steps[start:start + _BLOCK])
+        present.update(b[np.concatenate(([True], b[1:] != b[:-1]))].tolist())
+    present = np.array(sorted(present), dtype=np.int64)
+    names = ["" if s < 0 else str(s) for s in present.tolist()]
     for j in range(field.ny):
         y = _g17(field.window.y_max - (j + 0.5) * field.dy)
         row = slice(j * nx, (j + 1) * nx)
         kinds = field.kinds[row].tobytes().decode("ascii")
-        steps = (np.maximum(field.steps[row], -1) + 1).tolist()
-        out.write("".join([f"{i},{j},{x},{y},{k},{names[s]}\n" for i, x, k, s
-                           in zip(range(nx), xs, kinds, steps)]))
+        codes = np.searchsorted(present, field.steps[row]).tolist()
+        out.write("".join([f"{i},{j},{x},{y},{k},{names[c]}\n" for i, x, k, c
+                           in zip(range(nx), xs, kinds, codes)]))
 
 
 def import_field_csv(src: Union[TextIO, Iterable[str]],

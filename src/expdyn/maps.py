@@ -21,9 +21,9 @@ conjugation ``(z - b)/a`` or ``a*v + b`` overflows moves onto the ladder
 the same way.
 
 ``evaluate_points`` applies a map once to a whole batch of points.  It
-repeats ``evaluate`` operation by operation on numpy arrays and calls the
-same ``math`` functions per element, so each point gets the bits
-``evaluate`` gives it.
+makes the common moves on numpy arrays with the same ``math`` functions,
+and ``evaluate`` itself steps each point that makes a rare one, so each
+point gets the bits ``evaluate`` gives it.
 """
 
 from __future__ import annotations
@@ -462,11 +462,12 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
 # ---------------------------------------------------------------------------
 
 # A batch is three arrays: point k is complex(re[k], im[k]), or
-# Directed(re[k], im[k]) where directed[k].  Each branch below repeats
-# evaluate's branch for the node kind, test by test and operation by
-# operation.  numpy's exp/cos/sin/log and its complex / and * are not
-# used: on a share of inputs they differ from math's and CPython's in the
-# last ulp, and that would move verdicts.
+# Directed(re[k], im[k]) where directed[k].  Arrays make the moves grids
+# make at scale: finite steps, a Directed point's collapse onto a family
+# map's const, exp(lam) on the ladder and conj's shift past the rung;
+# evaluate makes the rest (_evaluate_each).  numpy's exp/cos/sin/log and
+# its complex / and * are not used: on a share of inputs they differ from
+# math's and CPython's in the last ulp, and that would move verdicts.
 
 Points = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -481,15 +482,6 @@ def _apply(fn: Callable[[float], float], x: np.ndarray,
 
 def _finite(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.isfinite(re) & np.isfinite(im)
-
-
-def _polar_points(re: np.ndarray, im: np.ndarray,
-                  where: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(_log_modulus, cmath.phase) of the finite points where `where`
-    holds, evaluate's Directed stand-in for an overflowing one."""
-    z = np.empty(len(re), dtype=complex)
-    z.real, z.imag = re, im
-    return _apply(_log_modulus, z, where), _apply(cmath.phase, z, where)
 
 
 def _same_points(p: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -518,28 +510,16 @@ def _phase_ok(angle: np.ndarray, where: np.ndarray) -> np.ndarray:
 
 
 def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
-                thresh: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(w) of a finite exponent w = wr + i*wi where `where` holds, as
-    evaluate's finite branches take it: (re, im, directed), Directed(w)
-    itself past thresh; _cis's rules for a non-finite angle."""
+                thresh: float) -> Points:
+    """exp(w), w = wr + i*wi, where `where` holds, as evaluate's finite
+    branches take it: (re, im, directed, slow), Directed(w) past thresh;
+    slow marks a wi that is not finite below thresh, left to evaluate."""
     low = where & (wr <= thresh)
-    m = _apply(math.exp, wr, low)
     ok = low & np.isfinite(wi)
-    lost = np.where(m == 0.0, 0.0, math.nan)
-    return (np.where(ok, m * _apply(math.cos, wi, ok), np.where(low, lost, wr)),
-            np.where(ok, m * _apply(math.sin, wi, ok), np.where(low, lost, wi)),
-            where & ~low)
-
-
-def _normalize_points(lm: np.ndarray, angle: np.ndarray, where: np.ndarray,
-                      thresh: float) -> Points:
-    """_normalize where `where` holds: (re, im, directed, degenerate)."""
-    big = where & (lm > thresh)
-    bad = where & ~big & ~np.isfinite(angle)
-    down = where & ~big & ~bad
-    m = _apply(math.exp, lm, down)
-    return (np.where(down, m * _apply(math.cos, angle, down), lm),
-            np.where(down, m * _apply(math.sin, angle, down), angle), big, bad)
+    m = _apply(math.exp, wr, ok)
+    return (np.where(ok, m * _apply(math.cos, wi, ok), wr),
+            np.where(ok, m * _apply(math.sin, wi, ok), wi),
+            where & ~low, low & ~ok)
 
 
 def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
@@ -554,6 +534,31 @@ def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
     return (xr * ratio + xi) / denom, (xi * ratio - xr) / denom
 
 
+def _to_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray,
+                 uc: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """(z - b)/a of each point as evaluate takes it; uc = (a, b, ln|a|, arg a)."""
+    a, b, log_a, arg_a = uc
+    qr, qi = _quot(re - b.real, im - b.imag, a)
+    return np.where(d, re - log_a, qr), np.where(d, im - arg_a, qi)
+
+
+def _evaluate_each(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
+                   where: np.ndarray, out: Points, cfg: IterationConfig) -> Points:
+    """Step the points where `where` holds by evaluate, into out (fresh arrays)."""
+    out_re, out_im, out_d, bad = out
+    for k in np.flatnonzero(where).tolist():
+        z = complex(re[k], im[k])
+        try:
+            v = evaluate(expr, Directed(z.real, z.imag) if d[k] else z, cfg)
+        except DegeneratePhaseError:
+            bad[k] = True
+            continue
+        bad[k], out_d[k] = False, isinstance(v, Directed)
+        out_re[k], out_im[k] = (v.log_modulus, v.angle) if out_d[k] else \
+            (v.real, v.imag)
+    return out
+
+
 def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
                     directed: np.ndarray,
                     cfg: IterationConfig = DEFAULT_CONFIG) -> Points:
@@ -561,9 +566,9 @@ def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
 
     Point k is complex(re[k], im[k]), or Directed(re[k], im[k]) where
     directed[k].  Returns (re, im, directed, degenerate): degenerate[k]
-    is true where evaluate raises DegeneratePhaseError, and the other
-    arrays mean nothing there.  Elsewhere every point has the bits
-    evaluate gives it.
+    is true exactly where evaluate raises DegeneratePhaseError, and the
+    other arrays mean nothing there.  Elsewhere every point has the bits
+    evaluate gives it (itself, for a point that makes a rare move).
     """
     with np.errstate(all="ignore"):
         return _points(expr, re, im, directed, cfg)
@@ -575,27 +580,22 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
     sign = getattr(expr, "sign", None)
     if sign is not None:
         p, const = expr.param, expr.const
-        out_re, out_im, out_d = _exp_points(sign * re + p.real,
-                                            sign * im + p.imag, ~d, thresh)
-        low = ~d & ~out_d
+        out_re, out_im, out_d, slow = _exp_points(
+            sign * re + p.real, sign * im + p.imag, ~d, thresh)
+        # underflow lands a Directed point on const; evaluate takes the rest
         ph = _phase_ok(im, d)
-        c = sign * _apply(math.cos, im, ph)
-        under = ph & (c <= -eps)
-        over = ph & (c >= eps)
-        mag = _exp_sat_points(re, over)
-        s = sign * _apply(math.sin, im, over)
-        out_re = np.where(low, out_re + const.real, out_re)
-        out_im = np.where(low, out_im + const.imag, out_im)
+        under = ph & (sign * _apply(math.cos, im, ph) <= -eps)
         out_re = np.where(under, const.real,
-                          np.where(over, mag * c + p.real, out_re))
+                          np.where(out_d, out_re, out_re + const.real))
         out_im = np.where(under, const.imag,
-                          np.where(over, _scale_points(mag, s) + p.imag, out_im))
-        return out_re, out_im, out_d | over, d & ~under & ~over
+                          np.where(out_d, out_im, out_im + const.imag))
+        return _evaluate_each(expr, re, im, d, slow | (d & ~under),
+                              (out_re, out_im, out_d, np.zeros_like(d)), cfg)
 
     if isinstance(expr, ScaledExp):
         lr, li = expr.lam.real, expr.lam.imag
-        out_re, out_im, out_d = _exp_points(lr * re - li * im,
-                                            lr * im + li * re, ~d, thresh)
+        out_re, out_im, out_d, slow = _exp_points(
+            lr * re - li * im, lr * im + li * re, ~d, thresh)
         ph = _phase_ok(im, d)
         ca, sa = _apply(math.cos, im, ph), _apply(math.sin, im, ph)
         dr = lr * ca - li * sa
@@ -607,7 +607,8 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
         out_re = np.where(under, 0.0, np.where(over, mag * dr, out_re))
         out_im = np.where(under, 0.0,
                           np.where(over, _scale_points(mag, di), out_im))
-        return out_re, out_im, out_d | over, d & ~under & ~over
+        return _evaluate_each(expr, re, im, d, slow | (d & ~(under | over)),
+                              (out_re, out_im, out_d | over, np.zeros_like(d)), cfg)
 
     if isinstance(expr, Iterate):
         bad = np.zeros(len(re), dtype=bool)
@@ -628,28 +629,20 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
 
     if isinstance(expr, Conjugate):
         a, b = complex(expr.a), complex(expr.b)
-        log_a, arg_a = math.log(abs(a)), math.atan2(a.imag, a.real)
-        xr, xi = re - b.real, im - b.imag
-        qr, qi = _quot(xr, xi, a)
-        # finite points whose quotient overflows, carried as Directed ones
-        pd = d | (_finite(re, im) & ~_finite(qr, qi))
-        lm, ang = _polar_points(xr, xi, pd & ~d)
-        nr, ni, nd, bad = _normalize_points(np.where(d, re, lm) - log_a,
-                                            np.where(d, im, ang) - arg_a,
-                                            pd, thresh)
-        vr, vi, vd, b1 = _points(expr.base, np.where(pd, nr, qr),
-                                 np.where(pd, ni, qi), nd, cfg)
-        # a*v + b by CPython's complex product (_Py_c_prod); where a
-        # finite v overflows it, v is carried as a Directed one
+        uc = (a, b, math.log(abs(a)), math.atan2(a.imag, a.real))
+        ur, ui = _to_u_points(re, im, d, uc)
+        # evaluate takes each crossing onto or off the ladder: a pre-image ...
+        slow = np.where(d, ~(ur > thresh), _finite(re, im) & ~_finite(ur, ui))
+        vr, vi, vd, bad = _points(expr.base, np.where(slow, 0.0, ur),
+                                  np.where(slow, 0.0, ui), d & ~slow, cfg)
+        # a*v + b by CPython's complex product (_Py_c_prod)
         pr = a.real * vr - a.imag * vi + b.real
         pi = a.real * vi + a.imag * vr + b.imag
-        wd = vd | (_finite(vr, vi) & ~_finite(pr, pi))
-        lm, ang = _polar_points(vr, vi, wd & ~vd)
-        nr, ni, nd, b2 = _normalize_points(np.where(vd, vr, lm) + log_a,
-                                           np.where(vd, vi, ang) + arg_a,
-                                           wd, thresh)
-        return (np.where(wd, nr, pr), np.where(wd, ni, pi), nd,
-                bad | b1 | b2)
+        wr, wi = np.where(vd, vr + uc[2], pr), np.where(vd, vi + uc[3], pi)
+        # ... or an image that overflows or drops below the rung
+        slow |= ~bad & np.where(vd, ~(wr > thresh),
+                                _finite(vr, vi) & ~_finite(pr, pi))
+        return _evaluate_each(expr, re, im, d, slow, (wr, wi, vd, bad), cfg)
 
     raise TypeError(f"not a map expression: {expr!r}")
 

@@ -25,12 +25,13 @@ ran out.  Only the count of applications performed changes.
 
 Two engines run these rules.  ``_iterate`` follows one seed and backs
 ``classify`` and ``run_orbit``.  ``classify_points`` moves an array of
-seeds in lockstep through ``maps.evaluate_points`` and runs the same
-tests in the same order; it backs ``classify_grid``.  Every exp, cos,
-sin and log of both is the ``math`` function, and complex quotients and
-products are CPython's, so the two agree seed by seed, in verdict class
-and step, and their results depend on the libm behind ``math``, not on
-numpy's SIMD build.
+seeds in lockstep through ``maps.evaluate_points``, which hands each
+seed that makes a rare move to ``evaluate``, and runs the same tests in
+the same order; it backs ``classify_grid``.  Every exp, cos, sin and log
+of both is the ``math`` function, and complex quotients and products are
+CPython's, so the two agree seed by seed, in verdict class and step, and
+their results depend on the libm behind ``math``, not on numpy's SIMD
+build.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ from .maps import (
     _log_modulus,
     _phase_ok,
     _points,
-    _quot,
     _same_point,
     _same_points,
     _scale,
     _scale_points,
+    _to_u_points,
     chart,
     evaluate,
     validate,
@@ -254,13 +255,6 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
 # lockstep classification of a batch of seeds
 # ---------------------------------------------------------------------------
 
-def _to_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray,
-                 uc: _UChart) -> Tuple[np.ndarray, np.ndarray]:
-    a, b, log_a, arg_a = uc
-    qr, qi = _quot(re - b.real, im - b.imag, a)
-    return np.where(d, re - log_a, qr), np.where(d, im - arg_a, qi)
-
-
 def _effective_real_points(re: np.ndarray, im: np.ndarray,
                            d: np.ndarray) -> np.ndarray:
     ph = _phase_ok(im, d)
@@ -359,8 +353,8 @@ def classify_points(expr: MapExpr, points: np.ndarray,
     KIND_PROVEN, KIND_BUDGET or KIND_UNDETERMINED) of
     classify(expr, points[k], cfg), steps[k] the step of an Escaping or
     NonEscapingProven verdict and -1 otherwise.  The codes agree with
-    classify seed by seed: the step is maps.evaluate_points, which calls
-    the same math functions as evaluate, and the tests are _iterate's.
+    classify seed by seed: the step is maps.evaluate_points, which gives
+    each point evaluate's bits, and the tests are _iterate's.
     """
     validate(expr)
     pts = np.asarray(points, dtype=complex)

@@ -221,7 +221,7 @@ def verify_strip_containment(fld: EscapeField,
 
 def verify_disjointness(field_f: EscapeField,
                         field_g: EscapeField) -> VerificationReport:
-    """No cell may escape under both an F-map and a G-map."""
+    """No cell may escape under both fields, those of f in F and g in F'."""
     if (field_f.nx, field_f.ny) != (field_g.nx, field_g.ny) or \
             field_f.window != field_g.window:
         raise ValueError("fields must share window and resolution")

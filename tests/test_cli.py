@@ -4,6 +4,7 @@ import pytest
 
 from expdyn import cli
 from expdyn.orbits import OrbitRecord, Undetermined
+from expdyn.verify import verify_disjointness
 
 # the engine thresholds are constants of IterationConfig, not settings
 THRESHOLDS = ("overflow-log-threshold", "escape-real-threshold",
@@ -190,14 +191,45 @@ class TestVerifyCommand:
         assert data["suite_name"] == "halfplane-bound"
         assert data["verdict"] == "pass"
 
-    def test_failing_suite_exit_1(self, capsys):
-        # comparing an escaping field with itself must fail disjointness
+    def test_failing_suite_exit_1(self, capsys, monkeypatch):
+        # comparing an escaping field with itself must fail disjointness;
+        # the CLI refuses two F maps, so the suite is handed the F field
+        # twice
+        monkeypatch.setattr(cli, "verify_disjointness",
+                            lambda f, g: verify_disjointness(f, f))
         code, out, _ = run(capsys, "verify", "--suite", "disjointness",
-                           "--map", "F(-1, 1)", "--map-g", "F(-1, 1)",
                            "--window", "-30,5,-20,20", "--res", "40,40",
                            "--max-iter", "150", "--seed", "1")
         assert code == 1
         assert json.loads(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "disjointness", "--map-g", "F(-1, 1)"),
+        ("--suite", "disjointness", "--map", "G(-1, -1)"),
+        ("--suite", "disjointness", "--map", "exp(1)", "--map-g", "exp(1)"),
+        ("--suite", "disjointness", "--map", "conj(2, 1, F(-1, 1))",
+         "--map-g", "F(-1, 1)"),
+        # before the reports of the suites that run first
+        ("--suite", "all", "--map-g", "F(-1, 1)", "--samples", "5"),
+    ])
+    def test_disjointness_needs_maps_of_both_families_exit_2(
+            self, capsys, monkeypatch, argv):
+        # the first four were reported as hundreds of law violations
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was classified")
+
+        monkeypatch.setattr(cli, "classify_grid", no_grid)
+        code, out, err = run(capsys, "verify", "--res", "60,60", *argv)
+        assert code == 2
+        assert out == ""
+        assert "disjointness needs" in err
+
+    def test_disjointness_takes_the_families_in_either_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "disjointness",
+                           "--map", "G(-1, -1)", "--map-g", "F(-1, 1)",
+                           "--res", "30,30", "--max-iter", "100")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
 
     def test_halfplane_window_outside_absorbing_half_plane_exit_2(self, capsys):
         for extra in (["--window", "-10,0,-5,5"],

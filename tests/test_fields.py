@@ -1,11 +1,12 @@
 import io
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from expdyn import fields, orbits
+from expdyn import fields, maps, orbits
 from expdyn.fields import (
     EscapeField,
     Window,
@@ -162,6 +163,10 @@ def scalar_grid(expr, window, nx, ny, cfg):
 class TestBlockEngine:
     """classify_grid against the scalar loop, cell by cell."""
 
+    # F and G deepen ladder points inside a composite; small, since every
+    # bounded seed of this map spends its whole budget
+    COMPOSITE = ("comp(F(-1, 1), G(-1, -1))", (-4, 4, -4, 4), (12, 12), 30,
+                 {"B", "degenerate-phase", "ladder"})
     # one row per node kind: map, window, res, max_iter and what the
     # scalar orbits of the window must reach
     CASES = [
@@ -190,6 +195,7 @@ class TestBlockEngine:
         # the exponent's imaginary part overflows on the row y = 0
         ("exp(0+1e300i)", (-1e9, 1e9, -1, 1), (12, 11), 20,
          {"nan", "degenerate-phase", "ladder"}),
+        COMPOSITE,
     ]
 
     @pytest.mark.parametrize("text, window, res, max_iter, reach", CASES)
@@ -201,6 +207,22 @@ class TestBlockEngine:
         field = classify_grid(expr, window, *res, cfg, workers=1)
         assert np.array_equal(field.kinds, kinds)
         assert np.array_equal(field.steps, steps)
+
+    def test_composite_deepening_is_stepped_by_evaluate(self, monkeypatch):
+        step_each = maps._evaluate_each
+        deepened = []
+
+        def counting(expr, re, im, d, where, out, cfg):
+            out = step_each(expr, re, im, d, where, out, cfg)
+            if getattr(expr, "sign", None) is not None:
+                deepened.append(np.count_nonzero(where & d & out[2] & ~out[3]))
+            return out
+
+        monkeypatch.setattr(maps, "_evaluate_each", counting)
+        text, window, res, max_iter, _ = self.COMPOSITE
+        classify_grid(parse_map(text), Window(*window), *res,
+                      IterationConfig(max_iter=max_iter), workers=1)
+        assert sum(deepened) > 0
 
     def test_overflow_seed_window(self):
         # the cells of this window sit next to 13999800+47123.88980384689i,
@@ -359,6 +381,20 @@ class TestFieldCsv:
         out = io.StringIO()
         export_field_csv(field, out)
         assert out.getvalue().splitlines()[1].endswith(",B,")
+
+    def test_large_step_is_formatted_alone(self):
+        # the cost follows the cells, not the largest step: no table of
+        # every step up to 10**6
+        field = make_field(Window(0, 1, 0, 1), 1, 1, [("E", 10 ** 6)])
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            export_field_csv(field, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.getvalue() == "i,j,re,im,class,step\n0,0,0.5,0.5,E,1000000\n"
+        assert peak < 1 << 20
 
     def test_matches_cell_by_cell_formatter(self):
         def per_cell(field):

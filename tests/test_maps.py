@@ -240,7 +240,11 @@ class TestEvaluatePoints:
         Conjugate(2, 1, F11), Conjugate(complex(3, 1), -1, G11),
         Conjugate(complex(0.25, -4), complex(1, 1), ScaledExp(1)),
         Conjugate(complex(1e5, 1e5), 0j, ScaledExp(1)),
-        Conjugate(1e5, 0, ScaledExp(1)), Conjugate(1e-5, 0, ScaledExp(1j))])
+        Conjugate(1e5, 0, ScaledExp(1)), Conjugate(1e-5, 0, ScaledExp(1j)),
+        # a base that is degenerate at 0: a pre-image that drops below the
+        # rung is stepped by evaluate, whatever the base gives at 0
+        Conjugate(math.e, 0,
+                  Compose(ScaledExp(1j), Iterate(ScaledExp(710), 2)))])
     def test_matches_evaluate(self, expr):
         pts = self.FINITE + self.DIRECTED
         re = np.array([p.real if isinstance(p, complex) else p.log_modulus
