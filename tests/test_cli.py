@@ -260,6 +260,33 @@ class TestVerifyCommand:
         assert out == ""
         assert f"argument {flag}:" in err
 
+    @pytest.mark.parametrize("argv, reports", [
+        (("--suite", "all", "--seed", "44", "--samples", "250",
+          "--res", "180,180"),
+         [("halfplane-bound", 250, 0), ("strip-containment", 32400, 70),
+          ("disjointness", 32400, 84), ("period-shift", 250, 250),
+          ("composite-laws", 250, 250), ("image-superset", 250, 6),
+          ("conjugacy", 250, 3)]),
+        (("--suite", "period-shift", "--map", "F(-1, 1)", "--seed", "7",
+          "--samples", "100", "--max-iter", "200"),
+         [("period-shift", 100, 100)]),
+        (("--suite", "composite-laws", "--map", "F(-1, 1)",
+          "--window=-2,10,-8,8", "--seed", "7", "--samples", "300"),
+         [("composite-laws", 300, 300)]),
+        (("--suite", "image-superset", "--map", "G(-1, -1)", "--seed", "7",
+          "--samples", "300"),
+         [("image-superset", 300, 3)]),
+    ])
+    def test_golden_stdout(self, capsys, argv, reports):
+        # the whole output of these runs, byte for byte
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 0
+        assert err == ""
+        assert out == "".join(
+            f'{{"suite_name": "{name}", "total": {total}, "skipped": '
+            f'{skipped}, "violations": [], "verdict": "pass"}}\n'
+            for name, total, skipped in reports)
+
     def test_seeded_runs_identical(self, capsys):
         argv = ["verify", "--suite", "period-shift", "--seed", "11",
                 "--samples", "150", "--max-iter", "200"]

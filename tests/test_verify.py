@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -19,6 +20,7 @@ from expdyn.maps import (
     ScaledExp,
     Shift,
     evaluate,
+    period_of,
     validate,
 )
 from expdyn.orbits import (
@@ -28,6 +30,7 @@ from expdyn.orbits import (
     NonEscapingProven,
     classify,
 )
+from expdyn.parser import format_complex
 from expdyn.sampling import SampleSet
 from expdyn.verify import (
     _image,
@@ -87,39 +90,74 @@ class TestValidation:
             assert calls == maps
 
 
-    def test_each_chart_looked_up_once_per_suite(self, monkeypatch):
-        calls = []
+    # classify_fn calls per suite (period-shift, composite-laws,
+    # image-superset, conjugacy) on the 40 seeds below, as the per-seed
+    # loops made them: the traced run's classify_calls are these counts
+    HOOK_CALLS = [
+        (F11, (80, 160, 80, 80)),
+        (G11, (80, 160, 80, 80)),
+        (EXP1, (80, 170, 40, 80)),
+        (Conjugate(complex(2, 0), complex(1, 0), F11), (80, 160, 80, 80)),
+        (Compose(F11, G11), (80, 160, 40, 80)),
+    ]
 
-        def counting_chart_tests(expr):
-            calls.append(expr)
-            return orbits._chart_tests(expr)
+    def test_each_chart_looked_up_once_per_suite(self, monkeypatch):
+        charts = []
+
+        def counting_chart_tests(e):
+            charts.append(e)
+            return orbits._chart_tests(e)
 
         monkeypatch.setattr(verify, "_chart_tests", counting_chart_tests)
         ss = SampleSet.generate(2, 40, Window(-3, 3, -3, 3))
         a, b = complex(2, 0), complex(1, 0)
-        shifted = Shift(Iterate(F11, 2), complex(0, 2 * math.pi))
-        for run, maps in [
-                (lambda fn: verify_period_shift(F11, 2, ss, CFG, fn),
-                 [F11, shifted]),
-                (lambda fn: verify_composite_laws(F11, 2, 1, ss, CFG, fn),
-                 [Compose(F11, Iterate(F11, 1)), Iterate(F11, 3), F11,
-                  Iterate(F11, 1)]),
-                (lambda fn: verify_image_superset(F11, 2, ss, CFG, fn), [F11]),
-                (lambda fn: verify_conjugacy(F11, a, b, ss, CFG, fn),
-                 [F11, Conjugate(a, b, F11)])]:
-            calls.clear()
-            default = run(None)
-            assert calls == maps
-            # a classify_fn passed in is called as given, per seed
-            seen = []
+        for expr, calls in self.HOOK_CALLS:
+            shifted = Shift(Iterate(expr, 2), period_of(expr))
+            for (run, maps), count in zip([
+                    (lambda fn: verify_period_shift(expr, 2, ss, CFG, fn),
+                     [expr, shifted]),
+                    (lambda fn: verify_composite_laws(expr, 2, 1, ss, CFG, fn),
+                     [Compose(expr, Iterate(expr, 1)), Iterate(expr, 3), expr,
+                      Iterate(expr, 1)]),
+                    (lambda fn: verify_image_superset(expr, 2, ss, CFG, fn),
+                     [expr]),
+                    (lambda fn: verify_conjugacy(expr, a, b, ss, CFG, fn),
+                     [expr, Conjugate(a, b, expr)])], calls):
+                charts.clear()
+                default = run(None)
+                assert charts == maps
+                # a classify_fn passed in is called as given, once for each
+                # classification, and gives the default path's report
+                seen = []
 
-            def counting_classify(expr, z0, cfg):
-                seen.append(expr)
-                return classify(expr, z0, cfg)
+                def counting_classify(e, z0, cfg):
+                    seen.append(e)
+                    return classify(e, z0, cfg)
 
-            calls.clear()
-            assert run(counting_classify).to_json() == default.to_json()
-            assert calls == [] and len(seen) >= ss.count
+                charts.clear()
+                assert run(counting_classify).to_json() == default.to_json()
+                assert charts == [] and len(seen) == count
+
+    def test_hook_gives_the_default_violations(self):
+        # two conjugacy violations of the overflow ladder, in sample order
+        ss = SampleSet.generate(9, 2000, Window(-10, 2, -8, 8))
+        a, b = complex(3, 1), complex(-1, 0)
+        seen = []
+
+        def counting_classify(e, z0, cfg):
+            seen.append(e)
+            return classify(e, z0, cfg)
+
+        default = verify_conjugacy(F11, a, b, ss, CFG)
+        assert verify_conjugacy(F11, a, b, ss, CFG,
+                                counting_classify).to_json() == default.to_json()
+        assert len(seen) == 2 * ss.count
+        assert default.skipped_undetermined == 9
+        assert [v["input"] for v in default.violations] == [
+            "-4.812499579257532-3.7848942538105703i",
+            "-4.669538735511878-2.721089752091366i"]
+        assert {v["observed"] for v in default.violations} == \
+            {"f: NonEscapingProven, conjugate: Escaping"}
 
 
 class TestReport:
@@ -276,6 +314,57 @@ class TestPeriodShift:
         rep = verify_period_shift(F11, 1, ss, CFG, classify_fn=liar)
         assert rep.verdict == "fail"
         assert len(rep.violations) == 5
+
+    @staticmethod
+    def pointwise(expr, s, c, z0, cfg):
+        """Observed text of the first step at which g^n(z0) and
+        f^(n*s)(z0) + c part, or None: the identity checked one seed at
+        a time through evaluate."""
+        f_s, g = Iterate(expr, s), Shift(Iterate(expr, s), c)
+        u = v = z0
+        for _ in range(cfg.max_iter):
+            try:
+                u, v = evaluate(g, u, cfg), evaluate(f_s, v, cfg)
+            except DegeneratePhaseError:
+                return None
+            if not all(isinstance(w, complex) and cmath.isfinite(w)
+                       for w in (u, v)):
+                return None
+            diff = abs(u - (v + c))
+            if diff > verify.REL_TOL * (1.0 + abs(v)):
+                return f"|diff| = {diff!r} at |f^(n*s)(z)| = {abs(v)!r}"
+            if abs(u) > verify.MODULUS_CAP or abs(v) > verify.MODULUS_CAP:
+                return None
+        return None
+
+    def test_pointwise_violation_before_the_conflict(self, monkeypatch):
+        # 1 is not a period of f, so g = f + 1 and f^n + 1 part after the
+        # first step; every seed also gets a planted classification conflict
+        monkeypatch.setattr(verify, "period_of", lambda expr: complex(1, 0))
+        ss = SampleSet.generate(3, 40, Window(-8, 2, -6, 6))
+
+        def liar(expr, z, cfg):
+            return Escaping(3) if isinstance(expr, Shift) else PROVEN
+
+        rep = verify_period_shift(F11, 1, ss, CFG, classify_fn=liar)
+        want = []
+        for z in ss.points:
+            z = complex(z)
+            observed = self.pointwise(F11, 1, complex(1, 0), z, CFG)
+            if observed is not None:
+                want.append((format_complex(z),
+                             "g^n(z) == f^(n*s)(z) + c within rel 1e-06",
+                             observed))
+            want.append((format_complex(z),
+                         "no escaping-vs-proven conflict between f and g",
+                         "f: NonEscapingProven, g: Escaping"))
+        assert [(v["input"], v["expected"], v["observed"])
+                for v in rep.violations] == want
+        assert len(want) == 80  # each seed once per kind
+        # the default classification sees no conflict here
+        rep = verify_period_shift(F11, 1, ss, CFG)
+        assert [v["observed"] for v in rep.violations] == [
+            w[2] for w in want if w[1].startswith("g^n")]
 
 
 class TestCompositeLaws:
