@@ -167,12 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("orbit", _cmd_orbit, "trace one seed, CSV on stdout")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_CONFIG.max_iter)
+    p.add_argument("--max-iter", type=_positive_int,
+                   default=DEFAULT_CONFIG.max_iter)
     p.add_argument("--map")
     p.add_argument("--z0")
 
     p = command("render", _cmd_render, "classify a grid and write a PPM image")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_CONFIG.max_iter)
+    p.add_argument("--max-iter", type=_positive_int,
+                   default=DEFAULT_CONFIG.max_iter)
     p.add_argument("--map")
     p.add_argument("--window", type=_parse_window)
     p.add_argument("--res", type=_parse_res)
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", _cmd_verify,
                 "run verification suites, JSON on stdout")
-    p.add_argument("--max-iter", type=int)
+    p.add_argument("--max-iter", type=_positive_int)
     p.add_argument("--suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=_positive_int)

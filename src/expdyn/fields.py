@@ -104,10 +104,10 @@ class EscapeField:
         return np.nonzero(self.kinds == KIND_ESCAPING)[0]
 
 
-# Cells per block of the grid engine.  A fixed constant, not a setting:
-# the verdicts are the same for every block size, and blocks of this size
-# keep the lockstep arrays small (the peak memory of a whole 512x512 grid
-# at once is about twice that of a row at a time).
+# Points per block of the grid engine and of the verify sample suites.
+# A fixed constant, not a setting: the verdicts are the same for every
+# block size, and blocks keep the lockstep arrays small (the peak memory
+# of a whole 512x512 grid is about twice that of a row at a time).
 _BLOCK = 4096
 
 

@@ -27,11 +27,11 @@ Two engines run these rules.  ``_iterate`` follows one seed and backs
 ``classify`` and ``run_orbit``.  ``classify_points`` moves an array of
 seeds in lockstep through ``maps.evaluate_points``, which hands each
 seed that makes a rare move to ``evaluate``, and runs the same tests in
-the same order; it backs ``classify_grid``.  Every exp, cos, sin and log
-of both is the ``math`` function, and complex quotients and products are
-CPython's, so the two agree seed by seed, in verdict class and step, and
-their results depend on the libm behind ``math``, not on numpy's SIMD
-build.
+the same order; it backs ``classify_grid`` and the sample suites of
+``verify``.  Every exp, cos, sin and log of both is the ``math``
+function, and complex quotients and products are CPython's, so the two
+agree seed by seed, in verdict class and step, and their results depend
+on the libm behind ``math``, not on numpy's SIMD build.
 """
 
 from __future__ import annotations

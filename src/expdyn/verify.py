@@ -8,38 +8,41 @@ verdicts in the sample suites: an ``Escaping`` verdict against a
 as pass or fail, and anything else passes.  The only determined verdicts
 are the two rigorous ones, so two determined verdicts that differ always
 conflict.  The grid suites likewise count budget-limited and undetermined
-cells as skipped.
+cells as skipped.  Every suite grades verdict codes E/P/B/U: the sample
+suites classify fields._BLOCK samples at a time under each map through
+orbits.classify_points (an image without a finite complex value counts
+as U), or call a classify_fn passed in (tests, tracing) once per seed.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from . import fields
 from .fields import EscapeField
 from .maps import (
     Compose,
     Conjugate,
-    DegeneratePhaseError,
     FamilyF,
     FamilyG,
     IterationConfig,
     Iterate,
     MapExpr,
     Shift,
+    _finite,
     _same_points,
-    evaluate,
     evaluate_points,
     period_of,
     validate,
 )
-from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED,
-                     Classification, Escaping, NonEscapingProven, _chart_tests,
-                     _iterate)
+from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
+                     KIND_UNDETERMINED, BoundedAtBudget, Classification,
+                     Escaping, NonEscapingProven, Undetermined, _chart_tests,
+                     _classify_points)
 from .parser import format_complex
 from .sampling import SampleSet
 from .strips import strip_of
@@ -62,20 +65,21 @@ BOUND_TOL = 1e-9
 REL_TOL = 1e-6
 MODULUS_CAP = 1e8
 
-# The sample suites validate their maps once on entry and by default
-# classify through the non-validating path, each map's chart looked up
-# once per suite; a classify_fn passed in (tests, tracing) is called as
-# given, once per classification.
 ClassifyFn = Callable[[MapExpr, complex, IterationConfig], Classification]
+_CODES = {Escaping: KIND_ESCAPING, NonEscapingProven: KIND_PROVEN,
+          BoundedAtBudget: KIND_BUDGET, Undetermined: KIND_UNDETERMINED}
+_NAMES = {code: cls.__name__ for cls, code in _CODES.items()}
 
 
 def _classifier(classify_fn: Optional[ClassifyFn], expr: MapExpr,
-                cfg: IterationConfig) -> Callable[[complex], Classification]:
-    """The classification of one seed under the validated map expr."""
-    if classify_fn is not None:
-        return lambda z0: classify_fn(expr, z0, cfg)
-    tests = _chart_tests(expr)
-    return lambda z0: _iterate(expr, z0, cfg, False, tests)[0]
+                cfg: IterationConfig) -> Callable:
+    """(re, im) -> the verdict codes of re + i*im under validated expr."""
+    if classify_fn is None:
+        tests = _chart_tests(expr)
+        return lambda re, im: _classify_points(expr, re, im, cfg, tests)[0]
+    return lambda re, im: np.array(
+        [_CODES[type(classify_fn(expr, complex(x, y), cfg))]
+         for x, y in zip(re.tolist(), im.tolist())], dtype=np.uint8)
 
 
 @dataclass
@@ -102,43 +106,54 @@ class VerificationReport:
         return json.dumps(self.to_dict())
 
 
-def _violation(inp: object, expected: str, observed: str) -> Dict[str, str]:
-    if isinstance(inp, complex):
-        inp = format_complex(inp)
-    return {"input": str(inp), "expected": expected, "observed": observed}
+def _violation(z: complex, expected: str, observed: str) -> Dict[str, str]:
+    return dict(input=format_complex(z), expected=expected, observed=observed)
 
 
-def _is_escaping(c: Optional[Classification]) -> bool:
-    return isinstance(c, Escaping)
+def _determined(k: np.ndarray) -> np.ndarray:
+    """Codes E or P; a comparison with any other side is skipped."""
+    return (k == KIND_ESCAPING) | (k == KIND_PROVEN)
 
 
-def _determined(*cs: Optional[Classification]) -> bool:
-    """True when every verdict is Escaping or NonEscapingProven; a
-    comparison with any other side (None: no verdict) is skipped."""
-    return all(isinstance(c, (Escaping, NonEscapingProven)) for c in cs)
-
-
-def _conflict(c1: Optional[Classification], c2: Optional[Classification]) -> bool:
+def _conflict(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """An Escaping verdict against a NonEscapingProven one: a violation."""
-    return {type(c1), type(c2)} == {Escaping, NonEscapingProven}
+    return _determined(k1) & _determined(k2) & (k1 != k2)
 
 
-def _kind_name(c: Classification) -> str:
-    return type(c).__name__
+def _sample_report(name: str, samples: SampleSet,
+                   grade: Callable) -> VerificationReport:
+    """grade(re, im) of a block of fields._BLOCK samples gives its skipped
+    mask and laws (violated mask, expected, observed(k)); the report
+    lists the violations in sample order, then law order."""
+    report = VerificationReport(name, total=samples.count)
+    for start in range(0, samples.count, fields._BLOCK):
+        pts = samples.points[start:start + fields._BLOCK]
+        skipped, laws = grade(pts.real, pts.imag)
+        report.skipped_undetermined += int(np.count_nonzero(skipped))
+        for k, n in sorted((k, n) for n, law in enumerate(laws)
+                           for k in np.flatnonzero(law[0]).tolist()):
+            report.violations.append(
+                _violation(complex(pts[k]), laws[n][1], laws[n][2](k)))
+    return report
 
 
-def _image(expr: MapExpr, z: complex, cfg: IterationConfig) -> Optional[complex]:
-    """expr(z), or None when the phase is degenerate or the image is not
-    a finite complex number (Directed, NaN or infinite)."""
-    try:
-        w = evaluate(expr, z, cfg)
-    except DegeneratePhaseError:
-        return None
-    return w if isinstance(w, complex) and cmath.isfinite(w) else None
+def _images(expr: MapExpr, re: np.ndarray, im: np.ndarray,
+            cfg: IterationConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(re, im, ok) of expr at re + i*im; ok is false where the phase is
+    degenerate or the image is Directed, NaN or infinite."""
+    wr, wi, wd, bad = evaluate_points(expr, re, im,
+                                      np.zeros(len(re), dtype=bool), cfg)
+    return wr, wi, ~bad & ~wd & _finite(wr, wi)
 
 
-def _undetermined_cells(fld: EscapeField) -> np.ndarray:
-    return (fld.kinds == KIND_BUDGET) | (fld.kinds == KIND_UNDETERMINED)
+def _codes_at_images(classify: Callable, expr: MapExpr, re: np.ndarray,
+                     im: np.ndarray, where: np.ndarray, cfg) -> np.ndarray:
+    """classify at expr(z) where `where` holds; U elsewhere or no image."""
+    codes = np.full(len(re), KIND_UNDETERMINED, dtype=np.uint8)
+    at = np.flatnonzero(where)
+    wr, wi, ok = _images(expr, re[at], im[at], cfg)
+    codes[at[ok]] = classify(wr[ok], wi[ok])
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +166,9 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
 
     Checks |f^k(z)| <= 1 + |xi| + BOUND_TOL (1 + |zeta| for G-maps) for every
     sample and every k up to k_max.  Samples must come from the absorbing
-    half plane (Re >= 0 for F, <= 0 for G).  All orbits advance together
-    through maps.evaluate_points, the step of the orbit engine; an iterate
-    that leaves the double range or has a degenerate phase counts as
+    half plane (Re >= 0 for F, <= 0 for G).  The orbits of a block advance
+    together through maps.evaluate_points, the step of the orbit engine; an
+    iterate that leaves the double range or has a degenerate phase counts as
     unbounded.  An orbit stops once it is back, bit for bit, at its last
     or second-last point: the step is a function of the point, so every
     later point is one already measured.
@@ -164,32 +179,29 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     bound = 1.0 + abs(expr.const) + BOUND_TOL
-    report = VerificationReport("halfplane-bound", total=samples.count)
 
-    worst = np.zeros(samples.count)
-    live = np.arange(samples.count)  # orbits still moving
-    z = (samples.points.real, samples.points.imag,
-         np.zeros(samples.count, dtype=bool))
-    before = None
-    for _ in range(k_max):
-        *nxt, bad = evaluate_points(expr, *z)
-        nr, ni, nd = nxt
-        worst[live] = np.maximum(
-            worst[live], np.where(nd | bad, np.inf, np.hypot(nr, ni)))
-        keep = ~bad & ~_same_points(nxt, z)
-        if before is not None:
-            keep &= ~_same_points(nxt, before)
-        live = live[keep]
-        before = [a[keep] for a in z]
-        z = [a[keep] for a in nxt]
-        if not len(live):
-            break
-    for idx in np.nonzero(~(worst <= bound))[0]:
-        report.violations.append(_violation(
-            complex(samples.points[idx]),
-            f"|f^k(z)| <= {bound!r} for k <= {k_max}",
-            f"max modulus {float(worst[idx])!r}"))
-    return report
+    def grade(re, im):
+        worst = np.zeros(len(re))
+        live = np.arange(len(re))  # orbits still moving
+        z = (re, im, np.zeros(len(re), dtype=bool))
+        before = None
+        for _ in range(k_max):
+            *nxt, bad = evaluate_points(expr, *z)
+            nr, ni, nd = nxt
+            worst[live] = np.maximum(
+                worst[live], np.where(nd | bad, np.inf, np.hypot(nr, ni)))
+            keep = ~bad & ~_same_points(nxt, z)
+            if before is not None:
+                keep &= ~_same_points(nxt, before)
+            live = live[keep]
+            before = [a[keep] for a in z]
+            z = [a[keep] for a in nxt]
+            if not len(live):
+                break
+        return False, [(~(worst <= bound),
+                        f"|f^k(z)| <= {bound!r} for k <= {k_max}",
+                        lambda k: f"max modulus {float(worst[k])!r}")]
+    return _sample_report("halfplane-bound", samples, grade)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +215,9 @@ def verify_strip_containment(fld: EscapeField,
     if getattr(expr, "sign", None) is None:
         raise TypeError("strip containment applies to the two families only")
     report = VerificationReport("strip-containment", total=fld.nx * fld.ny)
-    report.skipped_undetermined = int(np.count_nonzero(_undetermined_cells(fld)))
+    report.skipped_undetermined = int(np.sum(~_determined(fld.kinds)))
     for idx in fld.escaping_indices():
-        i, j = int(idx) % fld.nx, int(idx) // fld.nx
-        center = fld.center(i, j)
+        center = fld.center(int(idx) % fld.nx, int(idx) // fld.nx)
         if strip_of(center, expr.family, expr.param) is None:
             report.violations.append(_violation(
                 center,
@@ -227,13 +238,12 @@ def verify_disjointness(field_f: EscapeField,
         raise ValueError("fields must share window and resolution")
     report = VerificationReport("disjointness", total=field_f.nx * field_f.ny)
     report.skipped_undetermined = int(np.count_nonzero(
-        _undetermined_cells(field_f) | _undetermined_cells(field_g)))
+        ~(_determined(field_f.kinds) & _determined(field_g.kinds))))
     both = np.nonzero((field_f.kinds == KIND_ESCAPING)
                       & (field_g.kinds == KIND_ESCAPING))[0]
     for idx in both:
-        i, j = int(idx) % field_f.nx, int(idx) // field_f.nx
         report.violations.append(_violation(
-            field_f.center(i, j),
+            field_f.center(int(idx) % field_f.nx, int(idx) // field_f.nx),
             "escaping under at most one of the two maps",
             "escaping under both"))
     return report
@@ -249,6 +259,11 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
                         ) -> VerificationReport:
     """For a map f of period c and g = f^s + c, g^n must equal f^(n*s) + c
     along every orbit, and the classifications of f and g must not clash.
+
+    Both orbits of a block's seeds advance in lockstep, for up to
+    max_iter steps, until an image is missing, the identity fails (one
+    violation) or a modulus passes MODULUS_CAP.  Each block is then
+    classified under f and g, or classify_fn is called per seed.
     """
     validate(expr)
     if s < 1:
@@ -259,33 +274,36 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
     validate(shifted)  # the period c must be finite
     classify_f = _classifier(classify_fn, expr, cfg)
     classify_g = _classifier(classify_fn, shifted, cfg)
-    report = VerificationReport("period-shift", total=samples.count)
 
-    for z0 in samples.points:
-        z0 = complex(z0)
-        u = v = z0
+    def grade(re, im):
+        seen = np.full((2, len(re)), np.nan)  # |u - (v + c)|, |v| at parting
+        live = np.arange(len(re))
+        ur, ui, vr, vi = re, im, re, im
         for _ in range(cfg.max_iter):
-            u, v = _image(shifted, u, cfg), _image(s_fold, v, cfg)
-            if u is None or v is None:
+            ur, ui, u_ok = _images(shifted, ur, ui, cfg)
+            vr, vi, v_ok = _images(s_fold, vr, vi, cfg)
+            with np.errstate(all="ignore"):
+                # CPython's complex -, + and abs, part by part
+                diff = np.hypot(ur - (vr + c.real), ui - (vi + c.imag))
+                mod_v = np.hypot(vr, vi)
+                parted = u_ok & v_ok & (diff > REL_TOL * (1.0 + mod_v))
+                keep = u_ok & v_ok & ~parted & (mod_v <= MODULUS_CAP) \
+                    & (np.hypot(ur, ui) <= MODULUS_CAP)
+            seen[:, live[parted]] = diff[parted], mod_v[parted]
+            live, ur, ui, vr, vi = (live[keep], ur[keep], ui[keep],
+                                    vr[keep], vi[keep])
+            if not len(live):
                 break
-            target = v + c
-            if abs(u - target) > REL_TOL * (1.0 + abs(v)):
-                report.violations.append(_violation(
-                    z0,
-                    f"g^n(z) == f^(n*s)(z) + c within rel {REL_TOL}",
-                    f"|diff| = {abs(u - target)!r} at |f^(n*s)(z)| = {abs(v)!r}"))
-                break
-            if abs(u) > MODULUS_CAP or abs(v) > MODULUS_CAP:
-                break
-        c1 = classify_f(z0)
-        c2 = classify_g(z0)
-        if _conflict(c1, c2):
-            report.violations.append(_violation(
-                z0, "no escaping-vs-proven conflict between f and g",
-                f"f: {_kind_name(c1)}, g: {_kind_name(c2)}"))
-        elif not _determined(c1, c2):
-            report.skipped_undetermined += 1
-    return report
+        k_f, k_g = classify_f(re, im), classify_g(re, im)
+        return ~(_determined(k_f) & _determined(k_g)), [
+            (~np.isnan(seen[0]),
+             f"g^n(z) == f^(n*s)(z) + c within rel {REL_TOL}",
+             lambda k: f"|diff| = {float(seen[0, k])!r} at "
+                       f"|f^(n*s)(z)| = {float(seen[1, k])!r}"),
+            (_conflict(k_f, k_g),
+             "no escaping-vs-proven conflict between f and g",
+             lambda k: f"f: {_NAMES[k_f[k]]}, g: {_NAMES[k_g[k]]}")]
+    return _sample_report("period-shift", samples, grade)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +320,8 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
     verdicts of h and of f^(i+j) may not conflict; (c) the escape set of
     h is invariant under g, so g of an escaping seed may not be proven
     non-escaping.  A sample with any skipped comparison counts as
-    skipped once.
+    skipped once.  Each block is classified under h, f^(i+j), f, g and h
+    at g(z) of its escaping seeds, or classify_fn is called per seed.
     """
     validate(expr)
     if i < 1 or j < 1:
@@ -310,50 +329,30 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
     g = Iterate(expr, j)
     composite = Compose(expr, g)
     tall = Iterate(expr, i + j)
-    classify_comp = _classifier(classify_fn, composite, cfg)
-    classify_tall = _classifier(classify_fn, tall, cfg)
-    classify_f = _classifier(classify_fn, expr, cfg)
-    classify_g = _classifier(classify_fn, g, cfg)
-    report = VerificationReport("composite-laws", total=samples.count)
+    classifiers = [_classifier(classify_fn, e, cfg)
+                   for e in (composite, tall, expr, g)]
 
-    for z0 in samples.points:
-        z0 = complex(z0)
-        c_comp = classify_comp(z0)
-        c_tall = classify_tall(z0)
-        c_f = classify_f(z0)
-        c_g = classify_g(z0)
-        skipped = False
-
+    def grade(re, im):
+        k_comp, k_tall, k_f, k_g = (c(re, im) for c in classifiers)
+        esc = k_comp == KIND_ESCAPING
+        k_w = _codes_at_images(classifiers[0], g, re, im, esc, cfg)
         # (a) "escapes under f or g" passes when either escapes, conflicts
         # when both are proven and is undetermined otherwise
-        if _is_escaping(c_comp) and not (_is_escaping(c_f) or _is_escaping(c_g)):
-            if _determined(c_f, c_g):
-                report.violations.append(_violation(
-                    z0, "escape under f o g implies escape under f or g",
-                    f"f: {_kind_name(c_f)}, g: {_kind_name(c_g)}"))
-            else:
-                skipped = True
-
-        if _conflict(c_comp, c_tall):
-            report.violations.append(_violation(
-                z0, "verdicts of f o g and of the tall iterate agree",
-                f"f o g: {_kind_name(c_comp)}, iterate: {_kind_name(c_tall)}"))
-        elif not _determined(c_comp, c_tall):
-            skipped = True
-
-        if _is_escaping(c_comp):
-            w = _image(g, z0, cfg)
-            c_w = None if w is None else classify_comp(w)
-            if _conflict(c_comp, c_w):
-                report.violations.append(_violation(
-                    z0, "g(z) of an escaping seed must not be proven bounded",
-                    f"classification at g(z): {_kind_name(c_w)}"))
-            elif not _determined(c_w):
-                skipped = True
-
-        if skipped:
-            report.skipped_undetermined += 1
-    return report
+        open_a = esc & (k_f != KIND_ESCAPING) & (k_g != KIND_ESCAPING)
+        law_a = open_a & _determined(k_f) & _determined(k_g)
+        skipped = (open_a & ~law_a) | (esc & ~_determined(k_w)) \
+            | ~(_determined(k_comp) & _determined(k_tall))
+        return skipped, [
+            (law_a, "escape under f o g implies escape under f or g",
+             lambda k: f"f: {_NAMES[k_f[k]]}, g: {_NAMES[k_g[k]]}"),
+            (_conflict(k_comp, k_tall),
+             "verdicts of f o g and of the tall iterate agree",
+             lambda k: f"f o g: {_NAMES[k_comp[k]]}, "
+                       f"iterate: {_NAMES[k_tall[k]]}"),
+            (esc & _conflict(k_comp, k_w),
+             "g(z) of an escaping seed must not be proven bounded",
+             lambda k: f"classification at g(z): {_NAMES[k_w[k]]}")]
+    return _sample_report("composite-laws", samples, grade)
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +364,25 @@ def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
                           classify_fn: Optional[ClassifyFn] = None
                           ) -> VerificationReport:
     """If w is proven non-escaping then g(w) = f^j(w) may not escape:
-    the orbit of g(w) under f is the tail of a bounded orbit."""
+    the orbit of g(w) under f is the tail of a bounded orbit.
+
+    Escaping seeds are neither checked nor skipped.  Each block is classified
+    at w and at g(w) of its proven seeds, or classify_fn is called per seed.
+    """
     validate(expr)
     if j < 1:
         raise ValueError("j must be >= 1")
     g = Iterate(expr, j)
     classify_f = _classifier(classify_fn, expr, cfg)
-    report = VerificationReport("image-superset", total=samples.count)
 
-    for w0 in samples.points:
-        w0 = complex(w0)
-        c1 = classify_f(w0)
-        if _is_escaping(c1):
-            continue  # the law says nothing about escaping seeds
-        w1 = _image(g, w0, cfg) if _determined(c1) else None
-        c2 = None if w1 is None else classify_f(w1)
-        if _conflict(c1, c2):
-            report.violations.append(_violation(
-                w0, "image of a proven non-escaping seed must not escape",
-                f"classification at f^j(w): {_kind_name(c2)}"))
-        elif not _determined(c2):
-            report.skipped_undetermined += 1
-    return report
+    def grade(re, im):
+        k1 = classify_f(re, im)
+        k2 = _codes_at_images(classify_f, g, re, im, k1 == KIND_PROVEN, cfg)
+        return (k1 != KIND_ESCAPING) & ~_determined(k2), [
+            (_conflict(k1, k2),
+             "image of a proven non-escaping seed must not escape",
+             lambda k: f"classification at f^j(w): {_NAMES[k2[k]]}")]
+    return _sample_report("image-superset", samples, grade)
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +401,21 @@ def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
     composed chart (maps.chart), so both orbits meet the same half plane
     and escape test; the suite then checks that rounding along g's orbit
     does not move a verdict.  A map without a chart is classified by the
-    generic modulus rule on both sides.
+    generic modulus rule on both sides.  Blocks are classified under f and
+    g, or classify_fn is called per seed.
     """
     g = Conjugate(a, b, expr)
     validate(g)
     classify_f = _classifier(classify_fn, expr, cfg)
     classify_g = _classifier(classify_fn, g, cfg)
-    report = VerificationReport("conjugacy", total=samples.count)
 
-    for z0 in samples.points:
-        z0 = complex(z0)
-        c1 = classify_f(z0)
-        c2 = classify_g(a * z0 + b)
-        if _conflict(c1, c2):
-            report.violations.append(_violation(
-                z0, "no escaping-vs-proven conflict between f and its conjugate",
-                f"f: {_kind_name(c1)}, conjugate: {_kind_name(c2)}"))
-        elif not _determined(c1, c2):
-            report.skipped_undetermined += 1
-    return report
+    def grade(re, im):
+        k1 = classify_f(re, im)
+        # a*z + b as CPython's complex product (_Py_c_prod) and sum
+        k2 = classify_g(a.real * re - a.imag * im + b.real,
+                        a.real * im + a.imag * re + b.imag)
+        return ~(_determined(k1) & _determined(k2)), [
+            (_conflict(k1, k2),
+             "no escaping-vs-proven conflict between f and its conjugate",
+             lambda k: f"f: {_NAMES[k1[k]]}, conjugate: {_NAMES[k2[k]]}")]
+    return _sample_report("conjugacy", samples, grade)

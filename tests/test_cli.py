@@ -509,6 +509,23 @@ class TestArguments:
         assert out == ""
         assert "samples" in err
 
+    def test_max_iter_below_one_names_the_flag(self, capsys, tmp_path):
+        # IterationConfig's own error named neither the flag nor the file
+        for command, extra in [
+                ("orbit", ["--map", "F(-1, 1)", "--z0", "0"]),
+                ("render", ["--map", "F(-1, 1)", "--window", "-1,1,-1,1",
+                            "--res", "4,4", "--out", str(tmp_path / "x.ppm")]),
+                ("verify", ["--suite", "conjugacy", "--samples", "5"])]:
+            code, out, err = run(capsys, command, "--max-iter", "0", *extra)
+            assert (code, out) == (2, "")
+            assert "argument --max-iter: expected a positive integer" in err
+            cfg = tmp_path / "m.cfg"
+            cfg.write_text("max_iter = 0\n")
+            code, out, err = run(capsys, command, "--config", str(cfg), *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {cfg}: argument --max-iter:")
+        assert not (tmp_path / "x.ppm").exists()
+
     def test_max_iter_only_where_it_acts(self, capsys):
         for command in ("strips", "parse"):
             assert self.usage_error(capsys, command, "--max-iter", "5") == 2

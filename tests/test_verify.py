@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from expdyn import orbits, verify
+from expdyn import fields, orbits, verify
 from expdyn.fields import Window, classify_grid
 from expdyn.maps import (
     Compose,
@@ -33,7 +33,7 @@ from expdyn.orbits import (
 from expdyn.parser import format_complex
 from expdyn.sampling import SampleSet
 from expdyn.verify import (
-    _image,
+    _images,
     verify_composite_laws,
     verify_conjugacy,
     verify_disjointness,
@@ -160,6 +160,37 @@ class TestValidation:
             {"f: NonEscapingProven, conjugate: Escaping"}
 
 
+class TestBlocks:
+    def test_block_size_does_not_move_a_report(self, monkeypatch):
+        # violations of every law and of period-shift's identity (1 is not
+        # a period), on blocks of 7 samples against one block
+        monkeypatch.setattr(verify, "period_of", lambda expr: complex(1, 0))
+        ss = SampleSet.generate(3, 40, Window(-8, 2, -6, 6))
+        seeds = {complex(z) for z in ss.points}
+
+        def liar(expr, z, cfg):
+            # f o g escapes at the seeds; everything else is proven
+            return Escaping(2) if isinstance(expr, (Compose, Shift)) \
+                and z in seeds else PROVEN
+
+        runs = [
+            lambda: verify_halfplane_bound(
+                F11, SampleSet.generate(4, 50, Window(-30, -20, 2, 4)), 3),
+            lambda: verify_period_shift(F11, 1, ss, CFG, liar),
+            lambda: verify_composite_laws(F11, 2, 1, ss, CFG, liar),
+            lambda: verify_image_superset(
+                F11, 2, ss, CFG,
+                lambda e, z, cfg: PROVEN if z in seeds else Escaping(1)),
+            lambda: verify_conjugacy(
+                F11, complex(3, 1), complex(-1, 0),
+                SampleSet.generate(9, 2000, Window(-10, 2, -8, 8)), CFG)]
+        one_block = [run().to_json() for run in runs]
+        assert [len(json.loads(r)["violations"]) for r in one_block] == \
+            [50, 80, 120, 40, 2]
+        monkeypatch.setattr(fields, "_BLOCK", 7)
+        assert [run().to_json() for run in runs] == one_block
+
+
 class TestReport:
     def test_json_shape(self):
         rep = verify_halfplane_bound(
@@ -176,22 +207,29 @@ class TestReport:
         assert a.to_json() == b.to_json()
 
 
+def image(expr, z):
+    """verify._images at the one point z: expr(z), or None where it has
+    no finite complex value."""
+    wr, wi, ok = _images(expr, np.array([z.real]), np.array([z.imag]), CFG)
+    return complex(wr[0], wi[0]) if ok[0] else None
+
+
 class TestImage:
     def test_finite_image(self):
-        assert _image(F11, complex(0, 0), CFG) == complex(math.exp(-1) + 1, 0)
+        assert image(F11, complex(0, 0)) == complex(math.exp(-1) + 1, 0)
 
     def test_overflowed_image_is_none(self):
         assert isinstance(evaluate(F11, OVERFLOWING, CFG), Directed)
-        assert _image(F11, OVERFLOWING, CFG) is None
+        assert image(F11, OVERFLOWING) is None
 
     def test_nan_image_is_none(self):
         assert math.isnan(evaluate(F11, complex(0, math.inf), CFG).real)
-        assert _image(F11, complex(0, math.inf), CFG) is None
+        assert image(F11, complex(0, math.inf)) is None
 
     def test_degenerate_phase_is_none(self):
         with pytest.raises(DegeneratePhaseError):
             evaluate(Iterate(F11, 2), DEGENERATE, CFG)
-        assert _image(Iterate(F11, 2), DEGENERATE, CFG) is None
+        assert image(Iterate(F11, 2), DEGENERATE) is None
 
 
 class TestHalfplaneBound:
