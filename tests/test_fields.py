@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import multiprocessing
@@ -416,6 +417,20 @@ class TestFieldCsv:
             out = io.StringIO()
             export_field_csv(field, out)
             assert out.getvalue() == per_cell(field)
+
+    def test_render_shallow_bytes_pinned(self):
+        # the render-shallow benchmark's grid: CSV and PPM bytes are pinned
+        # as digests taken with the per-cell formatter and the math engine
+        field = classify_grid(F11, Window(-30, 5, -20, 20), 512, 512,
+                              IterationConfig(max_iter=250))
+        out = io.StringIO()
+        export_field_csv(field, out)
+        ppm = io.BytesIO()
+        render_ppm(field, ppm)
+        assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == \
+            "3ec5cc30b7dcd07b9d7db1df97075a108a6c585b1f63c49a5dc9e1d07ea13a8d"
+        assert hashlib.sha256(ppm.getvalue()).hexdigest() == \
+            "7b43843dfd9232c119865322d63b9c5b98c66006416f769135cd67eb80463474"
 
     def test_import_rejects_partial_grid(self):
         text = "i,j,re,im,class,step\n0,0,0.5,0.5,B,\n2,0,2.5,0.5,B,\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from expdyn import maps
 from expdyn.maps import (
     Compose,
     Conjugate,
@@ -268,6 +269,101 @@ class TestEvaluatePoints:
             else:
                 assert [_bits(v) for v in got] == \
                     [_bits(want.real), _bits(want.imag)], p
+
+
+def math_exp_step(expr, z: complex):
+    """One step of F, G or exp(lam) from a finite-or-infinite complex z by
+    math.exp, math.cos and math.sin: exp(wr)*cos(wi), exp(wr)*sin(wi)
+    up to the rung, Directed(w) past it or for a NaN wr, NaN or 0 for a
+    wi that is not finite.  The oracle of the engines' exponential."""
+    sign = getattr(expr, "sign", None)
+    if sign is not None:
+        wr = sign * z.real + expr.param.real
+        wi = sign * z.imag + expr.param.imag
+        const = complex(expr.const)
+    else:  # no constant, and so no +0.0 added to a -0.0 part
+        lam = expr.lam
+        wr = lam.real * z.real - lam.imag * z.imag
+        wi = lam.real * z.imag + lam.imag * z.real
+        const = None
+    if not wr <= 700.0:
+        return Directed(wr, wi)
+    m = math.exp(wr)
+    if math.isfinite(wi):
+        cr, ci = m * math.cos(wi), m * math.sin(wi)
+    else:
+        cr = ci = 0.0 if m == 0.0 else math.nan
+    if const is None:
+        return complex(cr, ci)
+    return complex(cr + const.real, ci + const.imag)
+
+
+class TestExpStep:
+    """The finite exponential of both engines against math_exp_step."""
+
+    MAPS = [F11, G11, FamilyF(-1, 1), FamilyF(complex(-1, -0.0), 1),
+            FamilyF(complex(-0.5, 2), complex(3, -1)),
+            FamilyG(complex(-2.5, -1e-3), complex(-1, 4)),
+            ScaledExp(1.0), ScaledExp(complex(1, 0)),
+            ScaledExp(complex(-0.5, 2)), ScaledExp(complex(0, -3))]
+
+    @staticmethod
+    def points(expr):
+        """Seeded z whose exponent w has Re in [-760, 705] and |Im| up to
+        1e17, then edge inputs: Re w at the subnormal end and at the rung
+        700 exactly, signed zero and huge Im, Re z infinite."""
+        rng = np.random.default_rng(20140609)
+        wr = rng.uniform(-760.0, 705.0, 8000)
+        wi = rng.choice([-1.0, 1.0], 8000) * 10.0 ** rng.uniform(-3, 17, 8000)
+        wr[:1000] = rng.uniform(-745.2, -708.0, 1000)  # subnormal results
+        edge_r = [-745.2, -745.13, -745.0, -744.5, -708.4, -708.0, -1.0,
+                  -0.0, 0.0, 699.0, 700.0, np.nextafter(700.0, 701.0)]
+        edge_i = [0.0, -0.0, 1e-310, -1.0, 2.0 ** 52, -(2.0 ** 52), 2.0 ** 53 + 2,
+                  1e17, -1e17, 1e300]
+        w = [complex(r, i) for r, i in zip(wr.tolist(), wi.tolist())]
+        w += [complex(r, i) for r in edge_r for i in edge_i]
+        # z with that exponent, up to the rounding of the inverse
+        sign = getattr(expr, "sign", None)
+        if sign is not None:
+            zs = [complex(sign * (v.real - expr.param.real),
+                          sign * (v.imag - expr.param.imag)) for v in w]
+        else:
+            zs = [v / expr.lam for v in w]
+        # Re w = 700 and signed zero Im w exactly, and Re w = -inf
+        zs += [complex(x, y) for x in (-701.0, 699.0, 700.0, -700.0, 5.0, -5.0)
+               for y in (0.0, -0.0)]
+        zs += [complex(x, y) for x in (math.inf, -math.inf)
+               for y in (0.0, -0.0, 1.0, -2.0, 2.0 ** 60)]
+        return zs
+
+    @pytest.mark.parametrize("expr", MAPS)
+    def test_evaluate_matches_math(self, expr):
+        for z in self.points(expr):
+            want, got = math_exp_step(expr, z), evaluate(expr, z)
+            assert _same_point(got, want), (z, got, want)
+
+    @pytest.mark.parametrize("expr", MAPS)
+    def test_evaluate_points_matches_math(self, expr):
+        zs = self.points(expr)
+        re = np.array([z.real for z in zs])
+        im = np.array([z.imag for z in zs])
+        out_re, out_im, out_d, bad = evaluate_points(
+            expr, re, im, np.zeros(len(zs), dtype=bool))
+        assert not bad.any()
+        for k, z in enumerate(zs):
+            got = Directed(out_re[k], out_im[k]) if out_d[k] else \
+                complex(out_re[k], out_im[k])
+            want = math_exp_step(expr, z)
+            assert _same_point(got, want), (z, got, want)
+
+    def test_conjugate_demotion_matches_math(self):
+        # a Directed point that drops below the rung in conj is demoted
+        # to exp(log_modulus)*(cos, sin) angle
+        for lm in (-745.0, -700.5, -1.0, 0.0, 3.5, 699.0, 700.0):
+            for angle in (0.0, -0.0, 2.5, -1e-300, 2.0 ** 52, -1e17):
+                m = math.exp(lm)
+                want = complex(m * math.cos(angle), m * math.sin(angle))
+                assert _same_point(maps._normalize(lm, angle, 700.0), want)
 
 
 class TestSamePoint:
