@@ -6,17 +6,16 @@ blocks of a fixed size, classified one after another in the calling
 process; each block goes through ``orbits.classify_points``, which moves
 its seeds in lockstep and gives each cell the verdict ``classify`` gives
 it.  The bytes of a field depend on the libm behind Python's ``math``
-module, not on numpy's SIMD build or the block size.  PPM (binary P6)
-is the image format:
-dependency-free and byte-exact, so golden tests can compare files
-directly.
+and ``cmath`` modules, not on numpy's SIMD build or the block size.
+PPM (binary P6) is the image format: dependency-free and byte-exact, so
+golden tests can compare files directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Optional, TextIO, Tuple, Union
+from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -189,31 +188,49 @@ def overlay_strips(field: EscapeField, family: Family,
 # CSV round trip
 # ---------------------------------------------------------------------------
 
+def _texts(texts: List[str]) -> np.ndarray:
+    """ASCII texts as the rows of a NUL-padded uint8 matrix."""
+    table = np.array(texts, dtype=bytes)
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
 def export_field_csv(field: EscapeField, out: TextIO) -> None:
     """Rows "i,j,re,im,class,step" in storage order; step is empty unless
     the cell escaped or was proven non-escaping.
 
-    Each column's x, each row's y and each step present is formatted
-    once, and each grid row is written as one string.
+    Each column's "i," and "x,", each row's "j," and "y," and each step
+    present is formatted once.  Whole grid rows, about _BLOCK cells at a
+    time, are laid out as one NUL-padded byte matrix of these pieces; its
+    NULs are dropped and the rest is written as one string.
     """
     out.write("i,j,re,im,class,step\n")
     nx = field.nx
-    xs = [_g17(field.window.x_min + (i + 0.5) * field.dx) for i in range(nx)]
-    # names[c] is the text of the c-th smallest step present ("" for none,
-    # -1), found a sorted block at a time: time and memory follow the cells
+    # names[c] is ",", the text of the c-th smallest step present ("" for
+    # none, -1) and "\n", found a sorted block at a time: time and memory
+    # follow the cells
     present = set()
     for start in range(0, field.steps.size, _BLOCK):
         b = np.sort(field.steps[start:start + _BLOCK])
         present.update(b[np.concatenate(([True], b[1:] != b[:-1]))].tolist())
     present = np.array(sorted(present), dtype=np.int64)
-    names = ["" if s < 0 else str(s) for s in present.tolist()]
-    for j in range(field.ny):
-        y = _g17(field.window.y_max - (j + 0.5) * field.dy)
-        row = slice(j * nx, (j + 1) * nx)
-        kinds = field.kinds[row].tobytes().decode("ascii")
-        codes = np.searchsorted(present, field.steps[row]).tolist()
-        out.write("".join([f"{i},{j},{x},{y},{k},{names[c]}\n" for i, x, k, c
-                           in zip(range(nx), xs, kinds, codes)]))
+    names = _texts(["," + ("" if s < 0 else str(s)) + "\n"
+                    for s in present.tolist()])
+    i_txt = _texts([f"{i}," for i in range(nx)])
+    x_txt = _texts([_g17(field.window.x_min + (i + 0.5) * field.dx) + ","
+                    for i in range(nx)])
+    rows = max(1, _BLOCK // nx)
+    for j0 in range(0, field.ny, rows):
+        js = range(j0, min(j0 + rows, field.ny))
+        j_txt = _texts([f"{j}," for j in js])
+        y_txt = _texts([_g17(field.window.y_max - (j + 0.5) * field.dy) + ","
+                        for j in js])
+        cells, shape = slice(j0 * nx, js.stop * nx), (len(js), nx)
+        kinds = field.kinds[cells].reshape(shape + (1,))
+        codes = np.searchsorted(present, field.steps[cells]).reshape(shape)
+        m = np.concatenate([np.broadcast_to(p, shape + p.shape[-1:]) for p in
+                            (i_txt, j_txt[:, None], x_txt, y_txt[:, None],
+                             kinds, names[codes])], axis=2)
+        out.write(m[m != 0].tobytes().decode("ascii"))
 
 
 def import_field_csv(src: Union[TextIO, Iterable[str]],

@@ -20,10 +20,16 @@ point back to the additive constant of the map.  A finite point whose
 conjugation ``(z - b)/a`` or ``a*v + b`` overflows moves onto the ladder
 the same way.
 
+Both engines take a finite exponential exp(w), Re w at most the rung
+(700) and Im w finite, as one ``cmath.exp`` call.  Below Re w = 708.3
+CPython computes it as exactly exp(Re w)*cos(Im w) and exp(Re w)*sin(Im
+w), with the libm functions that ``math.exp``, ``math.cos`` and
+``math.sin`` call, so the bits are those of the three ``math`` calls.
+
 ``evaluate_points`` applies a map once to a whole batch of points.  It
-makes the common moves on numpy arrays with the same ``math`` functions,
-and ``evaluate`` itself steps each point that makes a rare one, so each
-point gets the bits ``evaluate`` gives it.
+makes the common moves on numpy arrays with the same ``math`` and
+``cmath`` functions, and ``evaluate`` itself steps each point that makes
+a rare one, so each point gets the bits ``evaluate`` gives it.
 """
 
 from __future__ import annotations
@@ -296,17 +302,13 @@ def _scale(mag: float, x: float) -> float:
     return 0.0 if x == 0.0 else mag * x
 
 
-def _cis(m: float, angle: float) -> tuple:
-    """m * (cos angle, sin angle) tolerating non-finite angles.
+def _lost_phase(m: float) -> complex:
+    """m * (cos angle, sin angle) for an angle that is not finite.
 
     A zero modulus wins over a lost phase; otherwise the value is
     genuinely indeterminate and becomes NaN for the caller to abort on.
     """
-    if math.isfinite(angle):
-        return m * math.cos(angle), m * math.sin(angle)
-    if m == 0.0:
-        return 0.0, 0.0
-    return math.nan, math.nan
+    return 0j if m == 0.0 else complex(math.nan, math.nan)
 
 
 _LN2 = math.log(2.0)
@@ -345,8 +347,7 @@ def _normalize(log_modulus: float, angle: float, threshold: float) -> ExtendedPo
         return Directed(log_modulus, angle)
     if not math.isfinite(angle):
         raise DegeneratePhaseError("angle saturated past phase resolution")
-    m = math.exp(log_modulus)
-    return complex(m * math.cos(angle), m * math.sin(angle))
+    return cmath.exp(complex(log_modulus, angle))
 
 
 # Above this magnitude one ulp of the angle exceeds half a radian, so the
@@ -379,9 +380,9 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
             wr = sign * z.real + p.real
             wi = sign * z.imag + p.imag
             if wr <= thresh:
-                m = math.exp(wr)
-                cr, ci = _cis(m, wi)
-                return complex(cr + const.real, ci + const.imag)
+                if math.isfinite(wi):
+                    return cmath.exp(complex(wr, wi)) + const
+                return _lost_phase(math.exp(wr)) + const
             # const is ~1e-300 relative at this scale and is dropped
             return Directed(wr, wi)
         c = sign * _phase_cos(z.angle)
@@ -401,9 +402,9 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
             wr = lam.real * z.real - lam.imag * z.imag
             wi = lam.real * z.imag + lam.imag * z.real
             if wr <= thresh:
-                m = math.exp(wr)
-                cr, ci = _cis(m, wi)
-                return complex(cr, ci)
+                if math.isfinite(wi):
+                    return cmath.exp(complex(wr, wi))
+                return _lost_phase(math.exp(wr))
             return Directed(wr, wi)
         # w = lam * z has direction lam * e^{i angle}
         ca, sa = _phase_cos(z.angle), math.sin(z.angle)
@@ -467,16 +468,18 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
 # map's const, exp(lam) on the ladder and conj's shift past the rung;
 # evaluate makes the rest (_evaluate_each).  numpy's exp/cos/sin/log and
 # its complex / and * are not used: on a share of inputs they differ from
-# math's and CPython's in the last ulp, and that would move verdicts.
+# libm's and CPython's in the last ulp, and that would move verdicts.
 
 Points = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _apply(fn: Callable[[float], float], x: np.ndarray,
-           where: np.ndarray) -> np.ndarray:
-    """fn, a math function, on x where `where` holds (0.0 elsewhere)."""
-    out = np.zeros(len(x))
-    out[where] = np.fromiter(map(fn, x[where].tolist()), dtype=float)
+def _apply(fn: Callable, x: np.ndarray, where: np.ndarray,
+           dtype: type = float) -> np.ndarray:
+    """fn, a math or cmath function, on x where `where` holds (0
+    elsewhere), into an array of dtype."""
+    out = np.zeros(len(x), dtype=dtype)
+    if where.any():
+        out[where] = np.fromiter(map(fn, x[where].tolist()), dtype=dtype)
     return out
 
 
@@ -516,9 +519,10 @@ def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
     slow marks a wi that is not finite below thresh, left to evaluate."""
     low = where & (wr <= thresh)
     ok = low & np.isfinite(wi)
-    m = _apply(math.exp, wr, ok)
-    return (np.where(ok, m * _apply(math.cos, wi, ok), wr),
-            np.where(ok, m * _apply(math.sin, wi, ok), wi),
+    w = np.empty(len(wr), dtype=complex)
+    w.real, w.imag = wr, wi
+    e = _apply(cmath.exp, w, ok, complex)
+    return (np.where(ok, e.real, wr), np.where(ok, e.imag, wi),
             where & ~low, low & ~ok)
 
 

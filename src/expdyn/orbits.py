@@ -29,9 +29,11 @@ seeds in lockstep through ``maps.evaluate_points``, which hands each
 seed that makes a rare move to ``evaluate``, and runs the same tests in
 the same order; it backs ``classify_grid`` and the sample suites of
 ``verify``.  Every exp, cos, sin and log of both is the ``math``
-function, and complex quotients and products are CPython's, so the two
-agree seed by seed, in verdict class and step, and their results depend
-on the libm behind ``math``, not on numpy's SIMD build.
+function, or ``cmath.exp`` for a finite exponential (which calls the
+same libm exp, cos and sin), and complex quotients and products are
+CPython's, so the two agree seed by seed, in verdict class and step, and
+their results depend on the libm behind ``math`` and ``cmath``, not on
+numpy's SIMD build.
 """
 
 from __future__ import annotations

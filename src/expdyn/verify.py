@@ -262,7 +262,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
 
     Both orbits of a block's seeds advance in lockstep, for up to
     max_iter steps, until an image is missing, the identity fails (one
-    violation) or a modulus passes MODULUS_CAP.  Each block is then
+    violation), a modulus passes MODULUS_CAP or both orbits repeat their
+    points of the step before.  Each block is then
     classified under f and g, or classify_fn is called per seed.
     """
     validate(expr)
@@ -280,6 +281,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
         live = np.arange(len(re))
         ur, ui, vr, vi = re, im, re, im
         for _ in range(cfg.max_iter):
+            finite = np.zeros(len(live), dtype=bool)
+            u_was, v_was = (ur, ui, finite), (vr, vi, finite)
             ur, ui, u_ok = _images(shifted, ur, ui, cfg)
             vr, vi, v_ok = _images(s_fold, vr, vi, cfg)
             with np.errstate(all="ignore"):
@@ -289,6 +292,10 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
                 parted = u_ok & v_ok & (diff > REL_TOL * (1.0 + mod_v))
                 keep = u_ok & v_ok & ~parted & (mod_v <= MODULUS_CAP) \
                     & (np.hypot(ur, ui) <= MODULUS_CAP)
+            # u and v both back at their points of the step before: every
+            # later step would repeat this one's comparison
+            keep &= ~(_same_points((ur, ui, finite), u_was)
+                      & _same_points((vr, vi, finite), v_was))
             seen[:, live[parted]] = diff[parted], mod_v[parted]
             live, ur, ui, vr, vi = (live[keep], ur[keep], ui[keep],
                                     vr[keep], vi[keep])

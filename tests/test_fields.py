@@ -397,7 +397,7 @@ class TestFieldCsv:
         assert out.getvalue() == "i,j,re,im,class,step\n0,0,0.5,0.5,E,1000000\n"
         assert peak < 1 << 20
 
-    def test_matches_cell_by_cell_formatter(self):
+    def test_matches_cell_by_cell_formatter(self, monkeypatch):
         def per_cell(field):
             lines = ["i,j,re,im,class,step\n"]
             for j in range(field.ny):
@@ -409,11 +409,24 @@ class TestFieldCsv:
                     lines.append(f"{i},{j},{_g17(x)},{_g17(y)},{k},{step_txt}\n")
             return "".join(lines)
 
-        for field in (
-                classify_grid(F11, Window(-30, 5, -20, 20), 37, 23,
-                              IterationConfig(max_iter=100), workers=1),
-                classify_grid(G11, Window(-0.1, 1e-3, -7e5, 3.3), 5, 3,
-                              IterationConfig(max_iter=3), workers=1)):
+        grid = classify_grid(F11, Window(-30, 5, -20, 20), 37, 23,
+                             IterationConfig(max_iter=100), workers=1)
+        small = classify_grid(G11, Window(-0.1, 1e-3, -7e5, 3.3), 5, 3,
+                              IterationConfig(max_iter=3), workers=1)
+        # steps of 1 to 7 digits next to cells without one
+        digits = make_field(Window(0, 1, 0, 1), 4, 3, [
+            ("E", 0), ("P", 7), ("E", 42), ("P", 123), ("E", 1234),
+            ("P", 12345), ("E", 123456), ("P", 1234567), ("E", 9999999),
+            ("B", -1), ("U", -1), ("B", -1)])
+        # centers whose text is in exponent notation
+        tiny_huge = make_field(Window(-3e-7, 5e-7, 1e22, 4.5e22), 3, 2,
+                               [("B", -1), ("E", 3), ("P", 0)] * 2)
+        # (cells per block, field): nx > 16 puts one row in each block;
+        # 37 does not divide 100, so blocks hold two rows and the last one
+        for block, field in ((fields._BLOCK, grid), (fields._BLOCK, small),
+                             (16, grid), (100, grid), (4, digits),
+                             (fields._BLOCK, tiny_huge)):
+            monkeypatch.setattr(fields, "_BLOCK", block)
             out = io.StringIO()
             export_field_csv(field, out)
             assert out.getvalue() == per_cell(field)

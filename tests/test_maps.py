@@ -311,7 +311,7 @@ class TestExpStep:
     def points(expr):
         """Seeded z whose exponent w has Re in [-760, 705] and |Im| up to
         1e17, then edge inputs: Re w at the subnormal end and at the rung
-        700 exactly, signed zero and huge Im, Re z infinite."""
+        700 exactly, signed zero, huge and non-finite Im, Re z infinite."""
         rng = np.random.default_rng(20140609)
         wr = rng.uniform(-760.0, 705.0, 8000)
         wi = rng.choice([-1.0, 1.0], 8000) * 10.0 ** rng.uniform(-3, 17, 8000)
@@ -319,7 +319,7 @@ class TestExpStep:
         edge_r = [-745.2, -745.13, -745.0, -744.5, -708.4, -708.0, -1.0,
                   -0.0, 0.0, 699.0, 700.0, np.nextafter(700.0, 701.0)]
         edge_i = [0.0, -0.0, 1e-310, -1.0, 2.0 ** 52, -(2.0 ** 52), 2.0 ** 53 + 2,
-                  1e17, -1e17, 1e300]
+                  1e17, -1e17, 1e300, math.inf, -math.inf, math.nan]
         w = [complex(r, i) for r, i in zip(wr.tolist(), wi.tolist())]
         w += [complex(r, i) for r in edge_r for i in edge_i]
         # z with that exponent, up to the rounding of the inverse

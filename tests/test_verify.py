@@ -404,6 +404,25 @@ class TestPeriodShift:
         assert [v["observed"] for v in rep.violations] == [
             w[2] for w in want if w[1].startswith("g^n")]
 
+    def test_orbits_that_repeat_stop_before_the_budget(self, monkeypatch):
+        # F11's orbits settle on points that both maps return bit for bit;
+        # from there every step would repeat the same comparison
+        calls = []
+
+        def counting_images(expr, re, im, cfg):
+            calls.append(len(re))
+            return images(expr, re, im, cfg)
+
+        images = verify._images
+        monkeypatch.setattr(verify, "_images", counting_images)
+        cfg = IterationConfig(max_iter=1000)
+        ss = SampleSet.generate(7, 200, Window(-8, 2, -6, 6))
+        rep = verify_period_shift(F11, 1, ss, cfg)
+        assert rep.violations == [] and [
+            self.pointwise(F11, 1, period_of(F11), complex(z), cfg)
+            for z in ss.points] == [None] * 200
+        assert len(calls) < 2 * cfg.max_iter
+
 
 class TestCompositeLaws:
     def test_scaled_exp_passes(self):
