@@ -422,7 +422,7 @@ class TestFieldCsv:
         tiny_huge = make_field(Window(-3e-7, 5e-7, 1e22, 4.5e22), 3, 2,
                                [("B", -1), ("E", 3), ("P", 0)] * 2)
         # (cells per block, field): nx > 16 puts one row in each block;
-        # 37 does not divide 100, so blocks hold two rows and the last one
+        # 37 does not divide 100: blocks of two rows, and the last of one
         for block, field in ((fields._BLOCK, grid), (fields._BLOCK, small),
                              (16, grid), (100, grid), (4, digits),
                              (fields._BLOCK, tiny_huge)):

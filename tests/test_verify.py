@@ -407,13 +407,12 @@ class TestPeriodShift:
     def test_orbits_that_repeat_stop_before_the_budget(self, monkeypatch):
         # F11's orbits settle on points that both maps return bit for bit;
         # from there every step would repeat the same comparison
-        calls = []
+        calls, images = [], verify._images
 
         def counting_images(expr, re, im, cfg):
             calls.append(len(re))
             return images(expr, re, im, cfg)
 
-        images = verify._images
         monkeypatch.setattr(verify, "_images", counting_images)
         cfg = IterationConfig(max_iter=1000)
         ss = SampleSet.generate(7, 200, Window(-8, 2, -6, 6))
@@ -422,6 +421,28 @@ class TestPeriodShift:
             self.pointwise(F11, 1, period_of(F11), complex(z), cfg)
             for z in ss.points] == [None] * 200
         assert len(calls) < 2 * cfg.max_iter
+
+    def test_one_orbit_repeating_does_not_stop_the_other(self, monkeypatch):
+        # g's orbit repeats its seed from the first step on, while f's
+        # lands on seed - c and then walks off by 1e-3 per step: the
+        # parting at the second step is still found
+        c, f_steps = period_of(F11), []
+
+        def scripted_images(expr, re, im, cfg):
+            ok = np.ones(len(re), dtype=bool)
+            if isinstance(expr, Shift):
+                return re, im, ok
+            f_steps.append(len(re))
+            if len(f_steps) == 1:
+                return re - c.real, im - c.imag, ok
+            return re + 1e-3, im, ok
+
+        monkeypatch.setattr(verify, "_images", scripted_images)
+        ss = SampleSet.generate(4, 10, Window(-8, 2, -6, 6))
+        rep = verify_period_shift(F11, 1, ss, CFG)
+        assert [v["expected"] for v in rep.violations] == \
+            ["g^n(z) == f^(n*s)(z) + c within rel 1e-06"] * 10
+        assert f_steps == [10, 10]
 
 
 class TestCompositeLaws:
