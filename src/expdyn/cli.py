@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="map of the other family, for disjointness")
     p.add_argument("--window", type=_parse_window)
     p.add_argument("--res", type=_parse_res, default=(500, 500))
-    p.add_argument("--k-max", type=int, default=200)
+    p.add_argument("--k-max", type=_positive_int, default=200)
     p.add_argument("--s", type=_positive_int, default=2,
                    help="iterate exponent for period-shift")
     p.add_argument("--i", type=_positive_int, default=2,

@@ -6,7 +6,8 @@ blocks of a fixed size, classified one after another in the calling
 process; each block goes through ``orbits.classify_points``, which moves
 its seeds in lockstep and gives each cell the verdict ``classify`` gives
 it.  The bytes of a field depend on the libm behind Python's ``math``
-and ``cmath`` modules, not on numpy's SIMD build or the block size.
+and ``cmath`` modules and on numpy's complex exp, which calls that
+libm's ``cexp``, not on numpy's SIMD build or the block size.
 PPM (binary P6) is the image format: dependency-free and byte-exact, so
 golden tests can compare files directly.
 """
@@ -110,6 +111,16 @@ class EscapeField:
 _BLOCK = 4096
 
 
+def _centers(window: Window, nx: int, ny: int,
+             idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the cells at indices idx, as EscapeField.center computes
+    them."""
+    dx = (window.x_max - window.x_min) / nx
+    dy = (window.y_max - window.y_min) / ny
+    return (window.x_min + (idx % nx + 0.5) * dx,
+            window.y_max - (idx // nx + 0.5) * dy)
+
+
 def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
                   cfg: IterationConfig = DEFAULT_CONFIG,
                   workers: Optional[int] = None) -> EscapeField:
@@ -126,16 +137,12 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     tests = _chart_tests(expr)
-    dx = (window.x_max - window.x_min) / nx
-    dy = (window.y_max - window.y_min) / ny
     kinds = np.empty(nx * ny, dtype=np.uint8)
     steps = np.empty(nx * ny, dtype=np.int64)
     for start in range(0, nx * ny, _BLOCK):
-        # centers computed as EscapeField.center does
         k = np.arange(start, min(start + _BLOCK, nx * ny))
-        x = window.x_min + (k % nx + 0.5) * dx
-        y = window.y_max - (k // nx + 0.5) * dy
-        kinds[k], steps[k] = _classify_points(expr, x, y, cfg, tests)
+        kinds[k], steps[k] = _classify_points(
+            expr, *_centers(window, nx, ny, k), cfg, tests)
     kinds.setflags(write=False)
     steps.setflags(write=False)
     return EscapeField(window=window, nx=nx, ny=ny, kinds=kinds, steps=steps)

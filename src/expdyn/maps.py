@@ -20,16 +20,22 @@ point back to the additive constant of the map.  A finite point whose
 conjugation ``(z - b)/a`` or ``a*v + b`` overflows moves onto the ladder
 the same way.
 
-Both engines take a finite exponential exp(w), Re w at most the rung
+``evaluate`` takes a finite exponential exp(w), Re w at most the rung
 (700) and Im w finite, as one ``cmath.exp`` call.  Below Re w = 708.3
 CPython computes it as exactly exp(Re w)*cos(Im w) and exp(Re w)*sin(Im
 w), with the libm functions that ``math.exp``, ``math.cos`` and
 ``math.sin`` call, so the bits are those of the three ``math`` calls.
 
 ``evaluate_points`` applies a map once to a whole batch of points.  It
-makes the common moves on numpy arrays with the same ``math`` and
-``cmath`` functions, and ``evaluate`` itself steps each point that makes
-a rare one, so each point gets the bits ``evaluate`` gives it.
+makes the common moves on numpy arrays and takes every exp, cos and sin
+there as numpy's complex exp, which calls libm's ``cexp``: glibc's
+computes the same products with the same libm functions, so the bits are
+again those of the ``math`` calls.  ``evaluate`` itself steps each point
+that makes a rare move, so each point gets the bits ``evaluate`` gives
+it.  Two numpy kernels reach a verdict: this complex exp, and the
+``hypot`` of verify's half-plane bound.  On a numpy built without the
+platform ``cexp`` (it then uses its own) bytes can move, and TestExpStep
+in tests/test_maps.py fails.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import enum
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, ClassVar, List, Optional, Tuple, Union
+from typing import ClassVar, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -466,20 +472,31 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
 # Directed(re[k], im[k]) where directed[k].  Arrays make the moves grids
 # make at scale: finite steps, a Directed point's collapse onto a family
 # map's const, exp(lam) on the ladder and conj's shift past the rung;
-# evaluate makes the rest (_evaluate_each).  numpy's exp/cos/sin/log and
-# its complex / and * are not used: on a share of inputs they differ from
-# libm's and CPython's in the last ulp, and that would move verdicts.
+# evaluate makes the rest (_evaluate_each).  Every exp, cos and sin of
+# the arrays is numpy's complex exp (_cexp), which calls libm's cexp and
+# so gives the bits of cmath.exp, math.exp, math.cos and math.sin.
+# numpy's float exp/cos/sin/log and its complex / and * are not used: they
+# are numpy's own (SIMD) code, which differs from libm's and CPython's in
+# the last ulp on a share of inputs, and that would move verdicts.
 
 Points = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _apply(fn: Callable, x: np.ndarray, where: np.ndarray,
-           dtype: type = float) -> np.ndarray:
-    """fn, a math or cmath function, on x where `where` holds (0
-    elsewhere), into an array of dtype."""
-    out = np.zeros(len(x), dtype=dtype)
+def _cexp(wr, wi, where: np.ndarray) -> np.ndarray:
+    """exp(wr + i*wi) where `where` holds (0 elsewhere), as a complex array;
+    wr and wi are arrays or floats.
+
+    numpy's complex exp calls the platform's cexp.  glibc's computes
+    exp(wr)*cos(wi) and exp(wr)*sin(wi) with the libm exp, cos and sin
+    that cmath.exp and math call, for wr below 709: the bits of
+    cmath.exp(w), and with wi = 0 of math.exp(wr), with wr = 0 of
+    math.cos(wi) and math.sin(wi).  TestExpStep in tests/test_maps.py
+    fails where a numpy build or libm breaks this."""
+    out = np.zeros(len(where), dtype=complex)
     if where.any():
-        out[where] = np.fromiter(map(fn, x[where].tolist()), dtype=dtype)
+        w = np.empty(len(where), dtype=complex)
+        w.real, w.imag = wr, wi
+        np.exp(w, out=out, where=where)
     return out
 
 
@@ -496,9 +513,9 @@ def _same_points(p: Tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def _exp_sat_points(x: np.ndarray, where: np.ndarray) -> np.ndarray:
-    # _exp_sat: math.exp below the cut, +inf from it on and for NaN
+    # _exp_sat: exp(x + 0i) below the cut, +inf from it on and for NaN
     low = where & (x < _EXP_OVERFLOW)
-    return np.where(low, _apply(math.exp, x, low), math.inf)
+    return np.where(low, _cexp(x, 0.0, low).real, math.inf)
 
 
 def _scale_points(mag: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -519,9 +536,7 @@ def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
     slow marks a wi that is not finite below thresh, left to evaluate."""
     low = where & (wr <= thresh)
     ok = low & np.isfinite(wi)
-    w = np.empty(len(wr), dtype=complex)
-    w.real, w.imag = wr, wi
-    e = _apply(cmath.exp, w, ok, complex)
+    e = _cexp(wr, wi, ok)
     return (np.where(ok, e.real, wr), np.where(ok, e.imag, wi),
             where & ~low, low & ~ok)
 
@@ -588,7 +603,7 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
             sign * re + p.real, sign * im + p.imag, ~d, thresh)
         # underflow lands a Directed point on const; evaluate takes the rest
         ph = _phase_ok(im, d)
-        under = ph & (sign * _apply(math.cos, im, ph) <= -eps)
+        under = ph & (sign * _cexp(0.0, im, ph).real <= -eps)
         out_re = np.where(under, const.real,
                           np.where(out_d, out_re, out_re + const.real))
         out_im = np.where(under, const.imag,
@@ -601,7 +616,8 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
         out_re, out_im, out_d, slow = _exp_points(
             lr * re - li * im, lr * im + li * re, ~d, thresh)
         ph = _phase_ok(im, d)
-        ca, sa = _apply(math.cos, im, ph), _apply(math.sin, im, ph)
+        cs = _cexp(0.0, im, ph)  # (cos, sin) of the angle
+        ca, sa = cs.real, cs.imag
         dr = lr * ca - li * sa
         di = lr * sa + li * ca
         scale = abs(expr.lam)

@@ -28,12 +28,15 @@ Two engines run these rules.  ``_iterate`` follows one seed and backs
 seeds in lockstep through ``maps.evaluate_points``, which hands each
 seed that makes a rare move to ``evaluate``, and runs the same tests in
 the same order; it backs ``classify_grid`` and the sample suites of
-``verify``.  Every exp, cos, sin and log of both is the ``math``
+``verify``.  Every exp, cos, sin and log of ``_iterate`` is the ``math``
 function, or ``cmath.exp`` for a finite exponential (which calls the
-same libm exp, cos and sin), and complex quotients and products are
-CPython's, so the two agree seed by seed, in verdict class and step, and
-their results depend on the libm behind ``math`` and ``cmath``, not on
-numpy's SIMD build.
+same libm exp, cos and sin).  ``classify_points`` takes every exp, cos
+and sin as numpy's complex exp, which calls libm's ``cexp`` and gives
+the same bits (``maps._cexp``), and each log as ``math.log``.  Complex
+quotients and products are CPython's in both, so the two agree seed by
+seed, in verdict class and step.  Their results depend on the libm
+behind ``math`` and ``cmath`` and on numpy's complex exp being the
+platform ``cexp``, not on numpy's SIMD build.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .maps import (
     ExtendedPoint,
     IterationConfig,
     MapExpr,
-    _apply,
+    _cexp,
     _exp_sat,
     _exp_sat_points,
     _log_modulus,
@@ -259,32 +262,36 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
 
 def _effective_real_points(re: np.ndarray, im: np.ndarray,
                            d: np.ndarray) -> np.ndarray:
+    """_effective_real of each point of a batch."""
+    if not d.any():
+        return re
     ph = _phase_ok(im, d)
     mag = _exp_sat_points(re, ph)
-    return np.where(ph, _scale_points(mag, _apply(math.cos, im, ph)),
+    return np.where(ph, _scale_points(mag, _cexp(0.0, im, ph).real),
                     np.where(d, math.nan, re))
 
 
 def _log_modulus_points(re: np.ndarray, im: np.ndarray,
                         where: np.ndarray) -> np.ndarray:
-    z = np.empty(len(re), dtype=complex)
-    z.real, z.imag = re, im
-    return _apply(_log_modulus, z, where)
+    """_log_modulus of each finite point where `where` holds (0 elsewhere),
+    one call per point."""
+    out = np.zeros(len(re))
+    if where.any():
+        out[where] = np.fromiter(
+            map(_log_modulus, map(complex, re[where].tolist(),
+                                  im[where].tolist())), dtype=float)
+    return out
 
 
-def _escaped_points(sign: Optional[float], ur: np.ndarray, ui: np.ndarray,
-                    ud: np.ndarray, vr: np.ndarray, vi: np.ndarray,
-                    vd: np.ndarray, cfg: IterationConfig) -> np.ndarray:
-    """_escaped of each pair (u, v), u and v in chart coordinates."""
-    if sign is not None:
-        r = sign * _effective_real_points(ur, ui, ud)
-        return (r >= cfg.escape_real_threshold) \
-            & (sign * _effective_real_points(vr, vi, vd) >= r)
-    both = ~ud & ~vd
-    lu = _log_modulus_points(ur, ui, both)
-    far = both & (lu >= math.log(cfg.generic_escape_radius))
-    return np.where(ud, vd & (vr > ur),
-                    far & (_log_modulus_points(vr, vi, far) >= lu))
+def _escaped_generic(re: np.ndarray, im: np.ndarray, d: np.ndarray,
+                     nr: np.ndarray, ni: np.ndarray, nd: np.ndarray,
+                     cfg: IterationConfig) -> np.ndarray:
+    """_escaped of each pair (z, nxt) of a map without a chart."""
+    both = ~d & ~nd
+    lz = _log_modulus_points(re, im, both)
+    far = both & (lz >= math.log(cfg.generic_escape_radius))
+    return np.where(d, nd & (nr > re),
+                    far & (_log_modulus_points(nr, ni, far) >= lz))
 
 
 def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
@@ -306,36 +313,45 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     idx = np.arange(n)
     d = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        ur, ui = (re, im) if uc is None else _to_u_points(re, im, d, uc)
+        # r: sign * the effective real part of u, which the half-plane and
+        # escape tests read; without a chart it is unused and u is z
+        r = re if sign is None else \
+            sign * (re if uc is None else _to_u_points(re, im, d, uc)[0])
         for step in range(cfg.max_iter + 1):
             stop = ~d & (np.isnan(re) | np.isnan(im))
             kinds[idx[stop]] = KIND_UNDETERMINED
             if sign is not None:
-                hit = ~d & ~stop & (sign * ur <= 0.0)
+                hit = ~d & ~stop & (r <= 0.0)
                 kinds[idx[hit]] = KIND_PROVEN
                 steps[idx[hit]] = step
                 stop |= hit
             keep = ~stop
-            idx, re, im, d, ur, ui = (idx[keep], re[keep], im[keep], d[keep],
-                                      ur[keep], ui[keep])
+            idx, re, im, d, r = idx[keep], re[keep], im[keep], d[keep], r[keep]
             if step == cfg.max_iter or not len(idx):
                 break  # what is left stays bounded at budget
             nr, ni, nd, stop = _points(expr, re, im, d, cfg)
             stop |= np.isnan(nr) | np.isnan(ni)
             kinds[idx[stop]] = KIND_UNDETERMINED
-            if sign is not None and uc is None:
-                hit = ~stop & d & ~nd  # underflow, as in _iterate
-                kinds[idx[hit]] = KIND_PROVEN
-                steps[idx[hit]] = step
-                stop |= hit
-            vr, vi = (nr, ni) if uc is None else _to_u_points(nr, ni, nd, uc)
-            hit = ~stop & _escaped_points(sign, ur, ui, d, vr, vi, nd, cfg)
+            if sign is None:
+                rn = nr
+                hit = ~stop & _escaped_generic(re, im, d, nr, ni, nd, cfg)
+            else:
+                if uc is None:
+                    hit = ~stop & d & ~nd  # underflow, as in _iterate
+                    kinds[idx[hit]] = KIND_PROVEN
+                    steps[idx[hit]] = step
+                    stop |= hit
+                    vr, vi = nr, ni
+                else:
+                    vr, vi = _to_u_points(nr, ni, nd, uc)
+                rn = sign * _effective_real_points(vr, vi, nd)
+                hit = ~stop & (r >= cfg.escape_real_threshold) & (rn >= r)
             kinds[idx[hit]] = KIND_ESCAPING
             steps[idx[hit]] = step
             # a seed at a fixed point of the step stays bounded at budget
             keep = ~(stop | hit | _same_points((nr, ni, nd), (re, im, d)))
-            idx, re, im, d, ur, ui = (idx[keep], nr[keep], ni[keep], nd[keep],
-                                      vr[keep], vi[keep])
+            idx, re, im, d, r = (idx[keep], nr[keep], ni[keep], nd[keep],
+                                 rn[keep])
     return kinds, steps
 
 

@@ -20,9 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from .maps import Family
 
-__all__ = ["Family", "StripId", "strip_of", "strip_boundaries"]
+__all__ = ["Family", "StripId", "strip_of", "strip_test",
+           "strip_boundaries"]
 
 _HALF_PI = math.pi / 2.0
 
@@ -33,22 +36,33 @@ class StripId:
     family: Family
 
 
-def strip_of(z: complex, family: Family, param: complex) -> Optional[StripId]:
-    """Strip containing z, or None (wrong half plane or on a boundary).
+def strip_test(x, y, family: Family, param: complex):
+    """(k, inside) of each point x + i*y, for floats or arrays: k is the
+    index of the strip nearest the point (a float), inside whether the
+    point lies in it.  It lies in none (wrong half plane, on a boundary
+    or not finite) where inside is false.
 
     param is lam for family F and mu for family G.  With the family sign
     s (-1 for F, +1 for G), z lies in strip k iff s*Re z > 0 and
     4k-2+s < t < 4k+s for t = (Im z + s*Im param)/(pi/2).
     """
-    s = -1 if family is Family.F else 1
-    if not s * z.real > 0.0:
-        return None
-    t = (z.imag + s * param.imag) / _HALF_PI
+    s = -1.0 if family is Family.F else 1.0
+    t = (y + s * param.imag) / _HALF_PI
     # (t+1-s)/4 lies in (k - 1/4, k + 1/4) inside strip k
-    k = round((t + (1 - s)) / 4.0)
-    if 4 * k - 2 + s < t < 4 * k + s:
-        return StripId(k, family)
-    return None
+    k = np.rint((t + (1.0 - s)) / 4.0)
+    # Compared exactly: while |t| < 8 the bounds are small integers; from
+    # 8 on t - 4k is exact (Sterbenz) and is compared with (s-2, s), as
+    # 4k-2+s may not be a double there
+    off = 4.0 * k * (abs(t) >= 8.0)
+    rel, base = t - off, 4.0 * k - off
+    return k, (s * x > 0.0) & (base + (s - 2.0) < rel) & (rel < base + s)
+
+
+def strip_of(z: complex, family: Family, param: complex) -> Optional[StripId]:
+    """Strip containing z, or None (wrong half plane or on a boundary):
+    strip_test of the one point."""
+    k, inside = strip_test(z.real, z.imag, family, param)
+    return StripId(int(k), family) if inside else None
 
 
 def strip_boundaries(y_lo: float, y_hi: float, family: Family,

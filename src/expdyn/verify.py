@@ -35,6 +35,7 @@ from .maps import (
     Shift,
     _finite,
     _same_points,
+    chart,
     evaluate_points,
     period_of,
     validate,
@@ -45,7 +46,7 @@ from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
                      _classify_points)
 from .parser import format_complex
 from .sampling import SampleSet
-from .strips import strip_of
+from .strips import strip_test
 
 __all__ = [
     "VerificationReport",
@@ -216,13 +217,14 @@ def verify_strip_containment(fld: EscapeField,
         raise TypeError("strip containment applies to the two families only")
     report = VerificationReport("strip-containment", total=fld.nx * fld.ny)
     report.skipped_undetermined = int(np.sum(~_determined(fld.kinds)))
-    for idx in fld.escaping_indices():
-        center = fld.center(int(idx) % fld.nx, int(idx) // fld.nx)
-        if strip_of(center, expr.family, expr.param) is None:
-            report.violations.append(_violation(
-                center,
-                "escaping cell inside an escape strip of the open half plane",
-                "escaping cell outside every strip"))
+    x, y = fields._centers(fld.window, fld.nx, fld.ny,
+                           fld.escaping_indices())
+    _, inside = strip_test(x, y, expr.family, expr.param)
+    for k in np.flatnonzero(~inside).tolist():
+        report.violations.append(_violation(
+            complex(x[k], y[k]),
+            "escaping cell inside an escape strip of the open half plane",
+            "escaping cell outside every strip"))
     return report
 
 
@@ -328,7 +330,8 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
     h is invariant under g, so g of an escaping seed may not be proven
     non-escaping.  A sample with any skipped comparison counts as
     skipped once.  Each block is classified under h, f^(i+j), f, g and h
-    at g(z) of its escaping seeds, or classify_fn is called per seed.
+    at g(z) of its escaping seeds, or classify_fn is called per seed; g
+    = f^1 reuses f's verdicts where it has f's chart tests.
     """
     validate(expr)
     if i < 1 or j < 1:
@@ -337,10 +340,15 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
     composite = Compose(expr, g)
     tall = Iterate(expr, i + j)
     classifiers = [_classifier(classify_fn, e, cfg)
-                   for e in (composite, tall, expr, g)]
+                   for e in (composite, tall, expr)]
+    # g = f^1 takes f's steps; with f's chart (none: f has no chart) it
+    # runs f's tests too, so it gets f's verdicts and is not classified
+    classify_g = None if j == 1 and chart(g) == chart(expr) else \
+        _classifier(classify_fn, g, cfg)
 
     def grade(re, im):
-        k_comp, k_tall, k_f, k_g = (c(re, im) for c in classifiers)
+        k_comp, k_tall, k_f = (c(re, im) for c in classifiers)
+        k_g = k_f if classify_g is None else classify_g(re, im)
         esc = k_comp == KIND_ESCAPING
         k_w = _codes_at_images(classifiers[0], g, re, im, esc, cfg)
         # (a) "escapes under f or g" passes when either escapes, conflicts

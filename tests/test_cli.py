@@ -241,13 +241,20 @@ class TestVerifyCommand:
             assert out == ""
             assert "error" in err
 
-    def test_halfplane_k_max_below_one_exit_2(self, capsys):
+    def test_halfplane_k_max_below_one_exit_2(self, capsys, tmp_path):
+        # the library's own error named neither the flag nor the file
         for k_max in ("0", "-5"):
             code, out, err = run(capsys, "verify", "--suite", "halfplane-bound",
                                  "--samples", "20", "--k-max", k_max)
-            assert code == 2
-            assert out == ""
-            assert "k_max" in err
+            assert (code, out) == (2, "")
+            assert "argument --k-max: expected a positive integer" in err
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("k_max = 0\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg),
+                             "--suite", "halfplane-bound", "--samples", "20")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cfg}: argument --k-max: "
+                              "expected a positive integer")
 
     @pytest.mark.parametrize("flag, value", [
         ("--a", "1e400"), ("--b", "1e400"), ("--map-g", "G(-1, 1e400)"),

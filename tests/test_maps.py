@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expdyn import maps
+from expdyn import maps, orbits
 from expdyn.maps import (
     Compose,
     Conjugate,
@@ -355,6 +355,91 @@ class TestExpStep:
                 complex(out_re[k], out_im[k])
             want = math_exp_step(expr, z)
             assert _same_point(got, want), (z, got, want)
+
+    @staticmethod
+    def ladder():
+        """Seeded Directed points past the rung, log-modulus up to 1e5 and
+        angles up to 2^52, then edges: exp of the log-modulus saturating,
+        signed zero and subnormal angles, the phase limit 2^52 and just
+        past it, cos near 0, and non-finite angles."""
+        rng = np.random.default_rng(20140610)
+        lm = np.concatenate([rng.uniform(700.0, 709.0, 3000),
+                             700.0 + 10.0 ** rng.uniform(-2, 5, 1000)])
+        angle = rng.choice([-1.0, 1.0], 4000) * 2.0 ** rng.uniform(-10, 52, 4000)
+        pts = [Directed(a, b) for a, b in zip(lm.tolist(), angle.tolist())]
+        edge_lm = [700.5, 708.9, 709.0, 709.5, 709.78, 710.0, 1e5, math.inf]
+        edge_angle = [0.0, -0.0, 1e-310, -1.0, math.pi / 2, -math.pi / 2,
+                      2.0 ** 52, -(2.0 ** 52), np.nextafter(2.0 ** 52, math.inf),
+                      1e17, math.inf, math.nan]
+        return pts + [Directed(a, b) for a in edge_lm for b in edge_angle]
+
+    @pytest.mark.parametrize("expr", MAPS)
+    def test_ladder_points_match_evaluate(self, expr):
+        # the collapse of F and G, and exp(lam) on the ladder
+        pts = self.ladder()
+        re = np.array([p.log_modulus for p in pts])
+        im = np.array([p.angle for p in pts])
+        out_re, out_im, out_d, bad = evaluate_points(
+            expr, re, im, np.ones(len(pts), dtype=bool))
+        for k, p in enumerate(pts):
+            try:
+                want = evaluate(expr, p)
+            except DegeneratePhaseError:
+                assert bad[k], p
+                continue
+            assert not bad[k], p
+            got = Directed(out_re[k], out_im[k]) if out_d[k] else \
+                complex(out_re[k], out_im[k])
+            assert _same_point(got, want), (p, got, want)
+
+    @pytest.mark.parametrize("expr", MAPS + [Conjugate(2, 1, F11),
+                                             Conjugate(complex(3, 1), -1, G11)])
+    def test_ladder_seeds_match_classify(self, expr):
+        # seeds whose first step lands past the rung: the effective real
+        # part of a Directed point in the escape test, the collapse and
+        # the ladder of exp(lam)
+        rng = np.random.default_rng(20140611)
+        wr = 700.0 + 10.0 ** rng.uniform(-2, 5, 600)
+        wi = rng.choice([-1.0, 1.0], 600) * 2.0 ** rng.uniform(-10, 52, 600)
+        base = getattr(expr, "base", expr)
+        sign = getattr(base, "sign", None)
+        w = wr + 1j * wi
+        z = sign * (w - base.param) if sign is not None else w / base.lam
+        if isinstance(expr, Conjugate):
+            z = expr.a * z + expr.b
+        cfg = IterationConfig(max_iter=12)
+        kinds, steps = orbits.classify_points(expr, z, cfg)
+        codes = {orbits.Escaping: "E", orbits.NonEscapingProven: "P",
+                 orbits.BoundedAtBudget: "B", orbits.Undetermined: "U"}
+        for k, z0 in enumerate(z.tolist()):
+            v = orbits.classify(expr, z0, cfg)
+            assert (chr(kinds[k]), steps[k]) == \
+                (codes[type(v)], getattr(v, "step", -1)), (z0, v)
+
+    @pytest.mark.parametrize("expr", MAPS + [Conjugate(2, 1, F11)])
+    def test_no_numpy_float_kernel(self, expr, monkeypatch):
+        # numpy's float exp, cos, sin and log are its own code, not libm's,
+        # and may differ in the last bit; the block engine calls none of
+        # them, and np.exp only on complex arrays
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy float kernel called")
+
+        np_exp = np.exp
+
+        def complex_exp(x, *args, **kwargs):
+            assert np.asarray(x).dtype == complex, "np.exp on floats"
+            return np_exp(x, *args, **kwargs)
+
+        pts = self.ladder()
+        re = np.array([p.log_modulus for p in pts])
+        im = np.array([p.angle for p in pts])
+        zs = np.array(self.points(getattr(expr, "base", expr)))
+        for name in ("cos", "sin", "log"):
+            monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(np, "exp", complex_exp)
+        evaluate_points(expr, re, im, np.ones(len(pts), dtype=bool))
+        evaluate_points(expr, zs.real, zs.imag, np.zeros(len(zs), dtype=bool))
+        orbits.classify_points(expr, zs, IterationConfig(max_iter=12))
 
     def test_conjugate_demotion_matches_math(self):
         # a Directed point that drops below the rung in conj is demoted

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expdyn.fields import Window
+from expdyn.fields import EscapeField, Window
+from expdyn.maps import FamilyF, FamilyG
+from expdyn.orbits import KIND_ESCAPING, KIND_PROVEN
+from expdyn.parser import format_complex
 from expdyn.sampling import SampleSet
-from expdyn.strips import Family, StripId, strip_boundaries, strip_of
+from expdyn.strips import (Family, StripId, strip_boundaries, strip_of,
+                           strip_test)
+from expdyn.verify import verify_strip_containment
 
 PI = math.pi
 
@@ -77,6 +82,96 @@ class TestStripOf:
             assert shifted is None
         else:
             assert shifted == StripId(base.k + 1, Family.F)
+
+
+def strip_of_on_ints(z, family, param):
+    """The strip test with Python's round and int bounds, compared with t
+    exactly: the oracle of strip_test."""
+    s = -1 if family is Family.F else 1
+    if not s * z.real > 0.0:
+        return None
+    t = (z.imag + s * param.imag) / (PI / 2)
+    k = round((t + (1 - s)) / 4.0)
+    if 4 * k - 2 + s < t < 4 * k + s:
+        return StripId(k, family)
+    return None
+
+
+class TestStripTest:
+    """strip_test on arrays and strip_of on one point against the int
+    oracle."""
+
+    PARAMS = [(Family.F, complex(-1, 0)), (Family.F, complex(-2, 0.3)),
+              (Family.G, complex(-1, 0)), (Family.G, complex(-1, -1.2)),
+              (Family.G, complex(-3, 1e-300))]
+
+    @staticmethod
+    def points(param_imag):
+        """Boundary lines and their neighbours a few ulps away, where
+        t - 4k is inexact (t near 1 under F), |Im z| around and past
+        2^53/(pi/2) and up to 1e308, on both half planes and the axis."""
+        ts = [m + d for m in range(-9, 10) for d in (0.0, 0.25, 0.5)]
+        ts += [float(2 ** e + m) for e in (52, 53, 54, 60, 200)
+               for m in range(-6, 9)]
+        ts += [-t for t in ts] + [1e300, -1e300]
+        ys = []
+        for t in ts:
+            y = t * (PI / 2)
+            for sign_im in (1.0, -1.0):
+                y0 = y + sign_im * param_imag  # t back after the offset
+                ys.append(y0)
+                for _ in range(3):
+                    y0 = np.nextafter(y0, math.inf)
+                    ys.append(y0)
+                y0 = ys[-4]
+                for _ in range(3):
+                    y0 = np.nextafter(y0, -math.inf)
+                    ys.append(y0)
+        ys += [1.7e308, -1.7e308, 5e-324, -0.0, 0.0]
+        return [complex(x, y) for x in (-2.0, -0.0, 0.0, 3.5) for y in ys]
+
+    @pytest.mark.parametrize("family, param", PARAMS)
+    def test_matches_int_oracle(self, family, param):
+        zs = self.points(param.imag)
+        k, inside = strip_test(np.array([z.real for z in zs]),
+                               np.array([z.imag for z in zs]), family, param)
+        assert inside.any() and not inside.all()
+        for n, z in enumerate(zs):
+            want = strip_of_on_ints(z, family, param)
+            assert strip_of(z, family, param) == want, z
+            got = StripId(int(k[n]), family) if inside[n] else None
+            assert got == want, z
+
+    def test_t_near_one_under_f(self):
+        # t - 4k = -3 + 2^-52 rounds to -3 here; the bounds are compared
+        # instead
+        z = complex(-1, (1 + 2.0 ** -52) * (PI / 2))
+        assert strip_of_on_ints(z, Family.F, 0j) == StripId(1, Family.F)
+        assert strip_of(z, Family.F, 0j) == StripId(1, Family.F)
+
+    @pytest.mark.parametrize("expr", [FamilyF(complex(-1, 0.3), 1),
+                                      FamilyG(complex(-1, -1.2), -1)])
+    def test_planted_field(self, expr):
+        # escaping cells planted in and out of the strips: the violations
+        # are the per-cell oracle's, in storage order, with its text
+        nx, ny = 37, 29
+        window = Window(-9.0, 9.0, -2e16, 7e16)
+        rng = np.random.default_rng(7)
+        kinds = np.where(rng.random(nx * ny) < 0.3, KIND_ESCAPING,
+                         KIND_PROVEN).astype(np.uint8)
+        fld = EscapeField(window, nx, ny, kinds,
+                          np.zeros(nx * ny, dtype=np.int64))
+        want = []
+        for idx in np.flatnonzero(kinds == KIND_ESCAPING).tolist():
+            c = fld.center(idx % nx, idx // nx)
+            if strip_of_on_ints(c, expr.family, expr.param) is None:
+                want.append(format_complex(c))
+        report = verify_strip_containment(fld, expr)
+        assert len(want) > 20
+        assert [v["input"] for v in report.violations] == want
+        assert {(v["expected"], v["observed"]) for v in report.violations} == {
+            ("escaping cell inside an escape strip of the open half plane",
+             "escaping cell outside every strip")}
 
 
 class TestStripBoundaries:

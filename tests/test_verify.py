@@ -19,6 +19,7 @@ from expdyn.maps import (
     Iterate,
     ScaledExp,
     Shift,
+    chart,
     evaluate,
     period_of,
     validate,
@@ -96,9 +97,9 @@ class TestValidation:
     HOOK_CALLS = [
         (F11, (80, 160, 80, 80)),
         (G11, (80, 160, 80, 80)),
-        (EXP1, (80, 170, 40, 80)),
+        (EXP1, (80, 130, 40, 80)),
         (Conjugate(complex(2, 0), complex(1, 0), F11), (80, 160, 80, 80)),
-        (Compose(F11, G11), (80, 160, 40, 80)),
+        (Compose(F11, G11), (80, 120, 40, 80)),
     ]
 
     def test_each_chart_looked_up_once_per_suite(self, monkeypatch):
@@ -117,8 +118,8 @@ class TestValidation:
                     (lambda fn: verify_period_shift(expr, 2, ss, CFG, fn),
                      [expr, shifted]),
                     (lambda fn: verify_composite_laws(expr, 2, 1, ss, CFG, fn),
-                     [Compose(expr, Iterate(expr, 1)), Iterate(expr, 3), expr,
-                      Iterate(expr, 1)]),
+                     [Compose(expr, Iterate(expr, 1)), Iterate(expr, 3), expr]
+                     + ([Iterate(expr, 1)] if chart(expr) else [])),
                     (lambda fn: verify_image_superset(expr, 2, ss, CFG, fn),
                      [expr]),
                     (lambda fn: verify_conjugacy(expr, a, b, ss, CFG, fn),
