@@ -40,7 +40,8 @@ def strip_test(x, y, family: Family, param: complex):
     """(k, inside) of each point x + i*y, for floats or arrays: k is the
     index of the strip nearest the point (a float), inside whether the
     point lies in it.  It lies in none (wrong half plane, on a boundary
-    or not finite) where inside is false.
+    or not finite; an infinite t raises numpy's invalid-value warning)
+    where inside is false.
 
     param is lam for family F and mu for family G.  With the family sign
     s (-1 for F, +1 for G), z lies in strip k iff s*Re z > 0 and
