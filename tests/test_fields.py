@@ -445,6 +445,17 @@ class TestFieldCsv:
         assert hashlib.sha256(ppm.getvalue()).hexdigest() == \
             "7b43843dfd9232c119865322d63b9c5b98c66006416f769135cd67eb80463474"
 
+    def test_render_deep_bytes_pinned(self):
+        # the render-deep benchmark's grid, whose orbits cross the ladder
+        # of a conjugated F
+        field = classify_grid(parse_map("conj(2, 1, F(-1, 1))"),
+                              Window(-19, 5, -16, 16), 160, 160,
+                              IterationConfig(max_iter=60))
+        ppm = io.BytesIO()
+        render_ppm(field, ppm)
+        assert hashlib.sha256(ppm.getvalue()).hexdigest() == \
+            "c0f2738e0f3cc53e61dc2618bbb5c06821bc00d282dc33481981827607b54467"
+
     def test_import_rejects_partial_grid(self):
         text = "i,j,re,im,class,step\n0,0,0.5,0.5,B,\n2,0,2.5,0.5,B,\n"
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +29,7 @@ from expdyn.maps import (
     period_of,
     validate,
 )
+from expdyn.parser import parse_map
 
 from helpers import complexes, family_f_maps, map_exprs, naive_apply
 
@@ -37,6 +40,7 @@ G11 = FamilyG(complex(-1, 0), complex(-1, 0))
 # both maps have parameter -1 and additive constant -sign
 LADDER_CASES = [(F11, 0.0, math.pi, -1.0), (G11, math.pi, 0.0, 1.0)]
 TWO_PI_I = complex(0.0, 2.0 * math.pi)
+_PAIR = struct.Struct("dd")
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +444,61 @@ class TestExpStep:
         evaluate_points(expr, re, im, np.ones(len(pts), dtype=bool))
         evaluate_points(expr, zs.real, zs.imag, np.zeros(len(zs), dtype=bool))
         orbits.classify_points(expr, zs, IterationConfig(max_iter=12))
+
+    @staticmethod
+    def pinned_ladder():
+        """Seeded Directed points for the ladder pin: five log-moduli, from
+        just past the rung to saturated, each with edge angles (signed
+        zeros, the doubles around +-pi/2, the phase limit 2^52 and the
+        next double, non-finite) and 2,000 seeded ones, of which 600 sit
+        within 1e-10 of a zero of cos(angle) or of Re((0.5+2i)e^{i angle})."""
+        rng = np.random.default_rng(20140612)
+        angles = (rng.choice([-1.0, 1.0], 1400)
+                  * 2.0 ** rng.uniform(-10, 52, 1400)).tolist()
+        near = (math.pi / 2 + math.pi * rng.integers(-1000, 1000, 600)
+                - rng.choice([0.0, math.atan2(2.0, 0.5)], 600)
+                + rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-16, -10, 600))
+        angles += near.tolist()
+        for a in (math.pi / 2, -math.pi / 2, 2.0 ** 52, -(2.0 ** 52)):
+            angles += [np.nextafter(a, -math.inf), a, np.nextafter(a, math.inf)]
+        angles += [0.0, -0.0, math.inf, -math.inf, math.nan]
+        return [Directed(lm, a) for lm in (700.5, 709.0, 709.5, 1e5, math.inf)
+                for a in angles]
+
+    # sha256 of each step's kind and bits, or of the raise
+    LADDER_PINS = [
+        ("F(-1, 1)",
+         "26c822410f6daa1e4175927ebf5b8be01a5d91e5efd4dd127307c97181c41699"),
+        ("G(-1, -1)",
+         "8248d41b911cca31acfa1d91febb9a134b1b17f13dea00f159fda865b95bd474"),
+        ("F(-1-0i, 1-0i)",
+         "9673bcaa7b01fe11ee42dde9b3150703fb969d9c35a0e0ec79e801fe59437f28"),
+        ("G(-2+3i, -1-2i)",
+         "4b99638c169a5bac9aca9220416a3a848c61887c5f87c2f88da898b0b6931333"),
+        ("exp(1)",
+         "8507ce72086e3e3196f7588299a3381aef3c37cc1c534fa13ae59260f51f9fee"),
+        ("exp(0.5+2i)",
+         "ea1667e39d9c0ad858cb838df62e78762f9cf645253e9507ef9d8038267fa355"),
+        ("exp(-0.3-0i)",
+         "93bd600b62d248904c47b7688657278ca54af6c29677a750b011c9c68d97b492"),
+    ]
+
+    @pytest.mark.parametrize("text, digest", LADDER_PINS)
+    def test_ladder_bits_pinned(self, text, digest):
+        # evaluate on the ladder, bit for bit; test_ladder_points_match_evaluate
+        # holds evaluate_points to it
+        expr = parse_map(text)
+        h = hashlib.sha256()
+        for p in self.pinned_ladder():
+            try:
+                v = evaluate(expr, p)
+            except DegeneratePhaseError:
+                h.update(b"X")
+                continue
+            h.update(b"D" + _PAIR.pack(v.log_modulus, v.angle)
+                     if isinstance(v, Directed) else
+                     b"F" + _PAIR.pack(v.real, v.imag))
+        assert h.hexdigest() == digest
 
     def test_conjugate_demotion_matches_math(self):
         # a Directed point that drops below the rung in conj is demoted
