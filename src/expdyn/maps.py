@@ -13,12 +13,11 @@ run from any number of workers.
 
 Values too large for floating point are carried on a log scale: a
 ``Directed`` point stores the natural log of the modulus together with an
-(unreduced) angle, and one map application is continued analytically on
-that representation.  When the exponent of the next step is hugely
-negative the exponential term underflows and evaluation collapses the
-point back to the additive constant of the map.  A finite point whose
-conjugation ``(z - b)/a`` or ``a*v + b`` overflows moves onto the ladder
-the same way.
+(unreduced) angle.  F, G and exp(lam) are all z -> exp(m*z + p) + q
+(m = -1, +1 or lam), and each engine writes their step on a Directed
+point once: it deepens, or the exponential underflows and it collapses
+onto q.  A finite point whose conjugation ``(z - b)/a`` or ``a*v + b``
+overflows moves onto the ladder the same way.
 
 ``evaluate`` takes a finite exponential exp(w), Re w at most the rung
 (700) and Im w finite, as one ``cmath.exp`` call.  Below Re w = 708.3
@@ -31,9 +30,10 @@ makes the common moves on numpy arrays and takes every exp, cos and sin
 there as numpy's complex exp, which calls libm's ``cexp``: glibc's
 computes the same products with the same libm functions, so the bits are
 again those of the ``math`` calls.  ``evaluate`` itself steps each point
-that makes a rare move, so each point gets the bits ``evaluate`` gives
-it.  Two numpy kernels reach a verdict: this complex exp, and the
-``hypot`` of verify's half-plane bound.  On a numpy built without the
+that makes a rare move (a degenerate phase, a non-finite exponent, a conj
+crossing onto or off the ladder), so each point gets the bits
+``evaluate`` gives it.  Two numpy kernels reach a verdict: this complex
+exp, and the ``hypot`` of verify's half-plane bound.  On a numpy built without the
 platform ``cexp`` (it then uses its own) bytes can move, and TestExpStep
 in tests/test_maps.py fails.
 """
@@ -218,8 +218,9 @@ class IterationConfig:
         steps count as numerical escape for the two families.
     generic_escape_radius: modulus threshold of the escape test used for
         every other map shape.
-    degeneracy_eps: |cos angle| below this on a Directed point means the
-        sign of the next exponent is unresolvable.
+    degeneracy_eps: at a Directed z, the sign of the exponent m*z of F, G
+        or exp(lam) is unresolvable where the direction cosine
+        Re(m*e^{i angle}) lies within degeneracy_eps*|m| of 0.
     """
 
     max_iter: int = 1000
@@ -361,12 +362,27 @@ def _normalize(log_modulus: float, angle: float, threshold: float) -> ExtendedPo
 PHASE_RESOLUTION_LIMIT = 2.0 ** 52
 
 
-def _phase_cos(angle: float) -> float:
-    # A Directed angle past the resolution limit (or saturated to +-inf)
-    # carries no usable phase; iterating further would be guessing.
+def _ladder_step(z: Directed, m: complex, p: complex, q: complex,
+                 eps: float) -> ExtendedPoint:
+    """exp(m*z + p) + q at a Directed z, the ladder step of F and G
+    ((m, p, q) = (sign, param, const)) and of exp(lam) ((lam, 0, 0)).
+    With dr + i*di = m*e^{i angle}, z collapses onto q where
+    dr <= -eps*|m| and deepens to Directed(|z|*dr + Re p, |z|*di + Im p)
+    where dr >= eps*|m|; in between, or past PHASE_RESOLUTION_LIMIT (where
+    the angle carries no usable phase), its phase is degenerate."""
+    angle = z.angle
     if not (-PHASE_RESOLUTION_LIMIT <= angle <= PHASE_RESOLUTION_LIMIT):
-        raise DegeneratePhaseError("angle beyond phase resolution")
-    return math.cos(angle)
+        raise DegeneratePhaseError(f"angle {angle} beyond phase resolution")
+    ca, sa = math.cos(angle), math.sin(angle)
+    # CPython's complex product m * (ca + i*sa)
+    dr = m.real * ca - m.imag * sa
+    di = m.real * sa + m.imag * ca
+    if dr <= -eps * abs(m):
+        return complex(q)  # q may be real: a map built with real parameters
+    if dr >= eps * abs(m):
+        mag = _exp_sat(z.log_modulus)
+        return Directed(mag * dr + p.real, _scale(mag, di) + p.imag)
+    raise DegeneratePhaseError(f"direction cosine {dr / abs(m)} below {eps}")
 
 
 def evaluate(expr: MapExpr, z: ExtendedPoint,
@@ -374,56 +390,35 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
     """Apply the map once to a finite or overflowed point.
 
     Composite nodes evaluate structurally; Iterate applies its base s
-    times.  Raises :class:`DegeneratePhaseError` when a Directed input
-    has |cos angle| < cfg.degeneracy_eps, because the sign of the next
-    exponent is then below phase resolution.
+    times.  Raises :class:`DegeneratePhaseError` where the phase of a
+    Directed point is degenerate for an F, G or exp(lam) node (_ladder_step).
     """
     thresh = cfg.overflow_log_threshold
     sign = getattr(expr, "sign", None)
     if sign is not None:
         p, const = expr.param, expr.const
-        if isinstance(z, complex):
-            wr = sign * z.real + p.real
-            wi = sign * z.imag + p.imag
-            if wr <= thresh:
-                if math.isfinite(wi):
-                    return cmath.exp(complex(wr, wi)) + const
-                return _lost_phase(math.exp(wr)) + const
-            # const is ~1e-300 relative at this scale and is dropped
-            return Directed(wr, wi)
-        c = sign * _phase_cos(z.angle)
-        if c <= -cfg.degeneracy_eps:
-            # Re(sign*z) is hugely negative: the exponential underflows to
-            # 0; complex() because the map may be built with real parameters
-            return complex(const)
-        if c >= cfg.degeneracy_eps:
-            mag = _exp_sat(z.log_modulus)
-            return Directed(mag * c + p.real,
-                            _scale(mag, sign * math.sin(z.angle)) + p.imag)
-        raise DegeneratePhaseError(f"|cos {z.angle}| < {cfg.degeneracy_eps}")
+        if isinstance(z, Directed):
+            return _ladder_step(z, sign, p, const, cfg.degeneracy_eps)
+        wr = sign * z.real + p.real
+        wi = sign * z.imag + p.imag
+        if wr <= thresh:
+            if math.isfinite(wi):
+                return cmath.exp(complex(wr, wi)) + const
+            return _lost_phase(math.exp(wr)) + const
+        # const is ~1e-300 relative at this scale and is dropped
+        return Directed(wr, wi)
 
     if isinstance(expr, ScaledExp):
         lam = expr.lam
-        if isinstance(z, complex):
-            wr = lam.real * z.real - lam.imag * z.imag
-            wi = lam.real * z.imag + lam.imag * z.real
-            if wr <= thresh:
-                if math.isfinite(wi):
-                    return cmath.exp(complex(wr, wi))
-                return _lost_phase(math.exp(wr))
-            return Directed(wr, wi)
-        # w = lam * z has direction lam * e^{i angle}
-        ca, sa = _phase_cos(z.angle), math.sin(z.angle)
-        dr = lam.real * ca - lam.imag * sa
-        di = lam.real * sa + lam.imag * ca
-        scale = abs(lam)
-        if dr <= -cfg.degeneracy_eps * scale:
-            return complex(0.0, 0.0)
-        if dr >= cfg.degeneracy_eps * scale:
-            mag = _exp_sat(z.log_modulus)
-            return Directed(mag * dr, _scale(mag, di))
-        raise DegeneratePhaseError(
-            f"direction cosine {dr / scale} below {cfg.degeneracy_eps}")
+        if isinstance(z, Directed):
+            return _ladder_step(z, lam, 0.0, 0.0, cfg.degeneracy_eps)
+        wr = lam.real * z.real - lam.imag * z.imag
+        wi = lam.real * z.imag + lam.imag * z.real
+        if wr <= thresh:
+            if math.isfinite(wi):
+                return cmath.exp(complex(wr, wi))
+            return _lost_phase(math.exp(wr))
+        return Directed(wr, wi)
 
     if isinstance(expr, Iterate):
         for _ in range(expr.s):
@@ -470,9 +465,9 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
 
 # A batch is three arrays: point k is complex(re[k], im[k]), or
 # Directed(re[k], im[k]) where directed[k].  Arrays make the moves grids
-# make at scale: finite steps, a Directed point's collapse onto a family
-# map's const, exp(lam) on the ladder and conj's shift past the rung;
-# evaluate makes the rest (_evaluate_each).  Every exp, cos and sin of
+# make at scale: finite steps, the ladder step of F, G and exp(lam)
+# (_ladder_points) and conj's shift past the rung; evaluate makes the
+# rest (_evaluate_each).  Every exp, cos and sin of
 # the arrays is numpy's complex exp (_cexp), which calls libm's cexp and
 # so gives the bits of cmath.exp, math.exp, math.cos and math.sin.
 # numpy's float exp/cos/sin/log and its complex / and * are not used: they
@@ -523,10 +518,9 @@ def _scale_points(mag: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(x == 0.0, 0.0, mag * x)
 
 
-def _phase_ok(angle: np.ndarray, where: np.ndarray) -> np.ndarray:
-    # where _phase_cos does not raise
-    return where & (-PHASE_RESOLUTION_LIMIT <= angle) \
-        & (angle <= PHASE_RESOLUTION_LIMIT)
+def _phase_ok(angle: np.ndarray) -> np.ndarray:
+    # where an angle is within PHASE_RESOLUTION_LIMIT (so not NaN or inf)
+    return np.abs(angle) <= PHASE_RESOLUTION_LIMIT
 
 
 def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
@@ -539,6 +533,30 @@ def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
     e = _cexp(wr, wi, ok)
     return (np.where(ok, e.real, wr), np.where(ok, e.imag, wi),
             where & ~low, low & ~ok)
+
+
+def _ladder_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
+                   d: np.ndarray, mpq: Tuple[complex, complex, complex],
+                   out: Points, cfg: IterationConfig) -> Points:
+    """_ladder_step(z, *mpq) of each Directed point z, on arrays of those
+    points only, into out, the node's finite step (fresh arrays, the last
+    one slow); evaluate steps the slow points and the rejected ones."""
+    out_re, out_im, out_d, slow = out
+    k = np.flatnonzero(d)
+    if len(k):
+        m, p, q = mpq
+        ph = _phase_ok(im[k])
+        cs = _cexp(0.0, im[k], ph)  # (cos, sin) of the angle
+        dr = m.real * cs.real - m.imag * cs.imag
+        di = m.real * cs.imag + m.imag * cs.real
+        under = ph & (dr <= -cfg.degeneracy_eps * abs(m))
+        over = ph & (dr >= cfg.degeneracy_eps * abs(m))
+        mag = _exp_sat_points(re[k], over)
+        out_re[k] = np.where(under, q.real, mag * dr + p.real)
+        out_im[k] = np.where(under, q.imag, _scale_points(mag, di) + p.imag)
+        out_d[k], slow[k] = over, ~(under | over)
+    return _evaluate_each(expr, re, im, d, slow,
+                          (out_re, out_im, out_d, np.zeros_like(d)), cfg)
 
 
 def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
@@ -595,40 +613,22 @@ def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
 
 def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
             cfg: IterationConfig) -> Points:
-    thresh, eps = cfg.overflow_log_threshold, cfg.degeneracy_eps
+    thresh = cfg.overflow_log_threshold
     sign = getattr(expr, "sign", None)
     if sign is not None:
-        p, const = expr.param, expr.const
+        p, q = expr.param, expr.const
         out_re, out_im, out_d, slow = _exp_points(
             sign * re + p.real, sign * im + p.imag, ~d, thresh)
-        # underflow lands a Directed point on const; evaluate takes the rest
-        ph = _phase_ok(im, d)
-        under = ph & (sign * _cexp(0.0, im, ph).real <= -eps)
-        out_re = np.where(under, const.real,
-                          np.where(out_d, out_re, out_re + const.real))
-        out_im = np.where(under, const.imag,
-                          np.where(out_d, out_im, out_im + const.imag))
-        return _evaluate_each(expr, re, im, d, slow | (d & ~under),
-                              (out_re, out_im, out_d, np.zeros_like(d)), cfg)
+        return _ladder_points(expr, re, im, d, (sign, p, q),
+                              (np.where(out_d, out_re, out_re + q.real),
+                               np.where(out_d, out_im, out_im + q.imag),
+                               out_d, slow), cfg)
 
     if isinstance(expr, ScaledExp):
         lr, li = expr.lam.real, expr.lam.imag
-        out_re, out_im, out_d, slow = _exp_points(
-            lr * re - li * im, lr * im + li * re, ~d, thresh)
-        ph = _phase_ok(im, d)
-        cs = _cexp(0.0, im, ph)  # (cos, sin) of the angle
-        ca, sa = cs.real, cs.imag
-        dr = lr * ca - li * sa
-        di = lr * sa + li * ca
-        scale = abs(expr.lam)
-        under = ph & (dr <= -eps * scale)
-        over = ph & (dr >= eps * scale)
-        mag = _exp_sat_points(re, over)
-        out_re = np.where(under, 0.0, np.where(over, mag * dr, out_re))
-        out_im = np.where(under, 0.0,
-                          np.where(over, _scale_points(mag, di), out_im))
-        return _evaluate_each(expr, re, im, d, slow | (d & ~(under | over)),
-                              (out_re, out_im, out_d | over, np.zeros_like(d)), cfg)
+        return _ladder_points(expr, re, im, d, (expr.lam, 0.0, 0.0),
+                              _exp_points(lr * re - li * im, lr * im + li * re,
+                                          ~d, thresh), cfg)
 
     if isinstance(expr, Iterate):
         bad = np.zeros(len(re), dtype=bool)

@@ -265,7 +265,7 @@ def _effective_real_points(re: np.ndarray, im: np.ndarray,
     """_effective_real of each point of a batch."""
     if not d.any():
         return re
-    ph = _phase_ok(im, d)
+    ph = d & _phase_ok(im)
     mag = _exp_sat_points(re, ph)
     return np.where(ph, _scale_points(mag, _cexp(0.0, im, ph).real),
                     np.where(d, math.nan, re))

@@ -209,18 +209,29 @@ class TestBlockEngine:
         assert np.array_equal(field.kinds, kinds)
         assert np.array_equal(field.steps, steps)
 
-    def test_composite_deepening_is_stepped_by_evaluate(self, monkeypatch):
+    @pytest.mark.parametrize("case", [COMPOSITE, CASES[3]])
+    def test_exponential_ladder_moves_on_arrays(self, case, monkeypatch):
+        # an F, G or exp(lam) node collapses and deepens its ladder points
+        # on arrays; it hands evaluate only the ladder points whose phase
+        # is degenerate and the finite points whose exponent is not finite
         step_each = maps._evaluate_each
         deepened = []
 
-        def counting(expr, re, im, d, where, out, cfg):
+        def checking(expr, re, im, d, where, out, cfg):
+            sign = getattr(expr, "sign", None)
+            if sign is None and not isinstance(expr, maps.ScaledExp):
+                return step_each(expr, re, im, d, where, out, cfg)
+            deepened.append(np.count_nonzero(d & out[2]))
             out = step_each(expr, re, im, d, where, out, cfg)
-            if getattr(expr, "sign", None) is not None:
-                deepened.append(np.count_nonzero(where & d & out[2] & ~out[3]))
+            assert out[3][where & d].all()
+            m, p = (sign, expr.param) if sign is not None else (expr.lam, 0j)
+            wr = m.real * re - m.imag * im + p.real
+            wi = m.real * im + m.imag * re + p.imag
+            assert not (np.isfinite(wr) & np.isfinite(wi))[where & ~d].any()
             return out
 
-        monkeypatch.setattr(maps, "_evaluate_each", counting)
-        text, window, res, max_iter, _ = self.COMPOSITE
+        monkeypatch.setattr(maps, "_evaluate_each", checking)
+        text, window, res, max_iter, _ = case
         classify_grid(parse_map(text), Window(*window), *res,
                       IterationConfig(max_iter=max_iter), workers=1)
         assert sum(deepened) > 0
