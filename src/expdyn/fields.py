@@ -60,8 +60,8 @@ class EscapeField:
 
     kinds holds one of the byte codes E/P/B/U per cell, steps the escape
     or absorption step (-1 when not applicable).  Cell (i, j) sits at
-    index j*nx + i; its center is
-    (x_min + (i+0.5)*dx, y_max - (j+0.5)*dy).
+    index j*nx + i; its center is (x_min + (i+0.5)*dx, y_max - (j+0.5)*dy)
+    (_centers).
     """
 
     window: Window
@@ -87,8 +87,7 @@ class EscapeField:
         return (self.window.y_max - self.window.y_min) / self.ny
 
     def center(self, i: int, j: int) -> complex:
-        return complex(self.window.x_min + (i + 0.5) * self.dx,
-                       self.window.y_max - (j + 0.5) * self.dy)
+        return complex(*_centers(self.window, self.nx, self.ny, j * self.nx + i))
 
     def cell(self, i: int, j: int) -> Tuple[str, Optional[int]]:
         idx = j * self.nx + i
@@ -113,8 +112,8 @@ _BLOCK = 4096
 
 def _centers(window: Window, nx: int, ny: int,
              idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(x, y) of the cells at indices idx, as EscapeField.center computes
-    them."""
+    """(x, y) of the cells at storage indices idx (arrays or ints): the one
+    formula of the cell centers."""
     dx = (window.x_max - window.x_min) / nx
     dy = (window.y_max - window.y_min) / ny
     return (window.x_min + (idx % nx + 0.5) * dx,
@@ -223,14 +222,14 @@ def export_field_csv(field: EscapeField, out: TextIO) -> None:
     names = _texts(["," + ("" if s < 0 else str(s)) + "\n"
                     for s in present.tolist()])
     i_txt = _texts([f"{i}," for i in range(nx)])
-    x_txt = _texts([_g17(field.window.x_min + (i + 0.5) * field.dx) + ","
-                    for i in range(nx)])
+    xs = _centers(field.window, nx, field.ny, np.arange(nx))[0]
+    x_txt = _texts([_g17(x) + "," for x in xs.tolist()])
     rows = max(1, _BLOCK // nx)
     for j0 in range(0, field.ny, rows):
         js = range(j0, min(j0 + rows, field.ny))
         j_txt = _texts([f"{j}," for j in js])
-        y_txt = _texts([_g17(field.window.y_max - (j + 0.5) * field.dy) + ","
-                        for j in js])
+        ys = _centers(field.window, nx, field.ny, np.arange(j0, js.stop) * nx)[1]
+        y_txt = _texts([_g17(y) + "," for y in ys.tolist()])
         cells, shape = slice(j0 * nx, js.stop * nx), (len(js), nx)
         kinds = field.kinds[cells].reshape(shape + (1,))
         codes = np.searchsorted(present, field.steps[cells]).reshape(shape)
