@@ -548,13 +548,16 @@ def _ladder_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
         ph = _phase_ok(im[k])
         cs = _cexp(0.0, im[k], ph)  # (cos, sin) of the angle
         dr = m.real * cs.real - m.imag * cs.imag
-        di = m.real * cs.imag + m.imag * cs.real
         under = ph & (dr <= -cfg.degeneracy_eps * abs(m))
         over = ph & (dr >= cfg.degeneracy_eps * abs(m))
-        mag = _exp_sat_points(re[k], over)
-        out_re[k] = np.where(under, q.real, mag * dr + p.real)
-        out_im[k] = np.where(under, q.imag, _scale_points(mag, di) + p.imag)
-        out_d[k], slow[k] = over, ~(under | over)
+        out_re[k], out_im[k], slow[k] = q.real, q.imag, ~(under | over)
+        if over.any():
+            mag = _exp_sat_points(re[k], over)
+            di = m.real * cs.imag + m.imag * cs.real
+            ko = k[over]
+            out_re[ko] = (mag * dr + p.real)[over]
+            out_im[ko] = (_scale_points(mag, di) + p.imag)[over]
+            out_d[ko] = True
     return _evaluate_each(expr, re, im, d, slow,
                           (out_re, out_im, out_d, np.zeros_like(d)), cfg)
 
