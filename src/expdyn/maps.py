@@ -33,9 +33,9 @@ again those of the ``math`` calls.  ``evaluate`` itself steps each point
 that makes a rare move (a degenerate phase, a non-finite exponent, a conj
 crossing onto or off the ladder), so each point gets the bits
 ``evaluate`` gives it.  Two numpy kernels reach a verdict: this complex
-exp, and the ``hypot`` of verify's half-plane bound.  On a numpy built without the
-platform ``cexp`` (it then uses its own) bytes can move, and TestExpStep
-in tests/test_maps.py fails.
+exp, and the ``hypot`` of verify's half-plane bound.  On a numpy built
+without the platform ``cexp`` (it then uses its own) bytes can move, and
+TestExpStep in tests/test_maps.py fails.
 """
 
 from __future__ import annotations
@@ -370,10 +370,9 @@ def _ladder_step(z: Directed, m: complex, p: complex, q: complex,
     dr <= -eps*|m| and deepens to Directed(|z|*dr + Re p, |z|*di + Im p)
     where dr >= eps*|m|; in between, or past PHASE_RESOLUTION_LIMIT (where
     the angle carries no usable phase), its phase is degenerate."""
-    angle = z.angle
-    if not (-PHASE_RESOLUTION_LIMIT <= angle <= PHASE_RESOLUTION_LIMIT):
-        raise DegeneratePhaseError(f"angle {angle} beyond phase resolution")
-    ca, sa = math.cos(angle), math.sin(angle)
+    if not (-PHASE_RESOLUTION_LIMIT <= z.angle <= PHASE_RESOLUTION_LIMIT):
+        raise DegeneratePhaseError(f"angle {z.angle} beyond phase resolution")
+    ca, sa = math.cos(z.angle), math.sin(z.angle)
     # CPython's complex product m * (ca + i*sa)
     dr = m.real * ca - m.imag * sa
     di = m.real * sa + m.imag * ca
@@ -467,9 +466,9 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
 # Directed(re[k], im[k]) where directed[k].  Arrays make the moves grids
 # make at scale: finite steps, the ladder step of F, G and exp(lam)
 # (_ladder_points) and conj's shift past the rung; evaluate makes the
-# rest (_evaluate_each).  Every exp, cos and sin of
-# the arrays is numpy's complex exp (_cexp), which calls libm's cexp and
-# so gives the bits of cmath.exp, math.exp, math.cos and math.sin.
+# rest (_evaluate_each).  Every exp, cos and sin of the arrays is numpy's
+# complex exp (_cexp), which calls libm's cexp and so gives the bits of
+# cmath.exp, math.exp, math.cos and math.sin.
 # numpy's float exp/cos/sin/log and its complex / and * are not used: they
 # are numpy's own (SIMD) code, which differs from libm's and CPython's in
 # the last ulp on a share of inputs, and that would move verdicts.
@@ -536,15 +535,14 @@ def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
 
 
 def _ladder_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
-                   d: np.ndarray, mpq: Tuple[complex, complex, complex],
+                   d: np.ndarray, m: complex, p: complex, q: complex,
                    out: Points, cfg: IterationConfig) -> Points:
-    """_ladder_step(z, *mpq) of each Directed point z, on arrays of those
+    """_ladder_step(z, m, p, q) of each Directed point z, on arrays of those
     points only, into out, the node's finite step (fresh arrays, the last
     one slow); evaluate steps the slow points and the rejected ones."""
     out_re, out_im, out_d, slow = out
     k = np.flatnonzero(d)
     if len(k):
-        m, p, q = mpq
         ph = _phase_ok(im[k])
         cs = _cexp(0.0, im[k], ph)  # (cos, sin) of the angle
         dr = m.real * cs.real - m.imag * cs.imag
@@ -554,10 +552,9 @@ def _ladder_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
         if over.any():
             mag = _exp_sat_points(re[k], over)
             di = m.real * cs.imag + m.imag * cs.real
-            ko = k[over]
-            out_re[ko] = (mag * dr + p.real)[over]
-            out_im[ko] = (_scale_points(mag, di) + p.imag)[over]
-            out_d[ko] = True
+            out_re[k[over]] = (mag * dr + p.real)[over]
+            out_im[k[over]] = (_scale_points(mag, di) + p.imag)[over]
+            out_d[k[over]] = True
     return _evaluate_each(expr, re, im, d, slow,
                           (out_re, out_im, out_d, np.zeros_like(d)), cfg)
 
@@ -622,14 +619,14 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
         p, q = expr.param, expr.const
         out_re, out_im, out_d, slow = _exp_points(
             sign * re + p.real, sign * im + p.imag, ~d, thresh)
-        return _ladder_points(expr, re, im, d, (sign, p, q),
+        return _ladder_points(expr, re, im, d, sign, p, q,
                               (np.where(out_d, out_re, out_re + q.real),
                                np.where(out_d, out_im, out_im + q.imag),
                                out_d, slow), cfg)
 
     if isinstance(expr, ScaledExp):
         lr, li = expr.lam.real, expr.lam.imag
-        return _ladder_points(expr, re, im, d, (expr.lam, 0.0, 0.0),
+        return _ladder_points(expr, re, im, d, expr.lam, 0.0, 0.0,
                               _exp_points(lr * re - li * im, lr * im + li * re,
                                           ~d, thresh), cfg)
 
