@@ -87,7 +87,7 @@ class EscapeField:
         return (self.window.y_max - self.window.y_min) / self.ny
 
     def center(self, i: int, j: int) -> complex:
-        return complex(*_centers(self.window, self.nx, self.ny, j * self.nx + i))
+        return complex(*_centers(self.window, self.nx, self.ny, i, j))
 
     def cell(self, i: int, j: int) -> Tuple[str, Optional[int]]:
         idx = j * self.nx + i
@@ -110,14 +110,13 @@ class EscapeField:
 _BLOCK = 4096
 
 
-def _centers(window: Window, nx: int, ny: int,
-             idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(x, y) of the cells at storage indices idx (arrays or ints): the one
-    formula of the cell centers."""
+def _centers(window: Window, nx: int, ny: int, i: np.ndarray,
+             j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the cells (i, j), arrays or ints: the one formula of the
+    cell centers."""
     dx = (window.x_max - window.x_min) / nx
     dy = (window.y_max - window.y_min) / ny
-    return (window.x_min + (idx % nx + 0.5) * dx,
-            window.y_max - (idx // nx + 0.5) * dy)
+    return window.x_min + (i + 0.5) * dx, window.y_max - (j + 0.5) * dy
 
 
 def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
@@ -141,7 +140,7 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
     for start in range(0, nx * ny, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, nx * ny))
         kinds[k], steps[k] = _classify_points(
-            expr, *_centers(window, nx, ny, k), cfg, tests)
+            expr, *_centers(window, nx, ny, k % nx, k // nx), cfg, tests)
     kinds.setflags(write=False)
     steps.setflags(write=False)
     return EscapeField(window=window, nx=nx, ny=ny, kinds=kinds, steps=steps)
@@ -222,13 +221,13 @@ def export_field_csv(field: EscapeField, out: TextIO) -> None:
     names = _texts(["," + ("" if s < 0 else str(s)) + "\n"
                     for s in present.tolist()])
     i_txt = _texts([f"{i}," for i in range(nx)])
-    xs = _centers(field.window, nx, field.ny, np.arange(nx))[0]
+    xs = _centers(field.window, nx, field.ny, np.arange(nx), 0)[0]
     x_txt = _texts([_g17(x) + "," for x in xs.tolist()])
     rows = max(1, _BLOCK // nx)
     for j0 in range(0, field.ny, rows):
         js = range(j0, min(j0 + rows, field.ny))
         j_txt = _texts([f"{j}," for j in js])
-        ys = _centers(field.window, nx, field.ny, np.arange(j0, js.stop) * nx)[1]
+        ys = _centers(field.window, nx, field.ny, 0, np.arange(j0, js.stop))[1]
         y_txt = _texts([_g17(y) + "," for y in ys.tolist()])
         cells, shape = slice(j0 * nx, js.stop * nx), (len(js), nx)
         kinds = field.kinds[cells].reshape(shape + (1,))

@@ -217,8 +217,8 @@ def verify_strip_containment(fld: EscapeField,
         raise TypeError("strip containment applies to the two families only")
     report = VerificationReport("strip-containment", total=fld.nx * fld.ny)
     report.skipped_undetermined = int(np.sum(~_determined(fld.kinds)))
-    x, y = fields._centers(fld.window, fld.nx, fld.ny,
-                           fld.escaping_indices())
+    j, i = np.divmod(fld.escaping_indices(), fld.nx)
+    x, y = fields._centers(fld.window, fld.nx, fld.ny, i, j)
     _, inside = strip_test(x, y, expr.family, expr.param)
     for k in np.flatnonzero(~inside).tolist():
         report.violations.append(_violation(

@@ -209,7 +209,8 @@ class TestBlockEngine:
         assert np.array_equal(field.kinds, kinds)
         assert np.array_equal(field.steps, steps)
 
-    @pytest.mark.parametrize("case", [COMPOSITE, CASES[3]])
+    @pytest.mark.parametrize("case", [COMPOSITE, CASES[3]],
+                             ids=["composite", "exp"])
     def test_exponential_ladder_moves_on_arrays(self, case, monkeypatch):
         # an F, G or exp(lam) node collapses and deepens its ladder points
         # on arrays; it hands evaluate only the ladder points whose phase
