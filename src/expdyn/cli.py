@@ -39,7 +39,7 @@ from .fields import (
     overlay_strips,
     render_ppm,
 )
-from .maps import DEFAULT_CONFIG, Family, IterationConfig, MapExpr
+from .maps import DEFAULT_CONFIG, Family, IterationConfig, MapExpr, chart
 from .orbits import Undetermined, orbit_to_csv, run_orbit
 from .parser import format_map, parse_complex, parse_map
 from .sampling import SampleSet
@@ -251,12 +251,13 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-def _family_map(expr: MapExpr, what: str) -> MapExpr:
-    """expr itself if it is an F or G map (it then has sign, family and
-    param), else a usage error naming what needed one."""
-    if getattr(expr, "sign", None) is None:
-        raise CliError(f"{what} needs a top-level F or G map")
-    return expr
+def _chart(expr: MapExpr, what: str) -> Tuple[MapExpr, complex, complex]:
+    """maps.chart(expr) (f, a, b), else a usage error naming what needed
+    one: the family suites hold in u = (z - b)/a, where expr is f."""
+    ch = chart(expr)
+    if ch is None:
+        raise CliError(f"{what} needs a map with a chart")
+    return ch
 
 
 def _cmd_render(args) -> int:
@@ -264,14 +265,16 @@ def _cmd_render(args) -> int:
     expr = parse_map(args.map)
     if args.overlay_strips:
         # before the grid, so that a wrong map fails at once
-        _family_map(expr, "--overlay-strips")
+        f, *ab = _chart(expr, "--overlay-strips")
+        if ab != [1, 0]:  # the strips are drawn in u
+            raise CliError("--overlay-strips needs the identity chart")
     nx, ny = args.res
     field = classify_grid(expr, args.window, nx, ny,
                           IterationConfig(max_iter=args.max_iter),
                           workers=args.workers)
     marks = None
     if args.overlay_strips:
-        marks = overlay_strips(field, expr.family, expr.param)
+        marks = overlay_strips(field, f.family, f.param)
     with open(args.out, "wb") as fh:
         render_ppm(field, fh, marks=marks)
     if args.csv:
@@ -296,23 +299,25 @@ def _cmd_parse(args) -> int:
 
 
 def _halfplane_bound(r: SimpleNamespace) -> VerificationReport:
-    # the bound is a theorem about the absorbing half plane sign*Re z <= 0
-    # only; samples outside it are a usage error
-    sign, window = r.expr.sign, r.window
-    if max(sign * window.x_min, sign * window.x_max) > 0.0:
-        side = "Re z >= 0" if sign < 0 else "Re z <= 0"
+    # the bound is a theorem about the absorbing half plane H of u only;
+    # H is convex, so a window lies inside it when its four corners do
+    f, a, b = _chart(r.expr, "halfplane-bound")
+    w = r.window
+    if any(f.sign * ((complex(x, y) - b) / a).real > 0.0
+           for x in (w.x_min, w.x_max) for y in (w.y_min, w.y_max)):
+        side = "Re u >= 0" if f.sign < 0 else "Re u <= 0"
         raise CliError("halfplane-bound needs a window inside the absorbing "
-                       f"half plane {side} of the map")
+                       f"half plane {side} of the map, u = (z - b)/a")
     return verify_halfplane_bound(r.expr, r.samples, r.args.k_max)
 
 
 class _Suite(NamedTuple):
     """Defaults and runner of one verify suite.
 
-    window is one window, or one per family for the suites that need an
-    F or G map.  samples is the default sample count, None for the grid
-    suites, which classify a --res grid over the window instead.  j is
-    the default of --j for the suites that read it.
+    window is one window, or one per family (that of the chart's family
+    map) for the suites that need a chart.  samples is the default sample
+    count, None for the grid suites, which classify a --res grid over the
+    window instead.  j is the default of --j for the suites that read it.
     """
 
     map: str
@@ -370,7 +375,7 @@ def _run_suite(name: str, args) -> VerificationReport:
     expr = parse_map(suite.map if args.map is None else args.map)
     window = suite.window
     if isinstance(window, dict):
-        window = window[_family_map(expr, name).family]
+        window = window[_chart(expr, name)[0].family]
     if args.window is not None:
         window = args.window
 
@@ -391,11 +396,12 @@ def _cmd_verify(args) -> int:
     _require(args, "suite")
     names = SUITES if args.suite == "all" else (args.suite,)
     if "disjointness" in names:
-        # the law is about f in F and g in F' (either order): before any report
-        f = parse_map(args.map or _SUITES["disjointness"].map)
-        if _family_map(f, "disjointness").family == \
-                _family_map(args.map_g, "disjointness").family:
-            raise CliError("disjointness needs one F map and one G map")
+        # f in F and g in F' (either order) in one chart: before any report
+        f, *ab = _chart(parse_map(args.map or _SUITES["disjointness"].map),
+                        "disjointness")
+        g, *ab_g = _chart(args.map_g, "disjointness")
+        if f.sign == g.sign or ab != ab_g:
+            raise CliError("disjointness needs F and G maps in one chart")
     any_fail = False
     for name in names:
         report = _run_suite(name, args)

@@ -691,32 +691,31 @@ def period_of(expr: MapExpr) -> complex:
     raise TypeError(f"not a map expression: {expr!r}")
 
 
-Chart = Tuple[float, complex, complex]
+Chart = Tuple[Union[FamilyF, FamilyG], complex, complex]
 
 
 def chart(expr: MapExpr) -> Optional[Chart]:
-    """(sign, a, b) when expr is, in the coordinate u = (z - b)/a, a family
-    map exp(sign*u + param) + const; None otherwise.
+    """(f, a, b) when expr is, in the coordinate u = (z - b)/a, the family
+    map f (an F or G node); None otherwise.
 
-    The family tests then hold on u: the closed half plane sign*Re u <= 0
-    absorbs, and deepening at sign*Re u >= escape_real_threshold escapes.
+    The family tests then hold on u: the closed half plane f.sign*Re u <= 0
+    absorbs, and deepening at f.sign*Re u >= escape_real_threshold escapes.
     A conjugate by phi(z) = a'*z + b' composes phi with its base's chart;
-    shift(f, c) of a family map f is the family map with constant
-    const + c while that stays in range.  Iterate and Compose get None:
-    the two-step deepening rule has not been shown valid for f^s or for
-    a composite.
+    shift(f, c) of a family map f is f with constant const + c while that
+    stays in range.  Iterate and Compose get None: the two-step deepening
+    rule has not been shown valid for f^s or for a composite.
     """
-    sign = getattr(expr, "sign", None)
-    if sign is not None:
-        return sign, 1.0, 0.0
+    if getattr(expr, "sign", None) is not None:
+        return expr, 1.0, 0.0
     if isinstance(expr, Conjugate):
         inner = chart(expr.base)
         if inner is None:
             return None
-        sign, a, b = inner
-        return sign, expr.a * a, expr.a * b + expr.b
+        f, a, b = inner
+        return f, expr.a * a, expr.a * b + expr.b
     if isinstance(expr, Shift):
-        sign = getattr(expr.base, "sign", None)
-        if sign is not None and sign * (expr.base.const + expr.c).real <= -1.0:
-            return sign, 1.0, 0.0
+        f, c = expr.base, expr.c
+        if getattr(f, "sign", None) is not None and \
+                f.sign * (f.const + c).real <= -1.0:
+            return type(f)(f.param, f.const + c), 1.0, 0.0
     return None

@@ -173,23 +173,23 @@ def _escaped(sign: Optional[float], z: ExtendedPoint, nxt: ExtendedPoint,
 
 # (a, b, ln|a|, arg a) of the chart coordinate u = (z - b)/a
 _UChart = Tuple[complex, complex, float, float]
-_ChartTests = Tuple[Optional[float], Optional[_UChart]]
+_ChartTests = Tuple[Optional[MapExpr], Optional[_UChart]]
 
 
 def _chart_tests(expr: MapExpr) -> _ChartTests:
-    """(sign, uc) for _iterate and _classify_points, looked up once per map.
+    """(f, uc) for the engines and the family suites, looked up once per map.
 
-    sign is None when expr has no chart.  uc gives u = (z - b)/a (see
-    _to_u); it is None for the identity chart, which tests z itself.
+    f is the chart's family map (None without one).  uc gives u = (z - b)/a
+    (see _to_u); it is None for the identity chart, which tests z itself.
     """
     ch = chart(expr)
     if ch is None:
         return None, None
-    sign, a, b = ch
+    f, a, b = ch
     if a == 1 and b == 0:
-        return sign, None
-    return sign, (complex(a), complex(b), math.log(abs(a)),
-                  math.atan2(a.imag, a.real))
+        return f, None
+    return f, (complex(a), complex(b), math.log(abs(a)),
+               math.atan2(a.imag, a.real))
 
 
 def _to_u(z: ExtendedPoint, uc: _UChart) -> ExtendedPoint:
@@ -215,7 +215,8 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
     """
     z: ExtendedPoint = complex(z0)
     points = [z] if record else None
-    sign, uc = tests
+    f, uc = tests
+    sign = None if f is None else f.sign
     u = z if uc is None else _to_u(z, uc)
 
     for n in range(cfg.max_iter + 1):
@@ -309,7 +310,8 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     n = len(re)
     kinds = np.full(n, KIND_BUDGET, dtype=np.uint8)
     steps = np.full(n, -1, dtype=np.int64)
-    sign, uc = tests
+    f, uc = tests
+    sign = None if f is None else f.sign
     idx = np.arange(n)
     d = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):

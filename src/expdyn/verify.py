@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,14 +27,13 @@ from .fields import EscapeField
 from .maps import (
     Compose,
     Conjugate,
-    FamilyF,
-    FamilyG,
     IterationConfig,
     Iterate,
     MapExpr,
     Shift,
     _finite,
     _same_points,
+    _to_u_points,
     chart,
     evaluate_points,
     period_of,
@@ -161,25 +160,26 @@ def _codes_at_images(classify: Callable, expr: MapExpr, re: np.ndarray,
 # half-plane bound
 # ---------------------------------------------------------------------------
 
-def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
+def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
                            k_max: int) -> VerificationReport:
     """Orbits started in the absorbing half plane stay within 1 + |const|.
 
-    Checks |f^k(z)| <= 1 + |xi| + BOUND_TOL (1 + |zeta| for G-maps) for every
-    sample and every k up to k_max.  Samples must come from the absorbing
-    half plane (Re >= 0 for F, <= 0 for G).  The orbits of a block advance
-    together through maps.evaluate_points, the step of the orbit engine; an
-    iterate that leaves the double range or has a degenerate phase counts as
-    unbounded.  An orbit stops once it is back, bit for bit, at its last
-    or second-last point: the step is a function of the point, so every
-    later point is one already measured.
+    Checks |u_k| <= 1 + |const| + BOUND_TOL, u_k = (f^k(z) - b)/a and const
+    from expr's chart (maps.chart), for every sample and k <= k_max.  Samples
+    must come from the absorbing half plane (Re u >= 0 for F, <= 0 for G).
+    The orbits of a block advance together through maps.evaluate_points,
+    the step of the orbit engine; an iterate that leaves the double range or
+    has a degenerate phase counts as unbounded.  An orbit stops once it is
+    back, bit for bit, at its last or second-last point: the step is a
+    function of the point, so every later point is one already measured.
     """
     validate(expr)
-    if getattr(expr, "sign", None) is None:
-        raise TypeError("half-plane bound applies to the two families only")
+    f, uc = _chart_tests(expr)
+    if f is None:
+        raise TypeError("half-plane bound applies to maps with a chart")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    bound = 1.0 + abs(expr.const) + BOUND_TOL
+    bound = 1.0 + abs(f.const) + BOUND_TOL
 
     def grade(re, im):
         worst = np.zeros(len(re))
@@ -189,6 +189,9 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
         for _ in range(k_max):
             *nxt, bad = evaluate_points(expr, *z)
             nr, ni, nd = nxt
+            if uc is not None:
+                with np.errstate(all="ignore"):  # where nd | bad: unused
+                    nr, ni = _to_u_points(nr, ni, nd, uc)
             worst[live] = np.maximum(
                 worst[live], np.where(nd | bad, np.inf, np.hypot(nr, ni)))
             keep = ~bad & ~_same_points(nxt, z)
@@ -210,16 +213,18 @@ def verify_halfplane_bound(expr: Union[FamilyF, FamilyG], samples: SampleSet,
 # ---------------------------------------------------------------------------
 
 def verify_strip_containment(fld: EscapeField,
-                             expr: Union[FamilyF, FamilyG]) -> VerificationReport:
-    """Every escaping cell center must land in an escape strip."""
+                             expr: MapExpr) -> VerificationReport:
+    """Every escaping cell center z has u = (z - b)/a in an escape strip."""
     validate(expr)
-    if getattr(expr, "sign", None) is None:
-        raise TypeError("strip containment applies to the two families only")
+    f, uc = _chart_tests(expr)
+    if f is None:
+        raise TypeError("strip containment applies to maps with a chart")
     report = VerificationReport("strip-containment", total=fld.nx * fld.ny)
     report.skipped_undetermined = int(np.sum(~_determined(fld.kinds)))
     j, i = np.divmod(fld.escaping_indices(), fld.nx)
     x, y = fields._centers(fld.window, fld.nx, fld.ny, i, j)
-    _, inside = strip_test(x, y, expr.family, expr.param)
+    ux, uy = (x, y) if uc is None else _to_u_points(x, y, False, uc)
+    _, inside = strip_test(ux, uy, f.family, f.param)
     for k in np.flatnonzero(~inside).tolist():
         report.violations.append(_violation(
             complex(x[k], y[k]),
@@ -234,7 +239,7 @@ def verify_strip_containment(fld: EscapeField,
 
 def verify_disjointness(field_f: EscapeField,
                         field_g: EscapeField) -> VerificationReport:
-    """No cell may escape under both fields, those of f in F and g in F'."""
+    """No cell may escape under both fields, of F and F' maps in one chart."""
     if (field_f.nx, field_f.ny) != (field_g.nx, field_g.ny) or \
             field_f.window != field_g.window:
         raise ValueError("fields must share window and resolution")

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from expdyn import cli
@@ -127,8 +128,25 @@ class TestRender:
                            "--out", str(tmp_path / "x.ppm"),
                            "--overlay-strips")
         assert code == 2
-        assert "needs a top-level F or G map" in err
+        assert "--overlay-strips needs the identity chart" in err
         assert not (tmp_path / "x.ppm").exists()
+
+    def test_overlay_of_a_shift_marks_its_family_maps_strips(self, capsys,
+                                                              tmp_path):
+        # shift(F(-1, 1), 0.5) is F(-1, 1.5) in the identity chart, and
+        # the strips depend on the parameter -1 only
+        white = []
+        for m in ("F(-1, 1)", "shift(F(-1, 1), 0.5)"):
+            ppm = tmp_path / "x.ppm"
+            code, _, _ = run(capsys, "render", "--map", m,
+                             "--window", "-30,5,-20,20", "--res", "200,200",
+                             "--out", str(ppm), "--overlay-strips")
+            assert code == 0
+            rgb = np.frombuffer(ppm.read_bytes(), dtype=np.uint8,
+                                offset=len(b"P6\n200 200\n255\n"))
+            white.append((rgb.reshape(200, 200, 3) == 255).all(axis=2))
+        assert (white[0] == white[1]).all()
+        assert white[0].all(axis=1).sum() == white[0].any(axis=1).sum() == 12
 
     def test_window_span_overflow_exit_2(self, capsys, tmp_path):
         # finite bounds, infinite width: every cell center would be inf
@@ -209,6 +227,9 @@ class TestVerifyCommand:
         ("--suite", "disjointness", "--map", "exp(1)", "--map-g", "exp(1)"),
         ("--suite", "disjointness", "--map", "conj(2, 1, F(-1, 1))",
          "--map-g", "F(-1, 1)"),
+        # I(f) and I(g) are disjoint in u, but these two u differ
+        ("--suite", "disjointness", "--map", "conj(2, 1, F(-1, 1))",
+         "--map-g", "G(-1, -1)"),
         # before the reports of the suites that run first
         ("--suite", "all", "--map-g", "F(-1, 1)", "--samples", "5"),
     ])
@@ -228,6 +249,25 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "disjointness",
                            "--map", "G(-1, -1)", "--map-g", "F(-1, 1)",
                            "--res", "30,30", "--max-iter", "100")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
+    def test_disjointness_of_conjugates_by_one_phi(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "disjointness",
+                           "--map", "conj(2, 1, F(-1, 1))",
+                           "--map-g", "conj(2, 1, G(-1, -1))",
+                           "--res", "40,40", "--max-iter", "100")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
+    def test_halfplane_bound_of_a_conjugate(self, capsys):
+        # F's default window [0,100]x[-100,100] leaves phi(H) = {Re z >= 1}
+        argv = ("verify", "--suite", "halfplane-bound", "--samples", "300",
+                "--map", "conj(2, 1, F(-1, 1))")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "absorbing half plane" in err
+        code, out, _ = run(capsys, *argv, "--window", "2,100,-50,50")
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 

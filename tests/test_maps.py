@@ -635,16 +635,16 @@ class TestPeriodOf:
 
 class TestChart:
     def test_families_are_their_own_chart(self):
-        assert chart(F11) == (-1.0, 1, 0)
-        assert chart(G11) == (1.0, 1, 0)
+        assert chart(F11) == (F11, 1, 0)
+        assert chart(G11) == (G11, 1, 0)
 
     def test_conjugate_composes_with_base_chart(self):
         inner = Conjugate(complex(0, 2), complex(1, 1), F11)
-        assert chart(inner) == (-1.0, complex(0, 2), complex(1, 1))
+        assert chart(inner) == (F11, complex(0, 2), complex(1, 1))
         # phi(z) = 3z - 1 after the inner chart u = (z - (1+i))/(2i)
         assert chart(Conjugate(complex(3, 0), complex(-1, 0), inner)) == \
-            (-1.0, complex(0, 6), complex(2, 3))
-        assert chart(Conjugate(complex(-1, 0), 0j, G11)) == (1.0, -1, 0)
+            (F11, complex(0, 6), complex(2, 3))
+        assert chart(Conjugate(complex(-1, 0), 0j, G11)) == (G11, -1, 0)
 
     def test_chart_coordinate_makes_the_map_a_family_map(self):
         # phi^-1(g(z)) = F(phi^-1(z)) with phi(u) = a*u + b
@@ -657,9 +657,17 @@ class TestChart:
                 1e-12 * (1 + abs(evaluate(F11, u)))
 
     def test_shift_keeps_family_chart_while_constant_in_range(self):
-        assert chart(Shift(F11, complex(0.5, 3))) == (-1.0, 1, 0)
-        assert chart(Shift(F11, complex(0, -1))) == (-1.0, 1, 0)
-        assert chart(Shift(G11, complex(-2, 0))) == (1.0, 1, 0)
+        # the chart's family map takes the shift into its constant
+        assert chart(Shift(F11, complex(0.5, 3))) == \
+            (FamilyF(-1, complex(1.5, 3)), 1, 0)
+        assert chart(Shift(F11, complex(0, -1))) == \
+            (FamilyF(-1, complex(1, -1)), 1, 0)
+        assert chart(Shift(G11, complex(-2, 0))) == (FamilyG(-1, -3), 1, 0)
+        # ... and is f itself in u: f(u) + c = f_c(u)
+        for expr in (Shift(F11, complex(0.5, 3)), Shift(G11, -2)):
+            f, _, _ = chart(expr)
+            for z in (complex(-1, 2), complex(0.5, -0.25)):
+                assert abs(evaluate(expr, z) - evaluate(f, z)) <= 1e-12
         # the shifted constant leaves Re xi >= 1 / Re zeta <= -1
         assert chart(Shift(F11, complex(-0.5, 0))) is None
         assert chart(Shift(G11, complex(0.25, 0))) is None

@@ -285,7 +285,8 @@ class TestChartVerdicts:
     def test_transported_absorption_soundness(self, expr, const):
         # after a proven verdict, 100 further steps keep u within
         # distance 1 of the chart's constant
-        _, a, b = chart(expr)
+        f, a, b = chart(expr)
+        assert f.const == const
         cfg = IterationConfig(max_iter=60)
         proven = 0
         for z0 in SampleSet.generate(5, 400, Window(-20, 20, -20, 20)).points:
@@ -324,11 +325,11 @@ class TestChartVerdicts:
         g = FamilyG(mu, zeta)
         f = Conjugate(complex(-1, 0), 0j,
                       FamilyF(mu - complex(0, math.pi), -zeta))
-        sign_g, a_g, b_g = chart(g)
-        sign_f, a_f, b_f = chart(f)
+        g_u, a_g, b_g = chart(g)
+        f_u, a_f, b_f = chart(f)
         for z in (complex(0.5, 3), complex(-2, -1), 0j):
-            assert sign_g * ((z - b_g) / a_g).real == \
-                sign_f * ((z - b_f) / a_f).real
+            assert g_u.sign * ((z - b_g) / a_g).real == \
+                f_u.sign * ((z - b_f) / a_f).real
         cfg = IterationConfig(max_iter=200)
         compared = 0
         for z0 in SampleSet.generate(3, 1000, Window(-10, 10, -10, 10)).points:

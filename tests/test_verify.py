@@ -44,6 +44,7 @@ from expdyn.verify import (
     verify_strip_containment,
 )
 
+import test_orbits
 from test_fields import make_field
 
 F11 = FamilyF(complex(-1, 0), complex(1, 0))
@@ -65,6 +66,18 @@ def points(*zs):
 def small_field(expr, window, n=60, max_iter=200):
     return classify_grid(expr, window, n, n,
                          IterationConfig(max_iter=max_iter), workers=1)
+
+
+# maps with a chart other than a bare F or G map: conj and shift
+TRANSPORTED = [expr for expr, _ in test_orbits.TestChartVerdicts.TRANSPORTED]
+
+
+def chart_window(expr, u0, r):
+    """The square of half-width r*|a| around phi(u0) = a*u0 + b, where
+    (f, a, b) is the chart of expr."""
+    _, a, b = chart(expr)
+    z, h = a * u0 + b, r * abs(a)
+    return Window(z.real - h, z.real + h, z.imag - h, z.imag + h)
 
 
 class TestValidation:
@@ -138,6 +151,18 @@ class TestValidation:
                 charts.clear()
                 assert run(counting_classify).to_json() == default.to_json()
                 assert charts == [] and len(seen) == count
+            # the family suites read the chart's family map and u from
+            # one lookup; a map without a chart is rejected after it
+            field = small_field(expr, Window(-3, 3, -3, 3), n=8)
+            for run in (lambda: verify_halfplane_bound(expr, ss, 5),
+                        lambda: verify_strip_containment(field, expr)):
+                charts.clear()
+                if chart(expr) is None:
+                    with pytest.raises(TypeError):
+                        run()
+                else:
+                    run()
+                assert charts == [expr]
 
     def test_hook_gives_the_default_violations(self):
         # two conjugacy violations of the overflow ladder, in sample order
@@ -260,6 +285,16 @@ class TestHalfplaneBound:
         for v in rep.violations:
             float(v["observed"].removeprefix("max modulus "))
 
+    @pytest.mark.parametrize("expr", TRANSPORTED)
+    def test_transported_window_passes(self, expr):
+        # u0 = -12*sign lies in H; the window's corners are within
+        # 5*sqrt(2) of it in u, so all of it lies in phi(H).  Without
+        # phi^-1, |z_k| of conj(2, 1, F(-1, 1)) reaches about 2*|u_k| + 1.
+        f, _, _ = chart(expr)
+        ss = SampleSet.generate(7, 500, chart_window(expr, -12 * f.sign, 5))
+        rep = verify_halfplane_bound(expr, ss, 100)
+        assert rep.verdict == "pass" and rep.total == 500
+
     def test_rejects_composites(self):
         with pytest.raises(TypeError):
             verify_halfplane_bound(
@@ -290,6 +325,22 @@ class TestStripContainment:
         assert rep.verdict == "fail"
         assert len(rep.violations) == 1
         assert rep.violations[0]["input"] == "1.0"
+
+    @pytest.mark.parametrize("expr", TRANSPORTED)
+    def test_transported_field_passes(self, expr):
+        # the strips hold in u = (z - b)/a; without phi^-1 about half of
+        # the escaping cells of conj(2, 1, F(-1, 1)) fall outside them
+        field = small_field(expr, chart_window(expr, 0, 16), n=80)
+        assert len(field.escaping_indices()) >= 500
+        rep = verify_strip_containment(field, expr)
+        assert rep.verdict == "pass"
+
+    def test_transported_violation_names_z(self):
+        # the planted cell z = 3 has u = 1, in the absorbing half plane
+        conj = Conjugate(complex(2, 0), complex(1, 0), F11)
+        field = make_field(Window(2.5, 3.5, -0.5, 0.5), 1, 1, [("E", 4)])
+        rep = verify_strip_containment(field, conj)
+        assert [v["input"] for v in rep.violations] == ["3.0"]
 
 
 class TestDisjointness:
