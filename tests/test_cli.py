@@ -48,6 +48,23 @@ class TestParse:
         assert code == 2
         assert "Re(lambda)" in err
 
+    @pytest.mark.parametrize("text, err", [
+        ("F(1, 1)", "root: constraint 'Re(lambda) < 0' violated (got 1.0)"),
+        ("F(-1, 0.5)", "root: constraint 'Re(xi) >= 1' violated (got 0.5)"),
+        ("G(0, -1)", "root: constraint 'Re(mu) < 0' violated (got 0.0)"),
+        ("G(-1, 0)", "root: constraint 'Re(zeta) <= -1' violated (got 0.0)"),
+        ("exp(0)", "root: constraint 'lambda != 0' violated"),
+        ("iter(F(-1, 1), 0)", "root: constraint 's >= 1' violated (got 0)"),
+        ("conj(0, 1, F(-1, 1))", "root: constraint 'a != 0' violated"),
+        ("comp(F(-1,1), iter(exp(0), 2))",
+         "inner.base: constraint 'lambda != 0' violated"),
+        ("H(1, 2)",
+         "expected one of F, G, exp, iter, shift, comp, conj (at offset 0)"),
+        ("F(-1, 1e400)", "decimal real overflows to infinity (at offset 6)"),
+    ])
+    def test_error_bytes_pinned(self, capsys, text, err):
+        assert run(capsys, "parse", "--map", text) == (2, "", f"error: {err}\n")
+
 
 class TestNonFiniteInput:
     # an overflowing literal or a non-finite map parameter is a usage error
