@@ -44,6 +44,7 @@ import cmath
 import enum
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Tuple, Union
 
@@ -79,7 +80,7 @@ _EXP_OVERFLOW = 709.0
 
 
 class InvalidMapError(ValueError):
-    """A map expression violates one of its family constraints."""
+    """A map expression violates one of a node's own constraints."""
 
     def __init__(self, path: str, constraint: str, detail: str = ""):
         self.path = path or "root"
@@ -241,19 +242,37 @@ DEFAULT_CONFIG = IterationConfig()
 # validation
 # ---------------------------------------------------------------------------
 
-# Each node kind's arguments in field order, the order the grammar writes
-# them: "c" a complex parameter, "i" an int, "m" a sub-map.
-NODE_ARGS = {FamilyF: "cc", FamilyG: "cc", ScaledExp: "c", Iterate: "mi",
-             Shift: "mc", Compose: "mm", Conjugate: "ccm"}
+# One row per node kind: its grammar keyword (the parser takes the first
+# one the text starts with, so no keyword is a prefix of another), its
+# arguments in field order, the order the grammar writes them ("c" a
+# complex, "i" an int, "m" a sub-map), and its own constraints in checking
+# order: a text, a test of the node and any value a violation reports.
+NodeKind = namedtuple("NodeKind", "keyword args constraints", defaults=((),))
+Constraint = namedtuple("Constraint", "text holds got", defaults=(None,))
+NODE_KINDS = {
+    FamilyF: NodeKind("F", "cc", (
+        Constraint("Re(lambda) < 0", lambda f: f.lam.real < 0, lambda f: f.lam.real),
+        Constraint("Re(xi) >= 1", lambda f: f.xi.real >= 1, lambda f: f.xi.real))),
+    FamilyG: NodeKind("G", "cc", (
+        Constraint("Re(mu) < 0", lambda g: g.mu.real < 0, lambda g: g.mu.real),
+        Constraint("Re(zeta) <= -1", lambda g: g.zeta.real <= -1,
+                   lambda g: g.zeta.real))),
+    ScaledExp: NodeKind("exp", "c", (Constraint("lambda != 0", lambda e: e.lam != 0),)),
+    Iterate: NodeKind("iter", "mi", (Constraint("s >= 1", lambda i: i.s >= 1,
+                                                lambda i: i.s),)),
+    Shift: NodeKind("shift", "mc"),
+    Compose: NodeKind("comp", "mm"),
+    Conjugate: NodeKind("conj", "ccm", (Constraint("a != 0", lambda c: c.a != 0),)),
+}
 
 
 def node_fields(expr: MapExpr) -> List[Tuple[str, str, object]]:
     """(field name, argument kind, value) of each argument, in field order."""
-    kinds = NODE_ARGS.get(type(expr))
-    if kinds is None:
+    kind = NODE_KINDS.get(type(expr))
+    if kind is None:
         raise TypeError(f"not a map expression: {expr!r}")
-    return [(name, kind, getattr(expr, name))
-            for name, kind in zip(expr.__match_args__, kinds)]
+    return [(name, arg, getattr(expr, name))
+            for name, arg in zip(expr.__match_args__, kind.args)]
 
 
 def validate(expr: MapExpr) -> None:
@@ -269,26 +288,11 @@ def validate(expr: MapExpr) -> None:
 
 
 def _validate(expr: MapExpr, path: str) -> None:
-    if isinstance(expr, FamilyF):
-        if not expr.lam.real < 0:
-            raise InvalidMapError(path, "Re(lambda) < 0", f"got {expr.lam.real}")
-        if not expr.xi.real >= 1:
-            raise InvalidMapError(path, "Re(xi) >= 1", f"got {expr.xi.real}")
-    elif isinstance(expr, FamilyG):
-        if not expr.mu.real < 0:
-            raise InvalidMapError(path, "Re(mu) < 0", f"got {expr.mu.real}")
-        if not expr.zeta.real <= -1:
-            raise InvalidMapError(path, "Re(zeta) <= -1", f"got {expr.zeta.real}")
-    elif isinstance(expr, ScaledExp):
-        if expr.lam == 0:
-            raise InvalidMapError(path, "lambda != 0")
-    elif isinstance(expr, Iterate):
-        if expr.s < 1:
-            raise InvalidMapError(path, "s >= 1", f"got {expr.s}")
-    elif isinstance(expr, Conjugate):
-        if expr.a == 0:
-            raise InvalidMapError(path, "a != 0")
-    for name, arg, value in node_fields(expr):
+    args = node_fields(expr)
+    for c in NODE_KINDS[type(expr)].constraints:
+        if not c.holds(expr):
+            raise InvalidMapError(path, c.text, f"got {c.got(expr)}" if c.got else "")
+    for name, arg, value in args:
         if arg == "m":
             _validate(value, f"{path}.{name}" if path else name)
         elif arg == "c" and not cmath.isfinite(value):
@@ -713,9 +717,8 @@ def chart(expr: MapExpr) -> Optional[Chart]:
             return None
         f, a, b = inner
         return f, expr.a * a, expr.a * b + expr.b
-    if isinstance(expr, Shift):
-        f, c = expr.base, expr.c
-        if getattr(f, "sign", None) is not None and \
-                f.sign * (f.const + c).real <= -1.0:
-            return type(f)(f.param, f.const + c), 1.0, 0.0
+    if isinstance(expr, Shift) and getattr(expr.base, "sign", None) is not None:
+        f = type(expr.base)(expr.base.param, expr.base.const + expr.c)
+        if all(c.holds(f) for c in NODE_KINDS[type(f)].constraints):
+            return f, 1.0, 0.0
     return None

@@ -7,10 +7,10 @@
 A complex literal c is "a", "a+bi" or "a-bi" with decimal reals (optional
 exponent part); b carries no sign of its own ("1+-2i" is an error), and
 the "i" suffix is the only accepted spelling, no "j".
-A node's arguments are written in its field order (``maps.NODE_ARGS``);
-a literal that overflows to infinity is a syntax error.  Whitespace is
-insignificant.  Parsed expressions are validated before being returned;
-``format_map`` is the inverse on expression trees.
+A node kind's keyword and its arguments in field order are read from its
+row of ``maps.NODE_KINDS``, which holds its own constraints too.  A literal
+that overflows to infinity is a syntax error.  Whitespace is insignificant.
+Parsed maps are validated; ``format_map`` is the inverse on expression trees.
 """
 
 from __future__ import annotations
@@ -18,27 +18,12 @@ from __future__ import annotations
 import math
 import re
 
-from .maps import (
-    NODE_ARGS,
-    Compose,
-    Conjugate,
-    FamilyF,
-    FamilyG,
-    Iterate,
-    MapExpr,
-    ScaledExp,
-    Shift,
-    node_fields,
-    validate,
-)
+from .maps import NODE_KINDS, MapExpr, node_fields, validate
 
 __all__ = ["MapSyntaxError", "parse_map", "parse_complex", "format_map", "format_complex"]
 
 _REAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _INT = re.compile(r"\d+")
-# node class -> keyword; no keyword is a prefix of another
-_KEYWORDS = {FamilyF: "F", FamilyG: "G", ScaledExp: "exp", Iterate: "iter",
-             Shift: "shift", Compose: "comp", Conjugate: "conj"}
 
 
 class MapSyntaxError(ValueError):
@@ -66,12 +51,12 @@ class _Scanner:
 
     def match_keyword(self) -> type:
         self.skip_ws()
-        for cls, kw in _KEYWORDS.items():
-            if self.text.startswith(kw, self.pos):
-                self.pos += len(kw)
+        for cls, kind in NODE_KINDS.items():
+            if self.text.startswith(kind.keyword, self.pos):
+                self.pos += len(kind.keyword)
                 return cls
-        raise MapSyntaxError(f"expected one of {', '.join(_KEYWORDS.values())}",
-                             self.pos)
+        raise MapSyntaxError("expected one of " + ", ".join(
+            kind.keyword for kind in NODE_KINDS.values()), self.pos)
 
     def real(self) -> float:
         self.skip_ws()
@@ -117,7 +102,7 @@ class _Scanner:
         self.expect("(")
         read = {"c": self.complex_lit, "i": self.integer, "m": self.expr}
         args = []
-        for kind in NODE_ARGS[cls]:
+        for kind in NODE_KINDS[cls].args:
             if args:
                 self.expect(",")
             args.append(read[kind]())
@@ -152,15 +137,13 @@ def parse_complex(text: str) -> complex:
 
 
 def format_complex(z: complex) -> str:
-    if z.imag == 0.0:
-        return repr(z.real)
-    if z.imag < 0.0:
+    if math.copysign(1.0, z.imag) < 0.0:  # -0.0 too: orbits keep its sign
         return f"{z.real!r}-{-z.imag!r}i"
-    return f"{z.real!r}+{z.imag!r}i"
+    return repr(z.real) if z.imag == 0.0 else f"{z.real!r}+{z.imag!r}i"
 
 
 def format_map(expr: MapExpr) -> str:
     """Canonical text for an expression; parse_map(format_map(e)) == e."""
     write = {"c": format_complex, "i": str, "m": format_map}
     args = ", ".join(write[kind](value) for _, kind, value in node_fields(expr))
-    return f"{_KEYWORDS[type(expr)]}({args})"
+    return f"{NODE_KINDS[type(expr)].keyword}({args})"

@@ -203,7 +203,8 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
             if not len(live):
                 break
         return False, [(~(worst <= bound),
-                        f"|f^k(z)| <= {bound!r} for k <= {k_max}",
+                        f"|u_k| <= {bound!r} for k <= {k_max}, "
+                        "u_k = (f^k(z) - b)/a",
                         lambda k: f"max modulus {float(worst[k])!r}")]
     return _sample_report("halfplane-bound", samples, grade)
 

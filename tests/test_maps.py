@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import struct
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from expdyn.maps import (
     InvalidMapError,
     IterationConfig,
     Iterate,
+    MapExpr,
     ScaledExp,
     Shift,
     _same_point,
@@ -104,6 +107,40 @@ class TestValidate:
     def test_own_constraint_reported_before_finiteness(self):
         with pytest.raises(InvalidMapError, match=r"Re\(zeta\) <= -1"):
             validate(FamilyG(complex(-1, 0), complex(math.inf, 0)))
+
+    def test_node_kinds_are_the_map_kinds(self):
+        assert tuple(maps.NODE_KINDS) == typing.get_args(MapExpr)
+
+    def test_no_keyword_is_a_prefix_of_another(self):
+        # the parser takes the first keyword the text starts with
+        keywords = [kind.keyword for kind in maps.NODE_KINDS.values()]
+        assert len(set(keywords)) == len(keywords)
+        for a, b in itertools.permutations(keywords, 2):
+            assert not b.startswith(a)
+
+    # each node breaks only the named constraint, two levels down the tree
+    @pytest.mark.parametrize("node, constraint, message", [
+        (FamilyF(complex(1, 0), complex(1, 0)), "Re(lambda) < 0",
+         "inner.base: constraint 'Re(lambda) < 0' violated (got 1.0)"),
+        (FamilyF(complex(-1, 0), complex(0.5, 2)), "Re(xi) >= 1",
+         "inner.base: constraint 'Re(xi) >= 1' violated (got 0.5)"),
+        (FamilyG(complex(0, 0), complex(-1, 0)), "Re(mu) < 0",
+         "inner.base: constraint 'Re(mu) < 0' violated (got 0.0)"),
+        (FamilyG(complex(-1, 0), complex(-0.5, -2)), "Re(zeta) <= -1",
+         "inner.base: constraint 'Re(zeta) <= -1' violated (got -0.5)"),
+        (ScaledExp(complex(0, 0)), "lambda != 0",
+         "inner.base: constraint 'lambda != 0' violated"),
+        (Iterate(F11, 0), "s >= 1",
+         "inner.base: constraint 's >= 1' violated (got 0)"),
+        (Conjugate(complex(0, 0), complex(1, 0), F11), "a != 0",
+         "inner.base: constraint 'a != 0' violated"),
+    ])
+    def test_each_own_constraint(self, node, constraint, message):
+        with pytest.raises(InvalidMapError) as exc:
+            validate(Compose(F11, Iterate(node, 2)))
+        assert exc.value.constraint == constraint
+        assert exc.value.path == "inner.base"
+        assert str(exc.value) == message
 
     def test_trees_are_immutable(self):
         with pytest.raises(AttributeError):
@@ -673,6 +710,34 @@ class TestChart:
         assert chart(Shift(G11, complex(0.25, 0))) is None
         # a shift of anything but a family map
         assert chart(Shift(Conjugate(2, 1, F11), 1)) is None
+
+    def test_shift_chart_boundaries(self):
+        # Re xi = 1 and Re zeta = -1 exactly keep the chart; one ulp
+        # inside the excluded side loses it
+        assert chart(Shift(FamilyG(-1, -3), 2)) == (G11, 1, 0)
+        assert chart(Shift(F11, math.nextafter(1, 0) - 1)) is None
+        assert chart(Shift(G11, math.nextafter(-1, 0) + 1)) is None
+
+    def test_shift_chart_exactly_when_shifted_map_validates(self):
+        # finite shifts that put Re(const + c) within a few ulps of the
+        # edge, or anywhere in [-6, 6]
+        rng = np.random.default_rng(20140610)
+        for _ in range(2000):
+            cls, edge = ((FamilyF, 1.0), (FamilyG, -1.0))[rng.integers(2)]
+            f = cls(complex(-rng.uniform(0.1, 5), rng.uniform(-3, 3)),
+                    complex(edge * rng.uniform(1, 5), rng.uniform(-3, 3)))
+            near = edge + float(rng.integers(-3, 4)) * 2.0 ** -52
+            re = near if rng.random() < 0.5 else rng.uniform(-6, 6)
+            c = complex(re - f.const.real, rng.uniform(-3, 3))
+            shifted = cls(f.param, f.const + c)
+            try:
+                validate(shifted)
+                valid = True
+            except InvalidMapError:
+                valid = False
+            assert (chart(Shift(f, c)) is not None) == valid
+            if valid:
+                assert chart(Shift(f, c)) == (shifted, 1, 0)
 
     def test_other_nodes_have_no_chart(self):
         exp1 = ScaledExp(complex(1, 0))

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -132,3 +135,30 @@ class TestFormat:
     @settings(max_examples=300, deadline=None)
     def test_round_trip_identity(self, expr):
         assert parse_map(format_map(expr)) == expr
+
+    @pytest.mark.parametrize("x, y", itertools.product(
+        [0.0, -0.0, 1.5, -1.5], repeat=2))
+    def test_complex_round_trip_bits(self, x, y):
+        # == cannot tell 0.0 from -0.0, and orbits keep the sign of a zero
+        z = complex(x, y)
+        assert _bits(parse_complex(format_complex(z))) == _bits(z)
+
+    @pytest.mark.parametrize("x, y", itertools.product([0.0, -0.0], repeat=2))
+    def test_map_round_trip_bits(self, x, y):
+        # a signed zero in every slot that may hold one
+        for expr in (FamilyF(complex(-1, x), complex(1, y)),
+                     FamilyG(complex(-1, y), complex(-1, x)),
+                     Shift(ScaledExp(complex(x, 1)), complex(x, y)),
+                     Conjugate(complex(2, x), complex(y, x),
+                               ScaledExp(complex(1, y)))):
+            assert _bits(parse_map(format_map(expr))) == _bits(expr)
+
+
+def _bits(value) -> bytes:
+    """The bits of a complex, or of each complex and int of a map tree."""
+    if isinstance(value, complex):
+        return struct.pack("dd", value.real, value.imag)
+    if isinstance(value, int):
+        return struct.pack("q", value)
+    return b"".join(_bits(getattr(value, f.name))
+                    for f in dataclasses.fields(value))

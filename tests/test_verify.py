@@ -285,6 +285,18 @@ class TestHalfplaneBound:
         for v in rep.violations:
             float(v["observed"].removeprefix("max modulus "))
 
+    def test_transported_violation_names_u(self):
+        # conj(2, 1, F(-1, 1)) bounds u_k = (z_k - 1)/2, not z_k; seeds
+        # with Re u in [-30.5, -20.5] leave the absorbing half plane
+        conj = Conjugate(complex(2, 0), complex(1, 0), F11)
+        rep = verify_halfplane_bound(conj, SampleSet.generate(4, 50, Window(
+            -60, -40, 2, 4)), 3)
+        assert rep.verdict == "fail" and rep.violations
+        for v in rep.violations:
+            assert v["expected"] == \
+                "|u_k| <= 2.000000001 for k <= 3, u_k = (f^k(z) - b)/a"
+            assert v["observed"].startswith("max modulus ")
+
     @pytest.mark.parametrize("expr", TRANSPORTED)
     def test_transported_window_passes(self, expr):
         # u0 = -12*sign lies in H; the window's corners are within
