@@ -258,8 +258,8 @@ NODE_KINDS = {
         Constraint("Re(zeta) <= -1", lambda g: g.zeta.real <= -1,
                    lambda g: g.zeta.real))),
     ScaledExp: NodeKind("exp", "c", (Constraint("lambda != 0", lambda e: e.lam != 0),)),
-    Iterate: NodeKind("iter", "mi", (Constraint("s >= 1", lambda i: i.s >= 1,
-                                                lambda i: i.s),)),
+    Iterate: NodeKind("iter", "mi", (
+        Constraint("s >= 1", lambda i: i.s >= 1, lambda i: i.s),)),
     Shift: NodeKind("shift", "mc"),
     Compose: NodeKind("comp", "mm"),
     Conjugate: NodeKind("conj", "ccm", (Constraint("a != 0", lambda c: c.a != 0),)),
