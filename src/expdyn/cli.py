@@ -29,31 +29,15 @@ from __future__ import annotations
 import argparse
 import sys
 from types import SimpleNamespace
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
-from .fields import (
-    Window,
-    classify_grid,
-    export_field_csv,
-    overlay_strips,
-    render_ppm,
-)
-from .maps import DEFAULT_CONFIG, Family, IterationConfig, MapExpr, chart
+from .maps import DEFAULT_CONFIG, Family, IterationConfig, MapExpr, Window, chart
 from .orbits import Undetermined, orbit_to_csv, run_orbit
 from .parser import format_map, parse_complex, parse_map
-from .sampling import SampleSet
-from .strips import strip_of
-from .verify import (
-    VerificationReport,
-    verify_composite_laws,
-    verify_conjugacy,
-    verify_disjointness,
-    verify_halfplane_bound,
-    verify_image_superset,
-    verify_period_shift,
-    verify_strip_containment,
-)
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 
 class CliError(Exception):
@@ -268,26 +252,28 @@ def _cmd_render(args) -> int:
         f, *ab = _chart(expr, "--overlay-strips")
         if ab != [1, 0]:  # the strips are drawn in u
             raise CliError("--overlay-strips needs the identity chart")
+    from . import fields
     nx, ny = args.res
-    field = classify_grid(expr, args.window, nx, ny,
-                          IterationConfig(max_iter=args.max_iter),
-                          workers=args.workers)
+    field = fields.classify_grid(expr, args.window, nx, ny,
+                                 IterationConfig(max_iter=args.max_iter),
+                                 workers=args.workers)
     marks = None
     if args.overlay_strips:
-        marks = overlay_strips(field, f.family, f.param)
+        marks = fields.overlay_strips(field, f.family, f.param)
     with open(args.out, "wb") as fh:
-        render_ppm(field, fh, marks=marks)
+        fields.render_ppm(field, fh, marks=marks)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
-            export_field_csv(field, fh)
+            fields.export_field_csv(field, fh)
     print(f"wrote {args.out} ({nx}x{ny})", file=sys.stderr)
     return 0
 
 
 def _cmd_strips(args) -> int:
     _require(args, "family", "param", "z")
-    sid = strip_of(parse_complex(args.z), args.family,
-                   parse_complex(args.param))
+    from . import strips
+    sid = strips.strip_of(parse_complex(args.z), args.family,
+                          parse_complex(args.param))
     print(f"k={sid.k}" if sid is not None else "none")
     return 0
 
@@ -308,7 +294,7 @@ def _halfplane_bound(r: SimpleNamespace) -> VerificationReport:
         side = "Re u >= 0" if f.sign < 0 else "Re u <= 0"
         raise CliError("halfplane-bound needs a window inside the absorbing "
                        f"half plane {side} of the map, u = (z - b)/a")
-    return verify_halfplane_bound(r.expr, r.samples, r.args.k_max)
+    return r.verify.verify_halfplane_bound(r.expr, r.samples, r.args.k_max)
 
 
 class _Suite(NamedTuple):
@@ -339,28 +325,31 @@ _SUITES = {
         "F(-1, 1)",  # reaching into the escape strips
         {Family.F: Window(-30.0, 5.0, -20.0, 20.0),
          Family.G: Window(-5.0, 30.0, -20.0, 20.0)},
-        None, lambda r: verify_strip_containment(r.grid(r.expr), r.expr),
+        None, lambda r: r.verify.verify_strip_containment(r.grid(r.expr),
+                                                          r.expr),
         max_iter=500),
     "disjointness": _Suite(
         "F(-1, 1)", Window(-30.0, 30.0, -30.0, 30.0), None,
-        lambda r: verify_disjointness(r.grid(r.expr), r.grid(r.args.map_g)),
+        lambda r: r.verify.verify_disjointness(r.grid(r.expr),
+                                               r.grid(r.args.map_g)),
         max_iter=500),
     "period-shift": _Suite(
         "exp(1)", Window(-3.0, 3.0, -3.0, 3.0), 2000,
-        lambda r: verify_period_shift(
+        lambda r: r.verify.verify_period_shift(
             r.expr, r.args.s, r.samples, r.icfg)),
     "composite-laws": _Suite(
         "exp(1)", Window(-2.0, 2.0, -2.0, 2.0), 2000,
-        lambda r: verify_composite_laws(
+        lambda r: r.verify.verify_composite_laws(
             r.expr, r.args.i, r.j, r.samples, r.icfg),
         j=1),
     "image-superset": _Suite(
         "F(-1, 1)", Window(-10.0, 10.0, -10.0, 10.0), 2000,
-        lambda r: verify_image_superset(r.expr, r.j, r.samples, r.icfg),
+        lambda r: r.verify.verify_image_superset(r.expr, r.j, r.samples,
+                                                 r.icfg),
         j=2),
     "conjugacy": _Suite(
         "F(-1, 1)", Window(-10.0, 2.0, -8.0, 8.0), 2000,
-        lambda r: verify_conjugacy(
+        lambda r: r.verify.verify_conjugacy(
             r.expr, r.args.a, r.args.b, r.samples, r.icfg)),
 }
 SUITES = tuple(_SUITES)
@@ -369,6 +358,7 @@ SUITES = tuple(_SUITES)
 def _run_suite(name: str, args) -> VerificationReport:
     """Run one suite; its row's defaults fill what no flag or config line
     gave."""
+    from . import fields, sampling, verify
     suite = _SUITES[name]
     max_iter = suite.max_iter if args.max_iter is None else args.max_iter
     icfg = IterationConfig(max_iter=max_iter)
@@ -381,15 +371,16 @@ def _run_suite(name: str, args) -> VerificationReport:
 
     def grid(e: MapExpr):
         nx, ny = args.res
-        return classify_grid(e, window, nx, ny, icfg, workers=args.workers)
+        return fields.classify_grid(e, window, nx, ny, icfg,
+                                    workers=args.workers)
 
     samples = None
     if suite.samples:
         n = suite.samples if args.samples is None else args.samples
-        samples = SampleSet.generate(args.seed, n, window)
+        samples = sampling.SampleSet.generate(args.seed, n, window)
     return suite.run(SimpleNamespace(
         args=args, expr=expr, window=window, icfg=icfg, samples=samples,
-        grid=grid, j=suite.j if args.j is None else args.j))
+        grid=grid, j=suite.j if args.j is None else args.j, verify=verify))
 
 
 def _cmd_verify(args) -> int:

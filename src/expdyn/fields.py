@@ -3,7 +3,7 @@
 Cells are sampled at their centers (so window edges are unbiased) and
 classified independently.  The grid is cut, in storage order, into
 blocks of a fixed size, classified one after another in the calling
-process; each block goes through ``orbits.classify_points``, which moves
+process; each block goes through ``blocks.classify_points``, which moves
 its seeds in lockstep and gives each cell the verdict ``classify`` gives
 it.  The bytes of a field depend on the libm behind Python's ``math``
 and ``cmath`` modules and on numpy's complex exp, which calls that
@@ -14,15 +14,15 @@ golden tests can compare files directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
-from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, validate
+from .blocks import _classify_points
+from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, Window, validate
 from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED,
-                     _chart_tests, _classify_points, _g17)
+                     _chart_tests, _g17)
 from .strips import Family, strip_boundaries
 
 __all__ = [
@@ -34,25 +34,6 @@ __all__ = [
     "import_field_csv",
     "overlay_strips",
 ]
-
-@dataclass(frozen=True, slots=True)
-class Window:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in
-                   (self.x_min, self.x_max, self.y_min, self.y_max)):
-            raise ValueError("window bounds must be finite")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("window must have x_min < x_max and y_min < y_max")
-        if not (math.isfinite(self.x_max - self.x_min)
-                and math.isfinite(self.y_max - self.y_min)):
-            # an infinite width would put every cell center at inf
-            raise ValueError("window width and height must be finite")
-
 
 @dataclass(frozen=True)
 class EscapeField:
@@ -124,7 +105,7 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
                   workers: Optional[int] = None) -> EscapeField:
     """Classify every cell center, in the calling process.
 
-    Cells go through orbits.classify_points in blocks of a fixed size,
+    Cells go through blocks.classify_points in blocks of a fixed size,
     so each cell gets classify's verdict.  The map is validated once per
     call, not once per cell or block.  workers is accepted and has no
     effect; a count below 1 is a ValueError.

@@ -25,17 +25,10 @@ CPython computes it as exactly exp(Re w)*cos(Im w) and exp(Re w)*sin(Im
 w), with the libm functions that ``math.exp``, ``math.cos`` and
 ``math.sin`` call, so the bits are those of the three ``math`` calls.
 
-``evaluate_points`` applies a map once to a whole batch of points.  It
-makes the common moves on numpy arrays and takes every exp, cos and sin
-there as numpy's complex exp, which calls libm's ``cexp``: glibc's
-computes the same products with the same libm functions, so the bits are
-again those of the ``math`` calls.  ``evaluate`` itself steps each point
-that makes a rare move (a degenerate phase, a non-finite exponent, a conj
-crossing onto or off the ladder), so each point gets the bits
-``evaluate`` gives it.  Two numpy kernels reach a verdict: this complex
-exp, and the ``hypot`` of verify's half-plane bound.  On a numpy built
-without the platform ``cexp`` (it then uses its own) bytes can move, and
-TestExpStep in tests/test_maps.py fails.
+``blocks.evaluate_points`` applies a map once to a whole batch of points
+on numpy arrays and gives each point ``evaluate``'s bits.  This module
+imports no numpy, so the commands that step one seed at a time (parse,
+orbit) start without it.
 """
 
 from __future__ import annotations
@@ -47,8 +40,6 @@ import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Tuple, Union
-
-import numpy as np
 
 __all__ = [
     "Family",
@@ -64,11 +55,11 @@ __all__ = [
     "ExtendedPoint",
     "IterationConfig",
     "DEFAULT_CONFIG",
+    "Window",
     "InvalidMapError",
     "DegeneratePhaseError",
     "validate",
     "evaluate",
-    "evaluate_points",
     "period_of",
     "chart",
 ]
@@ -238,6 +229,28 @@ class IterationConfig:
 DEFAULT_CONFIG = IterationConfig()
 
 
+@dataclass(frozen=True, slots=True)
+class Window:
+    """The rectangle [x_min, x_max] x [y_min, y_max] of a grid or a
+    sample set; finite, with a finite positive width and height."""
+
+    x_min: float
+    x_max: float
+    y_min: float
+    y_max: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in
+                   (self.x_min, self.x_max, self.y_min, self.y_max)):
+            raise ValueError("window bounds must be finite")
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError("window must have x_min < x_max and y_min < y_max")
+        if not (math.isfinite(self.x_max - self.x_min)
+                and math.isfinite(self.y_max - self.y_min)):
+            # an infinite width would put every cell center at inf
+            raise ValueError("window width and height must be finite")
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -343,7 +356,7 @@ _PAIR = struct.Struct("dd")
 def _same_point(p: ExtendedPoint, q: ExtendedPoint) -> bool:
     """p and q are the same point bit for bit: the same kind and the same
     bits of both floats (0.0 and -0.0 differ; a NaN equals itself).
-    The scalar twin of _same_points."""
+    The scalar twin of blocks._same_points."""
     if isinstance(p, complex):
         return isinstance(q, complex) and \
             _PAIR.pack(p.real, p.imag) == _PAIR.pack(q.real, q.imag)
@@ -458,215 +471,6 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
             v = Directed(_log_modulus(v), cmath.phase(v))
         return _normalize(v.log_modulus + math.log(abs(a)),
                           v.angle + math.atan2(a.imag, a.real), thresh)
-
-    raise TypeError(f"not a map expression: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# one step on a batch of points
-# ---------------------------------------------------------------------------
-
-# A batch is three arrays: point k is complex(re[k], im[k]), or
-# Directed(re[k], im[k]) where directed[k].  Arrays make the moves grids
-# make at scale: finite steps, the ladder step of F, G and exp(lam)
-# (_ladder_points) and conj's shift past the rung; evaluate makes the
-# rest (_evaluate_each).  Every exp, cos and sin of the arrays is numpy's
-# complex exp (_cexp), which calls libm's cexp and so gives the bits of
-# cmath.exp, math.exp, math.cos and math.sin.
-# numpy's float exp/cos/sin/log and its complex / and * are not used: they
-# are numpy's own (SIMD) code, which differs from libm's and CPython's in
-# the last ulp on a share of inputs, and that would move verdicts.
-
-Points = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _cexp(wr, wi, where: np.ndarray) -> np.ndarray:
-    """exp(wr + i*wi) where `where` holds (0 elsewhere), as a complex array;
-    wr and wi are arrays or floats.
-
-    numpy's complex exp calls the platform's cexp.  glibc's computes
-    exp(wr)*cos(wi) and exp(wr)*sin(wi) with the libm exp, cos and sin
-    that cmath.exp and math call, for wr below 709: the bits of
-    cmath.exp(w), and with wi = 0 of math.exp(wr), with wr = 0 of
-    math.cos(wi) and math.sin(wi).  TestExpStep in tests/test_maps.py
-    fails where a numpy build or libm breaks this."""
-    out = np.zeros(len(where), dtype=complex)
-    if where.any():
-        w = np.empty(len(where), dtype=complex)
-        w.real, w.imag = wr, wi
-        np.exp(w, out=out, where=where)
-    return out
-
-
-def _finite(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return np.isfinite(re) & np.isfinite(im)
-
-
-def _same_points(p: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                 q: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Which points of two (re, im, directed) batches are equal bit for
-    bit (0.0 and -0.0 differ; a NaN equals itself), as _same_point."""
-    return ((p[0].view(np.int64) == q[0].view(np.int64))
-            & (p[1].view(np.int64) == q[1].view(np.int64)) & (p[2] == q[2]))
-
-
-def _exp_sat_points(x: np.ndarray, where: np.ndarray) -> np.ndarray:
-    # _exp_sat: exp(x + 0i) below the cut, +inf from it on and for NaN
-    low = where & (x < _EXP_OVERFLOW)
-    return np.where(low, _cexp(x, 0.0, low).real, math.inf)
-
-
-def _scale_points(mag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # _scale: an exact zero factor wins over an infinite magnitude
-    return np.where(x == 0.0, 0.0, mag * x)
-
-
-def _phase_ok(angle: np.ndarray) -> np.ndarray:
-    # where an angle is within PHASE_RESOLUTION_LIMIT (so not NaN or inf)
-    return np.abs(angle) <= PHASE_RESOLUTION_LIMIT
-
-
-def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
-                thresh: float) -> Points:
-    """exp(w), w = wr + i*wi, where `where` holds, as evaluate's finite
-    branches take it: (re, im, directed, slow), Directed(w) past thresh;
-    slow marks a wi that is not finite below thresh, left to evaluate."""
-    low = where & (wr <= thresh)
-    ok = low & np.isfinite(wi)
-    e = _cexp(wr, wi, ok)
-    return (np.where(ok, e.real, wr), np.where(ok, e.imag, wi),
-            where & ~low, low & ~ok)
-
-
-def _ladder_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
-                   d: np.ndarray, m: complex, p: complex, q: complex,
-                   out: Points, cfg: IterationConfig) -> Points:
-    """_ladder_step(z, m, p, q) of each Directed point z, on arrays of those
-    points only, into out, the node's finite step (fresh arrays, the last
-    one slow); evaluate steps the slow points and the rejected ones."""
-    out_re, out_im, out_d, slow = out
-    k = np.flatnonzero(d)
-    if len(k):
-        ph = _phase_ok(im[k])
-        cs = _cexp(0.0, im[k], ph)  # (cos, sin) of the angle
-        dr = m.real * cs.real - m.imag * cs.imag
-        under = ph & (dr <= -cfg.degeneracy_eps * abs(m))
-        over = ph & (dr >= cfg.degeneracy_eps * abs(m))
-        out_re[k], out_im[k], slow[k] = q.real, q.imag, ~(under | over)
-        if over.any():
-            mag = _exp_sat_points(re[k], over)
-            di = m.real * cs.imag + m.imag * cs.real
-            out_re[k[over]] = (mag * dr + p.real)[over]
-            out_im[k[over]] = (_scale_points(mag, di) + p.imag)[over]
-            out_d[k[over]] = True
-    return _evaluate_each(expr, re, im, d, slow,
-                          (out_re, out_im, out_d, np.zeros_like(d)), cfg)
-
-
-def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
-    """(xr + i*xi) / a by CPython's complex division (Smith's algorithm,
-    _Py_c_quot), elementwise; a is nonzero."""
-    if abs(a.real) >= abs(a.imag):
-        ratio = a.imag / a.real
-        denom = a.real + a.imag * ratio
-        return (xr + xi * ratio) / denom, (xi - xr * ratio) / denom
-    ratio = a.real / a.imag
-    denom = a.real * ratio + a.imag
-    return (xr * ratio + xi) / denom, (xi * ratio - xr) / denom
-
-
-def _to_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray,
-                 uc: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """(z - b)/a of each point as evaluate takes it; uc = (a, b, ln|a|, arg a)."""
-    a, b, log_a, arg_a = uc
-    qr, qi = _quot(re - b.real, im - b.imag, a)
-    return np.where(d, re - log_a, qr), np.where(d, im - arg_a, qi)
-
-
-def _evaluate_each(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
-                   where: np.ndarray, out: Points, cfg: IterationConfig) -> Points:
-    """Step the points where `where` holds by evaluate, into out (fresh arrays)."""
-    out_re, out_im, out_d, bad = out
-    for k in np.flatnonzero(where).tolist():
-        z = complex(re[k], im[k])
-        try:
-            v = evaluate(expr, Directed(z.real, z.imag) if d[k] else z, cfg)
-        except DegeneratePhaseError:
-            bad[k] = True
-            continue
-        bad[k], out_d[k] = False, isinstance(v, Directed)
-        out_re[k], out_im[k] = (v.log_modulus, v.angle) if out_d[k] else \
-            (v.real, v.imag)
-    return out
-
-
-def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
-                    directed: np.ndarray,
-                    cfg: IterationConfig = DEFAULT_CONFIG) -> Points:
-    """evaluate applied to each point of a batch.
-
-    Point k is complex(re[k], im[k]), or Directed(re[k], im[k]) where
-    directed[k].  Returns (re, im, directed, degenerate): degenerate[k]
-    is true exactly where evaluate raises DegeneratePhaseError, and the
-    other arrays mean nothing there.  Elsewhere every point has the bits
-    evaluate gives it (itself, for a point that makes a rare move).
-    """
-    with np.errstate(all="ignore"):
-        return _points(expr, re, im, directed, cfg)
-
-
-def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
-            cfg: IterationConfig) -> Points:
-    thresh = cfg.overflow_log_threshold
-    sign = getattr(expr, "sign", None)
-    if sign is not None:
-        p, q = expr.param, expr.const
-        out_re, out_im, out_d, slow = _exp_points(
-            sign * re + p.real, sign * im + p.imag, ~d, thresh)
-        return _ladder_points(expr, re, im, d, sign, p, q,
-                              (np.where(out_d, out_re, out_re + q.real),
-                               np.where(out_d, out_im, out_im + q.imag),
-                               out_d, slow), cfg)
-
-    if isinstance(expr, ScaledExp):
-        lr, li = expr.lam.real, expr.lam.imag
-        return _ladder_points(expr, re, im, d, expr.lam, 0.0, 0.0,
-                              _exp_points(lr * re - li * im, lr * im + li * re,
-                                          ~d, thresh), cfg)
-
-    if isinstance(expr, Iterate):
-        bad = np.zeros(len(re), dtype=bool)
-        for _ in range(expr.s):
-            re, im, d, b = _points(expr.base, re, im, d, cfg)
-            bad |= b
-        return re, im, d, bad
-
-    if isinstance(expr, Shift):
-        re, im, d, bad = _points(expr.base, re, im, d, cfg)
-        c = complex(expr.c)
-        return np.where(d, re, re + c.real), np.where(d, im, im + c.imag), d, bad
-
-    if isinstance(expr, Compose):
-        re, im, d, bad = _points(expr.inner, re, im, d, cfg)
-        re, im, d, b = _points(expr.outer, re, im, d, cfg)
-        return re, im, d, bad | b
-
-    if isinstance(expr, Conjugate):
-        a, b = complex(expr.a), complex(expr.b)
-        uc = (a, b, math.log(abs(a)), math.atan2(a.imag, a.real))
-        ur, ui = _to_u_points(re, im, d, uc)
-        # evaluate takes each crossing onto or off the ladder: a pre-image ...
-        slow = np.where(d, ~(ur > thresh), _finite(re, im) & ~_finite(ur, ui))
-        vr, vi, vd, bad = _points(expr.base, np.where(slow, 0.0, ur),
-                                  np.where(slow, 0.0, ui), d & ~slow, cfg)
-        # a*v + b by CPython's complex product (_Py_c_prod)
-        pr = a.real * vr - a.imag * vi + b.real
-        pi = a.real * vi + a.imag * vr + b.imag
-        wr, wi = np.where(vd, vr + uc[2], pr), np.where(vd, vi + uc[3], pi)
-        # ... or an image that overflows or drops below the rung
-        slow |= ~bad & np.where(vd, ~(wr > thresh),
-                                _finite(vr, vi) & ~_finite(pr, pi))
-        return _evaluate_each(expr, re, im, d, slow, (wr, wi, vd, bad), cfg)
 
     raise TypeError(f"not a map expression: {expr!r}")
 

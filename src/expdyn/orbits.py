@@ -24,19 +24,13 @@ step would repeat the same tests with the same outcome until the budget
 ran out.  Only the count of applications performed changes.
 
 Two engines run these rules.  ``_iterate`` follows one seed and backs
-``classify`` and ``run_orbit``.  ``classify_points`` moves an array of
-seeds in lockstep through ``maps.evaluate_points``, which hands each
-seed that makes a rare move to ``evaluate``, and runs the same tests in
-the same order; it backs ``classify_grid`` and the sample suites of
-``verify``.  Every exp, cos, sin and log of ``_iterate`` is the ``math``
-function, or ``cmath.exp`` for a finite exponential (which calls the
-same libm exp, cos and sin).  ``classify_points`` takes every exp, cos
-and sin as numpy's complex exp, which calls libm's ``cexp`` and gives
-the same bits (``maps._cexp``), and each log as ``math.log``.  Complex
-quotients and products are CPython's in both, so the two agree seed by
-seed, in verdict class and step.  Their results depend on the libm
-behind ``math`` and ``cmath`` and on numpy's complex exp being the
-platform ``cexp``, not on numpy's SIMD build.
+``classify`` and ``run_orbit``.  Every exp, cos, sin and log it takes is
+the ``math`` function, or ``cmath.exp`` for a finite exponential (which
+calls the same libm exp, cos and sin), and this module imports no numpy.
+``blocks.classify_points`` runs the same tests in the same order on an
+array of seeds in lockstep, with the same bits (see ``blocks``), so the
+two agree seed by seed, in verdict class and step; it backs
+``classify_grid`` and the sample suites of ``verify``.
 """
 
 from __future__ import annotations
@@ -46,8 +40,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, TextIO, Tuple, Union
 
-import numpy as np
-
 from .maps import (
     DEFAULT_CONFIG,
     PHASE_RESOLUTION_LIMIT,
@@ -56,17 +48,10 @@ from .maps import (
     ExtendedPoint,
     IterationConfig,
     MapExpr,
-    _cexp,
     _exp_sat,
-    _exp_sat_points,
     _log_modulus,
-    _phase_ok,
-    _points,
     _same_point,
-    _same_points,
     _scale,
-    _scale_points,
-    _to_u_points,
     chart,
     evaluate,
     validate,
@@ -81,7 +66,6 @@ __all__ = [
     "Classification",
     "OrbitRecord",
     "classify",
-    "classify_points",
     "run_orbit",
     "orbit_to_csv",
 ]
@@ -95,7 +79,7 @@ class AbsorptionRule(enum.Enum):
     UNDERFLOW_TO_FIXED_NEIGHBORHOOD = "underflow-to-fixed-neighborhood"
 
 
-# byte codes of the four verdict classes in classify_points and fields
+# byte codes of the four verdict classes in blocks.classify_points and fields
 KIND_ESCAPING = ord("E")
 KIND_PROVEN = ord("P")
 KIND_BUDGET = ord("B")
@@ -204,7 +188,8 @@ def _to_u(z: ExtendedPoint, uc: _UChart) -> ExtendedPoint:
 def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
              tests: _ChartTests):
     """Shared loop behind classify and run_orbit; callers validate expr
-    and pass _chart_tests(expr).  _classify_points repeats it on arrays.
+    and pass _chart_tests(expr).  blocks._classify_points repeats it on
+    arrays.
 
     The termination tests read the map's chart: they test u = (z - b)/a,
     in which the map is a family map.  The orbit ends at the first step
@@ -257,130 +242,11 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
     raise AssertionError("unreachable")
 
 
-# ---------------------------------------------------------------------------
-# lockstep classification of a batch of seeds
-# ---------------------------------------------------------------------------
-
-def _effective_real_points(re: np.ndarray, im: np.ndarray,
-                           d: np.ndarray) -> np.ndarray:
-    """_effective_real of each point of a batch."""
-    if not d.any():
-        return re
-    ph = d & _phase_ok(im)
-    mag = _exp_sat_points(re, ph)
-    return np.where(ph, _scale_points(mag, _cexp(0.0, im, ph).real),
-                    np.where(d, math.nan, re))
-
-
-def _log_modulus_points(re: np.ndarray, im: np.ndarray,
-                        where: np.ndarray) -> np.ndarray:
-    """_log_modulus of each finite point where `where` holds (0 elsewhere),
-    one call per point."""
-    out = np.zeros(len(re))
-    if where.any():
-        out[where] = np.fromiter(
-            map(_log_modulus, map(complex, re[where].tolist(),
-                                  im[where].tolist())), dtype=float)
-    return out
-
-
-def _escaped_generic(re: np.ndarray, im: np.ndarray, d: np.ndarray,
-                     nr: np.ndarray, ni: np.ndarray, nd: np.ndarray,
-                     cfg: IterationConfig) -> np.ndarray:
-    """_escaped of each pair (z, nxt) of a map without a chart."""
-    both = ~d & ~nd
-    lz = _log_modulus_points(re, im, both)
-    far = both & (lz >= math.log(cfg.generic_escape_radius))
-    return np.where(d, nd & (nr > re),
-                    far & (_log_modulus_points(nr, ni, far) >= lz))
-
-
-def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
-                     cfg: IterationConfig,
-                     tests: _ChartTests) -> Tuple[np.ndarray, np.ndarray]:
-    """classify_points of the seeds re + i*im for a caller that has
-    validated expr and passes _chart_tests(expr).
-
-    Every step runs _iterate's tests in _iterate's order on all live
-    seeds at once: nan, the half plane, the budget, the step itself
-    (degenerate phase), nan, underflow (identity chart only), escape and
-    the repeated point (maps._same_points).  Seeds that stop are
-    compressed out.
-    """
-    n = len(re)
-    kinds = np.full(n, KIND_BUDGET, dtype=np.uint8)
-    steps = np.full(n, -1, dtype=np.int64)
-    f, uc = tests
-    sign = None if f is None else f.sign
-    idx = np.arange(n)
-    d = np.zeros(n, dtype=bool)
-    with np.errstate(all="ignore"):
-        # r: sign * the effective real part of u, which the half-plane and
-        # escape tests read; without a chart it is unused and u is z
-        r = re if sign is None else \
-            sign * (re if uc is None else _to_u_points(re, im, d, uc)[0])
-        for step in range(cfg.max_iter + 1):
-            stop = ~d & (np.isnan(re) | np.isnan(im))
-            kinds[idx[stop]] = KIND_UNDETERMINED
-            if sign is not None:
-                hit = ~d & ~stop & (r <= 0.0)
-                kinds[idx[hit]] = KIND_PROVEN
-                steps[idx[hit]] = step
-                stop |= hit
-            keep = ~stop
-            idx, re, im, d, r = idx[keep], re[keep], im[keep], d[keep], r[keep]
-            if step == cfg.max_iter or not len(idx):
-                break  # what is left stays bounded at budget
-            nr, ni, nd, stop = _points(expr, re, im, d, cfg)
-            stop |= np.isnan(nr) | np.isnan(ni)
-            kinds[idx[stop]] = KIND_UNDETERMINED
-            if sign is None:
-                rn = nr
-                hit = ~stop & _escaped_generic(re, im, d, nr, ni, nd, cfg)
-            else:
-                if uc is None:
-                    hit = ~stop & d & ~nd  # underflow, as in _iterate
-                    kinds[idx[hit]] = KIND_PROVEN
-                    steps[idx[hit]] = step
-                    stop |= hit
-                    vr, vi = nr, ni
-                else:
-                    vr, vi = _to_u_points(nr, ni, nd, uc)
-                rn = sign * _effective_real_points(vr, vi, nd)
-                hit = ~stop & (r >= cfg.escape_real_threshold) & (rn >= r)
-            kinds[idx[hit]] = KIND_ESCAPING
-            steps[idx[hit]] = step
-            # a seed at a fixed point of the step stays bounded at budget
-            keep = ~(stop | hit | _same_points((nr, ni, nd), (re, im, d)))
-            idx, re, im, d, r = (idx[keep], nr[keep], ni[keep], nd[keep],
-                                 rn[keep])
-    return kinds, steps
-
-
 def classify(expr: MapExpr, z0: complex,
              cfg: IterationConfig = DEFAULT_CONFIG) -> Classification:
     """Classify one seed.  Pure function of (expr, z0, cfg)."""
     validate(expr)
     return _iterate(expr, z0, cfg, False, _chart_tests(expr))[0]
-
-
-def classify_points(expr: MapExpr, points: np.ndarray,
-                    cfg: IterationConfig = DEFAULT_CONFIG
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Classify each seed of a 1-D complex array, all in lockstep.
-
-    Returns (kinds, steps): kinds[k] is the byte code (KIND_ESCAPING,
-    KIND_PROVEN, KIND_BUDGET or KIND_UNDETERMINED) of
-    classify(expr, points[k], cfg), steps[k] the step of an Escaping or
-    NonEscapingProven verdict and -1 otherwise.  The codes agree with
-    classify seed by seed: the step is maps.evaluate_points, which gives
-    each point evaluate's bits, and the tests are _iterate's.
-    """
-    validate(expr)
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim != 1:
-        raise ValueError(f"points must be a 1-D array, got shape {pts.shape}")
-    return _classify_points(expr, pts.real, pts.imag, cfg, _chart_tests(expr))
 
 
 def run_orbit(expr: MapExpr, z0: complex,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Window
+from .maps import Window
 
 __all__ = ["SampleSet", "splitmix64"]
 

@@ -60,10 +60,17 @@ def strip_test(x, y, family: Family, param: complex):
 
 
 def strip_of(z: complex, family: Family, param: complex) -> Optional[StripId]:
-    """Strip containing z, or None (wrong half plane or on a boundary):
-    strip_test of the one point."""
-    k, inside = strip_test(z.real, z.imag, family, param)
-    return StripId(int(k), family) if inside else None
+    """Strip containing z, or None (wrong half plane, on a boundary or t
+    not finite): strip_test's comparisons on plain floats, where round
+    breaks ties to even as np.rint does."""
+    s = -1.0 if family is Family.F else 1.0
+    t = (z.imag + s * param.imag) / _HALF_PI
+    if not (s * z.real > 0.0 and math.isfinite(t)):
+        return None
+    k = round((t + (1.0 - s)) / 4.0)
+    off = 4.0 * k if abs(t) >= 8.0 else 0.0
+    rel, base = t - off, 4.0 * k - off
+    return StripId(k, family) if base + (s - 2.0) < rel < base + s else None
 
 
 def strip_boundaries(y_lo: float, y_hi: float, family: Family,

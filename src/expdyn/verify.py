@@ -10,7 +10,7 @@ are the two rigorous ones, so two determined verdicts that differ always
 conflict.  The grid suites likewise count budget-limited and undetermined
 cells as skipped.  Every suite grades verdict codes E/P/B/U: the sample
 suites classify fields._BLOCK samples at a time under each map through
-orbits.classify_points (an image without a finite complex value counts
+blocks.classify_points (an image without a finite complex value counts
 as U), or call a classify_fn passed in (tests, tracing) once per seed.
 """
 
@@ -23,6 +23,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import fields
+from .blocks import (_classify_points, _finite, _same_points, _to_u_points,
+                     evaluate_points)
 from .fields import EscapeField
 from .maps import (
     Compose,
@@ -31,18 +33,13 @@ from .maps import (
     Iterate,
     MapExpr,
     Shift,
-    _finite,
-    _same_points,
-    _to_u_points,
     chart,
-    evaluate_points,
     period_of,
     validate,
 )
 from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
                      KIND_UNDETERMINED, BoundedAtBudget, Classification,
-                     Escaping, NonEscapingProven, Undetermined, _chart_tests,
-                     _classify_points)
+                     Escaping, NonEscapingProven, Undetermined, _chart_tests)
 from .parser import format_complex
 from .sampling import SampleSet
 from .strips import strip_test
@@ -167,7 +164,7 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
     Checks |u_k| <= 1 + |const| + BOUND_TOL, u_k = (f^k(z) - b)/a and const
     from expr's chart (maps.chart), for every sample and k <= k_max.  Samples
     must come from the absorbing half plane (Re u >= 0 for F, <= 0 for G).
-    The orbits of a block advance together through maps.evaluate_points,
+    The orbits of a block advance together through blocks.evaluate_points,
     the step of the orbit engine; an iterate that leaves the double range or
     has a degenerate phase counts as unbounded.  An orbit stops once it is
     back, bit for bit, at its last or second-last point: the step is a

@@ -1,10 +1,15 @@
-"""Shared test utilities: independent oracles and hypothesis strategies."""
+"""Shared test utilities: independent oracles, hypothesis strategies and
+fresh interpreters."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 from hypothesis import strategies as st
 
+import expdyn
 from expdyn.maps import (
     Compose,
     Conjugate,
@@ -16,6 +21,16 @@ from expdyn.maps import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def run_fresh(*args: str, cwd=None):
+    """`python *args` in a fresh interpreter that imports the expdyn under
+    test: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(expdyn.__file__))))
+    run = subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                         capture_output=True, text=True)
+    return run.returncode, run.stdout, run.stderr
 
 
 # ---------------------------------------------------------------------------

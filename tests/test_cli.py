@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from expdyn import cli
+from expdyn import cli, fields, verify
 from expdyn.orbits import OrbitRecord, Undetermined
 from expdyn.verify import verify_disjointness
+
+from helpers import run_fresh
 
 # the engine thresholds are constants of IterationConfig, not settings
 THRESHOLDS = ("overflow-log-threshold", "escape-real-threshold",
@@ -30,6 +32,13 @@ class TestStrips:
                            "--param", "-1+0i", "--z", "-2+0i")
         assert code == 0
         assert out == "none\n"
+
+    def test_t_not_finite_leaves_stderr_empty(self):
+        # t = (Im z - Im lam)/(pi/2) is -inf: no strip, and no numpy
+        # warning on stderr
+        assert run_fresh("-m", "expdyn", "strips", "--family", "F",
+                         "--param", "-1+1.7e308i", "--z", "-1-1.7e308i") == \
+            (0, "none\n", "")
 
 
 class TestParse:
@@ -139,7 +148,7 @@ class TestRender:
         def no_grid(*args, **kwargs):
             raise AssertionError("classified a grid")
 
-        monkeypatch.setattr(cli, "classify_grid", no_grid)
+        monkeypatch.setattr(fields, "classify_grid", no_grid)
         code, _, err = run(capsys, "render", "--map", "conj(2, 1, F(-1, 1))",
                            "--window", "-19,5,-16,16", "--res", "400,400",
                            "--out", str(tmp_path / "x.ppm"),
@@ -230,7 +239,7 @@ class TestVerifyCommand:
         # comparing an escaping field with itself must fail disjointness;
         # the CLI refuses two F maps, so the suite is handed the F field
         # twice
-        monkeypatch.setattr(cli, "verify_disjointness",
+        monkeypatch.setattr(verify, "verify_disjointness",
                             lambda f, g: verify_disjointness(f, f))
         code, out, _ = run(capsys, "verify", "--suite", "disjointness",
                            "--window", "-30,5,-20,20", "--res", "40,40",
@@ -256,7 +265,7 @@ class TestVerifyCommand:
         def no_grid(*args, **kwargs):
             raise AssertionError("a grid was classified")
 
-        monkeypatch.setattr(cli, "classify_grid", no_grid)
+        monkeypatch.setattr(fields, "classify_grid", no_grid)
         code, out, err = run(capsys, "verify", "--res", "60,60", *argv)
         assert code == 2
         assert out == ""

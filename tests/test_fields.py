@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expdyn import fields, maps, orbits
+from expdyn import blocks, fields, maps, orbits
 from expdyn.fields import (
     EscapeField,
     Window,
@@ -215,7 +215,7 @@ class TestBlockEngine:
         # an F, G or exp(lam) node collapses and deepens its ladder points
         # on arrays; it hands evaluate only the ladder points whose phase
         # is degenerate and the finite points whose exponent is not finite
-        step_each = maps._evaluate_each
+        step_each = blocks._evaluate_each
         deepened = []
 
         def checking(expr, re, im, d, where, out, cfg):
@@ -231,7 +231,7 @@ class TestBlockEngine:
             assert not (np.isfinite(wr) & np.isfinite(wi))[where & ~d].any()
             return out
 
-        monkeypatch.setattr(maps, "_evaluate_each", checking)
+        monkeypatch.setattr(blocks, "_evaluate_each", checking)
         text, window, res, max_iter, _ = case
         classify_grid(parse_map(text), Window(*window), *res,
                       IterationConfig(max_iter=max_iter), workers=1)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expdyn import maps, orbits
+from expdyn import blocks, maps, orbits
+from expdyn.blocks import _same_points, evaluate_points
 from expdyn.maps import (
     Compose,
     Conjugate,
@@ -25,10 +26,8 @@ from expdyn.maps import (
     ScaledExp,
     Shift,
     _same_point,
-    _same_points,
     chart,
     evaluate,
-    evaluate_points,
     period_of,
     validate,
 )
@@ -449,7 +448,7 @@ class TestExpStep:
         if isinstance(expr, Conjugate):
             z = expr.a * z + expr.b
         cfg = IterationConfig(max_iter=12)
-        kinds, steps = orbits.classify_points(expr, z, cfg)
+        kinds, steps = blocks.classify_points(expr, z, cfg)
         codes = {orbits.Escaping: "E", orbits.NonEscapingProven: "P",
                  orbits.BoundedAtBudget: "B", orbits.Undetermined: "U"}
         for k, z0 in enumerate(z.tolist()):
@@ -480,7 +479,7 @@ class TestExpStep:
         monkeypatch.setattr(np, "exp", complex_exp)
         evaluate_points(expr, re, im, np.ones(len(pts), dtype=bool))
         evaluate_points(expr, zs.real, zs.imag, np.zeros(len(zs), dtype=bool))
-        orbits.classify_points(expr, zs, IterationConfig(max_iter=12))
+        blocks.classify_points(expr, zs, IterationConfig(max_iter=12))
 
     @staticmethod
     def pinned_ladder():

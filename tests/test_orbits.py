@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expdyn import orbits
+from expdyn import blocks, orbits
+from expdyn.blocks import classify_points
 from expdyn.fields import Window, classify_grid
 from expdyn.maps import (
     Compose,
@@ -32,7 +33,6 @@ from expdyn.orbits import (
     NonEscapingProven,
     Undetermined,
     classify,
-    classify_points,
     orbit_to_csv,
     run_orbit,
 )
@@ -448,13 +448,13 @@ class TestFixedPointStop:
 
     def test_lockstep_engine_stops_at_the_repeat(self, monkeypatch):
         live = []  # seeds moved by each lockstep application
-        apply = orbits._points
+        apply = blocks.evaluate_points
 
         def counting(*args):
             live.append(len(args[1]))
             return apply(*args)
 
-        monkeypatch.setattr(orbits, "_points", counting)
+        monkeypatch.setattr(blocks, "evaluate_points", counting)
         kinds, _ = classify_points(Iterate(ScaledExp(1), 3),
                                    np.array([SATURATED_SEED]))
         assert kinds.tolist() == [ord("B")]

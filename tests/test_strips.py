@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,8 +99,8 @@ def strip_of_on_ints(z, family, param):
 
 
 class TestStripTest:
-    """strip_test on arrays and strip_of on one point against the int
-    oracle."""
+    """strip_test on arrays and strip_of's float path on one point, both
+    against the int oracle."""
 
     PARAMS = [(Family.F, complex(-1, 0)), (Family.F, complex(-2, 0.3)),
               (Family.G, complex(-1, 0)), (Family.G, complex(-1, -1.2)),
@@ -148,6 +149,23 @@ class TestStripTest:
         z = complex(-1, (1 + 2.0 ** -52) * (PI / 2))
         assert strip_of_on_ints(z, Family.F, 0j) == StripId(1, Family.F)
         assert strip_of(z, Family.F, 0j) == StripId(1, Family.F)
+
+    @pytest.mark.parametrize("family, y_far", [(Family.F, -1.7e308),
+                                               (Family.G, 1.7e308)])
+    def test_t_not_finite(self, family, y_far):
+        # Im z +- Im param past DBL_MAX, or Im z not finite: in no strip,
+        # and strip_of warns about nothing
+        param = complex(-1, 1.7e308)
+        zs = [complex(x, y) for x in (-2.0, 3.5)
+              for y in (y_far, math.inf, -math.inf, math.nan)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [strip_of(z, family, param) for z in zs] == [None] * len(zs)
+        with np.errstate(all="ignore"):
+            _, inside = strip_test(np.array([z.real for z in zs]),
+                                   np.array([z.imag for z in zs]), family,
+                                   param)
+        assert not inside.any()
 
     @pytest.mark.parametrize("expr", [FamilyF(complex(-1, 0.3), 1),
                                       FamilyG(complex(-1, -1.2), -1)])
