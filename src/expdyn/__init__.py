@@ -6,7 +6,7 @@ rendering, and sampling-based verification suites for the structural
 laws the escape sets obey.
 
 The map algebra, the one-seed orbit engine and the parser import no
-numpy.  The names of the numpy-backed modules (the block engine, fields,
+numpy.  The names of the other modules (the block engine, fields,
 sampling, strips and verify) are imported on first use (PEP 562), so
 ``import expdyn`` does not load numpy.
 """
@@ -24,7 +24,7 @@ from .parser import MapSyntaxError, format_complex, format_map, parse_complex, p
 
 __version__ = "0.1.0"
 
-# name -> the numpy-backed module that defines it
+# name -> the module, imported on first use, that defines it
 _LAZY = {
     **dict.fromkeys(("evaluate_points", "classify_points"), "blocks"),
     **dict.fromkeys(("EscapeField", "classify_grid", "export_field_csv",

@@ -27,7 +27,7 @@ import this module, and with it numpy.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -168,8 +168,11 @@ def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
 
 
 def _to_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray,
-                 uc: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """(z - b)/a of each point as evaluate takes it; uc = (a, b, ln|a|, arg a)."""
+                 uc: Optional[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """(z - b)/a of each point as evaluate takes it, uc = (a, b, ln|a|,
+    arg a); the points themselves under the identity chart (uc is None)."""
+    if uc is None:
+        return re, im
     a, b, log_a, arg_a = uc
     qr, qi = _quot(re - b.real, im - b.imag, a)
     return np.where(d, re - log_a, qr), np.where(d, im - arg_a, qi)
@@ -309,9 +312,8 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
 
     Every step runs orbits._iterate's tests in their order on all live
     seeds at once: nan, the half plane, the budget, the step itself
-    (degenerate phase), nan, underflow (identity chart only), escape and
-    the repeated point (_same_points).  Seeds that stop are compressed
-    out.
+    (degenerate phase), nan, underflow, escape and the repeated point
+    (_same_points).  Seeds that stop are compressed out.
     """
     n = len(re)
     kinds = np.full(n, KIND_BUDGET, dtype=np.uint8)
@@ -321,10 +323,9 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     idx = np.arange(n)
     d = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        # r: sign * the effective real part of u, which the half-plane and
-        # escape tests read; without a chart it is unused and u is z
-        r = re if sign is None else \
-            sign * (re if uc is None else _to_u_points(re, im, d, uc)[0])
+        # r: sign * the effective real part of u, which the half-plane,
+        # underflow and escape tests read; without a chart it is unused
+        r = re if sign is None else sign * _to_u_points(re, im, d, uc)[0]
         for step in range(cfg.max_iter + 1):
             stop = ~d & (np.isnan(re) | np.isnan(im))
             kinds[idx[stop]] = KIND_UNDETERMINED
@@ -344,15 +345,13 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
                 rn = nr
                 hit = ~stop & _escaped_generic(re, im, d, nr, ni, nd, cfg)
             else:
-                if uc is None:
-                    hit = ~stop & d & ~nd  # underflow, as in orbits._iterate
-                    kinds[idx[hit]] = KIND_PROVEN
-                    steps[idx[hit]] = step
-                    stop |= hit
-                    vr, vi = nr, ni
-                else:
-                    vr, vi = _to_u_points(nr, ni, nd, uc)
-                rn = sign * _effective_real_points(vr, vi, nd)
+                # a ladder point in the absorbing half plane of u
+                hit = ~stop & d & (r <= 0.0)
+                kinds[idx[hit]] = KIND_PROVEN
+                steps[idx[hit]] = step
+                stop |= hit
+                rn = sign * _effective_real_points(
+                    *_to_u_points(nr, ni, nd, uc), nd)
                 hit = ~stop & (r >= cfg.escape_real_threshold) & (rn >= r)
             kinds[idx[hit]] = KIND_ESCAPING
             steps[idx[hit]] = step

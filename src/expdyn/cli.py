@@ -284,19 +284,6 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _halfplane_bound(r: SimpleNamespace) -> VerificationReport:
-    # the bound is a theorem about the absorbing half plane H of u only;
-    # H is convex, so a window lies inside it when its four corners do
-    f, a, b = _chart(r.expr, "halfplane-bound")
-    w = r.window
-    if any(f.sign * ((complex(x, y) - b) / a).real > 0.0
-           for x in (w.x_min, w.x_max) for y in (w.y_min, w.y_max)):
-        side = "Re u >= 0" if f.sign < 0 else "Re u <= 0"
-        raise CliError("halfplane-bound needs a window inside the absorbing "
-                       f"half plane {side} of the map, u = (z - b)/a")
-    return r.verify.verify_halfplane_bound(r.expr, r.samples, r.args.k_max)
-
-
 class _Suite(NamedTuple):
     """Defaults and runner of one verify suite.
 
@@ -320,7 +307,8 @@ _SUITES = {
         "F(-1, 1)",  # the closed absorbing half plane
         {Family.F: Window(0.0, 100.0, -100.0, 100.0),
          Family.G: Window(-100.0, 0.0, -100.0, 100.0)},
-        10000, _halfplane_bound),
+        10000, lambda r: r.verify.verify_halfplane_bound(r.expr, r.samples,
+                                                         r.args.k_max)),
     "strip-containment": _Suite(
         "F(-1, 1)",  # reaching into the escape strips
         {Family.F: Window(-30.0, 5.0, -20.0, 20.0),

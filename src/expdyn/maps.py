@@ -338,11 +338,9 @@ def _lost_phase(m: float) -> complex:
 _LN2 = math.log(2.0)
 
 
-def _log_modulus(z: ExtendedPoint) -> float:
+def _log_modulus(z: complex) -> float:
     """ln|z|, also where |z| passes DBL_MAX with finite parts: abs then
     raises OverflowError, and z is halved first, which is exact."""
-    if isinstance(z, Directed):
-        return z.log_modulus
     try:
         m = abs(z)
     except OverflowError:

@@ -10,7 +10,9 @@ of verdict come out of this:
   iteration budget.  The facts carry over to every map with a chart
   (``maps.chart``): a conjugate by an affine phi, or a shift that keeps
   the family's constant in range, is tested in the coordinate u in
-  which it is a family map.
+  which it is a family map.  Under every chart, a point on the overflow
+  ladder whose u lies in the closed absorbing half plane is proven at its
+  own step, once that step succeeds (the underflow rule).
 * ``Escaping`` is a numerical verdict at finite resolution: two
   consecutive deepening steps beyond a threshold (in u, for a map with a
   chart; on the modulus otherwise).  A single huge iterate of a family
@@ -136,13 +138,12 @@ def _is_nan(z: ExtendedPoint) -> bool:
     return math.isnan(z.log_modulus) or math.isnan(z.angle)
 
 
-def _escaped(sign: Optional[float], z: ExtendedPoint, nxt: ExtendedPoint,
-             cfg: IterationConfig) -> bool:
-    # Maps with a chart (z, nxt in chart coordinates): consecutive
-    # deepening into the repelling half plane sign*Re z > 0.
-    if sign is not None:
-        r = sign * _effective_real(z)
-        return r >= cfg.escape_real_threshold and sign * _effective_real(nxt) >= r
+def _escaped(r: Optional[float], rn: Optional[float], z: ExtendedPoint,
+             nxt: ExtendedPoint, cfg: IterationConfig) -> bool:
+    # Maps with a chart (r, rn: sign*Re u of z and nxt): consecutive
+    # deepening into the repelling half plane sign*Re u > 0.
+    if r is not None:
+        return r >= cfg.escape_real_threshold and rn >= r
     # Generic shapes: two consecutive modulus checks on finite points, or
     # a strictly growing chain of overflowed points.  A mixed pair proves
     # nothing: a single jump onto the overflow rung can still collapse
@@ -176,9 +177,11 @@ def _chart_tests(expr: MapExpr) -> _ChartTests:
                math.atan2(a.imag, a.real))
 
 
-def _to_u(z: ExtendedPoint, uc: _UChart) -> ExtendedPoint:
-    # a Directed u keeps its log scale, as evaluate's Conjugate branch
-    # computes it
+def _to_u(z: ExtendedPoint, uc: Optional[_UChart]) -> ExtendedPoint:
+    """u = (z - b)/a, or z under the identity chart (uc is None); a
+    Directed u keeps its log scale, as evaluate's Conjugate branch has it."""
+    if uc is None:
+        return z
     a, b, log_a, arg_a = uc
     if isinstance(z, complex):
         return (z - b) / a
@@ -191,25 +194,28 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
     and pass _chart_tests(expr).  blocks._classify_points repeats it on
     arrays.
 
-    The termination tests read the map's chart: they test u = (z - b)/a,
-    in which the map is a family map.  The orbit ends at the first step
-    that returns its point bit for bit (maps._same_point), once that
-    step's escape test has not fired.  Returns (classification,
-    points-or-None, steps_taken) where steps_taken counts map
-    applications actually performed.
+    The termination tests read the map's chart: each reads
+    r = sign*Re u of the point, u = (z - b)/a, in which the map is a
+    family map.  The orbit ends at the first step that returns its point
+    bit for bit (maps._same_point), once that step's escape test has not
+    fired.  Returns (classification, points-or-None, steps_taken) where
+    steps_taken counts map applications actually performed.
     """
     z: ExtendedPoint = complex(z0)
     points = [z] if record else None
     f, uc = tests
-    sign = None if f is None else f.sign
-    u = z if uc is None else _to_u(z, uc)
 
+    def real_u(p: ExtendedPoint) -> Optional[float]:
+        # r of a point; None without a chart
+        return None if f is None else f.sign * _effective_real(_to_u(p, uc))
+
+    r = real_u(z)
     for n in range(cfg.max_iter + 1):
         if isinstance(z, complex):
             if _is_nan(z):
                 return Undetermined("nan"), points, n
-            if sign is not None and sign * u.real <= 0.0:
-                return (NonEscapingProven(_HALF_PLANE_RULE[sign], n),
+            if r is not None and r <= 0.0:
+                return (NonEscapingProven(_HALF_PLANE_RULE[f.sign], n),
                         points, n)
         if n == cfg.max_iter:
             return BoundedAtBudget(), points, n
@@ -221,23 +227,20 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
             points.append(nxt)
         if _is_nan(nxt):
             return Undetermined("nan"), points, n + 1
-        if sign is not None and uc is None and isinstance(z, Directed) \
-                and isinstance(nxt, complex):
-            # exponential underflowed: the orbit landed exactly on the
-            # additive constant, inside the absorbing half plane.  Under
-            # another chart the collapsed point has u = const, and the
-            # half-plane test takes it before the next application.
+        if r is not None and isinstance(z, Directed) and r <= 0.0:
+            # a ladder point in the absorbing half plane of u whose step
+            # succeeded: under the identity chart, exactly the underflows
             return (NonEscapingProven(AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, n),
                     points, n + 1)
-        v = nxt if uc is None else _to_u(nxt, uc)
-        if _escaped(sign, u, v, cfg):
+        rn = real_u(nxt)
+        if _escaped(r, rn, z, nxt, cfg):
             return Escaping(n), points, n + 1
         # A fixed point of the step: every later step would repeat this
         # one's tests on the same pair until the budget runs out.  `==`
         # holds for any two equal points but NaNs, which ended above.
         if nxt == z and _same_point(nxt, z):
             return BoundedAtBudget(), points, n + 1
-        z, u = nxt, v
+        z, r = nxt, rn
 
     raise AssertionError("unreachable")
 

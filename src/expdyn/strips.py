@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from .maps import Family
 
 __all__ = ["Family", "StripId", "strip_of", "strip_test",
@@ -47,6 +45,8 @@ def strip_test(x, y, family: Family, param: complex):
     s (-1 for F, +1 for G), z lies in strip k iff s*Re z > 0 and
     4k-2+s < t < 4k+s for t = (Im z + s*Im param)/(pi/2).
     """
+    import numpy as np  # here, so that strip_of starts without numpy
+
     s = -1.0 if family is Family.F else 1.0
     t = (y + s * param.imag) / _HALF_PI
     # (t+1-s)/4 lies in (k - 1/4, k + 1/4) inside strip k

@@ -39,7 +39,8 @@ from .maps import (
 )
 from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
                      KIND_UNDETERMINED, BoundedAtBudget, Classification,
-                     Escaping, NonEscapingProven, Undetermined, _chart_tests)
+                     Escaping, NonEscapingProven, Undetermined, _chart_tests,
+                     _to_u)
 from .parser import format_complex
 from .sampling import SampleSet
 from .strips import strip_test
@@ -163,7 +164,8 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
 
     Checks |u_k| <= 1 + |const| + BOUND_TOL, u_k = (f^k(z) - b)/a and const
     from expr's chart (maps.chart), for every sample and k <= k_max.  Samples
-    must come from the absorbing half plane (Re u >= 0 for F, <= 0 for G).
+    must come from the absorbing half plane (Re u >= 0 for F, <= 0 for G):
+    a samples.window with a corner outside it is a ValueError.
     The orbits of a block advance together through blocks.evaluate_points,
     the step of the orbit engine; an iterate that leaves the double range or
     has a degenerate phase counts as unbounded.  An orbit stops once it is
@@ -176,6 +178,14 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
         raise TypeError("half-plane bound applies to maps with a chart")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    # the bound is a theorem about the absorbing half plane H of u only;
+    # H is convex, so a window lies inside it when its four corners do
+    w = samples.window
+    if any(f.sign * _to_u(complex(x, y), uc).real > 0.0
+           for x in (w.x_min, w.x_max) for y in (w.y_min, w.y_max)):
+        side = "Re u >= 0" if f.sign < 0 else "Re u <= 0"
+        raise ValueError("halfplane-bound needs a window inside the absorbing "
+                         f"half plane {side} of the map, u = (z - b)/a")
     bound = 1.0 + abs(f.const) + BOUND_TOL
 
     def grade(re, im):
@@ -186,9 +196,8 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
         for _ in range(k_max):
             *nxt, bad = evaluate_points(expr, *z)
             nr, ni, nd = nxt
-            if uc is not None:
-                with np.errstate(all="ignore"):  # where nd | bad: unused
-                    nr, ni = _to_u_points(nr, ni, nd, uc)
+            with np.errstate(all="ignore"):  # where nd | bad: unused
+                nr, ni = _to_u_points(nr, ni, nd, uc)
             worst[live] = np.maximum(
                 worst[live], np.where(nd | bad, np.inf, np.hypot(nr, ni)))
             keep = ~bad & ~_same_points(nxt, z)
@@ -221,7 +230,7 @@ def verify_strip_containment(fld: EscapeField,
     report.skipped_undetermined = int(np.sum(~_determined(fld.kinds)))
     j, i = np.divmod(fld.escaping_indices(), fld.nx)
     x, y = fields._centers(fld.window, fld.nx, fld.ny, i, j)
-    ux, uy = (x, y) if uc is None else _to_u_points(x, y, False, uc)
+    ux, uy = _to_u_points(x, y, False, uc)
     _, inside = strip_test(ux, uy, f.family, f.param)
     for k in np.flatnonzero(~inside).tolist():
         report.violations.append(_violation(

@@ -70,6 +70,8 @@ class TestParse:
         ("H(1, 2)",
          "expected one of F, G, exp, iter, shift, comp, conj (at offset 0)"),
         ("F(-1, 1e400)", "decimal real overflows to infinity (at offset 6)"),
+        ("iter(F(-1, 1), x)", "expected an integer (at offset 15)"),
+        ("F(x, 1)", "expected a decimal real (at offset 2)"),
     ])
     def test_error_bytes_pinned(self, capsys, text, err):
         assert run(capsys, "parse", "--map", text) == (2, "", f"error: {err}\n")
@@ -597,6 +599,20 @@ class TestArguments:
             code, out, err = run(capsys, command, "--config", str(cfg), *extra)
             assert (code, out) == (2, "")
             assert err.startswith(f"error: {cfg}: argument --max-iter:")
+        assert not (tmp_path / "x.ppm").exists()
+
+    @pytest.mark.parametrize("extra, err", [
+        ((), "render needs --window, --res, --out"),
+        (("--window=0,1,0,1", "--res", "3", "--out", "x.ppm"),
+         "argument --res: resolution must be 'NX,NY'"),
+        (("--window=0,1,0", "--res", "3,3", "--out", "x.ppm"),
+         "argument --window: window must be 'x_min,x_max,y_min,y_max'"),
+    ])
+    def test_render_usage_error_bytes(self, capsys, tmp_path, monkeypatch,
+                                      extra, err):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "render", "--map", "F(-1, 1)", *extra) == \
+            (2, "", f"error: {err}\n")
         assert not (tmp_path / "x.ppm").exists()
 
     def test_max_iter_only_where_it_acts(self, capsys):

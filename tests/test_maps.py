@@ -53,39 +53,8 @@ class TestValidate:
     def test_valid_family_f(self):
         validate(F11)  # no raise
 
-    def test_family_f_bad_lambda(self):
-        with pytest.raises(InvalidMapError) as exc:
-            validate(FamilyF(complex(1, 0), complex(1, 0)))
-        assert "Re(lambda) < 0" in str(exc.value)
-
-    def test_family_f_bad_xi(self):
-        with pytest.raises(InvalidMapError, match=r"Re\(xi\) >= 1"):
-            validate(FamilyF(complex(-1, 0), complex(0.5, 0)))
-
-    def test_family_g_constraints(self):
-        validate(G11)
-        with pytest.raises(InvalidMapError, match=r"Re\(mu\) < 0"):
-            validate(FamilyG(complex(0, 0), complex(-1, 0)))
-        with pytest.raises(InvalidMapError, match=r"Re\(zeta\) <= -1"):
-            validate(FamilyG(complex(-1, 0), complex(0, 0)))
-
-    def test_degenerate_conjugate(self):
-        with pytest.raises(InvalidMapError, match="a != 0"):
-            validate(Conjugate(complex(0, 0), complex(1, 0), F11))
-
-    def test_zero_scaled_exp(self):
-        with pytest.raises(InvalidMapError, match="lambda != 0"):
-            validate(ScaledExp(complex(0, 0)))
-
-    def test_iterate_count(self):
-        with pytest.raises(InvalidMapError, match="s >= 1"):
-            validate(Iterate(F11, 0))
-
-    def test_error_carries_node_path(self):
-        bad = Compose(F11, Iterate(ScaledExp(complex(0, 0)), 2))
-        with pytest.raises(InvalidMapError) as exc:
-            validate(bad)
-        assert exc.value.path == "inner.base"
+    def test_valid_family_g(self):
+        validate(G11)  # no raise
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("node, name", [

@@ -44,6 +44,7 @@ F11 = FamilyF(complex(-1, 0), complex(1, 0))
 G11 = FamilyG(complex(-1, 0), complex(-1, 0))
 RIGHT = AbsorptionRule.RIGHT_HALF_PLANE_F
 LEFT = AbsorptionRule.LEFT_HALF_PLANE_G
+UNDERFLOW = AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD
 
 
 class TestIterationConfig:
@@ -301,12 +302,23 @@ class TestChartVerdicts:
                 assert abs((w - b) / a - const) <= 1.0 + 1e-9
         assert proven >= 100
 
-    def test_collapse_under_a_chart_is_taken_by_the_half_plane(self):
-        # u = -750: one rung up, then the exponential underflows onto
-        # phi(xi) = 3; the half-plane test takes it with no further step
+    def test_ladder_point_in_the_half_plane_is_proven_at_its_step(self):
+        # u = -750: one rung up, to a ladder point whose u lies in the
+        # absorbing half plane; its step succeeds (the exponential
+        # underflows onto phi(xi) = 3), and that proves the seed at step 1
         rec = run_orbit(self.CONJ_F, complex(-1499, 0))
-        assert rec.classification == NonEscapingProven(RIGHT, 2)
+        assert rec.classification == NonEscapingProven(UNDERFLOW, 1)
         assert rec.steps_taken == 2 and rec.points[-1] == complex(3, 0)
+
+    @pytest.mark.parametrize("u0", [complex(-750, 0), complex(-800, 0.5)])
+    def test_ladder_collapse_gets_the_family_maps_verdict(self, u0):
+        # the seed u0 of F(-1, 1) and phi(u0) = 2*u0 + 1 of its conjugate
+        # by phi get one verdict, from either engine
+        want = classify(F11, u0)
+        assert want.rule is UNDERFLOW
+        assert classify(self.CONJ_F, 2 * u0 + 1) == want
+        kinds, steps = classify_points(self.CONJ_F, np.array([2 * u0 + 1]))
+        assert (int(kinds[0]), int(steps[0])) == verdict_code(want)
 
     def test_render_deep_grid_spends_no_budget(self):
         field = classify_grid(self.CONJ_F, Window(-19, 5, -16, 16), 40, 40,

@@ -1,9 +1,10 @@
 """What each entry point imports: the scalar layer starts without numpy.
 
-The map algebra, the one-seed orbit engine, the parser and the CLI front
-end import no numpy at module level, and the package resolves the names
-of its numpy-backed modules on first use.  Each check runs in a fresh
-interpreter, since this one has numpy loaded already.
+The map algebra, the one-seed orbit engine, the parser, the strip
+geometry and the CLI front end import no numpy at module level, and the
+package resolves the names of its other modules on first use.  Each
+check runs in a fresh interpreter, since this one has numpy loaded
+already.
 """
 
 import hashlib
@@ -31,7 +32,8 @@ def probe(code: str):
 
 
 @pytest.mark.parametrize("module", ["expdyn", "expdyn.maps", "expdyn.orbits",
-                                    "expdyn.parser", "expdyn.cli"])
+                                    "expdyn.parser", "expdyn.cli",
+                                    "expdyn.strips"])
 def test_scalar_modules_load_no_numpy(module):
     assert probe(f"import json, sys, {module}\n"
                  "print(json.dumps('numpy' in sys.modules))") is False
@@ -48,6 +50,12 @@ def test_orbit_loads_no_numpy():
         (0, "n,kind,a,b\n0,F,-1,0\n1,F,2,0\n"
             "# classification=NonEscapingProven,step=1\n",
          "numpy loaded: False\n")
+
+
+def test_strips_loads_no_numpy():
+    assert run_fresh("-c", CLI, "strips", "--family", "F", "--param", "-1+0i",
+                     "--z", "-2+3.14159i") == \
+        (0, "k=1\n", "numpy loaded: False\n")
 
 
 def test_render_loads_numpy_and_keeps_its_bytes(tmp_path):

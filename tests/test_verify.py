@@ -154,7 +154,11 @@ class TestValidation:
             # the family suites read the chart's family map and u from
             # one lookup; a map without a chart is rejected after it
             field = small_field(expr, Window(-3, 3, -3, 3), n=8)
-            for run in (lambda: verify_halfplane_bound(expr, ss, 5),
+            # halfplane-bound samples the absorbing half plane of u
+            ch = chart(expr)
+            hs = ss if ch is None else SampleSet.generate(
+                2, 40, chart_window(expr, -12 * ch[0].sign, 5))
+            for run in (lambda: verify_halfplane_bound(expr, hs, 5),
                         lambda: verify_strip_containment(field, expr)):
                 charts.clear()
                 if chart(expr) is None:
@@ -189,8 +193,10 @@ class TestValidation:
 class TestBlocks:
     def test_block_size_does_not_move_a_report(self, monkeypatch):
         # violations of every law and of period-shift's identity (1 is not
-        # a period), on blocks of 7 samples against one block
+        # a period), on blocks of 7 samples against one block; a bound
+        # of 0.5 that every F(-1, 1) orbit breaks
         monkeypatch.setattr(verify, "period_of", lambda expr: complex(1, 0))
+        monkeypatch.setattr(verify, "BOUND_TOL", -1.5)
         ss = SampleSet.generate(3, 40, Window(-8, 2, -6, 6))
         seeds = {complex(z) for z in ss.points}
 
@@ -201,7 +207,7 @@ class TestBlocks:
 
         runs = [
             lambda: verify_halfplane_bound(
-                F11, SampleSet.generate(4, 50, Window(-30, -20, 2, 4)), 3),
+                F11, SampleSet.generate(4, 50, Window(20, 30, 2, 4)), 3),
             lambda: verify_period_shift(F11, 1, ss, CFG, liar),
             lambda: verify_composite_laws(F11, 2, 1, ss, CFG, liar),
             lambda: verify_image_superset(
@@ -275,27 +281,36 @@ class TestHalfplaneBound:
         rep = verify_halfplane_bound(G11, ss, 100)
         assert rep.verdict == "pass"
 
-    def test_samples_outside_half_plane_violate(self):
-        # misuse on purpose: deep left-half-plane seeds blow the bound
-        ss = SampleSet.generate(4, 50, Window(-30, -20, 2, 4))
-        rep = verify_halfplane_bound(F11, ss, 3)
-        assert rep.verdict == "fail"
-        assert rep.violations
-        # a plain float repr, the same under numpy 1 and 2
-        for v in rep.violations:
-            float(v["observed"].removeprefix("max modulus "))
+    def test_window_outside_half_plane_raises(self):
+        # the bound is a theorem on the absorbing half plane of u only: a
+        # window with a corner outside it is bad input, not a violation
+        conj = Conjugate(complex(2, 0), complex(1, 0), F11)
+        for expr, window, side in ((F11, Window(-5, 5, -5, 5), ">="),
+                                   (G11, Window(-5, 1, -5, 5), "<="),
+                                   (conj, Window(0.5, 100, -50, 50), ">=")):
+            with pytest.raises(ValueError) as exc:
+                verify_halfplane_bound(expr, SampleSet.generate(1, 50, window),
+                                       5)
+            assert str(exc.value) == (
+                "halfplane-bound needs a window inside the absorbing half "
+                f"plane Re u {side} 0 of the map, u = (z - b)/a")
+        # phi(H) = {Re z >= 1}: a corner on its edge is inside
+        assert verify_halfplane_bound(conj, SampleSet.generate(
+            1, 50, Window(1, 3, -1, 1)), 5).verdict == "pass"
 
-    def test_transported_violation_names_u(self):
-        # conj(2, 1, F(-1, 1)) bounds u_k = (z_k - 1)/2, not z_k; seeds
-        # with Re u in [-30.5, -20.5] leave the absorbing half plane
+    def test_transported_violation_names_u(self, monkeypatch):
+        # conj(2, 1, F(-1, 1)) bounds u_k = (z_k - 1)/2, not z_k; with the
+        # bound lowered to 0.5, every orbit from Re u in [10, 20] breaks it
+        monkeypatch.setattr(verify, "BOUND_TOL", -1.5)
         conj = Conjugate(complex(2, 0), complex(1, 0), F11)
         rep = verify_halfplane_bound(conj, SampleSet.generate(4, 50, Window(
-            -60, -40, 2, 4)), 3)
-        assert rep.verdict == "fail" and rep.violations
+            21, 41, 2, 4)), 3)
+        assert rep.verdict == "fail" and len(rep.violations) == 50
         for v in rep.violations:
             assert v["expected"] == \
-                "|u_k| <= 2.000000001 for k <= 3, u_k = (f^k(z) - b)/a"
-            assert v["observed"].startswith("max modulus ")
+                "|u_k| <= 0.5 for k <= 3, u_k = (f^k(z) - b)/a"
+            # a plain float repr, the same under numpy 1 and 2
+            float(v["observed"].removeprefix("max modulus "))
 
     @pytest.mark.parametrize("expr", TRANSPORTED)
     def test_transported_window_passes(self, expr):
