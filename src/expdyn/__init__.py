@@ -53,17 +53,10 @@ def __getattr__(name):
 
 __all__ = [
     "AbsorptionRule", "BoundedAtBudget", "Classification", "Compose",
-    "Conjugate", "DegeneratePhaseError", "Directed", "EscapeField",
-    "Escaping", "ExtendedPoint", "Family", "FamilyF", "FamilyG",
-    "InvalidMapError", "IterationConfig", "Iterate", "MapExpr",
-    "MapSyntaxError", "NonEscapingProven", "OrbitRecord", "SampleSet", "ScaledExp", "Shift",
-    "StripId", "Undetermined", "VerificationReport", "Window", "chart",
-    "classify", "classify_grid", "classify_points", "evaluate",
-    "evaluate_points", "export_field_csv", "format_complex",
-    "format_map", "import_field_csv", "orbit_to_csv", "overlay_strips",
-    "parse_complex", "parse_map", "period_of", "render_ppm", "run_orbit",
-    "splitmix64", "strip_boundaries", "strip_of", "validate",
-    "verify_composite_laws", "verify_conjugacy", "verify_disjointness",
-    "verify_halfplane_bound", "verify_image_superset", "verify_period_shift",
-    "verify_strip_containment",
-]
+    "Conjugate", "DegeneratePhaseError", "Directed", "Escaping",
+    "ExtendedPoint", "Family", "FamilyF", "FamilyG", "InvalidMapError",
+    "IterationConfig", "Iterate", "MapExpr", "MapSyntaxError",
+    "NonEscapingProven", "OrbitRecord", "ScaledExp", "Shift", "Undetermined",
+    "Window", "chart", "classify", "evaluate", "format_complex", "format_map",
+    "orbit_to_csv", "parse_complex", "parse_map", "period_of", "run_orbit",
+    "validate"] + list(_LAZY)

@@ -5,9 +5,10 @@ makes the common moves on numpy arrays and takes every exp, cos and sin
 there as numpy's complex exp, which calls libm's ``cexp``: glibc's
 computes the same products with the same libm functions, so the bits are
 again those of the ``math`` calls that ``maps.evaluate`` makes.
-``evaluate`` itself steps each point that makes a rare move (a degenerate
-phase, a non-finite exponent, a conj crossing onto or off the ladder),
-so each point gets the bits ``evaluate`` gives it.
+A node only marks each point that makes a rare move (a degenerate phase,
+a non-finite exponent, a conj crossing onto or off the ladder) as slow;
+``evaluate`` then steps each slow point once per batch, on the whole
+map, so each point gets the bits ``evaluate`` gives it.
 
 ``classify_points`` moves an array of seeds in lockstep through
 ``evaluate_points`` and runs ``orbits._iterate``'s tests in the same
@@ -35,6 +36,7 @@ from .maps import (
     _EXP_OVERFLOW,
     DEFAULT_CONFIG,
     PHASE_RESOLUTION_LIMIT,
+    Chart,
     Compose,
     Conjugate,
     DegeneratePhaseError,
@@ -45,11 +47,12 @@ from .maps import (
     ScaledExp,
     Shift,
     _log_modulus,
+    _log_polar,
+    chart,
     evaluate,
     validate,
 )
-from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
-                     KIND_UNDETERMINED, _chart_tests, _ChartTests)
+from .orbits import KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN, KIND_UNDETERMINED
 
 __all__ = ["evaluate_points", "classify_points"]
 
@@ -61,8 +64,9 @@ __all__ = ["evaluate_points", "classify_points"]
 # A batch is three arrays: point k is complex(re[k], im[k]), or
 # Directed(re[k], im[k]) where directed[k].  Arrays make the moves grids
 # make at scale: finite steps, the ladder step of F, G and exp(lam)
-# (_ladder_points) and conj's shift past the rung; evaluate makes the
-# rest (_evaluate_each).  Every exp, cos and sin of the arrays is numpy's
+# (_ladder_points) and conj's shift past the rung.  A node only marks a
+# rare move as slow; evaluate_points then steps each slow point once, by
+# evaluate on the whole map.  Every exp, cos and sin of the arrays is numpy's
 # complex exp (_cexp), which calls libm's cexp and so gives the bits of
 # cmath.exp, math.exp, math.cos and math.sin.
 # numpy's float exp/cos/sin/log and its complex / and * are not used: they
@@ -130,12 +134,12 @@ def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
             where & ~low, low & ~ok)
 
 
-def _ladder_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
-                   d: np.ndarray, m: complex, p: complex, q: complex,
-                   out: Points, cfg: IterationConfig) -> Points:
+def _ladder_points(re: np.ndarray, im: np.ndarray, d: np.ndarray, m: complex,
+                   p: complex, q: complex, out: Points,
+                   cfg: IterationConfig) -> Points:
     """maps._ladder_step(z, m, p, q) of each Directed point z, on arrays of
     those points only, into out, the node's finite step (fresh arrays, the
-    last one slow); evaluate steps the slow points and the rejected ones."""
+    last one slow); a degenerate phase is slow too."""
     out_re, out_im, out_d, slow = out
     k = np.flatnonzero(d)
     if len(k):
@@ -151,8 +155,7 @@ def _ladder_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
             out_re[k[over]] = (mag * dr + p.real)[over]
             out_im[k[over]] = (_scale_points(mag, di) + p.imag)[over]
             out_d[k[over]] = True
-    return _evaluate_each(expr, re, im, d, slow,
-                          (out_re, out_im, out_d, np.zeros_like(d)), cfg)
+    return out
 
 
 def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
@@ -167,32 +170,28 @@ def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
     return (xr * ratio + xi) / denom, (xi * ratio - xr) / denom
 
 
-def _to_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray,
-                 uc: Optional[tuple]) -> Tuple[np.ndarray, np.ndarray]:
-    """(z - b)/a of each point as evaluate takes it, uc = (a, b, ln|a|,
-    arg a); the points themselves under the identity chart (uc is None)."""
-    if uc is None:
-        return re, im
-    a, b, log_a, arg_a = uc
+def _to_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray, a: complex,
+                 b: complex) -> Tuple[np.ndarray, np.ndarray]:
+    """maps._to_u of each point: (z - b)/a by CPython's _Py_c_quot."""
+    log_a, arg_a = _log_polar(a)
     qr, qi = _quot(re - b.real, im - b.imag, a)
     return np.where(d, re - log_a, qr), np.where(d, im - arg_a, qi)
 
 
-def _evaluate_each(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
-                   where: np.ndarray, out: Points, cfg: IterationConfig) -> Points:
-    """Step the points where `where` holds by evaluate, into out (fresh arrays)."""
-    out_re, out_im, out_d, bad = out
-    for k in np.flatnonzero(where).tolist():
-        z = complex(re[k], im[k])
-        try:
-            v = evaluate(expr, Directed(z.real, z.imag) if d[k] else z, cfg)
-        except DegeneratePhaseError:
-            bad[k] = True
-            continue
-        bad[k], out_d[k] = False, isinstance(v, Directed)
-        out_re[k], out_im[k] = (v.log_modulus, v.angle) if out_d[k] else \
-            (v.real, v.imag)
-    return out
+def _from_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray, a: complex,
+                   b: complex) -> Tuple[np.ndarray, np.ndarray]:
+    """maps._from_u of each point: a*v + b by CPython's _Py_c_prod."""
+    log_a, arg_a = _log_polar(a)
+    pr = a.real * re - a.imag * im + b.real
+    pi = a.real * im + a.imag * re + b.imag
+    return np.where(d, re + log_a, pr), np.where(d, im + arg_a, pi)
+
+
+def _crossings(re: np.ndarray, im: np.ndarray, d: np.ndarray, tr: np.ndarray,
+               ti: np.ndarray, thresh: float) -> np.ndarray:
+    """Where a transport (tr, ti) of the points crosses onto the ladder
+    (maps._crossed) or drops off it, to the rung or below."""
+    return np.where(d, ~(tr > thresh), _finite(re, im) & ~_finite(tr, ti))
 
 
 def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
@@ -204,10 +203,23 @@ def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     directed[k].  Returns (re, im, directed, degenerate): degenerate[k]
     is true exactly where evaluate raises DegeneratePhaseError, and the
     other arrays mean nothing there.  Elsewhere every point has the bits
-    evaluate gives it (itself, for a point that makes a rare move).
+    evaluate gives it: a point that makes a rare move at some node is
+    stepped by evaluate on the whole map, which is compositional.
     """
     with np.errstate(all="ignore"):
-        return _points(expr, re, im, directed, cfg)
+        out_re, out_im, out_d, slow = _points(expr, re, im, directed, cfg)
+    degenerate = np.zeros(len(out_re), dtype=bool)
+    for k in np.flatnonzero(slow).tolist():
+        z = complex(re[k], im[k])
+        try:
+            v = evaluate(expr, Directed(z.real, z.imag) if directed[k] else z, cfg)
+        except DegeneratePhaseError:
+            degenerate[k] = True
+            continue
+        out_d[k] = isinstance(v, Directed)
+        out_re[k], out_im[k] = (v.log_modulus, v.angle) if out_d[k] else \
+            (v.real, v.imag)
+    return out_re, out_im, out_d, degenerate
 
 
 def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
@@ -218,50 +230,42 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
         p, q = expr.param, expr.const
         out_re, out_im, out_d, slow = _exp_points(
             sign * re + p.real, sign * im + p.imag, ~d, thresh)
-        return _ladder_points(expr, re, im, d, sign, p, q,
+        return _ladder_points(re, im, d, sign, p, q,
                               (np.where(out_d, out_re, out_re + q.real),
                                np.where(out_d, out_im, out_im + q.imag),
                                out_d, slow), cfg)
 
     if isinstance(expr, ScaledExp):
         lr, li = expr.lam.real, expr.lam.imag
-        return _ladder_points(expr, re, im, d, expr.lam, 0.0, 0.0,
+        return _ladder_points(re, im, d, expr.lam, 0.0, 0.0,
                               _exp_points(lr * re - li * im, lr * im + li * re,
                                           ~d, thresh), cfg)
 
     if isinstance(expr, Iterate):
-        bad = np.zeros(len(re), dtype=bool)
+        slow = np.zeros(len(re), dtype=bool)
         for _ in range(expr.s):
-            re, im, d, b = _points(expr.base, re, im, d, cfg)
-            bad |= b
-        return re, im, d, bad
+            re, im, d, s = _points(expr.base, re, im, d, cfg)
+            slow |= s
+        return re, im, d, slow
 
     if isinstance(expr, Shift):
-        re, im, d, bad = _points(expr.base, re, im, d, cfg)
+        re, im, d, slow = _points(expr.base, re, im, d, cfg)
         c = complex(expr.c)
-        return np.where(d, re, re + c.real), np.where(d, im, im + c.imag), d, bad
+        return np.where(d, re, re + c.real), np.where(d, im, im + c.imag), d, slow
 
     if isinstance(expr, Compose):
-        re, im, d, bad = _points(expr.inner, re, im, d, cfg)
-        re, im, d, b = _points(expr.outer, re, im, d, cfg)
-        return re, im, d, bad | b
+        re, im, d, slow = _points(expr.inner, re, im, d, cfg)
+        re, im, d, s = _points(expr.outer, re, im, d, cfg)
+        return re, im, d, slow | s
 
     if isinstance(expr, Conjugate):
-        a, b = complex(expr.a), complex(expr.b)
-        uc = (a, b, math.log(abs(a)), math.atan2(a.imag, a.real))
-        ur, ui = _to_u_points(re, im, d, uc)
-        # evaluate takes each crossing onto or off the ladder: a pre-image ...
-        slow = np.where(d, ~(ur > thresh), _finite(re, im) & ~_finite(ur, ui))
-        vr, vi, vd, bad = _points(expr.base, np.where(slow, 0.0, ur),
-                                  np.where(slow, 0.0, ui), d & ~slow, cfg)
-        # a*v + b by CPython's complex product (_Py_c_prod)
-        pr = a.real * vr - a.imag * vi + b.real
-        pi = a.real * vi + a.imag * vr + b.imag
-        wr, wi = np.where(vd, vr + uc[2], pr), np.where(vd, vi + uc[3], pi)
-        # ... or an image that overflows or drops below the rung
-        slow |= ~bad & np.where(vd, ~(wr > thresh),
-                                _finite(vr, vi) & ~_finite(pr, pi))
-        return _evaluate_each(expr, re, im, d, slow, (wr, wi, vd, bad), cfg)
+        # each crossing onto or off the ladder, on the way in or out, is slow
+        a, b = expr.a, expr.b
+        ur, ui = _to_u_points(re, im, d, a, b)
+        vr, vi, vd, slow = _points(expr.base, ur, ui, d, cfg)
+        wr, wi = _from_u_points(vr, vi, vd, a, b)
+        return wr, wi, vd, slow | _crossings(re, im, d, ur, ui, thresh) \
+            | _crossings(vr, vi, vd, wr, wi, thresh)
 
     raise TypeError(f"not a map expression: {expr!r}")
 
@@ -270,15 +274,20 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
 # lockstep classification of a batch of seeds
 # ---------------------------------------------------------------------------
 
-def _effective_real_points(re: np.ndarray, im: np.ndarray,
-                           d: np.ndarray) -> np.ndarray:
-    """orbits._effective_real of each point of a batch."""
-    if not d.any():
+def _real_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray,
+                   ch: Optional[Chart]) -> np.ndarray:
+    """orbits._real_u of each point; without a chart re, which no test reads."""
+    if ch is None:
         return re
-    ph = d & _phase_ok(im)
-    mag = _exp_sat_points(re, ph)
-    return np.where(ph, _scale_points(mag, _cexp(0.0, im, ph).real),
-                    np.where(d, math.nan, re))
+    f, a, b = ch
+    if not (a == 1 and b == 0):
+        re, im = _to_u_points(re, im, d, a, b)
+    if d.any():
+        ph = d & _phase_ok(im)
+        re = np.where(ph, _scale_points(_exp_sat_points(re, ph),
+                                        _cexp(0.0, im, ph).real),
+                      np.where(d, math.nan, re))
+    return f.sign * re
 
 
 def _log_modulus_points(re: np.ndarray, im: np.ndarray,
@@ -306,9 +315,9 @@ def _escaped_generic(re: np.ndarray, im: np.ndarray, d: np.ndarray,
 
 def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
                      cfg: IterationConfig,
-                     tests: _ChartTests) -> Tuple[np.ndarray, np.ndarray]:
+                     ch: Optional[Chart]) -> Tuple[np.ndarray, np.ndarray]:
     """classify_points of the seeds re + i*im for a caller that has
-    validated expr and passes _chart_tests(expr).
+    validated expr and passes maps.chart(expr).
 
     Every step runs orbits._iterate's tests in their order on all live
     seeds at once: nan, the half plane, the budget, the step itself
@@ -318,18 +327,15 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     n = len(re)
     kinds = np.full(n, KIND_BUDGET, dtype=np.uint8)
     steps = np.full(n, -1, dtype=np.int64)
-    f, uc = tests
-    sign = None if f is None else f.sign
     idx = np.arange(n)
     d = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        # r: sign * the effective real part of u, which the half-plane,
-        # underflow and escape tests read; without a chart it is unused
-        r = re if sign is None else sign * _to_u_points(re, im, d, uc)[0]
+        # r = sign*Re u, which the half-plane, underflow and escape tests read
+        r = _real_u_points(re, im, d, ch)
         for step in range(cfg.max_iter + 1):
             stop = ~d & (np.isnan(re) | np.isnan(im))
             kinds[idx[stop]] = KIND_UNDETERMINED
-            if sign is not None:
+            if ch is not None:
                 hit = ~d & ~stop & (r <= 0.0)
                 kinds[idx[hit]] = KIND_PROVEN
                 steps[idx[hit]] = step
@@ -341,8 +347,8 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
             nr, ni, nd, stop = evaluate_points(expr, re, im, d, cfg)
             stop |= np.isnan(nr) | np.isnan(ni)
             kinds[idx[stop]] = KIND_UNDETERMINED
-            if sign is None:
-                rn = nr
+            rn = _real_u_points(nr, ni, nd, ch)
+            if ch is None:
                 hit = ~stop & _escaped_generic(re, im, d, nr, ni, nd, cfg)
             else:
                 # a ladder point in the absorbing half plane of u
@@ -350,8 +356,6 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
                 kinds[idx[hit]] = KIND_PROVEN
                 steps[idx[hit]] = step
                 stop |= hit
-                rn = sign * _effective_real_points(
-                    *_to_u_points(nr, ni, nd, uc), nd)
                 hit = ~stop & (r >= cfg.escape_real_threshold) & (rn >= r)
             kinds[idx[hit]] = KIND_ESCAPING
             steps[idx[hit]] = step
@@ -378,4 +382,4 @@ def classify_points(expr: MapExpr, points: np.ndarray,
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1:
         raise ValueError(f"points must be a 1-D array, got shape {pts.shape}")
-    return _classify_points(expr, pts.real, pts.imag, cfg, _chart_tests(expr))
+    return _classify_points(expr, pts.real, pts.imag, cfg, chart(expr))

@@ -20,9 +20,8 @@ from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
 import numpy as np
 
 from .blocks import _classify_points
-from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, Window, validate
-from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED,
-                     _chart_tests, _g17)
+from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, Window, chart, validate
+from .orbits import KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED, _g17
 from .strips import Family, strip_boundaries
 
 __all__ = [
@@ -115,13 +114,13 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
         raise ValueError("grid must be at least 1x1")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    tests = _chart_tests(expr)
+    ch = chart(expr)
     kinds = np.empty(nx * ny, dtype=np.uint8)
     steps = np.empty(nx * ny, dtype=np.int64)
     for start in range(0, nx * ny, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, nx * ny))
         kinds[k], steps[k] = _classify_points(
-            expr, *_centers(window, nx, ny, k % nx, k // nx), cfg, tests)
+            expr, *_centers(window, nx, ny, k % nx, k // nx), cfg, ch)
     kinds.setflags(write=False)
     steps.setflags(write=False)
     return EscapeField(window=window, nx=nx, ny=ny, kinds=kinds, steps=steps)

@@ -372,6 +372,35 @@ def _normalize(log_modulus: float, angle: float, threshold: float) -> ExtendedPo
     return cmath.exp(complex(log_modulus, angle))
 
 
+def _log_polar(w: complex) -> Tuple[float, float]:
+    """(ln|w|, arg w), arg by math.atan2: cmath.phase raises OverflowError
+    where atan2 underflows (cmath.phase(1e300+1e-30j))."""
+    return _log_modulus(w), math.atan2(w.imag, w.real)
+
+
+def _to_u(z: ExtendedPoint, a: complex, b: complex) -> ExtendedPoint:
+    """phi^-1(z) = (z - b)/a of the chart phi(u) = a*u + b; a ladder point
+    shifts by -ln|a| and -arg a.  Twin of blocks._to_u_points."""
+    if isinstance(z, complex):
+        return (z - b) / a
+    log_a, arg_a = _log_polar(a)
+    return Directed(z.log_modulus - log_a, z.angle - arg_a)
+
+
+def _from_u(v: ExtendedPoint, a: complex, b: complex) -> ExtendedPoint:
+    """phi(v) = a*v + b; a ladder point shifts by ln|a| and arg a (b is
+    negligible there).  Twin of blocks._from_u_points."""
+    if isinstance(v, complex):
+        return a * v + b
+    log_a, arg_a = _log_polar(a)
+    return Directed(v.log_modulus + log_a, v.angle + arg_a)
+
+
+def _crossed(p: ExtendedPoint, q: ExtendedPoint) -> bool:
+    # q, a transport of p, overflowed from a finite p: p crosses onto the ladder
+    return isinstance(q, complex) and cmath.isfinite(p) and not cmath.isfinite(q)
+
+
 # Above this magnitude one ulp of the angle exceeds half a radian, so the
 # reduced phase is pure rounding noise.
 PHASE_RESOLUTION_LIMIT = 2.0 ** 52
@@ -449,26 +478,21 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
         return evaluate(expr.outer, evaluate(expr.inner, z, cfg), cfg)
 
     if isinstance(expr, Conjugate):
-        # A finite point whose (z - b)/a or a*v + b overflows moves onto
-        # the ladder instead, b dropped as Shift drops its constant there
+        # phi^-1, the base, then phi; a finite point whose transport overflows
+        # crosses onto the ladder first, b dropped as Shift drops c there
         a, b = expr.a, expr.b
-        if isinstance(z, complex):
-            pre: ExtendedPoint = (z - b) / a
-            if not cmath.isfinite(pre) and cmath.isfinite(z):
-                pre = Directed(_log_modulus(z - b), cmath.phase(z - b))
-        else:
-            pre = z
-        if isinstance(pre, Directed):
-            pre = _normalize(pre.log_modulus - math.log(abs(a)),
-                             pre.angle - math.atan2(a.imag, a.real), thresh)
-        v = evaluate(expr.base, pre, cfg)
-        if isinstance(v, complex):
-            w = a * v + b
-            if cmath.isfinite(w) or not cmath.isfinite(v):
-                return w
-            v = Directed(_log_modulus(v), cmath.phase(v))
-        return _normalize(v.log_modulus + math.log(abs(a)),
-                          v.angle + math.atan2(a.imag, a.real), thresh)
+        u = _to_u(z, a, b)
+        if _crossed(z, u):
+            u = _to_u(Directed(*_log_polar(z - b)), a, b)
+        if isinstance(u, Directed):
+            u = _normalize(u.log_modulus, u.angle, thresh)
+        v = evaluate(expr.base, u, cfg)
+        w = _from_u(v, a, b)
+        if _crossed(v, w):
+            w = _from_u(Directed(*_log_polar(v)), a, b)
+        if isinstance(w, Directed):
+            return _normalize(w.log_modulus, w.angle, thresh)
+        return w
 
     raise TypeError(f"not a map expression: {expr!r}")
 

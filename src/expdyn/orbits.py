@@ -45,6 +45,7 @@ from typing import Optional, TextIO, Tuple, Union
 from .maps import (
     DEFAULT_CONFIG,
     PHASE_RESOLUTION_LIMIT,
+    Chart,
     DegeneratePhaseError,
     Directed,
     ExtendedPoint,
@@ -54,6 +55,7 @@ from .maps import (
     _log_modulus,
     _same_point,
     _scale,
+    _to_u,
     chart,
     evaluate,
     validate,
@@ -124,14 +126,6 @@ class OrbitRecord:
     steps_taken: int
 
 
-def _effective_real(z: ExtendedPoint) -> float:
-    if isinstance(z, complex):
-        return z.real
-    if not (-PHASE_RESOLUTION_LIMIT <= z.angle <= PHASE_RESOLUTION_LIMIT):
-        return math.nan  # unresolvable sign; comparisons must not fire
-    return _scale(_exp_sat(z.log_modulus), math.cos(z.angle))
-
-
 def _is_nan(z: ExtendedPoint) -> bool:
     if isinstance(z, complex):
         return math.isnan(z.real) or math.isnan(z.imag)
@@ -156,66 +150,42 @@ def _escaped(r: Optional[float], rn: Optional[float], z: ExtendedPoint,
     return lm >= math.log(cfg.generic_escape_radius) and _log_modulus(nxt) >= lm
 
 
-# (a, b, ln|a|, arg a) of the chart coordinate u = (z - b)/a
-_UChart = Tuple[complex, complex, float, float]
-_ChartTests = Tuple[Optional[MapExpr], Optional[_UChart]]
-
-
-def _chart_tests(expr: MapExpr) -> _ChartTests:
-    """(f, uc) for the engines and the family suites, looked up once per map.
-
-    f is the chart's family map (None without one).  uc gives u = (z - b)/a
-    (see _to_u); it is None for the identity chart, which tests z itself.
-    """
-    ch = chart(expr)
+def _real_u(z: ExtendedPoint, ch: Optional[Chart]) -> Optional[float]:
+    """r = sign*Re u, u = (z - b)/a in the chart ch = (f, a, b) of
+    maps.chart, which every chart test reads; None without a chart.  With
+    blocks._real_u_points, the one place that knows the identity chart."""
     if ch is None:
-        return None, None
+        return None
     f, a, b = ch
-    if a == 1 and b == 0:
-        return f, None
-    return f, (complex(a), complex(b), math.log(abs(a)),
-               math.atan2(a.imag, a.real))
-
-
-def _to_u(z: ExtendedPoint, uc: Optional[_UChart]) -> ExtendedPoint:
-    """u = (z - b)/a, or z under the identity chart (uc is None); a
-    Directed u keeps its log scale, as evaluate's Conjugate branch has it."""
-    if uc is None:
-        return z
-    a, b, log_a, arg_a = uc
+    if not (a == 1 and b == 0):
+        z = _to_u(z, a, b)
     if isinstance(z, complex):
-        return (z - b) / a
-    return Directed(z.log_modulus - log_a, z.angle - arg_a)
+        return f.sign * z.real
+    if not (-PHASE_RESOLUTION_LIMIT <= z.angle <= PHASE_RESOLUTION_LIMIT):
+        return math.nan  # unresolvable sign; comparisons must not fire
+    return f.sign * _scale(_exp_sat(z.log_modulus), math.cos(z.angle))
 
 
 def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
-             tests: _ChartTests):
+             ch: Optional[Chart]):
     """Shared loop behind classify and run_orbit; callers validate expr
-    and pass _chart_tests(expr).  blocks._classify_points repeats it on
-    arrays.
+    and pass maps.chart(expr).  blocks._classify_points repeats it on
+    arrays.  The termination tests read the chart through _real_u.
 
-    The termination tests read the map's chart: each reads
-    r = sign*Re u of the point, u = (z - b)/a, in which the map is a
-    family map.  The orbit ends at the first step that returns its point
-    bit for bit (maps._same_point), once that step's escape test has not
-    fired.  Returns (classification, points-or-None, steps_taken) where
+    The orbit ends at the first step that returns its point bit for bit
+    (maps._same_point), once that step's escape test has not fired.
+    Returns (classification, points-or-None, steps_taken) where
     steps_taken counts map applications actually performed.
     """
     z: ExtendedPoint = complex(z0)
     points = [z] if record else None
-    f, uc = tests
-
-    def real_u(p: ExtendedPoint) -> Optional[float]:
-        # r of a point; None without a chart
-        return None if f is None else f.sign * _effective_real(_to_u(p, uc))
-
-    r = real_u(z)
+    r = _real_u(z, ch)
     for n in range(cfg.max_iter + 1):
         if isinstance(z, complex):
             if _is_nan(z):
                 return Undetermined("nan"), points, n
             if r is not None and r <= 0.0:
-                return (NonEscapingProven(_HALF_PLANE_RULE[f.sign], n),
+                return (NonEscapingProven(_HALF_PLANE_RULE[ch[0].sign], n),
                         points, n)
         if n == cfg.max_iter:
             return BoundedAtBudget(), points, n
@@ -232,7 +202,7 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
             # succeeded: under the identity chart, exactly the underflows
             return (NonEscapingProven(AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, n),
                     points, n + 1)
-        rn = real_u(nxt)
+        rn = _real_u(nxt, ch)
         if _escaped(r, rn, z, nxt, cfg):
             return Escaping(n), points, n + 1
         # A fixed point of the step: every later step would repeat this
@@ -249,14 +219,14 @@ def classify(expr: MapExpr, z0: complex,
              cfg: IterationConfig = DEFAULT_CONFIG) -> Classification:
     """Classify one seed.  Pure function of (expr, z0, cfg)."""
     validate(expr)
-    return _iterate(expr, z0, cfg, False, _chart_tests(expr))[0]
+    return _iterate(expr, z0, cfg, False, chart(expr))[0]
 
 
 def run_orbit(expr: MapExpr, z0: complex,
               cfg: IterationConfig = DEFAULT_CONFIG) -> OrbitRecord:
     """Classify one seed keeping the full trace (terminal point included)."""
     validate(expr)
-    verdict, points, steps = _iterate(expr, z0, cfg, True, _chart_tests(expr))
+    verdict, points, steps = _iterate(expr, z0, cfg, True, chart(expr))
     return OrbitRecord(seed=complex(z0), points=tuple(points),
                        classification=verdict, steps_taken=steps)
 

@@ -48,13 +48,22 @@ class SampleSet:
     """count points drawn deterministically from window.
 
     points is a complex128 array; sample i consumes stream outputs 2i
-    (real part) and 2i+1 (imaginary part).
+    (real part) and 2i+1 (imaginary part).  Each is finite and inside the
+    closed window, so a suite may read the window for its points.
     """
 
     seed: int
     count: int
     window: Window
     points: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        p, w = self.points, self.window
+        if len(p) != self.count or not (
+                np.isfinite(p) & (w.x_min <= p.real) & (p.real <= w.x_max)
+                & (w.y_min <= p.imag) & (p.imag <= w.y_max)).all():
+            raise ValueError(f"need {self.count} finite points inside the "
+                             "closed window")
 
     @classmethod
     def generate(cls, seed: int, count: int, window: Window) -> "SampleSet":

@@ -5,11 +5,12 @@ Each suite checks one statement against concrete orbits and returns a
 verdicts in the sample suites: an ``Escaping`` verdict against a
 ``NonEscapingProven`` one is a violation, a comparison with a
 ``BoundedAtBudget`` or ``Undetermined`` side is counted as skipped, never
-as pass or fail, and anything else passes.  The only determined verdicts
-are the two rigorous ones, so two determined verdicts that differ always
-conflict.  The grid suites likewise count budget-limited and undetermined
-cells as skipped.  Every suite grades verdict codes E/P/B/U: the sample
-suites classify fields._BLOCK samples at a time under each map through
+as pass or fail, and anything else passes.  Of the two determined
+verdicts, ``NonEscapingProven`` is rigorous and ``Escaping`` numerical
+(see ``orbits``), so what a violation proves is not settled here.  The
+grid suites likewise count budget-limited and undetermined cells as
+skipped.  Every suite grades verdict codes E/P/B/U: the sample suites
+classify fields._BLOCK samples at a time under each map through
 blocks.classify_points (an image without a finite complex value counts
 as U), or call a classify_fn passed in (tests, tracing) once per seed.
 """
@@ -23,8 +24,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import fields
-from .blocks import (_classify_points, _finite, _same_points, _to_u_points,
-                     evaluate_points)
+from .blocks import (_classify_points, _finite, _from_u_points, _same_points,
+                     _to_u_points, evaluate_points)
 from .fields import EscapeField
 from .maps import (
     Compose,
@@ -39,8 +40,7 @@ from .maps import (
 )
 from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
                      KIND_UNDETERMINED, BoundedAtBudget, Classification,
-                     Escaping, NonEscapingProven, Undetermined, _chart_tests,
-                     _to_u)
+                     Escaping, NonEscapingProven, Undetermined, _real_u)
 from .parser import format_complex
 from .sampling import SampleSet
 from .strips import strip_test
@@ -73,8 +73,8 @@ def _classifier(classify_fn: Optional[ClassifyFn], expr: MapExpr,
                 cfg: IterationConfig) -> Callable:
     """(re, im) -> the verdict codes of re + i*im under validated expr."""
     if classify_fn is None:
-        tests = _chart_tests(expr)
-        return lambda re, im: _classify_points(expr, re, im, cfg, tests)[0]
+        ch = chart(expr)
+        return lambda re, im: _classify_points(expr, re, im, cfg, ch)[0]
     return lambda re, im: np.array(
         [_CODES[type(classify_fn(expr, complex(x, y), cfg))]
          for x, y in zip(re.tolist(), im.tolist())], dtype=np.uint8)
@@ -173,15 +173,16 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
     function of the point, so every later point is one already measured.
     """
     validate(expr)
-    f, uc = _chart_tests(expr)
-    if f is None:
+    ch = chart(expr)
+    if ch is None:
         raise TypeError("half-plane bound applies to maps with a chart")
+    f, a, b = ch
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     # the bound is a theorem about the absorbing half plane H of u only;
     # H is convex, so a window lies inside it when its four corners do
     w = samples.window
-    if any(f.sign * _to_u(complex(x, y), uc).real > 0.0
+    if any(_real_u(complex(x, y), ch) > 0.0
            for x in (w.x_min, w.x_max) for y in (w.y_min, w.y_max)):
         side = "Re u >= 0" if f.sign < 0 else "Re u <= 0"
         raise ValueError("halfplane-bound needs a window inside the absorbing "
@@ -197,7 +198,7 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
             *nxt, bad = evaluate_points(expr, *z)
             nr, ni, nd = nxt
             with np.errstate(all="ignore"):  # where nd | bad: unused
-                nr, ni = _to_u_points(nr, ni, nd, uc)
+                nr, ni = _to_u_points(nr, ni, nd, a, b)
             worst[live] = np.maximum(
                 worst[live], np.where(nd | bad, np.inf, np.hypot(nr, ni)))
             keep = ~bad & ~_same_points(nxt, z)
@@ -223,14 +224,15 @@ def verify_strip_containment(fld: EscapeField,
                              expr: MapExpr) -> VerificationReport:
     """Every escaping cell center z has u = (z - b)/a in an escape strip."""
     validate(expr)
-    f, uc = _chart_tests(expr)
-    if f is None:
+    ch = chart(expr)
+    if ch is None:
         raise TypeError("strip containment applies to maps with a chart")
+    f, a, b = ch
     report = VerificationReport("strip-containment", total=fld.nx * fld.ny)
     report.skipped_undetermined = int(np.sum(~_determined(fld.kinds)))
     j, i = np.divmod(fld.escaping_indices(), fld.nx)
     x, y = fields._centers(fld.window, fld.nx, fld.ny, i, j)
-    ux, uy = _to_u_points(x, y, False, uc)
+    ux, uy = _to_u_points(x, y, False, a, b)
     _, inside = strip_test(ux, uy, f.family, f.param)
     for k in np.flatnonzero(~inside).tolist():
         report.violations.append(_violation(
@@ -438,9 +440,7 @@ def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
 
     def grade(re, im):
         k1 = classify_f(re, im)
-        # a*z + b as CPython's complex product (_Py_c_prod) and sum
-        k2 = classify_g(a.real * re - a.imag * im + b.real,
-                        a.real * im + a.imag * re + b.imag)
+        k2 = classify_g(*_from_u_points(re, im, False, a, b))
         return ~(_determined(k1) & _determined(k2)), [
             (_conflict(k1, k2),
              "no escaping-vs-proven conflict between f and its conjugate",

@@ -228,6 +228,37 @@ class TestModulusPastDblMax:
         assert ppm.read_bytes().startswith(b"P6\n4 4\n255\n")
 
 
+class TestLadderCrossings:
+    """conj crossings onto the ladder whose angle underflows atan2: each
+    command ends with a verdict, where it used to exit 1 with a traceback
+    (cmath.phase raised OverflowError)."""
+
+    @pytest.mark.parametrize("text, z0, trailer", [
+        # (z - b)/a overflows on the way in
+        ("conj(-1e-300, 0, F(-1, 1))", "1e300+1e-30i",
+         "# classification=Undetermined,step=1\n"),
+        # a*v + b overflows on the way out
+        ("conj(1e10, 0, F(-1, 1e300))", "-5e10+1e-20i",
+         "# classification=NonEscapingProven,step=1\n")])
+    def test_orbit(self, capsys, text, z0, trailer):
+        code, out, err = run(capsys, "orbit", "--map", text, "--z0", z0,
+                             "--max-iter", "5")
+        assert (code, err) == (0, "")
+        assert out.endswith(trailer)
+
+    def test_render(self, capsys, tmp_path):
+        ppm, csv = tmp_path / "x.ppm", tmp_path / "x.csv"
+        code, _, err = run(capsys, "render", "--map",
+                           "conj(-1e-300, 0, F(-1, 1))",
+                           "--window=1e9,2e9,-1e-320,1e-320", "--res", "4,4",
+                           "--out", str(ppm), "--csv", str(csv))
+        assert code == 0 and "Traceback" not in err
+        assert ppm.read_bytes().startswith(b"P6\n4 4\n255\n")
+        with open(csv) as fh:
+            field = fields.import_field_csv(fh)
+        assert bytes(field.kinds) == b"U" * 16
+
+
 class TestVerifyCommand:
     def test_single_suite_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "halfplane-bound",
@@ -583,6 +614,20 @@ class TestArguments:
         assert code == 2
         assert out == ""
         assert "samples" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("orbit", "--map", "F(-1, 1)", "--z0", "0"),
+        ("render", "--map", "F(-1, 1)", "--window", "-1,1,-1,1", "--res",
+         "4,4", "--out", "x.ppm"),
+        ("verify", "--suite", "conjugacy", "--samples", "5")],
+        ids=["orbit", "render", "verify"])
+    def test_max_iter_not_an_integer_exit_2(self, capsys, tmp_path,
+                                            monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--max-iter", "abc")
+        assert (code, out) == (2, "")
+        assert "expected a positive integer, got 'abc'" in err
+        assert not (tmp_path / "x.ppm").exists()
 
     def test_max_iter_below_one_names_the_flag(self, capsys, tmp_path):
         # IterationConfig's own error named neither the flag nor the file

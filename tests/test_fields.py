@@ -17,10 +17,10 @@ from expdyn.fields import (
     overlay_strips,
     render_ppm,
 )
-from expdyn.maps import (Directed, FamilyF, FamilyG, InvalidMapError,
-                         IterationConfig, validate)
+from expdyn.maps import (DegeneratePhaseError, Directed, FamilyF, FamilyG,
+                         InvalidMapError, IterationConfig, chart, validate)
 from expdyn.orbits import (BoundedAtBudget, Escaping, NonEscapingProven,
-                           Undetermined, _chart_tests, _g17, _iterate)
+                           Undetermined, _g17, _iterate)
 from expdyn.parser import parse_map
 from expdyn.strips import Family
 
@@ -33,6 +33,39 @@ def make_field(window, nx, ny, cells):
     kinds = np.array([ord(k) for k, _ in cells], dtype=np.uint8)
     steps = np.array([s for _, s in cells], dtype=np.int64)
     return EscapeField(window=window, nx=nx, ny=ny, kinds=kinds, steps=steps)
+
+
+HEADER = "i,j,re,im,class,step\n"
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: make_field(Window(0, 1, 0, 1), 0, 1, []), "at least 1x1"),
+    (lambda: EscapeField(Window(0, 1, 0, 1), 2, 1,
+                         np.zeros(1, dtype=np.uint8), np.zeros(2, dtype=np.int64)),
+     "kinds array has wrong length"),
+    (lambda: EscapeField(Window(0, 1, 0, 1), 2, 1,
+                         np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.int64)),
+     "steps array has wrong length"),
+    (lambda: classify_grid(F11, Window(-1, 1, -1, 1), 0, 4), "at least 1x1"),
+    (lambda: import_field_csv(io.StringIO(HEADER + "0,0,0.5,0.5,P\n")),
+     "malformed CSV row"),
+    (lambda: import_field_csv(io.StringIO(HEADER)), "empty CSV"),
+    (lambda: import_field_csv(io.StringIO(
+        HEADER + "0,0,0.5,0.5,P,0\n0,1,0.5,-0.5,B,\n")),
+     "cannot be inferred from a degenerate grid")],
+    ids=["escape-field-size", "escape-field-kinds", "escape-field-steps",
+         "classify-grid-nx", "csv-malformed-row", "csv-empty",
+         "csv-degenerate-grid"])
+def test_input_checks(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_csv_import_skips_blank_lines():
+    text = HEADER + "\n0,0,0.5,0.5,P,0\n  \n0,1,0.5,-0.5,B,\n\n"
+    field = import_field_csv(io.StringIO(text), Window(0, 1, -1, 1))
+    assert (field.nx, field.ny) == (1, 2)
+    assert field.cell(0, 0) == ("P", 0) and field.cell(0, 1) == ("B", None)
 
 
 class TestWindow:
@@ -135,7 +168,7 @@ class TestClassifyGrid:
 def scalar_grid(expr, window, nx, ny, cfg):
     """The grid cell by cell through the scalar _iterate: (kinds, steps,
     what the orbits reached), the oracle of the block engine."""
-    tests = _chart_tests(expr)
+    ch = chart(expr)
     dx = (window.x_max - window.x_min) / nx
     dy = (window.y_max - window.y_min) / ny
     kinds, steps, reached = [], [], set()
@@ -143,7 +176,7 @@ def scalar_grid(expr, window, nx, ny, cfg):
         y = window.y_max - (j + 0.5) * dy
         for i in range(nx):
             x = window.x_min + (i + 0.5) * dx
-            verdict, points, _ = _iterate(expr, complex(x, y), cfg, True, tests)
+            verdict, points, _ = _iterate(expr, complex(x, y), cfg, True, ch)
             if isinstance(verdict, (Escaping, NonEscapingProven)):
                 code, step = ("E" if isinstance(verdict, Escaping) else "P",
                               verdict.step)
@@ -213,25 +246,29 @@ class TestBlockEngine:
                              ids=["composite", "exp"])
     def test_exponential_ladder_moves_on_arrays(self, case, monkeypatch):
         # an F, G or exp(lam) node collapses and deepens its ladder points
-        # on arrays; it hands evaluate only the ladder points whose phase
-        # is degenerate and the finite points whose exponent is not finite
-        step_each = blocks._evaluate_each
+        # on arrays; it marks slow, for evaluate, only the ladder points
+        # whose phase is degenerate and the finite points whose exponent
+        # is not finite
+        ladder = blocks._ladder_points
         deepened = []
 
-        def checking(expr, re, im, d, where, out, cfg):
-            sign = getattr(expr, "sign", None)
-            if sign is None and not isinstance(expr, maps.ScaledExp):
-                return step_each(expr, re, im, d, where, out, cfg)
+        def checking(re, im, d, m, p, q, out, cfg):
+            out = ladder(re, im, d, m, p, q, out, cfg)
+            slow = out[3]
             deepened.append(np.count_nonzero(d & out[2]))
-            out = step_each(expr, re, im, d, where, out, cfg)
-            assert out[3][where & d].all()
-            m, p = (sign, expr.param) if sign is not None else (expr.lam, 0j)
+            # the node: F and G have Re p < 0, exp(lam) has p = q = 0
+            node = maps.ScaledExp(m) if p == 0 else \
+                (maps.FamilyF if m == -1 else maps.FamilyG)(p, q)
+            for k in np.flatnonzero(slow & d).tolist():
+                with pytest.raises(DegeneratePhaseError):
+                    maps.evaluate(node, Directed(float(re[k]), float(im[k])),
+                                  cfg)
             wr = m.real * re - m.imag * im + p.real
             wi = m.real * im + m.imag * re + p.imag
-            assert not (np.isfinite(wr) & np.isfinite(wi))[where & ~d].any()
+            assert not (np.isfinite(wr) & np.isfinite(wi))[slow & ~d].any()
             return out
 
-        monkeypatch.setattr(blocks, "_evaluate_each", checking)
+        monkeypatch.setattr(blocks, "_ladder_points", checking)
         text, window, res, max_iter, _ = case
         classify_grid(parse_map(text), Window(*window), *res,
                       IterationConfig(max_iter=max_iter), workers=1)

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 import math
@@ -513,6 +514,51 @@ class TestExpStep:
                 m = math.exp(lm)
                 want = complex(m * math.cos(angle), m * math.sin(angle))
                 assert _same_point(maps._normalize(lm, angle, 700.0), want)
+
+
+class TestLadderCrossings:
+    """A finite point whose conj transport overflows moves onto the ladder
+    at the angle math.atan2 gives: cmath.phase raised OverflowError where
+    atan2 underflows."""
+
+    # (map, seed): (z - b)/a overflows on the way in; a*v + b on the way out
+    CASES = [("conj(-1e-300, 0, F(-1, 1))", complex(1e300, 1e-30)),
+             ("conj(1e10, 0, F(-1, 1e300))", complex(-5e10, 1e-20))]
+
+    def test_atan2_is_cmath_phase(self):
+        rng = np.random.default_rng(21)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   1.0, -1.0, 1e-300, -1e300, 1.7e308]
+        values = special + (rng.choice([-1.0, 1.0], 300)
+                            * 10.0 ** rng.uniform(-320, 308, 300)).tolist()
+        raised = 0
+        for x, y in itertools.product(values, repeat=2):
+            try:
+                phase = cmath.phase(complex(x, y))
+            except OverflowError:
+                raised += 1
+                continue
+            assert _bits(math.atan2(y, x)) == _bits(phase), (x, y)
+        assert raised > 0
+
+    @pytest.mark.parametrize("text, z0", CASES)
+    def test_crossing_steps_in_both_engines(self, text, z0):
+        expr = parse_map(text)
+        v = evaluate(expr, z0)
+        assert isinstance(v, Directed)
+        re, im, d, bad = evaluate_points(expr, np.array([z0.real]),
+                                         np.array([z0.imag]), np.array([False]))
+        assert not bad[0] and d[0]
+        assert [_bits(re[0]), _bits(im[0])] == \
+            [_bits(v.log_modulus), _bits(v.angle)]
+        cfg = IterationConfig(max_iter=5)
+        verdict = orbits.classify(expr, z0, cfg)
+        kinds, steps = blocks.classify_points(expr, np.array([z0]), cfg)
+        assert chr(kinds[0]) == {orbits.NonEscapingProven: "P",
+                                 orbits.Escaping: "E",
+                                 orbits.BoundedAtBudget: "B",
+                                 orbits.Undetermined: "U"}[type(verdict)]
+        assert steps[0] == getattr(verdict, "step", -1)
 
 
 class TestSamePoint:

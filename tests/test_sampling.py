@@ -1,5 +1,11 @@
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from expdyn import cli
 from expdyn.fields import Window
 from expdyn.sampling import SampleSet, splitmix64
 
@@ -60,3 +66,37 @@ class TestSampleSet:
         except ValueError:
             raised = True
         assert raised
+
+    @pytest.mark.parametrize("make", [
+        lambda: SampleSet.generate(1, -1, Window(0, 1, 0, 1)),
+        lambda: SampleSet(1, 2, Window(0, 1, 0, 1), np.array([0.5 + 0.5j])),
+        lambda: SampleSet(1, 1, Window(0, 1, 0, 1), np.array([-50 + 0j])),
+        lambda: SampleSet(1, 1, Window(0, 1, 0, 1), np.array([0.5 + 1.5j])),
+        lambda: SampleSet(1, 1, Window(0, 1, 0, 1),
+                          np.array([complex(math.nan, 0.5)])),
+        lambda: SampleSet(1, 1, Window(0, 1, 0, 1),
+                          np.array([complex(0.5, math.inf)]))],
+        ids=["negative-count", "count", "left", "above", "nan", "inf"])
+    def test_input_checks(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_closed_window_holds_its_edges(self):
+        pts = np.array([0j, 1 + 1j, 0.5 + 1j])
+        assert SampleSet(1, 3, Window(0, 1, 0, 1), pts).count == 3
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+           st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+           st.integers(0, 2 ** 64 - 1))
+    def test_generate_constructs_on_random_windows(self, x0, x1, y0, y1, seed):
+        (x0, x1), (y0, y1) = sorted((x0, x1)), sorted((y0, y1))
+        assume(x0 < x1 and y0 < y1)
+        assume(math.isfinite(x1 - x0) and math.isfinite(y1 - y0))
+        assert SampleSet.generate(seed, 200, Window(x0, x1, y0, y1)).count == 200
+
+    def test_generate_constructs_on_cli_default_windows(self):
+        for suite in cli._SUITES.values():
+            windows = suite.window.values() if isinstance(suite.window, dict) \
+                else [suite.window]
+            for w in windows:
+                assert SampleSet.generate(1, 10000, w).count == 10000

@@ -59,8 +59,27 @@ DEGENERATE = complex(-800, -math.pi / 2)
 
 
 def points(*zs):
-    return SampleSet(seed=0, count=len(zs), window=Window(0, 1, 0, 1),
+    """A sample set of the points zs, in a window around them."""
+    re, im = [z.real for z in zs], [z.imag for z in zs]
+    return SampleSet(seed=0, count=len(zs),
+                     window=Window(min(re) - 1, max(re) + 1,
+                                   min(im) - 1, max(im) + 1),
                      points=np.array(zs, dtype=complex))
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda ss: verify_period_shift(F11, 0, ss, CFG), "s must be >= 1"),
+    (lambda ss: verify_composite_laws(F11, 0, 1, ss, CFG),
+     "iterate exponents must be >= 1"),
+    (lambda ss: verify_composite_laws(F11, 1, 0, ss, CFG),
+     "iterate exponents must be >= 1"),
+    (lambda ss: verify_image_superset(F11, 0, ss, CFG), "j must be >= 1"),
+    (lambda ss: verify_halfplane_bound(F11, ss, 0), "k_max must be >= 1")],
+    ids=["period-shift-s", "composite-laws-i", "composite-laws-j",
+         "image-superset-j", "halfplane-bound-k-max"])
+def test_input_checks(run, match):
+    with pytest.raises(ValueError, match=match):
+        run(SampleSet.generate(1, 5, Window(1, 2, -1, 1)))
 
 
 def small_field(expr, window, n=60, max_iter=200):
@@ -118,25 +137,29 @@ class TestValidation:
     def test_each_chart_looked_up_once_per_suite(self, monkeypatch):
         charts = []
 
-        def counting_chart_tests(e):
+        def counting_chart(e):
             charts.append(e)
-            return orbits._chart_tests(e)
+            return chart(e)
 
-        monkeypatch.setattr(verify, "_chart_tests", counting_chart_tests)
+        monkeypatch.setattr(verify, "chart", counting_chart)
         ss = SampleSet.generate(2, 40, Window(-3, 3, -3, 3))
         a, b = complex(2, 0), complex(1, 0)
         for expr, calls in self.HOOK_CALLS:
             shifted = Shift(Iterate(expr, 2), period_of(expr))
-            for (run, maps), count in zip([
+            # composite-laws compares the charts of g = f^1 and f, with or
+            # without a classify_fn, to decide whether g reuses f's verdicts
+            reuse = [Iterate(expr, 1), expr]
+            for (run, maps, own), count in zip([
                     (lambda fn: verify_period_shift(expr, 2, ss, CFG, fn),
-                     [expr, shifted]),
+                     [expr, shifted], []),
                     (lambda fn: verify_composite_laws(expr, 2, 1, ss, CFG, fn),
                      [Compose(expr, Iterate(expr, 1)), Iterate(expr, 3), expr]
-                     + ([Iterate(expr, 1)] if chart(expr) else [])),
+                     + reuse + ([Iterate(expr, 1)] if chart(expr) else []),
+                     reuse),
                     (lambda fn: verify_image_superset(expr, 2, ss, CFG, fn),
-                     [expr]),
+                     [expr], []),
                     (lambda fn: verify_conjugacy(expr, a, b, ss, CFG, fn),
-                     [expr, Conjugate(a, b, expr)])], calls):
+                     [expr, Conjugate(a, b, expr)], [])], calls):
                 charts.clear()
                 default = run(None)
                 assert charts == maps
@@ -150,7 +173,7 @@ class TestValidation:
 
                 charts.clear()
                 assert run(counting_classify).to_json() == default.to_json()
-                assert charts == [] and len(seen) == count
+                assert charts == own and len(seen) == count
             # the family suites read the chart's family map and u from
             # one lookup; a map without a chart is rejected after it
             field = small_field(expr, Window(-3, 3, -3, 3), n=8)
@@ -280,6 +303,13 @@ class TestHalfplaneBound:
         ss = SampleSet.generate(2, 1000, Window(-100, 0, -100, 100))
         rep = verify_halfplane_bound(G11, ss, 100)
         assert rep.verdict == "pass"
+
+    def test_points_outside_the_window_raise(self):
+        # the window check reads samples.window, so a sample set cannot
+        # hold a point outside it
+        with pytest.raises(ValueError, match="inside the closed window"):
+            verify_halfplane_bound(F11, SampleSet(1, 1, Window(0, 1, 0, 1),
+                                                  np.array([-50 + 0j])), 3)
 
     def test_window_outside_half_plane_raises(self):
         # the bound is a theorem on the absorbing half plane of u only: a
