@@ -8,7 +8,9 @@ again those of the ``math`` calls that ``maps.evaluate`` makes.
 A node only marks each point that makes a rare move (a degenerate phase,
 a non-finite exponent, a conj crossing onto or off the ladder) as slow;
 ``evaluate`` then steps each slow point once per batch, on the whole
-map, so each point gets the bits ``evaluate`` gives it.
+map, so each point gets the bits ``evaluate`` gives it.  A step reads no
+setting, so ``evaluate_points`` takes no ``IterationConfig``: its
+``max_iter`` is read by the orbit loops only.
 
 ``classify_points`` moves an array of seeds in lockstep through
 ``evaluate_points`` and runs ``orbits._iterate``'s tests in the same
@@ -52,7 +54,8 @@ from .maps import (
     evaluate,
     validate,
 )
-from .orbits import KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN, KIND_UNDETERMINED
+from .orbits import (_LOG_ESCAPE_RADIUS, KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
+                     KIND_UNDETERMINED)
 
 __all__ = ["evaluate_points", "classify_points"]
 
@@ -122,12 +125,11 @@ def _phase_ok(angle: np.ndarray) -> np.ndarray:
     return np.abs(angle) <= PHASE_RESOLUTION_LIMIT
 
 
-def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
-                thresh: float) -> Points:
+def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray) -> Points:
     """exp(w), w = wr + i*wi, where `where` holds, as evaluate's finite
-    branches take it: (re, im, directed, slow), Directed(w) past thresh;
-    slow marks a wi that is not finite below thresh, left to evaluate."""
-    low = where & (wr <= thresh)
+    branches take it: (re, im, directed, slow), Directed(w) past the rung;
+    slow marks a wi that is not finite below it, left to evaluate."""
+    low = where & (wr <= IterationConfig.overflow_log_threshold)
     ok = low & np.isfinite(wi)
     e = _cexp(wr, wi, ok)
     return (np.where(ok, e.real, wr), np.where(ok, e.imag, wi),
@@ -135,27 +137,25 @@ def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray,
 
 
 def _ladder_points(re: np.ndarray, im: np.ndarray, d: np.ndarray, m: complex,
-                   p: complex, q: complex, out: Points,
-                   cfg: IterationConfig) -> Points:
-    """maps._ladder_step(z, m, p, q) of each Directed point z, on arrays of
-    those points only, into out, the node's finite step (fresh arrays, the
-    last one slow); a degenerate phase is slow too."""
+                   p: complex, q: complex, out: Points) -> Points:
+    """maps._ladder_step(z, m, p, q) at each Directed point z (where d
+    holds), over out, the node's finite step of the other points (its last
+    array slow); a degenerate phase is slow too."""
+    if not d.any():
+        return out
     out_re, out_im, out_d, slow = out
-    k = np.flatnonzero(d)
-    if len(k):
-        ph = _phase_ok(im[k])
-        cs = _cexp(0.0, im[k], ph)  # (cos, sin) of the angle
-        dr = m.real * cs.real - m.imag * cs.imag
-        under = ph & (dr <= -cfg.degeneracy_eps * abs(m))
-        over = ph & (dr >= cfg.degeneracy_eps * abs(m))
-        out_re[k], out_im[k], slow[k] = q.real, q.imag, ~(under | over)
-        if over.any():
-            mag = _exp_sat_points(re[k], over)
-            di = m.real * cs.imag + m.imag * cs.real
-            out_re[k[over]] = (mag * dr + p.real)[over]
-            out_im[k[over]] = (_scale_points(mag, di) + p.imag)[over]
-            out_d[k[over]] = True
-    return out
+    eps = IterationConfig.degeneracy_eps
+    ph = d & _phase_ok(im)
+    cs = _cexp(0.0, im, ph)  # (cos, sin) of the angle
+    dr = m.real * cs.real - m.imag * cs.imag
+    di = m.real * cs.imag + m.imag * cs.real
+    under = ph & (dr <= -eps * abs(m))
+    over = ph & (dr >= eps * abs(m))
+    mag = _exp_sat_points(re, over)
+    return (np.where(over, mag * dr + p.real, np.where(d, q.real, out_re)),
+            np.where(over, _scale_points(mag, di) + p.imag,
+                     np.where(d, q.imag, out_im)),
+            out_d | over, slow | (d & ~(under | over)))
 
 
 def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
@@ -188,15 +188,15 @@ def _from_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray, a: complex,
 
 
 def _crossings(re: np.ndarray, im: np.ndarray, d: np.ndarray, tr: np.ndarray,
-               ti: np.ndarray, thresh: float) -> np.ndarray:
+               ti: np.ndarray) -> np.ndarray:
     """Where a transport (tr, ti) of the points crosses onto the ladder
     (maps._crossed) or drops off it, to the rung or below."""
-    return np.where(d, ~(tr > thresh), _finite(re, im) & ~_finite(tr, ti))
+    return np.where(d, ~(tr > IterationConfig.overflow_log_threshold),
+                    _finite(re, im) & ~_finite(tr, ti))
 
 
 def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
-                    directed: np.ndarray,
-                    cfg: IterationConfig = DEFAULT_CONFIG) -> Points:
+                    directed: np.ndarray) -> Points:
     """evaluate applied to each point of a batch.
 
     Point k is complex(re[k], im[k]), or Directed(re[k], im[k]) where
@@ -207,12 +207,12 @@ def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     stepped by evaluate on the whole map, which is compositional.
     """
     with np.errstate(all="ignore"):
-        out_re, out_im, out_d, slow = _points(expr, re, im, directed, cfg)
+        out_re, out_im, out_d, slow = _points(expr, re, im, directed)
     degenerate = np.zeros(len(out_re), dtype=bool)
     for k in np.flatnonzero(slow).tolist():
         z = complex(re[k], im[k])
         try:
-            v = evaluate(expr, Directed(z.real, z.imag) if directed[k] else z, cfg)
+            v = evaluate(expr, Directed(z.real, z.imag) if directed[k] else z)
         except DegeneratePhaseError:
             degenerate[k] = True
             continue
@@ -222,50 +222,49 @@ def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     return out_re, out_im, out_d, degenerate
 
 
-def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray, d: np.ndarray,
-            cfg: IterationConfig) -> Points:
-    thresh = cfg.overflow_log_threshold
+def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
+            d: np.ndarray) -> Points:
     sign = getattr(expr, "sign", None)
     if sign is not None:
         p, q = expr.param, expr.const
         out_re, out_im, out_d, slow = _exp_points(
-            sign * re + p.real, sign * im + p.imag, ~d, thresh)
+            sign * re + p.real, sign * im + p.imag, ~d)
         return _ladder_points(re, im, d, sign, p, q,
                               (np.where(out_d, out_re, out_re + q.real),
                                np.where(out_d, out_im, out_im + q.imag),
-                               out_d, slow), cfg)
+                               out_d, slow))
 
     if isinstance(expr, ScaledExp):
         lr, li = expr.lam.real, expr.lam.imag
         return _ladder_points(re, im, d, expr.lam, 0.0, 0.0,
                               _exp_points(lr * re - li * im, lr * im + li * re,
-                                          ~d, thresh), cfg)
+                                          ~d))
 
     if isinstance(expr, Iterate):
         slow = np.zeros(len(re), dtype=bool)
         for _ in range(expr.s):
-            re, im, d, s = _points(expr.base, re, im, d, cfg)
+            re, im, d, s = _points(expr.base, re, im, d)
             slow |= s
         return re, im, d, slow
 
     if isinstance(expr, Shift):
-        re, im, d, slow = _points(expr.base, re, im, d, cfg)
+        re, im, d, slow = _points(expr.base, re, im, d)
         c = complex(expr.c)
         return np.where(d, re, re + c.real), np.where(d, im, im + c.imag), d, slow
 
     if isinstance(expr, Compose):
-        re, im, d, slow = _points(expr.inner, re, im, d, cfg)
-        re, im, d, s = _points(expr.outer, re, im, d, cfg)
+        re, im, d, slow = _points(expr.inner, re, im, d)
+        re, im, d, s = _points(expr.outer, re, im, d)
         return re, im, d, slow | s
 
     if isinstance(expr, Conjugate):
         # each crossing onto or off the ladder, on the way in or out, is slow
         a, b = expr.a, expr.b
         ur, ui = _to_u_points(re, im, d, a, b)
-        vr, vi, vd, slow = _points(expr.base, ur, ui, d, cfg)
+        vr, vi, vd, slow = _points(expr.base, ur, ui, d)
         wr, wi = _from_u_points(vr, vi, vd, a, b)
-        return wr, wi, vd, slow | _crossings(re, im, d, ur, ui, thresh) \
-            | _crossings(vr, vi, vd, wr, wi, thresh)
+        return wr, wi, vd, slow | _crossings(re, im, d, ur, ui) \
+            | _crossings(vr, vi, vd, wr, wi)
 
     raise TypeError(f"not a map expression: {expr!r}")
 
@@ -303,12 +302,12 @@ def _log_modulus_points(re: np.ndarray, im: np.ndarray,
 
 
 def _escaped_generic(re: np.ndarray, im: np.ndarray, d: np.ndarray,
-                     nr: np.ndarray, ni: np.ndarray, nd: np.ndarray,
-                     cfg: IterationConfig) -> np.ndarray:
+                     nr: np.ndarray, ni: np.ndarray,
+                     nd: np.ndarray) -> np.ndarray:
     """orbits._escaped of each pair (z, nxt) of a map without a chart."""
     both = ~d & ~nd
     lz = _log_modulus_points(re, im, both)
-    far = both & (lz >= math.log(cfg.generic_escape_radius))
+    far = both & (lz >= _LOG_ESCAPE_RADIUS)
     return np.where(d, nd & (nr > re),
                     far & (_log_modulus_points(nr, ni, far) >= lz))
 
@@ -344,12 +343,12 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
             idx, re, im, d, r = idx[keep], re[keep], im[keep], d[keep], r[keep]
             if step == cfg.max_iter or not len(idx):
                 break  # what is left stays bounded at budget
-            nr, ni, nd, stop = evaluate_points(expr, re, im, d, cfg)
+            nr, ni, nd, stop = evaluate_points(expr, re, im, d)
             stop |= np.isnan(nr) | np.isnan(ni)
             kinds[idx[stop]] = KIND_UNDETERMINED
             rn = _real_u_points(nr, ni, nd, ch)
             if ch is None:
-                hit = ~stop & _escaped_generic(re, im, d, nr, ni, nd, cfg)
+                hit = ~stop & _escaped_generic(re, im, d, nr, ni, nd)
             else:
                 # a ladder point in the absorbing half plane of u
                 hit = ~stop & d & (r <= 0.0)

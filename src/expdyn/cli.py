@@ -381,6 +381,11 @@ def _cmd_verify(args) -> int:
         g, *ab_g = _chart(args.map_g, "disjointness")
         if f.sign == g.sign or ab != ab_g:
             raise CliError("disjointness needs F and G maps in one chart")
+    if "conjugacy" in names:
+        # phi finite on the conjugacy window: before any report too
+        from .verify import _require_finite_phi
+        _require_finite_phi(args.a, args.b, args.window or
+                            _SUITES["conjugacy"].window)
     any_fail = False
     for name in names:
         report = _run_suite(name, args)

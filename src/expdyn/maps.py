@@ -198,9 +198,10 @@ ExtendedPoint = Union[complex, Directed]
 
 @dataclass(frozen=True, slots=True)
 class IterationConfig:
-    """The iteration budget shared by evaluation and orbit classification.
+    """The iteration budget of orbit classification.
 
     max_iter, the map applications per seed (at least 1), is the one
+    setting, and only the orbit loops read it: a step of a map reads no
     setting.  The other attributes are constants of the verdict rules:
 
     overflow_log_threshold: Re of an exponent above which the result is
@@ -362,10 +363,10 @@ def _same_point(p: ExtendedPoint, q: ExtendedPoint) -> bool:
         _PAIR.pack(p.log_modulus, p.angle) == _PAIR.pack(q.log_modulus, q.angle)
 
 
-def _normalize(log_modulus: float, angle: float, threshold: float) -> ExtendedPoint:
-    # Directed values must stay above the overflow threshold; anything
-    # representable is demoted back to an ordinary complex number.
-    if log_modulus > threshold:
+def _normalize(log_modulus: float, angle: float) -> ExtendedPoint:
+    # Directed values must stay above the rung; anything representable is
+    # demoted back to an ordinary complex number.
+    if log_modulus > IterationConfig.overflow_log_threshold:
         return Directed(log_modulus, angle)
     if not math.isfinite(angle):
         raise DegeneratePhaseError("angle saturated past phase resolution")
@@ -406,8 +407,7 @@ def _crossed(p: ExtendedPoint, q: ExtendedPoint) -> bool:
 PHASE_RESOLUTION_LIMIT = 2.0 ** 52
 
 
-def _ladder_step(z: Directed, m: complex, p: complex, q: complex,
-                 eps: float) -> ExtendedPoint:
+def _ladder_step(z: Directed, m: complex, p: complex, q: complex) -> ExtendedPoint:
     """exp(m*z + p) + q at a Directed z, the ladder step of F and G
     ((m, p, q) = (sign, param, const)) and of exp(lam) ((lam, 0, 0)).
     With dr + i*di = m*e^{i angle}, z collapses onto q where
@@ -420,6 +420,7 @@ def _ladder_step(z: Directed, m: complex, p: complex, q: complex,
     # CPython's complex product m * (ca + i*sa)
     dr = m.real * ca - m.imag * sa
     di = m.real * sa + m.imag * ca
+    eps = IterationConfig.degeneracy_eps
     if dr <= -eps * abs(m):
         return complex(q)  # q may be real: a map built with real parameters
     if dr >= eps * abs(m):
@@ -435,13 +436,15 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
     Composite nodes evaluate structurally; Iterate applies its base s
     times.  Raises :class:`DegeneratePhaseError` where the phase of a
     Directed point is degenerate for an F, G or exp(lam) node (_ladder_step).
+    A step reads no setting: cfg is accepted and not read (max_iter is
+    read by the orbit loops only).
     """
-    thresh = cfg.overflow_log_threshold
+    thresh = IterationConfig.overflow_log_threshold
     sign = getattr(expr, "sign", None)
     if sign is not None:
         p, const = expr.param, expr.const
         if isinstance(z, Directed):
-            return _ladder_step(z, sign, p, const, cfg.degeneracy_eps)
+            return _ladder_step(z, sign, p, const)
         wr = sign * z.real + p.real
         wi = sign * z.imag + p.imag
         if wr <= thresh:
@@ -454,7 +457,7 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
     if isinstance(expr, ScaledExp):
         lam = expr.lam
         if isinstance(z, Directed):
-            return _ladder_step(z, lam, 0.0, 0.0, cfg.degeneracy_eps)
+            return _ladder_step(z, lam, 0.0, 0.0)
         wr = lam.real * z.real - lam.imag * z.imag
         wi = lam.real * z.imag + lam.imag * z.real
         if wr <= thresh:
@@ -465,17 +468,17 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
 
     if isinstance(expr, Iterate):
         for _ in range(expr.s):
-            z = evaluate(expr.base, z, cfg)
+            z = evaluate(expr.base, z)
         return z
 
     if isinstance(expr, Shift):
-        v = evaluate(expr.base, z, cfg)
+        v = evaluate(expr.base, z)
         if isinstance(v, complex):
             return v + expr.c
         return v  # additive constant is negligible past the overflow rung
 
     if isinstance(expr, Compose):
-        return evaluate(expr.outer, evaluate(expr.inner, z, cfg), cfg)
+        return evaluate(expr.outer, evaluate(expr.inner, z))
 
     if isinstance(expr, Conjugate):
         # phi^-1, the base, then phi; a finite point whose transport overflows
@@ -485,13 +488,13 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
         if _crossed(z, u):
             u = _to_u(Directed(*_log_polar(z - b)), a, b)
         if isinstance(u, Directed):
-            u = _normalize(u.log_modulus, u.angle, thresh)
-        v = evaluate(expr.base, u, cfg)
+            u = _normalize(u.log_modulus, u.angle)
+        v = evaluate(expr.base, u)
         w = _from_u(v, a, b)
         if _crossed(v, w):
             w = _from_u(Directed(*_log_polar(v)), a, b)
         if isinstance(w, Directed):
-            return _normalize(w.log_modulus, w.angle, thresh)
+            return _normalize(w.log_modulus, w.angle)
         return w
 
     raise TypeError(f"not a map expression: {expr!r}")

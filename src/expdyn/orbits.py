@@ -93,6 +93,8 @@ KIND_UNDETERMINED = ord("U")
 _HALF_PLANE_RULE = {-1.0: AbsorptionRule.RIGHT_HALF_PLANE_F,
                     1.0: AbsorptionRule.LEFT_HALF_PLANE_G}
 
+_LOG_ESCAPE_RADIUS = math.log(IterationConfig.generic_escape_radius)
+
 
 @dataclass(frozen=True, slots=True)
 class Escaping:
@@ -133,11 +135,11 @@ def _is_nan(z: ExtendedPoint) -> bool:
 
 
 def _escaped(r: Optional[float], rn: Optional[float], z: ExtendedPoint,
-             nxt: ExtendedPoint, cfg: IterationConfig) -> bool:
+             nxt: ExtendedPoint) -> bool:
     # Maps with a chart (r, rn: sign*Re u of z and nxt): consecutive
     # deepening into the repelling half plane sign*Re u > 0.
     if r is not None:
-        return r >= cfg.escape_real_threshold and rn >= r
+        return r >= IterationConfig.escape_real_threshold and rn >= r
     # Generic shapes: two consecutive modulus checks on finite points, or
     # a strictly growing chain of overflowed points.  A mixed pair proves
     # nothing: a single jump onto the overflow rung can still collapse
@@ -147,7 +149,7 @@ def _escaped(r: Optional[float], rn: Optional[float], z: ExtendedPoint,
     if isinstance(nxt, Directed):
         return False
     lm = _log_modulus(z)
-    return lm >= math.log(cfg.generic_escape_radius) and _log_modulus(nxt) >= lm
+    return lm >= _LOG_ESCAPE_RADIUS and _log_modulus(nxt) >= lm
 
 
 def _real_u(z: ExtendedPoint, ch: Optional[Chart]) -> Optional[float]:
@@ -166,19 +168,19 @@ def _real_u(z: ExtendedPoint, ch: Optional[Chart]) -> Optional[float]:
     return f.sign * _scale(_exp_sat(z.log_modulus), math.cos(z.angle))
 
 
-def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
+def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig,
              ch: Optional[Chart]):
-    """Shared loop behind classify and run_orbit; callers validate expr
+    """The loop behind run_orbit, and so classify; callers validate expr
     and pass maps.chart(expr).  blocks._classify_points repeats it on
     arrays.  The termination tests read the chart through _real_u.
 
     The orbit ends at the first step that returns its point bit for bit
     (maps._same_point), once that step's escape test has not fired.
-    Returns (classification, points-or-None, steps_taken) where
-    steps_taken counts map applications actually performed.
+    Returns (classification, points, steps_taken) where steps_taken
+    counts map applications actually performed.
     """
     z: ExtendedPoint = complex(z0)
-    points = [z] if record else None
+    points = [z]
     r = _real_u(z, ch)
     for n in range(cfg.max_iter + 1):
         if isinstance(z, complex):
@@ -190,11 +192,10 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
         if n == cfg.max_iter:
             return BoundedAtBudget(), points, n
         try:
-            nxt = evaluate(expr, z, cfg)
+            nxt = evaluate(expr, z)
         except DegeneratePhaseError:
             return Undetermined("degenerate-phase"), points, n
-        if record:
-            points.append(nxt)
+        points.append(nxt)
         if _is_nan(nxt):
             return Undetermined("nan"), points, n + 1
         if r is not None and isinstance(z, Directed) and r <= 0.0:
@@ -203,7 +204,7 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
             return (NonEscapingProven(AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, n),
                     points, n + 1)
         rn = _real_u(nxt, ch)
-        if _escaped(r, rn, z, nxt, cfg):
+        if _escaped(r, rn, z, nxt):
             return Escaping(n), points, n + 1
         # A fixed point of the step: every later step would repeat this
         # one's tests on the same pair until the budget runs out.  `==`
@@ -218,15 +219,14 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig, record: bool,
 def classify(expr: MapExpr, z0: complex,
              cfg: IterationConfig = DEFAULT_CONFIG) -> Classification:
     """Classify one seed.  Pure function of (expr, z0, cfg)."""
-    validate(expr)
-    return _iterate(expr, z0, cfg, False, chart(expr))[0]
+    return run_orbit(expr, z0, cfg).classification
 
 
 def run_orbit(expr: MapExpr, z0: complex,
               cfg: IterationConfig = DEFAULT_CONFIG) -> OrbitRecord:
     """Classify one seed keeping the full trace (terminal point included)."""
     validate(expr)
-    verdict, points, steps = _iterate(expr, z0, cfg, True, chart(expr))
+    verdict, points, steps = _iterate(expr, z0, cfg, chart(expr))
     return OrbitRecord(seed=complex(z0), points=tuple(points),
                        classification=verdict, steps_taken=steps)
 

@@ -34,6 +34,7 @@ from .maps import (
     Iterate,
     MapExpr,
     Shift,
+    Window,
     chart,
     period_of,
     validate,
@@ -135,21 +136,21 @@ def _sample_report(name: str, samples: SampleSet,
     return report
 
 
-def _images(expr: MapExpr, re: np.ndarray, im: np.ndarray,
-            cfg: IterationConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _images(expr: MapExpr, re: np.ndarray,
+            im: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(re, im, ok) of expr at re + i*im; ok is false where the phase is
     degenerate or the image is Directed, NaN or infinite."""
     wr, wi, wd, bad = evaluate_points(expr, re, im,
-                                      np.zeros(len(re), dtype=bool), cfg)
+                                      np.zeros(len(re), dtype=bool))
     return wr, wi, ~bad & ~wd & _finite(wr, wi)
 
 
 def _codes_at_images(classify: Callable, expr: MapExpr, re: np.ndarray,
-                     im: np.ndarray, where: np.ndarray, cfg) -> np.ndarray:
+                     im: np.ndarray, where: np.ndarray) -> np.ndarray:
     """classify at expr(z) where `where` holds; U elsewhere or no image."""
     codes = np.full(len(re), KIND_UNDETERMINED, dtype=np.uint8)
     at = np.flatnonzero(where)
-    wr, wi, ok = _images(expr, re[at], im[at], cfg)
+    wr, wi, ok = _images(expr, re[at], im[at])
     codes[at[ok]] = classify(wr[ok], wi[ok])
     return codes
 
@@ -299,8 +300,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
         for _ in range(cfg.max_iter):
             finite = np.zeros(len(live), dtype=bool)
             u_was, v_was = (ur, ui, finite), (vr, vi, finite)
-            ur, ui, u_ok = _images(shifted, ur, ui, cfg)
-            vr, vi, v_ok = _images(s_fold, vr, vi, cfg)
+            ur, ui, u_ok = _images(shifted, ur, ui)
+            vr, vi, v_ok = _images(s_fold, vr, vi)
             with np.errstate(all="ignore"):
                 # CPython's complex -, + and abs, part by part
                 diff = np.hypot(ur - (vr + c.real), ui - (vi + c.imag))
@@ -364,7 +365,7 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
         k_comp, k_tall, k_f = (c(re, im) for c in classifiers)
         k_g = k_f if classify_g is None else classify_g(re, im)
         esc = k_comp == KIND_ESCAPING
-        k_w = _codes_at_images(classifiers[0], g, re, im, esc, cfg)
+        k_w = _codes_at_images(classifiers[0], g, re, im, esc)
         # (a) "escapes under f or g" passes when either escapes, conflicts
         # when both are proven and is undetermined otherwise
         open_a = esc & (k_f != KIND_ESCAPING) & (k_g != KIND_ESCAPING)
@@ -406,7 +407,7 @@ def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
 
     def grade(re, im):
         k1 = classify_f(re, im)
-        k2 = _codes_at_images(classify_f, g, re, im, k1 == KIND_PROVEN, cfg)
+        k2 = _codes_at_images(classify_f, g, re, im, k1 == KIND_PROVEN)
         return (k1 != KIND_ESCAPING) & ~_determined(k2), [
             (_conflict(k1, k2),
              "image of a proven non-escaping seed must not escape",
@@ -417,6 +418,21 @@ def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
 # ---------------------------------------------------------------------------
 # conjugacy: phi maps the escape set of f onto the escape set of g
 # ---------------------------------------------------------------------------
+
+def _require_finite_phi(a: complex, b: complex, window: Window) -> None:
+    """A ValueError naming a and b unless phi(z) = a*z + b is finite at
+    the four corners of window, and so on all of it: each part of phi,
+    fl(fl(c1*x) -+ fl(c2*y)) + c3 as blocks._from_u_points takes it, is
+    monotone in x and in y."""
+    x = np.array([window.x_min, window.x_max] * 2)
+    y = np.repeat([window.y_min, window.y_max], 2)
+    with np.errstate(all="ignore"):
+        finite = _finite(*_from_u_points(x, y, False, a, b)).all()
+    if not finite:
+        raise ValueError(
+            f"conjugacy: phi(z) = a*z + b with a = {format_complex(a)}, "
+            f"b = {format_complex(b)} is not finite on the sample window")
+
 
 def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
                      cfg: IterationConfig,
@@ -431,10 +447,12 @@ def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
     and escape test; the suite then checks that rounding along g's orbit
     does not move a verdict.  A map without a chart is classified by the
     generic modulus rule on both sides.  Blocks are classified under f and
-    g, or classify_fn is called per seed.
+    g, or classify_fn is called per seed.  A phi that is not finite on
+    samples.window is a ValueError, raised before anything is classified.
     """
     g = Conjugate(a, b, expr)
     validate(g)
+    _require_finite_phi(a, b, samples.window)
     classify_f = _classifier(classify_fn, expr, cfg)
     classify_g = _classifier(classify_fn, g, cfg)
 

@@ -319,6 +319,18 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("suite", ["conjugacy", "all"])
+    def test_conjugacy_phi_overflowing_exit_2(self, suite):
+        # phi(z) = a*z + b overflows on the default window: the suite
+        # passed with 19 of 20 samples skipped and printed numpy's
+        # RuntimeWarning; with `all`, before the first report
+        code, out, err = run_fresh("-m", "expdyn", "verify", "--suite", suite,
+                                   "--samples", "20", "--a", "1e308+1e308i")
+        assert (code, out) == (2, "")
+        assert err == ("error: conjugacy: phi(z) = a*z + b with "
+                       "a = 1e+308+1e+308i, b = 1.0 is not finite on the "
+                       "sample window\n")
+
     def test_halfplane_bound_of_a_conjugate(self, capsys):
         # F's default window [0,100]x[-100,100] leaves phi(H) = {Re z >= 1}
         argv = ("verify", "--suite", "halfplane-bound", "--samples", "300",

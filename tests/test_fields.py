@@ -176,7 +176,7 @@ def scalar_grid(expr, window, nx, ny, cfg):
         y = window.y_max - (j + 0.5) * dy
         for i in range(nx):
             x = window.x_min + (i + 0.5) * dx
-            verdict, points, _ = _iterate(expr, complex(x, y), cfg, True, ch)
+            verdict, points, _ = _iterate(expr, complex(x, y), cfg, ch)
             if isinstance(verdict, (Escaping, NonEscapingProven)):
                 code, step = ("E" if isinstance(verdict, Escaping) else "P",
                               verdict.step)
@@ -252,8 +252,8 @@ class TestBlockEngine:
         ladder = blocks._ladder_points
         deepened = []
 
-        def checking(re, im, d, m, p, q, out, cfg):
-            out = ladder(re, im, d, m, p, q, out, cfg)
+        def checking(re, im, d, m, p, q, out):
+            out = ladder(re, im, d, m, p, q, out)
             slow = out[3]
             deepened.append(np.count_nonzero(d & out[2]))
             # the node: F and G have Re p < 0, exp(lam) has p = q = 0
@@ -261,8 +261,7 @@ class TestBlockEngine:
                 (maps.FamilyF if m == -1 else maps.FamilyG)(p, q)
             for k in np.flatnonzero(slow & d).tolist():
                 with pytest.raises(DegeneratePhaseError):
-                    maps.evaluate(node, Directed(float(re[k]), float(im[k])),
-                                  cfg)
+                    maps.evaluate(node, Directed(float(re[k]), float(im[k])))
             wr = m.real * re - m.imag * im + p.real
             wi = m.real * im + m.imag * re + p.imag
             assert not (np.isfinite(wr) & np.isfinite(wi))[slow & ~d].any()

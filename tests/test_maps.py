@@ -222,6 +222,49 @@ class TestEvaluate:
         assert math.isnan(got.real) and math.isnan(got.imag)
 
 
+class TestStepReadsNoSetting:
+    """evaluate accepts a config and reads none of it: with none, with
+    max_iter 1 and with the default, each point gets the same bits, or
+    DegeneratePhaseError under all three."""
+
+    @staticmethod
+    def sample():
+        """Seeded finite points, some past the rung, and ladder points, a
+        third of them within 1e-12 of a zero of cos(angle)."""
+        rng = np.random.default_rng(22)
+        finite = (rng.uniform(-800, 800, 300)
+                  + 1j * rng.uniform(-1e3, 1e3, 300)).tolist()
+        lm = 700.0 + 10.0 ** rng.uniform(-2, 5, 300)
+        angle = np.concatenate([
+            rng.uniform(-10, 10, 200),
+            rng.choice([-0.5, 0.5], 100) * math.pi
+            + rng.uniform(-1e-12, 1e-12, 100)])
+        return finite + [Directed(a, b)
+                         for a, b in zip(lm.tolist(), angle.tolist())]
+
+    @pytest.mark.parametrize("expr", [
+        F11, G11, ScaledExp(-2), Conjugate(2, 1, F11),
+        Conjugate(-3, 1j, ScaledExp(1)), Compose(F11, G11),
+        Compose(ScaledExp(1j), Conjugate(2, 1, G11))])
+    def test_same_bits_under_every_config(self, expr):
+        reached = set()
+        for z in self.sample():
+            got = []
+            for cfg in ((), (IterationConfig(max_iter=1),),
+                        (maps.DEFAULT_CONFIG,)):
+                try:
+                    got.append(evaluate(expr, z, *cfg))
+                except DegeneratePhaseError:
+                    got.append(None)
+            if got[0] is None:
+                assert got == [None] * 3, z
+            else:
+                assert all(v is not None and _same_point(v, got[0])
+                           for v in got[1:]), (z, got)
+            reached.add(type(got[0]))
+        assert reached == {complex, Directed, type(None)}
+
+
 def _bits(x: float) -> str:
     # tells -0.0 from 0.0; every NaN reads alike
     return repr(float(x))
@@ -513,7 +556,7 @@ class TestExpStep:
             for angle in (0.0, -0.0, 2.5, -1e-300, 2.0 ** 52, -1e17):
                 m = math.exp(lm)
                 want = complex(m * math.cos(angle), m * math.sin(angle))
-                assert _same_point(maps._normalize(lm, angle, 700.0), want)
+                assert _same_point(maps._normalize(lm, angle), want)
 
 
 class TestLadderCrossings:

@@ -265,7 +265,7 @@ class TestReport:
 def image(expr, z):
     """verify._images at the one point z: expr(z), or None where it has
     no finite complex value."""
-    wr, wi, ok = _images(expr, np.array([z.real]), np.array([z.imag]), CFG)
+    wr, wi, ok = _images(expr, np.array([z.real]), np.array([z.imag]))
     return complex(wr[0], wi[0]) if ok[0] else None
 
 
@@ -518,9 +518,9 @@ class TestPeriodShift:
         # from there every step would repeat the same comparison
         calls, images = [], verify._images
 
-        def counting_images(expr, re, im, cfg):
+        def counting_images(expr, re, im):
             calls.append(len(re))
-            return images(expr, re, im, cfg)
+            return images(expr, re, im)
 
         monkeypatch.setattr(verify, "_images", counting_images)
         cfg = IterationConfig(max_iter=1000)
@@ -537,7 +537,7 @@ class TestPeriodShift:
         # parting at the second step is still found
         c, f_steps = period_of(F11), []
 
-        def scripted_images(expr, re, im, cfg):
+        def scripted_images(expr, re, im):
             ok = np.ones(len(re), dtype=bool)
             if isinstance(expr, Shift):
                 return re, im, ok
@@ -686,6 +686,29 @@ class TestConjugacy:
         for z in ss.points[:50]:
             assert classify(EXP1, complex(z), cfg) == \
                 classify(g, complex(z), cfg)
+
+    @pytest.mark.parametrize("a, b, window", [
+        (complex(1e308, 1e308), complex(1, 0), Window(-10, 2, -8, 8)),
+        # finite on [-1, 1]^2, overflowing at the corners of [-2, 2]^2 only
+        (complex(1e308, 0), complex(0, 0), Window(-2, 2, -2, 2)),
+        (complex(1, 0), complex(1e308, 0), Window(1e308, 1.5e308, 0, 1))])
+    def test_phi_not_finite_on_the_window_is_a_value_error(self, a, b,
+                                                            window):
+        # raised before a sample is classified, with no numpy warning
+        def no_classify(expr, z, cfg):
+            raise AssertionError("a sample was classified")
+
+        ss = SampleSet.generate(2, 30, window)
+        with pytest.raises(ValueError, match="is not finite on the sample"):
+            verify_conjugacy(F11, a, b, ss, CFG, no_classify)
+        with pytest.raises(ValueError, match="is not finite on the sample"):
+            verify_conjugacy(F11, a, b, ss, CFG)
+
+    def test_phi_finite_at_the_corners_runs(self):
+        rep = verify_conjugacy(F11, complex(1e307, 0), complex(0, 0),
+                               SampleSet.generate(2, 30, Window(-1, 1, -1, 1)),
+                               CFG)
+        assert rep.total == 30
 
     def test_planted_mismatch_fails(self):
         ss = SampleSet.generate(9, 6, Window(-1, 1, -1, 1))
