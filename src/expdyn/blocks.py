@@ -6,11 +6,12 @@ there as numpy's complex exp, which calls libm's ``cexp``: glibc's
 computes the same products with the same libm functions, so the bits are
 again those of the ``math`` calls that ``maps.evaluate`` makes.
 A node only marks each point that makes a rare move (a degenerate phase,
-a non-finite exponent, a conj crossing onto or off the ladder) as slow;
-``evaluate`` then steps each slow point once per batch, on the whole
-map, so each point gets the bits ``evaluate`` gives it.  A step reads no
-setting, so ``evaluate_points`` takes no ``IterationConfig``: its
-``max_iter`` is read by the orbit loops only.
+a non-finite exponent, a ladder step to the rung or below, a conj
+crossing onto or off the ladder) as slow; ``evaluate`` then steps each
+slow point once per batch, on the whole map, so each point gets the bits
+``evaluate`` gives it.  A step reads no setting, so ``evaluate_points``
+takes no ``IterationConfig``: its ``max_iter`` is read by the orbit
+loops only.
 
 ``classify_points`` moves an array of seeds in lockstep through
 ``evaluate_points`` and runs ``orbits._iterate``'s tests in the same
@@ -136,11 +137,17 @@ def _exp_points(wr: np.ndarray, wi: np.ndarray, where: np.ndarray) -> Points:
             where & ~low, low & ~ok)
 
 
+def _plus_points(pts: Points, c: complex) -> Points:
+    """maps._plus of each point of pts: c is dropped where directed."""
+    re, im, d, slow = pts
+    return np.where(d, re, re + c.real), np.where(d, im, im + c.imag), d, slow
+
+
 def _ladder_points(re: np.ndarray, im: np.ndarray, d: np.ndarray, m: complex,
                    p: complex, q: complex, out: Points) -> Points:
     """maps._ladder_step(z, m, p, q) at each Directed point z (where d
     holds), over out, the node's finite step of the other points (its last
-    array slow); a degenerate phase is slow too."""
+    array slow); a degenerate phase or a deepening to the rung is slow."""
     if not d.any():
         return out
     out_re, out_im, out_d, slow = out
@@ -152,10 +159,12 @@ def _ladder_points(re: np.ndarray, im: np.ndarray, d: np.ndarray, m: complex,
     under = ph & (dr <= -eps * abs(m))
     over = ph & (dr >= eps * abs(m))
     mag = _exp_sat_points(re, over)
-    return (np.where(over, mag * dr + p.real, np.where(d, q.real, out_re)),
+    deep = mag * dr + p.real
+    return (np.where(over, deep, np.where(d, q.real, out_re)),
             np.where(over, _scale_points(mag, di) + p.imag,
                      np.where(d, q.imag, out_im)),
-            out_d | over, slow | (d & ~(under | over)))
+            out_d | over, slow | (d & ~(under | over))
+            | (over & (deep <= IterationConfig.overflow_log_threshold)))
 
 
 def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
@@ -227,12 +236,8 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     sign = getattr(expr, "sign", None)
     if sign is not None:
         p, q = expr.param, expr.const
-        out_re, out_im, out_d, slow = _exp_points(
-            sign * re + p.real, sign * im + p.imag, ~d)
-        return _ladder_points(re, im, d, sign, p, q,
-                              (np.where(out_d, out_re, out_re + q.real),
-                               np.where(out_d, out_im, out_im + q.imag),
-                               out_d, slow))
+        return _ladder_points(re, im, d, sign, p, q, _plus_points(
+            _exp_points(sign * re + p.real, sign * im + p.imag, ~d), q))
 
     if isinstance(expr, ScaledExp):
         lr, li = expr.lam.real, expr.lam.imag
@@ -248,9 +253,7 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
         return re, im, d, slow
 
     if isinstance(expr, Shift):
-        re, im, d, slow = _points(expr.base, re, im, d)
-        c = complex(expr.c)
-        return np.where(d, re, re + c.real), np.where(d, im, im + c.imag), d, slow
+        return _plus_points(_points(expr.base, re, im, d), expr.c)
 
     if isinstance(expr, Compose):
         re, im, d, slow = _points(expr.inner, re, im, d)

@@ -66,11 +66,19 @@ class EscapeField:
     def dy(self) -> float:
         return (self.window.y_max - self.window.y_min) / self.ny
 
+    def _index(self, i: int, j: int) -> int:
+        # the storage index of cell (i, j), which must lie in the grid
+        if not (0 <= i < self.nx and 0 <= j < self.ny):
+            raise IndexError(f"cell ({i}, {j}) outside the grid of "
+                             f"(nx, ny) = ({self.nx}, {self.ny}) cells")
+        return j * self.nx + i
+
     def center(self, i: int, j: int) -> complex:
+        self._index(i, j)
         return complex(*_centers(self.window, self.nx, self.ny, i, j))
 
     def cell(self, i: int, j: int) -> Tuple[str, Optional[int]]:
-        idx = j * self.nx + i
+        idx = self._index(i, j)
         step = int(self.steps[idx])
         return chr(self.kinds[idx]), (step if step >= 0 else None)
 

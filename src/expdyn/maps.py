@@ -13,17 +13,22 @@ run from any number of workers.
 
 Values too large for floating point are carried on a log scale: a
 ``Directed`` point stores the natural log of the modulus together with an
-(unreduced) angle.  F, G and exp(lam) are all z -> exp(m*z + p) + q
-(m = -1, +1 or lam), and each engine writes their step on a Directed
-point once: it deepens, or the exponential underflows and it collapses
-onto q.  A finite point whose conjugation ``(z - b)/a`` or ``a*v + b``
-overflows moves onto the ladder the same way.
+(unreduced) angle, and its log-modulus is always above the rung (700).
+F, G and exp(lam) are all z -> exp(m*z + p) + q (m = -1, +1 or lam), and
+each engine writes their step on a Directed point once: it deepens, or
+the exponential underflows and it collapses onto q.  A step whose result
+is at or below the rung returns an ordinary complex with the map's
+constant added.  A finite point whose conjugation ``(z - b)/a`` or
+``a*v + b`` overflows moves onto the ladder the same way.
 
-``evaluate`` takes a finite exponential exp(w), Re w at most the rung
-(700) and Im w finite, as one ``cmath.exp`` call.  Below Re w = 708.3
-CPython computes it as exactly exp(Re w)*cos(Im w) and exp(Re w)*sin(Im
-w), with the libm functions that ``math.exp``, ``math.cos`` and
-``math.sin`` call, so the bits are those of the three ``math`` calls.
+Each engine builds a point from its exponent in one place (``_exp``
+here, ``blocks._exp_points``) and drops an additive constant on the
+ladder in one place (``_plus``, ``blocks._plus_points``).  ``_exp``
+takes a finite exponential exp(w), Re w at most the rung and Im w
+finite, as one ``cmath.exp`` call.  Below Re w = 708.3 CPython computes
+it as exactly exp(Re w)*cos(Im w) and exp(Re w)*sin(Im w), with the libm
+functions that ``math.exp``, ``math.cos`` and ``math.sin`` call, so the
+bits are those of the three ``math`` calls.
 
 ``blocks.evaluate_points`` applies a map once to a whole batch of points
 on numpy arrays and gives each point ``evaluate``'s bits.  This module
@@ -327,13 +332,21 @@ def _scale(mag: float, x: float) -> float:
     return 0.0 if x == 0.0 else mag * x
 
 
-def _lost_phase(m: float) -> complex:
-    """m * (cos angle, sin angle) for an angle that is not finite.
+def _exp(wr: float, wi: float) -> ExtendedPoint:
+    """exp(wr + i*wi): one cmath.exp where wr <= the rung, else (NaN too)
+    Directed(wr, wi); with wi not finite only a zero modulus survives, and
+    anything else is NaN.  The scalar twin of blocks._exp_points."""
+    if wr <= IterationConfig.overflow_log_threshold:
+        if math.isfinite(wi):
+            return cmath.exp(complex(wr, wi))
+        return 0j if math.exp(wr) == 0.0 else complex(math.nan, math.nan)
+    return Directed(wr, wi)
 
-    A zero modulus wins over a lost phase; otherwise the value is
-    genuinely indeterminate and becomes NaN for the caller to abort on.
-    """
-    return 0j if m == 0.0 else complex(math.nan, math.nan)
+
+def _plus(v: ExtendedPoint, c: complex) -> ExtendedPoint:
+    """v + c; on the ladder c is ~1e-300 relative and is dropped.  The
+    scalar twin of blocks._plus_points."""
+    return v + c if isinstance(v, complex) else v
 
 
 _LN2 = math.log(2.0)
@@ -411,7 +424,7 @@ def _ladder_step(z: Directed, m: complex, p: complex, q: complex) -> ExtendedPoi
     """exp(m*z + p) + q at a Directed z, the ladder step of F and G
     ((m, p, q) = (sign, param, const)) and of exp(lam) ((lam, 0, 0)).
     With dr + i*di = m*e^{i angle}, z collapses onto q where
-    dr <= -eps*|m| and deepens to Directed(|z|*dr + Re p, |z|*di + Im p)
+    dr <= -eps*|m| and deepens to _exp(|z|*dr + Re p, |z|*di + Im p) + q
     where dr >= eps*|m|; in between, or past PHASE_RESOLUTION_LIMIT (where
     the angle carries no usable phase), its phase is degenerate."""
     if not (-PHASE_RESOLUTION_LIMIT <= z.angle <= PHASE_RESOLUTION_LIMIT):
@@ -425,7 +438,7 @@ def _ladder_step(z: Directed, m: complex, p: complex, q: complex) -> ExtendedPoi
         return complex(q)  # q may be real: a map built with real parameters
     if dr >= eps * abs(m):
         mag = _exp_sat(z.log_modulus)
-        return Directed(mag * dr + p.real, _scale(mag, di) + p.imag)
+        return _plus(_exp(mag * dr + p.real, _scale(mag, di) + p.imag), q)
     raise DegeneratePhaseError(f"direction cosine {dr / abs(m)} below {eps}")
 
 
@@ -439,32 +452,20 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
     A step reads no setting: cfg is accepted and not read (max_iter is
     read by the orbit loops only).
     """
-    thresh = IterationConfig.overflow_log_threshold
     sign = getattr(expr, "sign", None)
     if sign is not None:
-        p, const = expr.param, expr.const
+        p = expr.param
         if isinstance(z, Directed):
-            return _ladder_step(z, sign, p, const)
-        wr = sign * z.real + p.real
-        wi = sign * z.imag + p.imag
-        if wr <= thresh:
-            if math.isfinite(wi):
-                return cmath.exp(complex(wr, wi)) + const
-            return _lost_phase(math.exp(wr)) + const
-        # const is ~1e-300 relative at this scale and is dropped
-        return Directed(wr, wi)
+            return _ladder_step(z, sign, p, expr.const)
+        return _plus(_exp(sign * z.real + p.real, sign * z.imag + p.imag),
+                     expr.const)
 
     if isinstance(expr, ScaledExp):
         lam = expr.lam
         if isinstance(z, Directed):
             return _ladder_step(z, lam, 0.0, 0.0)
-        wr = lam.real * z.real - lam.imag * z.imag
-        wi = lam.real * z.imag + lam.imag * z.real
-        if wr <= thresh:
-            if math.isfinite(wi):
-                return cmath.exp(complex(wr, wi))
-            return _lost_phase(math.exp(wr))
-        return Directed(wr, wi)
+        return _exp(lam.real * z.real - lam.imag * z.imag,
+                    lam.real * z.imag + lam.imag * z.real)
 
     if isinstance(expr, Iterate):
         for _ in range(expr.s):
@@ -472,10 +473,7 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
         return z
 
     if isinstance(expr, Shift):
-        v = evaluate(expr.base, z)
-        if isinstance(v, complex):
-            return v + expr.c
-        return v  # additive constant is negligible past the overflow rung
+        return _plus(evaluate(expr.base, z), expr.c)
 
     if isinstance(expr, Compose):
         return evaluate(expr.outer, evaluate(expr.inner, z))

@@ -34,6 +34,13 @@ class StripId:
     family: Family
 
 
+def _sign(family: Family) -> float:
+    """The family sign s: -1 for F, +1 for G; TypeError for a non-Family."""
+    if not isinstance(family, Family):
+        raise TypeError(f"family must be Family.F or Family.G, got {family!r}")
+    return -1.0 if family is Family.F else 1.0
+
+
 def strip_test(x, y, family: Family, param: complex):
     """(k, inside) of each point x + i*y, for floats or arrays: k is the
     index of the strip nearest the point (a float), inside whether the
@@ -47,7 +54,7 @@ def strip_test(x, y, family: Family, param: complex):
     """
     import numpy as np  # here, so that strip_of starts without numpy
 
-    s = -1.0 if family is Family.F else 1.0
+    s = _sign(family)
     t = (y + s * param.imag) / _HALF_PI
     # (t+1-s)/4 lies in (k - 1/4, k + 1/4) inside strip k
     k = np.rint((t + (1.0 - s)) / 4.0)
@@ -63,7 +70,7 @@ def strip_of(z: complex, family: Family, param: complex) -> Optional[StripId]:
     """Strip containing z, or None (wrong half plane, on a boundary or t
     not finite): strip_test's comparisons on plain floats, where round
     breaks ties to even as np.rint does."""
-    s = -1.0 if family is Family.F else 1.0
+    s = _sign(family)
     t = (z.imag + s * param.imag) / _HALF_PI
     if not (s * z.real > 0.0 and math.isfinite(t)):
         return None
@@ -81,7 +88,7 @@ def strip_boundaries(y_lo: float, y_hi: float, family: Family,
     """
     if y_hi < y_lo:
         raise ValueError("empty interval")
-    offset = param.imag if family is Family.F else -param.imag
+    offset = -_sign(family) * param.imag
     m_lo = math.ceil((y_lo - offset) / math.pi - 0.5)
     m_hi = math.floor((y_hi - offset) / math.pi - 0.5)
     return [(2 * m + 1) * _HALF_PI + offset for m in range(m_lo, m_hi + 1)]

@@ -259,6 +259,33 @@ class TestLadderCrossings:
         assert bytes(field.kinds) == b"U" * 16
 
 
+class TestLadderRung:
+    """A ladder step whose deepened log-modulus is at or below the rung
+    (700) returns an ordinary complex with the map's constant added.  Both
+    orbits used to carry D rows below the rung: the first ended
+    Undetermined at 1,D,-2.877e+299,-1.505e+306 where the point is xi = 1,
+    the second printed 15.05, 3.4e-299 and 1e-305 for 3.4e6 and 1."""
+
+    @pytest.mark.parametrize("text, z0, csv", [
+        ("comp(F(-1e300, 1), exp(1))", "705+1.5707968i",
+         "n,kind,a,b\n"
+         "0,F,705,1.5707968000000001\n"
+         "1,F,1,0\n"
+         "2,F,1,0\n"
+         "# classification=BoundedAtBudget,step=2\n"),
+        ("exp(1e-305)", "7.05e307",
+         "n,kind,a,b\n"
+         "0,F,7.05e+307,0\n"
+         "1,D,705,0\n"
+         "2,F,3445357.8445400596,0\n"
+         "3,F,1,0\n"
+         "4,F,1,0\n"
+         "# classification=BoundedAtBudget,step=4\n")],
+        ids=["comp-F-exp", "exp-tiny-lam"])
+    def test_orbit_bytes_pinned(self, capsys, text, z0, csv):
+        assert run(capsys, "orbit", "--map", text, "--z0", z0) == (0, csv, "")
+
+
 class TestVerifyCommand:
     def test_single_suite_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "halfplane-bound",

@@ -132,6 +132,20 @@ class TestClassifyGrid:
         assert field.center(0, 0) == complex(0.5, 1.5)
         assert field.center(3, 1) == complex(3.5, 0.5)
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (4, 0), (0, 3), (0, -1),
+                                      (4, 2), (-5, -1)])
+    def test_cell_outside_the_grid_is_an_index_error(self, i, j):
+        # (-1, 0) used to read the last cell, (4, 0) cell (0, 1), and
+        # center(4, 0) gave 3.75+2i, outside the window
+        field = make_field(Window(-3, 3, -3, 3), 4, 3,
+                           [("P", 0)] * 11 + [("E", 2)])
+        for read in (field.cell, field.center):
+            with pytest.raises(IndexError,
+                               match=rf"\({i}, {j}\).*\(4, 3\)"):
+                read(i, j)
+        assert field.cell(3, 2) == ("E", 2)
+        assert field.center(3, 2) == complex(2.25, -2)
+
     def test_rejects_workers_below_one(self):
         # the count has no effect, but 0 or a negative count is still an
         # error, not a silent run

@@ -279,7 +279,10 @@ class TestEvaluatePoints:
               + [complex(math.nan, 0), complex(0, math.inf),
                  complex(-math.inf, 1), complex(-0.0, -0.0),
                  complex(1.5e308, -1.5e308), complex(69900000, 100000),
-                 complex(1e304, 1e303)])
+                 complex(1e304, 1e303),
+                 # exp(1) puts it at Directed(705, pi/2 + 4.7e-7), where
+                 # F(-1e300, 1) deepens to a log-modulus of -2.9e299
+                 complex(705, 1.5707968)])
     DIRECTED = [Directed(lm, angle)
                 for lm in (700.5, 705, 709.0, 709.5, 800, 1e300, math.inf)
                 for angle in (0.0, 1.0, math.pi / 2, -math.pi / 2 + 1e-13,
@@ -298,7 +301,10 @@ class TestEvaluatePoints:
         # a base that is degenerate at 0: a pre-image that drops below the
         # rung is stepped by evaluate, whatever the base gives at 0
         Conjugate(math.e, 0,
-                  Compose(ScaledExp(1j), Iterate(ScaledExp(710), 2)))])
+                  Compose(ScaledExp(1j), Iterate(ScaledExp(710), 2))),
+        # ladder steps that deepen to the rung or below: F's constant and
+        # a tiny lam pull the log-modulus down from above 700
+        Compose(FamilyF(-1e300, 1), ScaledExp(1)), ScaledExp(1e-305)])
     def test_matches_evaluate(self, expr):
         pts = self.FINITE + self.DIRECTED
         re = np.array([p.real if isinstance(p, complex) else p.log_modulus
@@ -319,9 +325,12 @@ class TestEvaluatePoints:
             if isinstance(want, Directed):
                 assert [_bits(v) for v in got] == \
                     [_bits(want.log_modulus), _bits(want.angle)], p
+                # a ladder point always lies above the rung
+                assert not want.log_modulus <= 700.0, p
             else:
                 assert [_bits(v) for v in got] == \
                     [_bits(want.real), _bits(want.imag)], p
+        assert not np.any(out_d & ~bad & (out_re <= 700.0))
 
 
 def math_exp_step(expr, z: complex):

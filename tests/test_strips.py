@@ -209,3 +209,23 @@ class TestStripBoundaries:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             strip_boundaries(1.0, 0.0, Family.F, complex(-1, 0))
+
+
+class TestFamilyArgument:
+    """Every strip query reads F or G from a Family and rejects anything
+    else; a plain "F" used to be read as G."""
+
+    @pytest.mark.parametrize("family", ["F", "G", None, FamilyF(-1, 1), -1.0])
+    def test_not_a_family_is_a_type_error(self, family):
+        with pytest.raises(TypeError, match="Family"):
+            strip_of(complex(-2, 3.14159), family, -1)
+        with pytest.raises(TypeError, match="Family"):
+            strip_test(-2.0, 3.14159, family, -1)
+        with pytest.raises(TypeError, match="Family"):
+            strip_boundaries(0.0, 5.0, family, 1j)
+
+    def test_boundaries_of_each_family_with_an_offset(self):
+        assert strip_boundaries(0.0, 5.0, Family.F, 1j) == \
+            pytest.approx([PI / 2 + 1])
+        assert strip_boundaries(0.0, 5.0, Family.G, 1j) == \
+            pytest.approx([PI / 2 - 1, 3 * PI / 2 - 1])
