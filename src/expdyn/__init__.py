@@ -5,10 +5,14 @@ classification with certified non-escape early exits, escape-field
 rendering, and sampling-based verification suites for the structural
 laws the escape sets obey.
 
-The map algebra, the one-seed orbit engine and the parser import no
-numpy.  The names of the other modules (the block engine, fields,
-sampling, strips and verify) are imported on first use (PEP 562), so
-``import expdyn`` does not load numpy.
+``import expdyn`` loads the map algebra (``maps``) and the parser
+only.  The names of every other module (the one-seed orbit engine
+``orbits``, the block engine, fields, sampling, strips and verify) are
+imported on first use (PEP 562), so ``import expdyn``, like ``expdyn
+parse``, loads neither numpy nor ``orbits``.  No module imports
+``dataclasses``: the value types are ``__slots__`` classes on
+``maps._Value``.  The map algebra, ``orbits`` and the parser import no
+numpy.
 """
 
 import importlib
@@ -17,15 +21,16 @@ from .maps import (Compose, Conjugate, DegeneratePhaseError, Directed,
                    ExtendedPoint, Family, FamilyF, FamilyG, InvalidMapError,
                    IterationConfig, Iterate, MapExpr, ScaledExp, Shift, Window,
                    chart, evaluate, period_of, validate)
-from .orbits import (AbsorptionRule, BoundedAtBudget, Classification, Escaping,
-                     NonEscapingProven, OrbitRecord, Undetermined, classify,
-                     orbit_to_csv, run_orbit)
 from .parser import MapSyntaxError, format_complex, format_map, parse_complex, parse_map
 
 __version__ = "0.1.0"
 
 # name -> the module, imported on first use, that defines it
 _LAZY = {
+    **dict.fromkeys(("AbsorptionRule", "BoundedAtBudget", "Classification",
+                     "Escaping", "NonEscapingProven", "OrbitRecord",
+                     "Undetermined", "classify", "orbit_to_csv", "run_orbit"),
+                    "orbits"),
     **dict.fromkeys(("evaluate_points", "classify_points"), "blocks"),
     **dict.fromkeys(("EscapeField", "classify_grid", "export_field_csv",
                      "import_field_csv", "overlay_strips", "render_ppm"),
@@ -59,4 +64,4 @@ __all__ = [
     "NonEscapingProven", "OrbitRecord", "ScaledExp", "Shift", "Undetermined",
     "Window", "chart", "classify", "evaluate", "format_complex", "format_map",
     "orbit_to_csv", "parse_complex", "parse_map", "period_of", "run_orbit",
-    "validate"] + list(_LAZY)
+    "validate"] + [name for name, module in _LAZY.items() if module != "orbits"]

@@ -33,7 +33,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
                     Optional, Sequence, Tuple, Union)
 
 from .maps import DEFAULT_CONFIG, Family, IterationConfig, MapExpr, Window, chart
-from .orbits import Undetermined, orbit_to_csv, run_orbit
 from .parser import format_map, parse_complex, parse_map
 
 if TYPE_CHECKING:
@@ -224,11 +223,12 @@ def _require(args: argparse.Namespace, *keys: str) -> None:
 
 def _cmd_orbit(args) -> int:
     _require(args, "map", "z0")
+    from . import orbits
     expr = parse_map(args.map)
     z0 = parse_complex(args.z0)
-    rec = run_orbit(expr, z0, IterationConfig(max_iter=args.max_iter))
-    orbit_to_csv(rec, sys.stdout)
-    if isinstance(rec.classification, Undetermined) and \
+    rec = orbits.run_orbit(expr, z0, IterationConfig(max_iter=args.max_iter))
+    orbits.orbit_to_csv(rec, sys.stdout)
+    if isinstance(rec.classification, orbits.Undetermined) and \
             rec.classification.reason == "nan":
         print("orbit aborted on NaN", file=sys.stderr)
         return 3

@@ -14,13 +14,13 @@ golden tests can compare files directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
 from .blocks import _classify_points
-from .maps import DEFAULT_CONFIG, IterationConfig, MapExpr, Window, chart, validate
+from .maps import (DEFAULT_CONFIG, IterationConfig, MapExpr, Window, _set,
+                   _Value, chart, validate)
 from .orbits import KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED, _g17
 from .strips import Family, strip_boundaries
 
@@ -34,8 +34,7 @@ __all__ = [
     "overlay_strips",
 ]
 
-@dataclass(frozen=True)
-class EscapeField:
+class EscapeField(_Value):
     """Row-major grid of cell verdicts.
 
     kinds holds one of the byte codes E/P/B/U per cell, steps the escape
@@ -44,19 +43,21 @@ class EscapeField:
     (_centers).
     """
 
-    window: Window
-    nx: int
-    ny: int
-    kinds: np.ndarray
-    steps: np.ndarray
+    __slots__ = __match_args__ = ("window", "nx", "ny", "kinds", "steps")
 
-    def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
+    def __init__(self, window: Window, nx: int, ny: int, kinds: np.ndarray,
+                 steps: np.ndarray):
+        if nx < 1 or ny < 1:
             raise ValueError("grid must be at least 1x1")
-        if self.kinds.shape != (self.nx * self.ny,):
+        if kinds.shape != (nx * ny,):
             raise ValueError("kinds array has wrong length")
-        if self.steps.shape != (self.nx * self.ny,):
+        if steps.shape != (nx * ny,):
             raise ValueError("steps array has wrong length")
+        _set(self, "window", window)
+        _set(self, "nx", nx)
+        _set(self, "ny", ny)
+        _set(self, "kinds", kinds)
+        _set(self, "steps", steps)
 
     @property
     def dx(self) -> float:

@@ -34,6 +34,17 @@ bits are those of the three ``math`` calls.
 on numpy arrays and gives each point ``evaluate``'s bits.  This module
 imports no numpy, so the commands that step one seed at a time (parse,
 orbit) start without it.
+
+Every value type of the package (the node kinds, ``Directed``,
+``IterationConfig``, ``Window``, the verdicts and ``OrbitRecord`` of
+``orbits``, ``EscapeField``, ``SampleSet``, ``StripId`` and
+``VerificationReport``) is a ``__slots__`` class on ``_Value``.  A class
+lists its fields once, as ``__slots__ = __match_args__``, and its
+``__init__`` checks and sets them; ``_Value`` reads that tuple for
+==, hash, repr, copy and pickle and refuses assignment, as a frozen
+dataclass does.  It generates no code, so importing the package costs no
+class generation and no ``dataclasses`` (nor the ``inspect`` that module
+loads).
 """
 
 from __future__ import annotations
@@ -43,8 +54,7 @@ import enum
 import math
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 __all__ = [
     "Family",
@@ -93,6 +103,57 @@ class DegeneratePhaseError(ArithmeticError):
     undetermined."""
 
 
+_set = object.__setattr__  # how an __init__ sets a field past _Value's guard
+
+
+class _Value:
+    """Base of the value types: an immutable record of the fields named
+    by ``__match_args__`` (also the class's ``__slots__``), in
+    constructor order, which its own ``__init__`` sets with ``_set``.
+
+    Two values are equal when they are of the very same class and their
+    fields are equal (as tuples: a field that is one object on both sides
+    is equal); the hash is that of the field tuple, and the repr is
+    ``Name(field=value, ...)``.  ``_compared`` names the fields these
+    three read where that is not all of them.  Assigning or deleting a
+    field raises AttributeError; copy and pickle rebuild a value through
+    its constructor.  This is what ``@dataclass(frozen=True)`` gives.
+    """
+
+    __slots__ = ()
+    __match_args__: Tuple[str, ...] = ()
+    _compared: Optional[Tuple[str, ...]] = None
+
+    def _names(self) -> Tuple[str, ...]:
+        return self.__match_args__ if self._compared is None else self._compared
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._names()])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._names())
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name)
+                                  for name in self.__match_args__])
+
+
 class Family(enum.Enum):
     """Which exponential family a map or strip query refers to (F or its
     mirror G)."""
@@ -101,30 +162,34 @@ class Family(enum.Enum):
     G = "G"
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyF:
+class FamilyF(_Value):
     """z -> exp(-z + lam) + xi, with Re lam < 0 and Re xi >= 1.
 
     The closed right half plane is absorbing for these maps.
     """
 
-    lam: complex
-    xi: complex
-    sign: ClassVar[float] = -1.0
-    family: ClassVar[Family] = Family.F
+    __slots__ = __match_args__ = ("lam", "xi")
+    sign = -1.0
+    family = Family.F
+
+    def __init__(self, lam: complex, xi: complex):
+        _set(self, "lam", lam)
+        _set(self, "xi", xi)
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyG:
+class FamilyG(_Value):
     """z -> exp(z + mu) + zeta, with Re mu < 0 and Re zeta <= -1.
 
     Mirror image of :class:`FamilyF`; the left half plane is absorbing.
     """
 
-    mu: complex
-    zeta: complex
-    sign: ClassVar[float] = 1.0
-    family: ClassVar[Family] = Family.G
+    __slots__ = __match_args__ = ("mu", "zeta")
+    sign = 1.0
+    family = Family.G
+
+    def __init__(self, mu: complex, zeta: complex):
+        _set(self, "mu", mu)
+        _set(self, "zeta", zeta)
 
 
 # One description of both families: z -> exp(sign*z + param) + const,
@@ -136,55 +201,64 @@ FamilyF.param, FamilyF.const = FamilyF.lam, FamilyF.xi
 FamilyG.param, FamilyG.const = FamilyG.mu, FamilyG.zeta
 
 
-@dataclass(frozen=True, slots=True)
-class ScaledExp:
+class ScaledExp(_Value):
     """z -> exp(lam * z), lam != 0."""
 
-    lam: complex
+    __slots__ = __match_args__ = ("lam",)
+
+    def __init__(self, lam: complex):
+        _set(self, "lam", lam)
 
 
-@dataclass(frozen=True, slots=True)
-class Iterate:
+class Iterate(_Value):
     """s-fold composition of the base map, s >= 1."""
 
-    base: "MapExpr"
-    s: int
+    __slots__ = __match_args__ = ("base", "s")
+
+    def __init__(self, base: "MapExpr", s: int):
+        _set(self, "base", base)
+        _set(self, "s", s)
 
 
-@dataclass(frozen=True, slots=True)
-class Shift:
+class Shift(_Value):
     """base map plus an additive constant."""
 
-    base: "MapExpr"
-    c: complex
+    __slots__ = __match_args__ = ("base", "c")
+
+    def __init__(self, base: "MapExpr", c: complex):
+        _set(self, "base", base)
+        _set(self, "c", c)
 
 
-@dataclass(frozen=True, slots=True)
-class Compose:
+class Compose(_Value):
     """outer after inner."""
 
-    outer: "MapExpr"
-    inner: "MapExpr"
+    __slots__ = __match_args__ = ("outer", "inner")
+
+    def __init__(self, outer: "MapExpr", inner: "MapExpr"):
+        _set(self, "outer", outer)
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True, slots=True)
-class Conjugate:
+class Conjugate(_Value):
     """phi o base o phi^-1 with phi(z) = a*z + b, a != 0.
 
     Evaluated algebraically as a*base((z-b)/a) + b; the tree is never
     expanded.
     """
 
-    a: complex
-    b: complex
-    base: "MapExpr"
+    __slots__ = __match_args__ = ("a", "b", "base")
+
+    def __init__(self, a: complex, b: complex, base: "MapExpr"):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "base", base)
 
 
 MapExpr = Union[FamilyF, FamilyG, ScaledExp, Iterate, Shift, Compose, Conjugate]
 
 
-@dataclass(frozen=True, slots=True)
-class Directed:
+class Directed(_Value):
     """Stand-in for a complex value whose modulus exceeded the floating
     point range: ``log_modulus`` is ln|z| and ``angle`` is arg z.
 
@@ -194,18 +268,30 @@ class Directed:
     ``math.sin`` do).
     """
 
-    log_modulus: float
-    angle: float
+    __slots__ = __match_args__ = ("log_modulus", "angle")
+
+    def __init__(self, log_modulus: float, angle: float):
+        _set(self, "log_modulus", log_modulus)
+        _set(self, "angle", angle)
+
+    # _Value's ==, written out: the orbit loop's fixed-point test compares
+    # ladder points at every step on the ladder
+    def __eq__(self, other):
+        if other.__class__ is Directed:
+            return (self.log_modulus, self.angle) == \
+                (other.log_modulus, other.angle)
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
 
 
 ExtendedPoint = Union[complex, Directed]
 
 
-@dataclass(frozen=True, slots=True)
-class IterationConfig:
+class IterationConfig(_Value):
     """The iteration budget of orbit classification.
 
-    max_iter, the map applications per seed (at least 1), is the one
+    max_iter, the map applications per seed (an int, at least 1), is the one
     setting, and only the orbit loops read it: a step of a map reads no
     setting.  The other attributes are constants of the verdict rules:
 
@@ -221,40 +307,42 @@ class IterationConfig:
         Re(m*e^{i angle}) lies within degeneracy_eps*|m| of 0.
     """
 
-    max_iter: int = 1000
-    overflow_log_threshold: ClassVar[float] = 700.0
-    escape_real_threshold: ClassVar[float] = 50.0
-    degeneracy_eps: ClassVar[float] = 1e-12
-    generic_escape_radius: ClassVar[float] = 1e10
+    __slots__ = __match_args__ = ("max_iter",)
+    overflow_log_threshold = 700.0
+    escape_real_threshold = 50.0
+    degeneracy_eps = 1e-12
+    generic_escape_radius = 1e10
 
-    def __post_init__(self):
-        if self.max_iter < 1:
+    def __init__(self, max_iter: int = 1000):
+        if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+            raise TypeError(f"max_iter must be an int, got {max_iter!r}")
+        if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        _set(self, "max_iter", max_iter)
 
 
 DEFAULT_CONFIG = IterationConfig()
 
 
-@dataclass(frozen=True, slots=True)
-class Window:
+class Window(_Value):
     """The rectangle [x_min, x_max] x [y_min, y_max] of a grid or a
     sample set; finite, with a finite positive width and height."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
+    __slots__ = __match_args__ = ("x_min", "x_max", "y_min", "y_max")
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in
-                   (self.x_min, self.x_max, self.y_min, self.y_max)):
+    def __init__(self, x_min: float, x_max: float, y_min: float,
+                 y_max: float):
+        if not all(math.isfinite(v) for v in (x_min, x_max, y_min, y_max)):
             raise ValueError("window bounds must be finite")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        if not (x_min < x_max and y_min < y_max):
             raise ValueError("window must have x_min < x_max and y_min < y_max")
-        if not (math.isfinite(self.x_max - self.x_min)
-                and math.isfinite(self.y_max - self.y_min)):
+        if not (math.isfinite(x_max - x_min) and math.isfinite(y_max - y_min)):
             # an infinite width would put every cell center at inf
             raise ValueError("window width and height must be finite")
+        _set(self, "x_min", x_min)
+        _set(self, "x_max", x_max)
+        _set(self, "y_min", y_min)
+        _set(self, "y_max", y_max)
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +386,27 @@ def validate(expr: MapExpr) -> None:
     """Raise :class:`InvalidMapError` naming the first violated constraint.
 
     The error carries the node path (root / base / outer / inner chains)
-    and the inequality that failed.  After a node's own constraints, its
-    complex parameters must be finite and its sub-maps valid, in field
-    order.  A map is validated once per call of ``classify``,
-    ``run_orbit`` or ``classify_grid``, not once per seed.
+    and the inequality that failed.  First each argument must be of its
+    kind (a number, an int that is not a bool, a map), then come a node's
+    own constraints; then its complex parameters must be finite and its
+    sub-maps valid, in field order.  A map is validated once per call of
+    ``classify``, ``run_orbit`` or ``classify_grid``, not once per seed.
     """
     _validate(expr, "")
 
 
+# the types each argument kind takes ("i" no bool), and their name
+_ARG_TYPES = {"c": ((int, float, complex), "a number"), "i": (int, "an int"),
+              "m": (tuple(NODE_KINDS), "a map")}
+
+
 def _validate(expr: MapExpr, path: str) -> None:
     args = node_fields(expr)
+    for name, arg, value in args:
+        types, what = _ARG_TYPES[arg]
+        if not isinstance(value, types) or \
+                (arg == "i" and isinstance(value, bool)):
+            raise InvalidMapError(path, f"{name} is {what}", f"got {value!r}")
     for c in NODE_KINDS[type(expr)].constraints:
         if not c.holds(expr):
             raise InvalidMapError(path, c.text, f"got {c.got(expr)}" if c.got else "")

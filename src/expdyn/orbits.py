@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Optional, TextIO, Tuple, Union
 
 from .maps import (
@@ -55,7 +54,9 @@ from .maps import (
     _log_modulus,
     _same_point,
     _scale,
+    _set,
     _to_u,
+    _Value,
     chart,
     evaluate,
     validate,
@@ -96,36 +97,45 @@ _HALF_PLANE_RULE = {-1.0: AbsorptionRule.RIGHT_HALF_PLANE_F,
 _LOG_ESCAPE_RADIUS = math.log(IterationConfig.generic_escape_radius)
 
 
-@dataclass(frozen=True, slots=True)
-class Escaping:
-    step: int
+class Escaping(_Value):
+    __slots__ = __match_args__ = ("step",)
+
+    def __init__(self, step: int):
+        _set(self, "step", step)
 
 
-@dataclass(frozen=True, slots=True)
-class NonEscapingProven:
-    rule: AbsorptionRule
-    step: int
+class NonEscapingProven(_Value):
+    __slots__ = __match_args__ = ("rule", "step")
+
+    def __init__(self, rule: AbsorptionRule, step: int):
+        _set(self, "rule", rule)
+        _set(self, "step", step)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundedAtBudget:
-    pass
+class BoundedAtBudget(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Undetermined:
-    reason: str
+class Undetermined(_Value):
+    __slots__ = __match_args__ = ("reason",)
+
+    def __init__(self, reason: str):
+        _set(self, "reason", reason)
 
 
 Classification = Union[Escaping, NonEscapingProven, BoundedAtBudget, Undetermined]
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitRecord:
-    seed: complex
-    points: Tuple[ExtendedPoint, ...]
-    classification: Classification
-    steps_taken: int
+class OrbitRecord(_Value):
+    __slots__ = __match_args__ = ("seed", "points", "classification",
+                                  "steps_taken")
+
+    def __init__(self, seed: complex, points: Tuple[ExtendedPoint, ...],
+                 classification: Classification, steps_taken: int):
+        _set(self, "seed", seed)
+        _set(self, "points", points)
+        _set(self, "classification", classification)
+        _set(self, "steps_taken", steps_taken)
 
 
 def _is_nan(z: ExtendedPoint) -> bool:
@@ -218,8 +228,10 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig,
 
 def classify(expr: MapExpr, z0: complex,
              cfg: IterationConfig = DEFAULT_CONFIG) -> Classification:
-    """Classify one seed.  Pure function of (expr, z0, cfg)."""
-    return run_orbit(expr, z0, cfg).classification
+    """Classify one seed: run_orbit's classification, without building
+    its record.  Pure function of (expr, z0, cfg)."""
+    validate(expr)
+    return _iterate(expr, z0, cfg, chart(expr))[0]
 
 
 def run_orbit(expr: MapExpr, z0: complex,

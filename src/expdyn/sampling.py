@@ -7,11 +7,9 @@ triple always yields the same points, on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .maps import Window
+from .maps import Window, _set, _Value
 
 __all__ = ["SampleSet", "splitmix64"]
 
@@ -43,27 +41,30 @@ def _stream(seed: int, n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(_Value):
     """count points drawn deterministically from window.
 
     points is a complex128 array; sample i consumes stream outputs 2i
     (real part) and 2i+1 (imaginary part).  Each is finite and inside the
-    closed window, so a suite may read the window for its points.
+    closed window, so a suite may read the window for its points.  ==,
+    hash and repr read (seed, count, window), which determine the points.
     """
 
-    seed: int
-    count: int
-    window: Window
-    points: np.ndarray = field(repr=False, compare=False)
+    __slots__ = __match_args__ = ("seed", "count", "window", "points")
+    _compared = ("seed", "count", "window")
 
-    def __post_init__(self):
-        p, w = self.points, self.window
-        if len(p) != self.count or not (
+    def __init__(self, seed: int, count: int, window: Window,
+                 points: np.ndarray):
+        p, w = points, window
+        if len(p) != count or not (
                 np.isfinite(p) & (w.x_min <= p.real) & (p.real <= w.x_max)
                 & (w.y_min <= p.imag) & (p.imag <= w.y_max)).all():
-            raise ValueError(f"need {self.count} finite points inside the "
+            raise ValueError(f"need {count} finite points inside the "
                              "closed window")
+        _set(self, "seed", seed)
+        _set(self, "count", count)
+        _set(self, "window", window)
+        _set(self, "points", points)
 
     @classmethod
     def generate(cls, seed: int, count: int, window: Window) -> "SampleSet":

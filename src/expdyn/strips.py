@@ -17,10 +17,9 @@ at the literal unshifted bands.  Boundary lines belong to no strip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional
 
-from .maps import Family
+from .maps import Family, _set, _Value
 
 __all__ = ["Family", "StripId", "strip_of", "strip_test",
            "strip_boundaries"]
@@ -28,10 +27,12 @@ __all__ = ["Family", "StripId", "strip_of", "strip_test",
 _HALF_PI = math.pi / 2.0
 
 
-@dataclass(frozen=True, slots=True)
-class StripId:
-    k: int
-    family: Family
+class StripId(_Value):
+    __slots__ = __match_args__ = ("k", "family")
+
+    def __init__(self, k: int, family: Family):
+        _set(self, "k", k)
+        _set(self, "family", family)
 
 
 def _sign(family: Family) -> float:

@@ -18,7 +18,6 @@ as U), or call a classify_fn passed in (tests, tracing) once per seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,6 +34,8 @@ from .maps import (
     MapExpr,
     Shift,
     Window,
+    _set,
+    _Value,
     chart,
     period_of,
     validate,
@@ -81,12 +82,17 @@ def _classifier(classify_fn: Optional[ClassifyFn], expr: MapExpr,
          for x, y in zip(re.tolist(), im.tolist())], dtype=np.uint8)
 
 
-@dataclass
-class VerificationReport:
-    suite_name: str
-    total: int
-    violations: List[Dict[str, str]] = field(default_factory=list)
-    skipped_undetermined: int = 0
+class VerificationReport(_Value):
+    __slots__ = __match_args__ = ("suite_name", "total", "violations",
+                                  "skipped_undetermined")
+
+    def __init__(self, suite_name: str, total: int,
+                 violations: Optional[List[Dict[str, str]]] = None,
+                 skipped_undetermined: int = 0):
+        _set(self, "suite_name", suite_name)
+        _set(self, "total", total)
+        _set(self, "violations", [] if violations is None else violations)
+        _set(self, "skipped_undetermined", skipped_undetermined)
 
     @property
     def verdict(self) -> str:
@@ -124,16 +130,16 @@ def _sample_report(name: str, samples: SampleSet,
     """grade(re, im) of a block of fields._BLOCK samples gives its skipped
     mask and laws (violated mask, expected, observed(k)); the report
     lists the violations in sample order, then law order."""
-    report = VerificationReport(name, total=samples.count)
+    violations, skipped_total = [], 0
     for start in range(0, samples.count, fields._BLOCK):
         pts = samples.points[start:start + fields._BLOCK]
         skipped, laws = grade(pts.real, pts.imag)
-        report.skipped_undetermined += int(np.count_nonzero(skipped))
+        skipped_total += int(np.count_nonzero(skipped))
         for k, n in sorted((k, n) for n, law in enumerate(laws)
                            for k in np.flatnonzero(law[0]).tolist()):
-            report.violations.append(
+            violations.append(
                 _violation(complex(pts[k]), laws[n][1], laws[n][2](k)))
-    return report
+    return VerificationReport(name, samples.count, violations, skipped_total)
 
 
 def _images(expr: MapExpr, re: np.ndarray,
@@ -229,18 +235,17 @@ def verify_strip_containment(fld: EscapeField,
     if ch is None:
         raise TypeError("strip containment applies to maps with a chart")
     f, a, b = ch
-    report = VerificationReport("strip-containment", total=fld.nx * fld.ny)
-    report.skipped_undetermined = int(np.sum(~_determined(fld.kinds)))
     j, i = np.divmod(fld.escaping_indices(), fld.nx)
     x, y = fields._centers(fld.window, fld.nx, fld.ny, i, j)
     ux, uy = _to_u_points(x, y, False, a, b)
     _, inside = strip_test(ux, uy, f.family, f.param)
-    for k in np.flatnonzero(~inside).tolist():
-        report.violations.append(_violation(
-            complex(x[k], y[k]),
-            "escaping cell inside an escape strip of the open half plane",
-            "escaping cell outside every strip"))
-    return report
+    violations = [_violation(
+        complex(x[k], y[k]),
+        "escaping cell inside an escape strip of the open half plane",
+        "escaping cell outside every strip")
+        for k in np.flatnonzero(~inside).tolist()]
+    return VerificationReport("strip-containment", fld.nx * fld.ny, violations,
+                              int(np.sum(~_determined(fld.kinds))))
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +258,16 @@ def verify_disjointness(field_f: EscapeField,
     if (field_f.nx, field_f.ny) != (field_g.nx, field_g.ny) or \
             field_f.window != field_g.window:
         raise ValueError("fields must share window and resolution")
-    report = VerificationReport("disjointness", total=field_f.nx * field_f.ny)
-    report.skipped_undetermined = int(np.count_nonzero(
-        ~(_determined(field_f.kinds) & _determined(field_g.kinds))))
     both = np.nonzero((field_f.kinds == KIND_ESCAPING)
                       & (field_g.kinds == KIND_ESCAPING))[0]
-    for idx in both:
-        report.violations.append(_violation(
-            field_f.center(int(idx) % field_f.nx, int(idx) // field_f.nx),
-            "escaping under at most one of the two maps",
-            "escaping under both"))
-    return report
+    violations = [_violation(
+        field_f.center(int(idx) % field_f.nx, int(idx) // field_f.nx),
+        "escaping under at most one of the two maps",
+        "escaping under both") for idx in both]
+    return VerificationReport(
+        "disjointness", field_f.nx * field_f.ny, violations,
+        int(np.count_nonzero(
+            ~(_determined(field_f.kinds) & _determined(field_g.kinds)))))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from expdyn import cli, fields, verify
+from expdyn import cli, fields, orbits, verify
 from expdyn.orbits import OrbitRecord, Undetermined
 from expdyn.verify import verify_disjointness
 
@@ -118,7 +118,7 @@ class TestOrbit:
                                classification=Undetermined("nan"),
                                steps_taken=0)
 
-        monkeypatch.setattr(cli, "run_orbit", fake_run_orbit)
+        monkeypatch.setattr(orbits, "run_orbit", fake_run_orbit)
         code, out, err = run(capsys, "orbit", "--map", "F(-1, 1)", "--z0", "0")
         assert code == 3
         assert "NaN" in err

@@ -4,7 +4,6 @@ import itertools
 import math
 import struct
 import typing
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +45,12 @@ TWO_PI_I = complex(0.0, 2.0 * math.pi)
 _PAIR = struct.Struct("dd")
 
 
+def _replace(node, name, value):
+    """node with its field name set to value."""
+    return type(node)(*(value if field == name else getattr(node, field)
+                        for field in node.__match_args__))
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -68,7 +73,7 @@ class TestValidate:
         # a non-finite real or imaginary part, two levels down the tree
         good = getattr(node, name)
         for bad in (complex(value, good.imag), complex(good.real, value)):
-            expr = Compose(F11, Iterate(replace(node, **{name: bad}), 2))
+            expr = Compose(F11, Iterate(_replace(node, name, bad), 2))
             with pytest.raises(InvalidMapError) as exc:
                 validate(expr)
             assert exc.value.path == "inner.base"
@@ -110,6 +115,34 @@ class TestValidate:
         assert exc.value.constraint == constraint
         assert exc.value.path == "inner.base"
         assert str(exc.value) == message
+
+    # an argument of the wrong kind, two levels down the tree: reported
+    # before any constraint reads it, and never run as some other value
+    @pytest.mark.parametrize("node, constraint, message", [
+        (Iterate(F11, True), "s is an int",
+         "inner.base: constraint 's is an int' violated (got True)"),
+        (Iterate(F11, 2.0), "s is an int",
+         "inner.base: constraint 's is an int' violated (got 2.0)"),
+        (FamilyF("a", 1), "lam is a number",
+         "inner.base: constraint 'lam is a number' violated (got 'a')"),
+        (FamilyG(-1, None), "zeta is a number",
+         "inner.base: constraint 'zeta is a number' violated (got None)"),
+        (Conjugate(2, 1j, "F(-1, 1)"), "base is a map",
+         "inner.base: constraint 'base is a map' violated (got 'F(-1, 1)')"),
+        (Compose(F11, 1j), "inner is a map",
+         "inner.base: constraint 'inner is a map' violated (got 1j)"),
+    ])
+    def test_argument_of_the_wrong_kind(self, node, constraint, message):
+        with pytest.raises(InvalidMapError) as exc:
+            validate(Compose(F11, Iterate(node, 2)))
+        assert exc.value.constraint == constraint
+        assert exc.value.path == "inner.base"
+        assert str(exc.value) == message
+
+    def test_numbers_of_every_kind_are_parameters(self):
+        # ints and floats are numbers too, as chart's shifted maps carry
+        validate(Conjugate(2, 1.5, Shift(FamilyF(-1, 1), 0.5)))
+        validate(Iterate(ScaledExp(1.0), 3))
 
     def test_trees_are_immutable(self):
         with pytest.raises(AttributeError):

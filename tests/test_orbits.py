@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import sys
@@ -49,12 +48,19 @@ UNDERFLOW = AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD
 
 class TestIterationConfig:
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
             IterationConfig(max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "5", None])
+    def test_budget_must_be_an_int(self, max_iter):
+        # at construction, not mid-orbit, and a bool never runs as 0 or 1
+        with pytest.raises(TypeError, match="max_iter must be an int"):
+            IterationConfig(max_iter=max_iter)
+        with pytest.raises(TypeError, match="max_iter must be an int"):
+            IterationConfig(max_iter)
+
     def test_thresholds_are_constants(self):
-        assert [f.name for f in dataclasses.fields(IterationConfig)] == \
-            ["max_iter"]
+        assert IterationConfig.__match_args__ == ("max_iter",)
         for name in ("overflow_log_threshold", "escape_real_threshold",
                      "degeneracy_eps", "generic_escape_radius"):
             with pytest.raises(TypeError):
@@ -62,6 +68,7 @@ class TestIterationConfig:
 
     def test_defaults(self):
         cfg = IterationConfig()
+        assert cfg == IterationConfig(1000) == IterationConfig(max_iter=1000)
         assert cfg.max_iter == 1000
         assert cfg.overflow_log_threshold == 700.0
         assert cfg.escape_real_threshold == 50.0

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import struct
@@ -160,5 +159,5 @@ def _bits(value) -> bytes:
         return struct.pack("dd", value.real, value.imag)
     if isinstance(value, int):
         return struct.pack("q", value)
-    return b"".join(_bits(getattr(value, f.name))
-                    for f in dataclasses.fields(value))
+    return b"".join(_bits(getattr(value, name))
+                    for name in value.__match_args__)
