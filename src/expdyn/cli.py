@@ -27,13 +27,15 @@ Exit codes: 0 success / all suites pass; 1 verification violations;
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from types import SimpleNamespace
 from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
                     Optional, Sequence, Tuple, Union)
 
-from .maps import DEFAULT_CONFIG, Family, IterationConfig, MapExpr, Window, chart
-from .parser import format_map, parse_complex, parse_map
+from .maps import (DEFAULT_CONFIG, Family, IterationConfig, MapExpr, Window,
+                   chart, period_of)
+from .parser import format_complex, format_map, parse_complex, parse_map
 
 if TYPE_CHECKING:
     from .verify import VerificationReport
@@ -381,6 +383,12 @@ def _cmd_verify(args) -> int:
         g, *ab_g = _chart(args.map_g, "disjointness")
         if f.sign == g.sign or ab != ab_g:
             raise CliError("disjointness needs F and G maps in one chart")
+    if "period-shift" in names:
+        # the shift g = f^s + c needs a finite period c: before any report
+        c = period_of(parse_map(args.map or _SUITES["period-shift"].map))
+        if not cmath.isfinite(c):
+            raise CliError(f"period-shift: the period c = {format_complex(c)}"
+                           " of the map is not finite")
     if "conjugacy" in names:
         # phi finite on the conjugacy window: before any report too
         from .verify import _require_finite_phi

@@ -22,7 +22,7 @@ from .blocks import _classify_points
 from .maps import (DEFAULT_CONFIG, IterationConfig, MapExpr, Window, _set,
                    _Value, chart, validate)
 from .orbits import KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED, _g17
-from .strips import Family, strip_boundaries
+from .strips import Family, _boundaries
 
 __all__ = [
     "Window",
@@ -87,6 +87,14 @@ class EscapeField(_Value):
         return (self.nx == other.nx and self.ny == other.ny
                 and np.array_equal(self.kinds, other.kinds)
                 and np.array_equal(self.steps, other.steps))
+
+    def __eq__(self, other):
+        # the arrays compared whole: _Value's tuple compare asks bool() of
+        # an array, which fails past one cell; defining __eq__ leaves the
+        # class unhashable, as its arrays are
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.window == other.window and self.cells_equal(other)
 
     def escaping_indices(self) -> np.ndarray:
         return np.nonzero(self.kinds == KIND_ESCAPING)[0]
@@ -166,13 +174,13 @@ def overlay_strips(field: EscapeField, family: Family,
     cell's vertical span crosses a strip boundary.
 
     Spans are half-open [lo, hi), so a boundary sitting exactly on a
-    shared cell edge marks one row, not two.
+    shared cell edge marks one row, not two.  The boundaries in [lo, hi]
+    rise, so each row compares only the first with hi.
     """
     marks = np.zeros(field.nx * field.ny, dtype=bool)
     for j in range(field.ny):
         hi = field.window.y_max - j * field.dy
-        lo = hi - field.dy
-        if any(b < hi for b in strip_boundaries(lo, hi, family, param)):
+        if next(_boundaries(hi - field.dy, hi, family, param), hi) < hi:
             marks[j * field.nx:(j + 1) * field.nx] = True
     marks.setflags(write=False)
     return marks

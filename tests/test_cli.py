@@ -331,6 +331,24 @@ class TestVerifyCommand:
         assert out == ""
         assert "disjointness needs" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "all", "--samples", "50", "--res", "40,40",
+         "--map", "conj(1e308, 0, F(-1, 1))",
+         "--map-g", "conj(1e308, 0, G(-1, -1))"),
+        ("--suite", "period-shift", "--map", "exp(1e-310)")])
+    def test_period_shift_needs_a_finite_period_exit_2(
+            self, capsys, monkeypatch, argv):
+        # the period c = a*2*pi*i or 2*pi*i/lam is infinite: `all` printed
+        # three reports first, and the error named an internal node
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was classified")
+
+        monkeypatch.setattr(fields, "classify_grid", no_grid)
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: period-shift: the period c = 0.0+infi of the "
+                       "map is not finite\n")
+
     def test_disjointness_takes_the_families_in_either_order(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "disjointness",
                            "--map", "G(-1, -1)", "--map-g", "F(-1, 1)",

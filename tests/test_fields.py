@@ -22,7 +22,9 @@ from expdyn.maps import (DegeneratePhaseError, Directed, FamilyF, FamilyG,
 from expdyn.orbits import (BoundedAtBudget, Escaping, NonEscapingProven,
                            Undetermined, _g17, _iterate)
 from expdyn.parser import parse_map
-from expdyn.strips import Family
+from expdyn.strips import Family, strip_boundaries
+
+from helpers import run_fresh
 
 F11 = FamilyF(complex(-1, 0), complex(1, 0))
 G11 = FamilyG(complex(-1, 0), complex(-1, 0))
@@ -89,6 +91,25 @@ class TestWindow:
             with pytest.raises(ValueError, match="width and height"):
                 Window(*bounds)
         assert Window(-8e307, 8e307, -1, 1).x_max == 8e307
+
+
+def test_fields_compare_by_window_and_cells():
+    # == compares the arrays whole: on more than one cell the field tuples
+    # used to ask bool() of an array and raise ValueError
+    window = Window(-30, 5, -20, 20)
+    a = classify_grid(F11, window, 4, 4, IterationConfig(max_iter=50))
+    b = classify_grid(F11, window, 4, 4, IterationConfig(max_iter=50))
+    assert a == b and not a != b
+    kinds, steps = a.kinds.copy(), a.steps.copy()
+    kinds[5] = ord("U") if kinds[5] != ord("U") else ord("B")
+    steps[5] += 1
+    for other in (EscapeField(window, 4, 4, kinds, a.steps),
+                  EscapeField(window, 4, 4, a.kinds, steps),
+                  EscapeField(Window(-30, 5, -20, 21), 4, 4, a.kinds, a.steps),
+                  EscapeField(window, 2, 8, a.kinds, a.steps)):
+        assert a != other and not a == other
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 class TestClassifyGrid:
@@ -404,6 +425,62 @@ class TestOverlay:
         assert np.array_equal(field.steps, steps)
         assert marks.dtype == bool and marks.shape == (8,)
         assert not marks.flags.writeable
+
+    @pytest.mark.parametrize("family, param", [(Family.F, complex(-1, 0.3)),
+                                               (Family.G, complex(-1, -1.2))])
+    def test_rows_match_listing_every_boundary(self, family, param):
+        # each row [lo, hi) is marked iff a listed boundary lies below hi;
+        # rows start and end exactly on boundaries, or an ulp away
+        rng = np.random.default_rng(25)
+        bounds = strip_boundaries(-60.0, 60.0, family, param)
+        rows = []
+        for _ in range(3000):
+            b = float(rng.choice(bounds))
+            h = float(rng.uniform(0.0, 0.5 * abs(b)))  # hi - b exact
+            lo = float(rng.uniform(-60.0, 60.0))
+            rows += [(lo, lo + float(rng.uniform(0.0, 8.0))), (b - h, b),
+                     (b, b + h), (np.nextafter(b, -np.inf), b + h),
+                     (b - h, np.nextafter(b, np.inf))]
+        starts = 0
+        for lo, hi in rows:
+            field = make_field(Window(-1, 1, lo, hi), 1, 1, [("B", -1)])
+            lo = hi - field.dy  # the row's span, as overlay_strips takes it
+            starts += lo in bounds
+            want = any(b < hi for b in strip_boundaries(lo, hi, family, param))
+            assert overlay_strips(field, family, param)[0] == want, (lo, hi)
+        assert starts >= 3000
+        # and row by row over windows of many rows
+        for _ in range(200):
+            y_min = float(rng.uniform(-60.0, 50.0))
+            y_max = float(rng.choice([y_min + rng.uniform(0.1, 20.0),
+                                      rng.choice(bounds)]))
+            if y_max <= y_min:
+                continue
+            ny = int(rng.integers(1, 60))
+            field = make_field(Window(-1, 1, y_min, y_max), 1, ny,
+                               [("B", -1)] * ny)
+            marks = overlay_strips(field, family, param)
+            for j in range(ny):
+                hi = y_max - j * field.dy
+                want = any(b < hi for b in strip_boundaries(
+                    hi - field.dy, hi, family, param))
+                assert marks[j] == want, (y_min, y_max, ny, j)
+
+    def test_tall_window_marks_every_row(self):
+        # 1.6e11 boundaries per row; listing them ran out of memory, so
+        # the child runs under an address-space limit and fails fast
+        code, out, err = run_fresh("-c", (
+            "import os, resource\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from expdyn.fields import EscapeField, Window, overlay_strips\n"
+            "from expdyn.strips import Family\n"
+            "field = EscapeField(Window(-30, 5, -1e12, 1e12), 4, 4,\n"
+            "                    np.full(16, 66, dtype=np.uint8),\n"
+            "                    np.full(16, -1))\n"
+            "print(overlay_strips(field, Family.F, 1j - 1).all())\n"))
+        assert (code, out) == (0, "True\n"), err
 
 
 class TestFieldCsv:
