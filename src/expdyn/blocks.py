@@ -37,7 +37,12 @@ import numpy as np
 
 from .maps import (
     _EXP_OVERFLOW,
+    _LOG_ESCAPE_RADIUS,
     DEFAULT_CONFIG,
+    KIND_BUDGET,
+    KIND_ESCAPING,
+    KIND_PROVEN,
+    KIND_UNDETERMINED,
     PHASE_RESOLUTION_LIMIT,
     Chart,
     Compose,
@@ -55,8 +60,6 @@ from .maps import (
     evaluate,
     validate,
 )
-from .orbits import (_LOG_ESCAPE_RADIUS, KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
-                     KIND_UNDETERMINED)
 
 __all__ = ["evaluate_points", "classify_points"]
 

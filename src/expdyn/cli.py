@@ -21,13 +21,22 @@ value too.  Usage errors carry argparse's wording.  Identical argv + config + se
 identical output.
 
 Exit codes: 0 success / all suites pass; 1 verification violations;
-2 usage, parse or validation errors; 3 numeric failure (NaN abort).
+2 usage, parse or validation errors, and a grid or sample set too large
+for memory; 3 numeric failure (NaN abort).
+
+Both process entries, `python -m expdyn` and the `expdyn` script, call
+run(): main() with OPENBLAS_NUM_THREADS defaulted to 1 (expdyn makes no
+BLAS call) and gc.freeze() before the exit.  main() itself leaves the
+environment and the garbage collector alone, so in-process callers keep
+theirs.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import gc
+import os
 import sys
 from types import SimpleNamespace
 from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
@@ -434,11 +443,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except CliError as exc:
                 raise CliError(f"{args.config}: {exc}") from None
         return args.run(args)
-    except (CliError, ValueError, OSError) as exc:
-        # ValueError covers map syntax and map validation errors
+    except (CliError, ValueError, OSError, MemoryError) as exc:
+        # ValueError covers map syntax and map validation errors;
+        # MemoryError a grid or sample set too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+def run() -> int:
+    """main() as a process: the entry of `python -m expdyn` and of the
+    `expdyn` script."""
+    # expdyn makes no BLAS call, so OpenBLAS's worker thread would only
+    # spin beside the run; set before numpy loads, and a user's value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    # the exit frees what is left; frozen, it spares the interpreter's
+    # final full collections over everything numpy loaded
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

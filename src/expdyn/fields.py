@@ -19,10 +19,9 @@ from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
 import numpy as np
 
 from .blocks import _classify_points
-from .maps import (DEFAULT_CONFIG, IterationConfig, MapExpr, Window, _set,
-                   _Value, chart, validate)
-from .orbits import KIND_BUDGET, KIND_ESCAPING, KIND_UNDETERMINED, _g17
-from .strips import Family, _boundaries
+from .maps import (DEFAULT_CONFIG, KIND_BUDGET, KIND_ESCAPING,
+                   KIND_UNDETERMINED, Family, IterationConfig, MapExpr, Window,
+                   _g17, _set, _Value, chart, validate)
 
 __all__ = [
     "Window",
@@ -177,6 +176,7 @@ def overlay_strips(field: EscapeField, family: Family,
     shared cell edge marks one row, not two.  The boundaries in [lo, hi]
     rise, so each row compares only the first with hi.
     """
+    from .strips import _boundaries
     marks = np.zeros(field.nx * field.ny, dtype=bool)
     for j in range(field.ny):
         hi = field.window.y_max - j * field.dy

@@ -323,6 +323,20 @@ class IterationConfig(_Value):
 
 DEFAULT_CONFIG = IterationConfig()
 
+# byte codes of the four verdict classes in blocks.classify_points and
+# fields; here rather than in orbits, so that render loads no orbit engine
+KIND_ESCAPING = ord("E")
+KIND_PROVEN = ord("P")
+KIND_BUDGET = ord("B")
+KIND_UNDETERMINED = ord("U")
+
+_LOG_ESCAPE_RADIUS = math.log(IterationConfig.generic_escape_radius)
+
+
+def _g17(x: float) -> str:
+    """x in CSV: 17 significant digits, so that it reads back bit for bit."""
+    return f"{x:.17g}"
+
 
 class Window(_Value):
     """The rectangle [x_min, x_max] x [y_min, y_max] of a grid or a

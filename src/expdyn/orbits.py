@@ -41,8 +41,13 @@ import enum
 import math
 from typing import Optional, TextIO, Tuple, Union
 
-from .maps import (
+from .maps import (  # KIND_*: callers may read the codes from here too
+    _LOG_ESCAPE_RADIUS,
     DEFAULT_CONFIG,
+    KIND_BUDGET,
+    KIND_ESCAPING,
+    KIND_PROVEN,
+    KIND_UNDETERMINED,
     PHASE_RESOLUTION_LIMIT,
     Chart,
     DegeneratePhaseError,
@@ -51,6 +56,7 @@ from .maps import (
     IterationConfig,
     MapExpr,
     _exp_sat,
+    _g17,
     _log_modulus,
     _same_point,
     _scale,
@@ -84,17 +90,9 @@ class AbsorptionRule(enum.Enum):
     UNDERFLOW_TO_FIXED_NEIGHBORHOOD = "underflow-to-fixed-neighborhood"
 
 
-# byte codes of the four verdict classes in blocks.classify_points and fields
-KIND_ESCAPING = ord("E")
-KIND_PROVEN = ord("P")
-KIND_BUDGET = ord("B")
-KIND_UNDETERMINED = ord("U")
-
 # keyed by the chart's sign, the family's sign
 _HALF_PLANE_RULE = {-1.0: AbsorptionRule.RIGHT_HALF_PLANE_F,
                     1.0: AbsorptionRule.LEFT_HALF_PLANE_G}
-
-_LOG_ESCAPE_RADIUS = math.log(IterationConfig.generic_escape_radius)
 
 
 class Escaping(_Value):
@@ -246,10 +244,6 @@ def run_orbit(expr: MapExpr, z0: complex,
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
-
 
 def orbit_to_csv(rec: OrbitRecord, out: TextIO) -> None:
     """Write "n,kind,a,b" rows (kind F: a=Re, b=Im; kind D: a=log-modulus,

@@ -23,11 +23,13 @@ from expdyn.maps import (
 TWO_PI = 2.0 * math.pi
 
 
-def run_fresh(*args: str, cwd=None):
+def run_fresh(*args: str, cwd=None, env=None):
     """`python *args` in a fresh interpreter that imports the expdyn under
-    test: (exit code, stdout, stderr)."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+    test: (exit code, stdout, stderr).  env updates this environment; a
+    None value removes its variable."""
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.path.dirname(
         os.path.dirname(os.path.abspath(expdyn.__file__))))
+    env = {key: value for key, value in env.items() if value is not None}
     run = subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                          capture_output=True, text=True)
     return run.returncode, run.stdout, run.stderr

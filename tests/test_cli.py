@@ -208,6 +208,29 @@ class TestRender:
         assert a.read_bytes() == b.read_bytes()
 
 
+# runs `python -m expdyn <argv>` under a 1 GiB address-space limit, so
+# that a request too large for memory fails to allocate even on a host
+# that overcommits
+UNDER_1GIB = ("import resource, runpy\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "runpy.run_module('expdyn', run_name='__main__', "
+              "alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", "--map", "F(-1, 1)", "--window=0,1,0,1",
+     "--res", "1000000,1000000", "--out", "m.ppm"),
+    ("verify", "--suite", "halfplane-bound", "--samples", "10000000000"),
+], ids=["render", "verify"])
+def test_too_large_for_memory_exit_2(argv, tmp_path):
+    # a usage error, not a verification violation (exit 1), and no file
+    code, out, err = run_fresh("-c", UNDER_1GIB, *argv, cwd=tmp_path)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestModulusPastDblMax:
     # the first image of this seed has finite parts and |z| past DBL_MAX
     MAP = "conj(2e4, 0, exp(1))"

@@ -6,14 +6,18 @@ geometry and the CLI front end import no numpy at module level, and the
 package resolves the names of its other modules, the orbit engine
 included, on first use.  No module imports dataclasses: every value type
 is a __slots__ class on maps._Value, whose semantics the last tests pin.
-Each import check runs in a fresh interpreter, since this one has numpy
-loaded already.
+The process entry, cli.run, runs numpy with one BLAS thread unless the
+user chose otherwise and freezes the collector before the exit, while an
+in-process cli.main leaves both alone.  Each import and entry check runs
+in a fresh interpreter, since this one has numpy loaded already.
 """
 
 import copy
 import hashlib
 import json
+import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +48,35 @@ CLI = ("import runpy, sys\n"
        "    print('loaded:', *[m for m in ('numpy', 'dataclasses',\n"
        "                                   'expdyn.orbits')\n"
        "                       if m in sys.modules], file=sys.stderr)\n")
+
+
+# runs `python -m expdyn <argv>` and then reports on its last stderr line,
+# as JSON, what the process entry left: OPENBLAS_NUM_THREADS, the threads
+# of the process (null without /proc/self/task), the count of objects
+# gc.freeze moved out of the collector's reach and whether the strip
+# geometry was loaded
+ENTRY = ("import gc, json, os, runpy, sys\n"
+         "try:\n"
+         "    runpy.run_module('expdyn', run_name='__main__', alter_sys=True)\n"
+         "finally:\n"
+         "    tasks = '/proc/self/task'\n"
+         "    print(json.dumps({\n"
+         "        'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+         "        'threads': len(os.listdir(tasks)) if os.path.isdir(tasks)\n"
+         "                   else None,\n"
+         "        'frozen': gc.get_freeze_count(),\n"
+         "        'strips': 'expdyn.strips' in sys.modules}), file=sys.stderr)\n")
+
+RENDER = ("render", "--map", "F(-1, 1)", "--window=-30,5,-20,20",
+          "--res", "8,6", "--max-iter", "20", "--out", "f.ppm")
+# the child starts without a BLAS thread setting unless a test gives one
+NO_BLAS = {"OPENBLAS_NUM_THREADS": None}
+
+
+def entry(*argv: str, cwd=None, env=NO_BLAS):
+    """(exit code, ENTRY's report) of `python -m expdyn *argv`."""
+    rc, out, err = run_fresh("-c", ENTRY, *argv, cwd=cwd, env=env)
+    return rc, json.loads(err.splitlines()[-1])
 
 
 def probe(code: str):
@@ -99,12 +132,55 @@ def test_render_loads_numpy_and_keeps_its_bytes(tmp_path):
                      "--window=-30,5,-20,20", "--res", "40,30",
                      "--max-iter", "50", "--out", "f.ppm", "--csv", "f.csv",
                      cwd=tmp_path) == \
-        (0, "", "wrote f.ppm (40x30)\nloaded: numpy expdyn.orbits\n")
+        (0, "", "wrote f.ppm (40x30)\nloaded: numpy\n")
     digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("f.ppm", "f.csv")]
     assert digests == [
         "c70457eb3bb14ea983e91d9bf2927876138fe3ac214309a1ae68524c128ee1ef",
         "1d09a03150eb5e21b48e6b609097e85a39b9782c49a6a813fc9444eff30e5174"]
+
+
+@pytest.mark.parametrize("overlay", [False, True])
+def test_render_loads_strips_for_the_overlay_only(overlay, tmp_path):
+    rc, report = entry(*RENDER, *["--overlay-strips"] * overlay,
+                       cwd=tmp_path)
+    assert (rc, report["strips"]) == (0, overlay)
+
+
+def test_entry_runs_numpy_with_one_blas_thread(tmp_path):
+    rc, report = entry(*RENDER, cwd=tmp_path)
+    assert (rc, report["blas"]) == (0, "1")
+    assert report["threads"] in (None, 1)
+
+
+def test_entry_keeps_a_users_blas_setting(tmp_path):
+    rc, report = entry(*RENDER, cwd=tmp_path,
+                       env={"OPENBLAS_NUM_THREADS": "2"})
+    assert (rc, report["blas"]) == (0, "2")
+
+
+def test_entry_freezes_what_the_run_leaves():
+    rc, report = entry("parse", "--map", "F(-1, 1)")
+    assert rc == 0 and report["frozen"] > 0
+
+
+def test_main_in_process_keeps_environment_and_collector(tmp_path):
+    rc, out, err = run_fresh("-c", (
+        "import gc, json, os\n"
+        "from expdyn import cli\n"
+        "before = [dict(os.environ), gc.get_freeze_count()]\n"
+        "codes = [cli.main(['parse', '--map', 'F(-1, 1)']),\n"
+        f"         cli.main({list(RENDER)!r})]\n"
+        "print(json.dumps([codes, [dict(os.environ), gc.get_freeze_count()]\n"
+        "                         == before]))\n"), cwd=tmp_path, env=NO_BLAS)
+    assert (rc, json.loads(out.splitlines()[-1])) == (0, [[0, 0], True]), err
+
+
+def test_console_script_is_the_process_entry():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        scripts = fh.read().split("[project.scripts]", 1)[1]
+    assert re.match(r'\s*expdyn = "expdyn\.cli:run"\n', scripts)
 
 
 def test_verify_loads_numpy_and_keeps_its_bytes():
