@@ -9,12 +9,15 @@ it.  The bytes of a field depend on the libm behind Python's ``math``
 and ``cmath`` modules and on numpy's complex exp, which calls that
 libm's ``cexp``, not on numpy's SIMD build or the block size.
 PPM (binary P6) is the image format: dependency-free and byte-exact, so
-golden tests can compare files directly.
+golden tests can compare files directly.  Both writers stream the field
+in blocks of whole rows (_row_blocks), so a render holds the field, 9
+bytes per cell, and one block of output, whatever the grid's size.
 """
 
 from __future__ import annotations
 
-from typing import BinaryIO, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import (BinaryIO, Iterable, Iterator, List, Optional, TextIO,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -52,6 +55,12 @@ class EscapeField(_Value):
             raise ValueError("kinds array has wrong length")
         if steps.shape != (nx * ny,):
             raise ValueError("steps array has wrong length")
+        # the writers copy kinds as bytes and format steps as integers
+        if kinds.dtype != np.uint8:
+            raise ValueError(f"kinds array must be uint8, not {kinds.dtype}")
+        if steps.dtype.kind != "i":
+            raise ValueError("steps array must be a signed integer type, "
+                             f"not {steps.dtype}")
         _set(self, "window", window)
         _set(self, "nx", nx)
         _set(self, "ny", ny)
@@ -99,11 +108,21 @@ class EscapeField(_Value):
         return np.nonzero(self.kinds == KIND_ESCAPING)[0]
 
 
-# Points per block of the grid engine and of the verify sample suites.
-# A fixed constant, not a setting: the verdicts are the same for every
-# block size, and blocks keep the lockstep arrays small (the peak memory
-# of a whole 512x512 grid is about twice that of a row at a time).
+# Points per block of the grid engine and of the verify sample suites,
+# and cells per block of the PPM and CSV writers (whole rows, at least
+# one: _row_blocks).  A fixed constant, not a setting: the verdicts and
+# the bytes written are the same for every block size, and blocks keep
+# the lockstep arrays and the writers' buffers small (the peak memory of
+# a whole 512x512 grid is about twice that of a row at a time).
 _BLOCK = 4096
+
+
+def _row_blocks(nx: int, ny: int) -> Iterator[Tuple[int, int]]:
+    """(first row, end row) of each block of whole rows the writers
+    stream: _BLOCK // nx rows, at least one."""
+    rows = max(1, _BLOCK // nx)
+    for j0 in range(0, ny, rows):
+        yield j0, min(j0 + rows, ny)
 
 
 def _centers(window: Window, nx: int, ny: int, i: np.ndarray,
@@ -152,19 +171,28 @@ def render_ppm(field: EscapeField, out: BinaryIO,
 
     Palette: Escaping{n} -> (min(255, 8+4n), 0, 64); proven non-escaping
     -> black; bounded-at-budget -> (0, 48, 0); undetermined -> grey;
-    cells with a true mark (one boolean per cell, as overlay_strips
-    returns) -> white.
+    cells with a true mark (a bool array of one mark per cell, as
+    overlay_strips returns) -> white.  Each block of rows is coloured
+    and written in turn.
     """
-    rgb = np.zeros((field.nx * field.ny, 3), dtype=np.uint8)
-    esc = field.kinds == KIND_ESCAPING
-    rgb[esc, 0] = np.minimum(255, 8 + 4 * field.steps[esc]).astype(np.uint8)
-    rgb[esc, 2] = 64
-    rgb[field.kinds == KIND_BUDGET, 1] = 48
-    rgb[field.kinds == KIND_UNDETERMINED] = (128, 128, 128)
-    if marks is not None:
-        rgb[marks] = (255, 255, 255)
-    out.write(f"P6\n{field.nx} {field.ny}\n255\n".encode("ascii"))
-    out.write(rgb.tobytes())
+    nx, ny = field.nx, field.ny
+    if marks is not None and (not isinstance(marks, np.ndarray)
+                              or marks.dtype != bool
+                              or marks.shape != (nx * ny,)):
+        raise ValueError(f"marks must be a bool array of shape ({nx * ny},)")
+    out.write(f"P6\n{nx} {ny}\n255\n".encode("ascii"))
+    for j0, j1 in _row_blocks(nx, ny):
+        cells = slice(j0 * nx, j1 * nx)
+        kinds, steps = field.kinds[cells], field.steps[cells]
+        rgb = np.zeros((kinds.size, 3), dtype=np.uint8)
+        esc = kinds == KIND_ESCAPING
+        rgb[esc, 0] = np.minimum(255, 8 + 4 * steps[esc]).astype(np.uint8)
+        rgb[esc, 2] = 64
+        rgb[kinds == KIND_BUDGET, 1] = 48
+        rgb[kinds == KIND_UNDETERMINED] = (128, 128, 128)
+        if marks is not None:
+            rgb[marks[cells]] = (255, 255, 255)
+        out.write(rgb.tobytes())
 
 
 def overlay_strips(field: EscapeField, family: Family,
@@ -191,9 +219,8 @@ def overlay_strips(field: EscapeField, family: Family,
 # ---------------------------------------------------------------------------
 
 def _texts(texts: List[str]) -> np.ndarray:
-    """ASCII texts as the rows of a NUL-padded uint8 matrix."""
-    table = np.array(texts, dtype=bytes)
-    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+    """ASCII texts as a NUL-padded bytes array."""
+    return np.array(texts, dtype=bytes)
 
 
 def export_field_csv(field: EscapeField, out: TextIO) -> None:
@@ -201,9 +228,10 @@ def export_field_csv(field: EscapeField, out: TextIO) -> None:
     the cell escaped or was proven non-escaping.
 
     Each column's "i," and "x,", each row's "j," and "y," and each step
-    present is formatted once.  Whole grid rows, about _BLOCK cells at a
-    time, are laid out as one NUL-padded byte matrix of these pieces; its
-    NULs are dropped and the rest is written as one string.
+    present is formatted once.  Each block of rows is laid out as one
+    packed record per cell, each piece a NUL-padded field filled by one
+    strided copy; the NULs are dropped and the rest is written as one
+    string.
     """
     out.write("i,j,re,im,class,step\n")
     nx = field.nx
@@ -211,8 +239,8 @@ def export_field_csv(field: EscapeField, out: TextIO) -> None:
     # none, -1) and "\n", found a sorted block at a time: time and memory
     # follow the cells
     present = set()
-    for start in range(0, field.steps.size, _BLOCK):
-        b = np.sort(field.steps[start:start + _BLOCK])
+    for j0, j1 in _row_blocks(nx, field.ny):
+        b = np.sort(field.steps[j0 * nx:j1 * nx])
         present.update(b[np.concatenate(([True], b[1:] != b[:-1]))].tolist())
     present = np.array(sorted(present), dtype=np.int64)
     names = _texts(["," + ("" if s < 0 else str(s)) + "\n"
@@ -220,18 +248,22 @@ def export_field_csv(field: EscapeField, out: TextIO) -> None:
     i_txt = _texts([f"{i}," for i in range(nx)])
     xs = _centers(field.window, nx, field.ny, np.arange(nx), 0)[0]
     x_txt = _texts([_g17(x) + "," for x in xs.tolist()])
-    rows = max(1, _BLOCK // nx)
-    for j0 in range(0, field.ny, rows):
-        js = range(j0, min(j0 + rows, field.ny))
-        j_txt = _texts([f"{j}," for j in js])
-        ys = _centers(field.window, nx, field.ny, 0, np.arange(j0, js.stop))[1]
+    for j0, j1 in _row_blocks(nx, field.ny):
+        j_txt = _texts([f"{j}," for j in range(j0, j1)])
+        ys = _centers(field.window, nx, field.ny, 0, np.arange(j0, j1))[1]
         y_txt = _texts([_g17(y) + "," for y in ys.tolist()])
-        cells, shape = slice(j0 * nx, js.stop * nx), (len(js), nx)
-        kinds = field.kinds[cells].reshape(shape + (1,))
-        codes = np.searchsorted(present, field.steps[cells]).reshape(shape)
-        m = np.concatenate([np.broadcast_to(p, shape + p.shape[-1:]) for p in
-                            (i_txt, j_txt[:, None], x_txt, y_txt[:, None],
-                             kinds, names[codes])], axis=2)
+        cells, shape = slice(j0 * nx, j1 * nx), (j1 - j0, nx)
+        rec = np.empty(shape, dtype=[
+            ("i", i_txt.dtype), ("j", j_txt.dtype), ("x", x_txt.dtype),
+            ("y", y_txt.dtype), ("kind", np.uint8), ("step", names.dtype)])
+        rec["i"] = i_txt
+        rec["j"] = j_txt[:, None]
+        rec["x"] = x_txt
+        rec["y"] = y_txt[:, None]
+        rec["kind"] = field.kinds[cells].reshape(shape)
+        rec["step"] = names[np.searchsorted(present, field.steps[cells])
+                            ].reshape(shape)
+        m = rec.view(np.uint8)
         out.write(m[m != 0].tobytes().decode("ascii"))
 
 

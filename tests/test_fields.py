@@ -38,6 +38,12 @@ def make_field(window, nx, ny, cells):
 
 
 HEADER = "i,j,re,im,class,step\n"
+MARKS = r"bool array of shape \(4,\)"
+
+
+def render_four(marks):
+    field = make_field(Window(0, 4, 0, 1), 4, 1, [("B", -1)] * 4)
+    render_ppm(field, io.BytesIO(), marks=marks)
 
 
 @pytest.mark.parametrize("make, match", [
@@ -48,7 +54,25 @@ HEADER = "i,j,re,im,class,step\n"
     (lambda: EscapeField(Window(0, 1, 0, 1), 2, 1,
                          np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.int64)),
      "steps array has wrong length"),
+    # int64 codes, as np.array([ord("E"), ...]) gives: the CSV wrote each
+    # code followed by seven NULs
+    (lambda: EscapeField(Window(0, 2, 0, 1), 2, 1, np.array([69, 66]),
+                         np.array([3, -1])), "kinds array must be uint8"),
+    (lambda: EscapeField(Window(0, 2, 0, 1), 2, 1,
+                         np.array([69, 66], dtype=np.uint16),
+                         np.array([3, -1])), "kinds array must be uint8"),
+    (lambda: EscapeField(Window(0, 2, 0, 1), 2, 1,
+                         np.array([69, 66], dtype=np.uint8),
+                         np.array([3.0, -1.0])), "signed integer"),
+    (lambda: EscapeField(Window(0, 2, 0, 1), 2, 1,
+                         np.array([69, 66], dtype=np.uint8),
+                         np.array([3, 0], dtype=np.uint64)), "signed integer"),
     (lambda: classify_grid(F11, Window(-1, 1, -1, 1), 0, 4), "at least 1x1"),
+    # an int mask was read as fancy indices: cells 0 and 1 went white
+    (lambda: render_four(np.array([1, 0, 0, 0])), MARKS),
+    (lambda: render_four(np.array([True, False, False])), MARKS),
+    (lambda: render_four(np.ones((1, 4), dtype=bool)), MARKS),
+    (lambda: render_four([True, False, False, True]), MARKS),
     (lambda: import_field_csv(io.StringIO(HEADER + "0,0,0.5,0.5,P\n")),
      "malformed CSV row"),
     (lambda: import_field_csv(io.StringIO(HEADER)), "empty CSV"),
@@ -56,7 +80,10 @@ HEADER = "i,j,re,im,class,step\n"
         HEADER + "0,0,0.5,0.5,P,0\n0,1,0.5,-0.5,B,\n")),
      "cannot be inferred from a degenerate grid")],
     ids=["escape-field-size", "escape-field-kinds", "escape-field-steps",
-         "classify-grid-nx", "csv-malformed-row", "csv-empty",
+         "escape-field-int64-kinds", "escape-field-uint16-kinds",
+         "escape-field-float-steps", "escape-field-unsigned-steps",
+         "classify-grid-nx", "ppm-int-marks", "ppm-short-marks",
+         "ppm-2d-marks", "ppm-list-marks", "csv-malformed-row", "csv-empty",
          "csv-degenerate-grid"])
 def test_input_checks(make, match):
     with pytest.raises(ValueError, match=match):
@@ -385,6 +412,39 @@ class TestRenderPpm:
         assert rows[1] == rows[3] == b"\x00\x30\x00"
 
 
+class _Sink:
+    """A writer that keeps only the length of what it is given."""
+
+    size = 0
+
+    def write(self, data):
+        self.size += len(data)
+
+
+@pytest.mark.parametrize("write, min_size", [
+    (render_ppm, len(b"P6\n1024 1024\n255\n") + (3 << 20)),
+    (export_field_csv, 40 << 20)], ids=["ppm", "csv"])
+def test_writer_holds_one_block(write, min_size):
+    # a render holds the field and one block: on 1024x1024 cells the
+    # writer's own peak stays under 1 MiB (the whole image was 3 MiB,
+    # copied once more to bytes)
+    n = 1024
+    k = np.arange(n * n)
+    kinds = np.frombuffer(b"EPBU", dtype=np.uint8)[k % 7 % 4]
+    steps = np.where((kinds == ord("E")) | (kinds == ord("P")), k % 997, -1)
+    field = EscapeField(Window(-30.1, 5.3, -20.7, 20.9), n, n, kinds, steps)
+    out = _Sink()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write(field, out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.size >= min_size
+    assert peak < 1 << 20
+
+
 class TestOverlay:
     def test_boundary_rows_marked(self):
         field = make_field(Window(-5, 5, 0, 2 * math.pi), 1, 628,
@@ -569,6 +629,40 @@ class TestFieldCsv:
             out = io.StringIO()
             export_field_csv(field, out)
             assert out.getvalue() == per_cell(field)
+
+    @pytest.mark.parametrize("block", [4, 16, 100, None])
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_ppm_matches_cell_by_cell_palette(self, monkeypatch, block,
+                                              marked):
+        def per_cell(field, marks):
+            palette = {"P": (0, 0, 0), "B": (0, 48, 0), "U": (128, 128, 128)}
+            body = bytearray()
+            for j in range(field.ny):
+                for i in range(field.nx):
+                    k, step = field.cell(i, j)
+                    if marks is not None and marks[j * field.nx + i]:
+                        body += bytes((255, 255, 255))
+                    elif k == "E":
+                        body += bytes((min(255, 8 + 4 * step), 0, 64))
+                    else:
+                        body += bytes(palette[k])
+            return f"P6\n{field.nx} {field.ny}\n255\n".encode() + bytes(body)
+
+        # 37 x 23 cells: blocks of 4 and 16 cells hold one row, shorter
+        # than it; 100 cells end mid-row, so a block is two rows and the
+        # last one; None keeps the whole grid in one block
+        field = classify_grid(F11, Window(-30, 5, -20, 20), 37, 23,
+                              IterationConfig(max_iter=100), workers=1)
+        assert {chr(c) for c in field.kinds.tolist()} == {"E", "P", "U"}
+        marks = None
+        if marked:
+            marks = overlay_strips(field, Family.F, complex(-1, 0)) | \
+                (np.arange(37 * 23) % 5 == 0)
+        if block is not None:
+            monkeypatch.setattr(fields, "_BLOCK", block)
+        out = io.BytesIO()
+        render_ppm(field, out, marks=marks)
+        assert out.getvalue() == per_cell(field, marks)
 
     def test_render_shallow_bytes_pinned(self):
         # the render-shallow benchmark's grid: CSV and PPM bytes are pinned
