@@ -6,12 +6,11 @@ there as numpy's complex exp, which calls libm's ``cexp``: glibc's
 computes the same products with the same libm functions, so the bits are
 again those of the ``math`` calls that ``maps.evaluate`` makes.
 A node only marks each point that makes a rare move (a degenerate phase,
-a non-finite exponent, a ladder step to the rung or below, a conj
-crossing onto or off the ladder) as slow; ``evaluate`` then steps each
-slow point once per batch, on the whole map, so each point gets the bits
-``evaluate`` gives it.  A step reads no setting, so ``evaluate_points``
-takes no ``IterationConfig``: its ``max_iter`` is read by the orbit
-loops only.
+a non-finite exponent, a conj crossing onto or off the ladder) as slow;
+``evaluate`` then steps each slow point once per batch, on the whole map,
+so each point gets the bits ``evaluate`` gives it.  A step reads no
+setting, so ``evaluate_points`` takes no ``IterationConfig``: its
+``max_iter`` is read by the orbit loops only.
 
 ``classify_points`` moves an array of seeds in lockstep through
 ``evaluate_points`` and runs ``orbits._iterate``'s tests in the same
@@ -54,6 +53,7 @@ from .maps import (
     MapExpr,
     ScaledExp,
     Shift,
+    _direction,
     _log_modulus,
     _log_polar,
     chart,
@@ -149,25 +149,21 @@ def _plus_points(pts: Points, c: complex) -> Points:
 def _ladder_points(re: np.ndarray, im: np.ndarray, d: np.ndarray, m: complex,
                    p: complex, q: complex, out: Points) -> Points:
     """maps._ladder_step(z, m, p, q) at each Directed point z (where d
-    holds), over out, the node's finite step of the other points (its last
-    array slow); a degenerate phase or a deepening to the rung is slow."""
+    holds) over out, the finite step of the others; a degenerate phase is
+    slow.  q by np.where, not _plus_points: complex(q) keeps q's -0.0."""
     if not d.any():
         return out
     out_re, out_im, out_d, slow = out
-    eps = IterationConfig.degeneracy_eps
     ph = d & _phase_ok(im)
-    cs = _cexp(0.0, im, ph)  # (cos, sin) of the angle
-    dr = m.real * cs.real - m.imag * cs.imag
-    di = m.real * cs.imag + m.imag * cs.real
-    under = ph & (dr <= -eps * abs(m))
-    over = ph & (dr >= eps * abs(m))
+    cs = _cexp(0.0, im, ph)  # (cos, sin) of the angle, 0 off ph
+    dr, di, under, over = _direction(m, cs.real, cs.imag)
+    under, over = ph & under, ph & over  # dr = 0 off ph passes a 0 eps*|m|
     mag = _exp_sat_points(re, over)
-    deep = mag * dr + p.real
-    return (np.where(over, deep, np.where(d, q.real, out_re)),
-            np.where(over, _scale_points(mag, di) + p.imag,
-                     np.where(d, q.imag, out_im)),
-            out_d | over, slow | (d & ~(under | over))
-            | (over & (deep <= IterationConfig.overflow_log_threshold)))
+    re, im, past, s = _plus_points(_exp_points(
+        mag * dr + p.real, _scale_points(mag, di) + p.imag, over), q)
+    return (np.where(over, re, np.where(d, q.real, out_re)),
+            np.where(over, im, np.where(d, q.imag, out_im)),
+            out_d | past, slow | s | (d & ~(under | over)))
 
 
 def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):

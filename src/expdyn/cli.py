@@ -354,14 +354,13 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
-def _run_suite(name: str, args) -> VerificationReport:
-    """Run one suite; its row's defaults fill what no flag or config line
-    gave."""
+def _run_suite(name: str, args, expr: MapExpr) -> VerificationReport:
+    """Run one suite on the parsed map expr; its row's defaults fill what
+    no flag or config line gave."""
     from . import fields, sampling, verify
     suite = _SUITES[name]
     max_iter = suite.max_iter if args.max_iter is None else args.max_iter
     icfg = IterationConfig(max_iter=max_iter)
-    expr = parse_map(suite.map if args.map is None else args.map)
     window = suite.window
     if isinstance(window, dict):
         window = window[_chart(expr, name)[0].family]
@@ -385,16 +384,20 @@ def _run_suite(name: str, args) -> VerificationReport:
 def _cmd_verify(args) -> int:
     _require(args, "suite")
     names = SUITES if args.suite == "all" else (args.suite,)
+    # each distinct map text is parsed once, for the pre-checks and the suites
+    texts = {name: _SUITES[name].map if args.map is None else args.map
+             for name in names}
+    parsed = {text: parse_map(text) for text in dict.fromkeys(texts.values())}
+    exprs = {name: parsed[text] for name, text in texts.items()}
     if "disjointness" in names:
         # f in F and g in F' (either order) in one chart: before any report
-        f, *ab = _chart(parse_map(args.map or _SUITES["disjointness"].map),
-                        "disjointness")
+        f, *ab = _chart(exprs["disjointness"], "disjointness")
         g, *ab_g = _chart(args.map_g, "disjointness")
         if f.sign == g.sign or ab != ab_g:
             raise CliError("disjointness needs F and G maps in one chart")
     if "period-shift" in names:
         # the shift g = f^s + c needs a finite period c: before any report
-        c = period_of(parse_map(args.map or _SUITES["period-shift"].map))
+        c = period_of(exprs["period-shift"])
         if not cmath.isfinite(c):
             raise CliError(f"period-shift: the period c = {format_complex(c)}"
                            " of the map is not finite")
@@ -405,7 +408,7 @@ def _cmd_verify(args) -> int:
                             _SUITES["conjugacy"].window)
     any_fail = False
     for name in names:
-        report = _run_suite(name, args)
+        report = _run_suite(name, args, exprs[name])
         print(report.to_json())
         if report.verdict != "pass":
             any_fail = True

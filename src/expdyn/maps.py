@@ -533,25 +533,30 @@ def _crossed(p: ExtendedPoint, q: ExtendedPoint) -> bool:
 PHASE_RESOLUTION_LIMIT = 2.0 ** 52
 
 
+def _direction(m: complex, ca, sa):
+    """dr + i*di = m*(ca + i*sa), CPython's product, and whether dr is at
+    most -eps*|m| or at least eps*|m|; on floats or arrays (both engines)."""
+    dr = m.real * ca - m.imag * sa
+    di = m.real * sa + m.imag * ca
+    eps = IterationConfig.degeneracy_eps * abs(m)
+    return dr, di, dr <= -eps, dr >= eps
+
+
 def _ladder_step(z: Directed, m: complex, p: complex, q: complex) -> ExtendedPoint:
     """exp(m*z + p) + q at a Directed z, the ladder step of F and G
     ((m, p, q) = (sign, param, const)) and of exp(lam) ((lam, 0, 0)).
-    With dr + i*di = m*e^{i angle}, z collapses onto q where
-    dr <= -eps*|m| and deepens to _exp(|z|*dr + Re p, |z|*di + Im p) + q
-    where dr >= eps*|m|; in between, or past PHASE_RESOLUTION_LIMIT (where
-    the angle carries no usable phase), its phase is degenerate."""
+    z collapses onto q or deepens to _exp(|z|*dr + Re p, |z|*di + Im p) + q
+    as _direction says; else, or past PHASE_RESOLUTION_LIMIT (where the
+    angle carries no usable phase), its phase is degenerate."""
     if not (-PHASE_RESOLUTION_LIMIT <= z.angle <= PHASE_RESOLUTION_LIMIT):
         raise DegeneratePhaseError(f"angle {z.angle} beyond phase resolution")
-    ca, sa = math.cos(z.angle), math.sin(z.angle)
-    # CPython's complex product m * (ca + i*sa)
-    dr = m.real * ca - m.imag * sa
-    di = m.real * sa + m.imag * ca
-    eps = IterationConfig.degeneracy_eps
-    if dr <= -eps * abs(m):
+    dr, di, under, over = _direction(m, math.cos(z.angle), math.sin(z.angle))
+    if under:
         return complex(q)  # q may be real: a map built with real parameters
-    if dr >= eps * abs(m):
+    if over:
         mag = _exp_sat(z.log_modulus)
         return _plus(_exp(mag * dr + p.real, _scale(mag, di) + p.imag), q)
+    eps = IterationConfig.degeneracy_eps
     raise DegeneratePhaseError(f"direction cosine {dr / abs(m)} below {eps}")
 
 

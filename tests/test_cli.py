@@ -372,6 +372,28 @@ class TestVerifyCommand:
         assert err == ("error: period-shift: the period c = 0.0+infi of the "
                        "map is not finite\n")
 
+    @pytest.mark.parametrize("argv, texts", [
+        ((), ["F(-1, 1)", "G(-1, -1)", "exp(1)"]),
+        (("--map", "F(-1, 1)"), ["F(-1, 1)", "G(-1, -1)"])])
+    def test_each_map_text_parsed_once(self, capsys, monkeypatch, argv,
+                                       texts):
+        # the pre-checks and the seven suites share one parse per text
+        calls = []
+        parse = cli.parse_map
+        monkeypatch.setattr(cli, "parse_map",
+                            lambda text: calls.append(text) or parse(text))
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--samples",
+                           "5", "--res", "8,8", "--k-max", "5", *argv)
+        assert out.count("suite_name") == 7
+        assert sorted(calls) == sorted(texts)
+
+    @pytest.mark.parametrize("suite", ["all", "conjugacy"])
+    def test_bad_map_error_exit_2(self, capsys, suite):
+        with pytest.raises(ValueError) as exc:
+            cli.parse_map("F(-1")
+        assert run(capsys, "verify", "--suite", suite, "--map", "F(-1") == \
+            (2, "", f"error: {exc.value}\n")
+
     def test_disjointness_takes_the_families_in_either_order(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "disjointness",
                            "--map", "G(-1, -1)", "--map-g", "F(-1, 1)",

@@ -292,6 +292,10 @@ class TestBlockEngine:
         ("exp(0+1e300i)", (-1e9, 1e9, -1, 1), (12, 11), 20,
          {"nan", "degenerate-phase", "ladder"}),
         COMPOSITE,
+        # lam*z passes the rung on the first step; the next deepens the
+        # ladder point back below it
+        ("exp(1e-305)", (7.0e307, 7.1e307, -1, 1), (16, 16), 20,
+         {"E", "B", "ladder"}),
     ]
 
     @pytest.mark.parametrize("text, window, res, max_iter, reach", CASES)
@@ -334,6 +338,19 @@ class TestBlockEngine:
         classify_grid(parse_map(text), Window(*window), *res,
                       IterationConfig(max_iter=max_iter), workers=1)
         assert sum(deepened) > 0
+
+    def test_deepening_to_the_rung_stays_on_arrays(self, monkeypatch):
+        # the exp(1e-305) window deepens ladder points to the rung and
+        # below; _exp_points makes each a finite point, so no point of
+        # the grid is stepped by the scalar evaluate
+        calls = []
+        scalar = blocks.evaluate
+        monkeypatch.setattr(blocks, "evaluate",
+                            lambda *args: calls.append(args) or scalar(*args))
+        text, window, res, max_iter, _ = self.CASES[-1]
+        classify_grid(parse_map(text), Window(*window), *res,
+                      IterationConfig(max_iter=max_iter), workers=1)
+        assert len(calls) == 0
 
     def test_overflow_seed_window(self):
         # the cells of this window sit next to 13999800+47123.88980384689i,
