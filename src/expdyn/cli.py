@@ -13,16 +13,17 @@ Its keys are exactly the long flags of the running subcommand ('_' may
 stand for '-'; no abbreviations, no keys of other subcommands), and nx/ny
 together stand for --res.  Each line becomes the argument --key=value,
 placed right after the subcommand, so config values go through the same
-argparse parser as flags and explicit flags win.  The literals and
-counts of the verify suites (--a, --b, --map-g, --s, --i, --j) are
-parsed with the flags, so a bad one fails before the first suite runs.
---overlay-strips takes an optional true/false, so that it has a config
-value too.  Usage errors carry argparse's wording.  Identical argv + config + seed produce byte
+argparse parser as flags and explicit flags win.  --overlay-strips takes
+an optional true/false, so that it has a config value too.  Usage errors
+carry argparse's wording.  Identical argv + config + seed produce byte
 identical output.
 
 Exit codes: 0 success / all suites pass; 1 verification violations;
 2 usage, parse or validation errors, and a grid or sample set too large
-for memory; 3 numeric failure (NaN abort).
+for memory; 3 numeric failure (NaN abort).  verify resolves every
+selected suite (map, chart, window, samples, its row's check) before any
+runs and prints the reports once all have run: a usage error exits 2
+before any orbit is followed, and a run that exits 2 prints no report.
 
 Both process entries, `python -m expdyn` and the `expdyn` script, call
 run(): main() with OPENBLAS_NUM_THREADS defaulted to 1 (expdyn makes no
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import gc
 import os
 import sys
@@ -296,12 +298,13 @@ def _cmd_parse(args) -> int:
 
 
 class _Suite(NamedTuple):
-    """Defaults and runner of one verify suite.
+    """Defaults, check and runner of one verify suite.
 
     window is one window, or one per family (that of the chart's family
     map) for the suites that need a chart.  samples is the default sample
     count, None for the grid suites, which classify a --res grid over the
-    window instead.  j is the default of --j for the suites that read it.
+    window instead.  j is the default of --j for the suites that read it,
+    and check raises the usage errors of the resolved suite.
     """
 
     map: str
@@ -310,6 +313,23 @@ class _Suite(NamedTuple):
     run: Callable[[SimpleNamespace], VerificationReport]
     max_iter: int = DEFAULT_CONFIG.max_iter
     j: Optional[int] = None
+    check: Callable[[SimpleNamespace], None] = lambda r: None
+
+
+def _one_chart(r: SimpleNamespace) -> None:
+    """f in F and g in F' (either order) in one chart."""
+    f, *ab = _chart(r.expr, "disjointness")
+    g, *ab_g = _chart(r.args.map_g, "disjointness")
+    if f.sign == g.sign or ab != ab_g:
+        raise CliError("disjointness needs F and G maps in one chart")
+
+
+def _finite_period(r: SimpleNamespace) -> None:
+    """The shift g = f^s + c needs a finite period c."""
+    c = period_of(r.expr)
+    if not cmath.isfinite(c):
+        raise CliError(f"period-shift: the period c = {format_complex(c)}"
+                       " of the map is not finite")
 
 
 # in the order `--suite all` runs them
@@ -331,11 +351,12 @@ _SUITES = {
         "F(-1, 1)", Window(-30.0, 30.0, -30.0, 30.0), None,
         lambda r: r.verify.verify_disjointness(r.grid(r.expr),
                                                r.grid(r.args.map_g)),
-        max_iter=500),
+        max_iter=500, check=_one_chart),
     "period-shift": _Suite(
         "exp(1)", Window(-3.0, 3.0, -3.0, 3.0), 2000,
         lambda r: r.verify.verify_period_shift(
-            r.expr, r.args.s, r.samples, r.icfg)),
+            r.expr, r.args.s, r.samples, r.icfg),
+        check=_finite_period),
     "composite-laws": _Suite(
         "exp(1)", Window(-2.0, 2.0, -2.0, 2.0), 2000,
         lambda r: r.verify.verify_composite_laws(
@@ -349,70 +370,48 @@ _SUITES = {
     "conjugacy": _Suite(
         "F(-1, 1)", Window(-10.0, 2.0, -8.0, 8.0), 2000,
         lambda r: r.verify.verify_conjugacy(
-            r.expr, r.args.a, r.args.b, r.samples, r.icfg)),
+            r.expr, r.args.a, r.args.b, r.samples, r.icfg),
+        check=lambda r: r.verify._require_finite_phi(r.args.a, r.args.b,
+                                                     r.window)),
 }
 SUITES = tuple(_SUITES)
 
 
-def _run_suite(name: str, args, expr: MapExpr) -> VerificationReport:
-    """Run one suite on the parsed map expr; its row's defaults fill what
-    no flag or config line gave."""
+def _resolve_suite(name: str, args, parse) -> SimpleNamespace:
+    """One suite ready to run: its row's defaults fill what no flag or
+    config line gave, and its usage errors are raised, no orbit followed."""
     from . import fields, sampling, verify
     suite = _SUITES[name]
-    max_iter = suite.max_iter if args.max_iter is None else args.max_iter
-    icfg = IterationConfig(max_iter=max_iter)
+    expr = parse(suite.map if args.map is None else args.map)
+    icfg = IterationConfig(max_iter=args.max_iter or suite.max_iter)
     window = suite.window
     if isinstance(window, dict):
         window = window[_chart(expr, name)[0].family]
-    if args.window is not None:
-        window = args.window
+    window = args.window or window
 
     def grid(e: MapExpr):
-        nx, ny = args.res
-        return fields.classify_grid(e, window, nx, ny, icfg,
+        return fields.classify_grid(e, window, *args.res, icfg,
                                     workers=args.workers)
 
-    samples = None
-    if suite.samples:
-        n = suite.samples if args.samples is None else args.samples
-        samples = sampling.SampleSet.generate(args.seed, n, window)
-    return suite.run(SimpleNamespace(
-        args=args, expr=expr, window=window, icfg=icfg, samples=samples,
-        grid=grid, j=suite.j if args.j is None else args.j, verify=verify))
+    samples = suite.samples and sampling.SampleSet.generate(
+        args.seed, args.samples or suite.samples, window)
+    r = SimpleNamespace(suite=suite, args=args, expr=expr, window=window,
+                        icfg=icfg, samples=samples, grid=grid, verify=verify,
+                        j=suite.j if args.j is None else args.j)
+    suite.check(r)
+    return r
 
 
 def _cmd_verify(args) -> int:
     _require(args, "suite")
     names = SUITES if args.suite == "all" else (args.suite,)
-    # each distinct map text is parsed once, for the pre-checks and the suites
-    texts = {name: _SUITES[name].map if args.map is None else args.map
-             for name in names}
-    parsed = {text: parse_map(text) for text in dict.fromkeys(texts.values())}
-    exprs = {name: parsed[text] for name, text in texts.items()}
-    if "disjointness" in names:
-        # f in F and g in F' (either order) in one chart: before any report
-        f, *ab = _chart(exprs["disjointness"], "disjointness")
-        g, *ab_g = _chart(args.map_g, "disjointness")
-        if f.sign == g.sign or ab != ab_g:
-            raise CliError("disjointness needs F and G maps in one chart")
-    if "period-shift" in names:
-        # the shift g = f^s + c needs a finite period c: before any report
-        c = period_of(exprs["period-shift"])
-        if not cmath.isfinite(c):
-            raise CliError(f"period-shift: the period c = {format_complex(c)}"
-                           " of the map is not finite")
-    if "conjugacy" in names:
-        # phi finite on the conjugacy window: before any report too
-        from .verify import _require_finite_phi
-        _require_finite_phi(args.a, args.b, args.window or
-                            _SUITES["conjugacy"].window)
-    any_fail = False
-    for name in names:
-        report = _run_suite(name, args, exprs[name])
+    parse = functools.cache(parse_map)  # once per distinct map text
+    # resolve all, run all, then print: a run that exits 2 prints nothing
+    resolved = [_resolve_suite(name, args, parse) for name in names]
+    reports = [r.suite.run(r) for r in resolved]
+    for report in reports:
         print(report.to_json())
-        if report.verdict != "pass":
-            any_fail = True
-    return 1 if any_fail else 0
+    return 0 if all(rep.verdict == "pass" for rep in reports) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,6 @@ def _boundaries(y_lo: float, y_hi: float, family: Family,
 def strip_boundaries(y_lo: float, y_hi: float, family: Family,
                      param: complex) -> List[float]:
     """Strip boundary ordinates inside [y_lo, y_hi], rising (_boundaries)."""
-    if y_hi < y_lo:
-        raise ValueError("empty interval")
+    if not -math.inf < y_lo <= y_hi < math.inf:
+        raise ValueError(f"need finite y_lo <= y_hi, got {y_lo!r}, {y_hi!r}")
     return list(_boundaries(y_lo, y_hi, family, param))

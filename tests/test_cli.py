@@ -221,7 +221,11 @@ UNDER_1GIB = ("import resource, runpy\n"
     ("render", "--map", "F(-1, 1)", "--window=0,1,0,1",
      "--res", "1000000,1000000", "--out", "m.ppm"),
     ("verify", "--suite", "halfplane-bound", "--samples", "10000000000"),
-], ids=["render", "verify"])
+    # strip-containment's grid, after halfplane-bound has run: its report
+    # was printed before the exit 2
+    ("verify", "--suite", "all", "--samples", "20", "--k-max", "5",
+     "--res", "100000,100000"),
+], ids=["render", "verify", "verify-all"])
 def test_too_large_for_memory_exit_2(argv, tmp_path):
     # a usage error, not a verification violation (exit 1), and no file
     code, out, err = run_fresh("-c", UNDER_1GIB, *argv, cwd=tmp_path)
@@ -229,6 +233,17 @@ def test_too_large_for_memory_exit_2(argv, tmp_path):
     assert err.startswith("error: Unable to allocate ")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# runs `python -m expdyn <argv>` with fields.classify_grid replaced by a
+# function that raises, so that a run which classifies a grid fails
+NO_GRID = ("import runpy\n"
+           "from expdyn import fields\n"
+           "def no_grid(*args, **kwargs):\n"
+           "    raise AssertionError('a grid was classified')\n"
+           "fields.classify_grid = no_grid\n"
+           "runpy.run_module('expdyn', run_name='__main__', "
+           "alter_sys=True)\n")
 
 
 class TestModulusPastDblMax:
@@ -341,6 +356,9 @@ class TestVerifyCommand:
          "--map-g", "G(-1, -1)"),
         # before the reports of the suites that run first
         ("--suite", "all", "--map-g", "F(-1, 1)", "--samples", "5"),
+        ("--suite", "all", "--map", "G(-1, -1)", "--samples", "5"),
+        # a map without a chart
+        ("--suite", "all", "--map-g", "exp(1)", "--samples", "5"),
     ])
     def test_disjointness_needs_maps_of_both_families_exit_2(
             self, capsys, monkeypatch, argv):
@@ -413,8 +431,8 @@ class TestVerifyCommand:
     def test_conjugacy_phi_overflowing_exit_2(self, suite):
         # phi(z) = a*z + b overflows on the default window: the suite
         # passed with 19 of 20 samples skipped and printed numpy's
-        # RuntimeWarning; with `all`, before the first report
-        code, out, err = run_fresh("-m", "expdyn", "verify", "--suite", suite,
+        # RuntimeWarning; with `all`, before the first report and grid
+        code, out, err = run_fresh("-c", NO_GRID, "verify", "--suite", suite,
                                    "--samples", "20", "--a", "1e308+1e308i")
         assert (code, out) == (2, "")
         assert err == ("error: conjugacy: phi(z) = a*z + b with "
@@ -432,10 +450,18 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
-    def test_halfplane_window_outside_absorbing_half_plane_exit_2(self, capsys):
+    def test_halfplane_window_outside_absorbing_half_plane_exit_2(
+            self, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was classified")
+
+        monkeypatch.setattr(fields, "classify_grid", no_grid)
+        # the last two override --suite: under `all`, no report and no grid
         for extra in (["--window", "-10,0,-5,5"],
                       ["--map", "G(-1, -1)", "--window", "-5,1,-5,5"],
-                      ["--map", "exp(1)"]):
+                      ["--map", "exp(1)"],
+                      ["--suite", "all", "--window", "-10,0,-5,5"],
+                      ["--suite", "all", "--map", "exp(1)"]):
             code, out, err = run(capsys, "verify", "--suite", "halfplane-bound",
                                  "--samples", "20", *extra)
             assert code == 2

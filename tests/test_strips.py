@@ -209,6 +209,13 @@ class TestStripBoundaries:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             strip_boundaries(1.0, 0.0, Family.F, complex(-1, 0))
+        # non-finite bounds raised OverflowError, or a float conversion's
+        # ValueError that named neither bound
+        inf = math.inf
+        for y_lo, y_hi in ((0.0, inf), (-inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="need finite y_lo <= y_hi, "
+                               f"got {y_lo!r}, {y_hi!r}"):
+                strip_boundaries(y_lo, y_hi, Family.F, complex(-1, 0))
 
 
 class TestFamilyArgument:
