@@ -339,7 +339,9 @@ _SUITES = {
         {Family.F: Window(0.0, 100.0, -100.0, 100.0),
          Family.G: Window(-100.0, 0.0, -100.0, 100.0)},
         10000, lambda r: r.verify.verify_halfplane_bound(r.expr, r.samples,
-                                                         r.args.k_max)),
+                                                         r.args.k_max),
+        check=lambda r: r.verify._require_absorbing_window(chart(r.expr),
+                                                           r.window)),
     "strip-containment": _Suite(
         "F(-1, 1)",  # reaching into the escape strips
         {Family.F: Window(-30.0, 5.0, -20.0, 20.0),

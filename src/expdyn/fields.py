@@ -9,9 +9,12 @@ it.  The bytes of a field depend on the libm behind Python's ``math``
 and ``cmath`` modules and on numpy's complex exp, which calls that
 libm's ``cexp``, not on numpy's SIMD build or the block size.
 PPM (binary P6) is the image format: dependency-free and byte-exact, so
-golden tests can compare files directly.  Both writers stream the field
-in blocks of whole rows (_row_blocks), so a render holds the field, 9
-bytes per cell, and one block of output, whatever the grid's size.
+golden tests can compare files directly.  classify_grid stores each
+step in the smallest signed integer type that holds max_iter (_step_type),
+so a field at a budget of 250 takes 3 bytes per cell.
+Both writers stream the field in blocks of whole rows (_row_blocks), so
+a render holds the field and one block of output, whatever the grid's
+size.
 """
 
 from __future__ import annotations
@@ -40,7 +43,10 @@ class EscapeField(_Value):
     """Row-major grid of cell verdicts.
 
     kinds holds one of the byte codes E/P/B/U per cell, steps the escape
-    or absorption step (-1 when not applicable).  Cell (i, j) sits at
+    or absorption step (-1 when not applicable) in any signed integer
+    type.  classify_grid gives steps the smallest signed type that holds
+    max_iter (int8 up to 127), so a caller widens them before doing
+    arithmetic on them.  Cell (i, j) sits at
     index j*nx + i; its center is (x_min + (i+0.5)*dx, y_max - (j+0.5)*dy)
     (_centers).
     """
@@ -134,15 +140,25 @@ def _centers(window: Window, nx: int, ny: int, i: np.ndarray,
     return window.x_min + (i + 0.5) * dx, window.y_max - (j + 0.5) * dy
 
 
+def _step_type(max_iter: int) -> type:
+    """The smallest of int8, int16, int32 that holds every step in
+    [-1, max_iter], else int64 (max_iter may exceed even that)."""
+    for t in (np.int8, np.int16, np.int32):
+        if np.iinfo(t).max >= max_iter:
+            return t
+    return np.int64
+
+
 def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
                   cfg: IterationConfig = DEFAULT_CONFIG,
                   workers: Optional[int] = None) -> EscapeField:
     """Classify every cell center, in the calling process.
 
     Cells go through blocks.classify_points in blocks of a fixed size,
-    so each cell gets classify's verdict.  The map is validated once per
-    call, not once per cell or block.  workers is accepted and has no
-    effect; a count below 1 is a ValueError.
+    so each cell gets classify's verdict, and its step is stored in the
+    smallest signed type that holds cfg.max_iter (_step_type).  The map
+    is validated once per call, not once per cell or block.  workers is
+    accepted and has no effect; a count below 1 is a ValueError.
     """
     validate(expr)
     if nx < 1 or ny < 1:
@@ -151,7 +167,7 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
         raise ValueError(f"workers must be at least 1, got {workers}")
     ch = chart(expr)
     kinds = np.empty(nx * ny, dtype=np.uint8)
-    steps = np.empty(nx * ny, dtype=np.int64)
+    steps = np.empty(nx * ny, dtype=_step_type(cfg.max_iter))
     for start in range(0, nx * ny, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, nx * ny))
         kinds[k], steps[k] = _classify_points(
@@ -186,7 +202,10 @@ def render_ppm(field: EscapeField, out: BinaryIO,
         kinds, steps = field.kinds[cells], field.steps[cells]
         rgb = np.zeros((kinds.size, 3), dtype=np.uint8)
         esc = kinds == KIND_ESCAPING
-        rgb[esc, 0] = np.minimum(255, 8 + 4 * steps[esc]).astype(np.uint8)
+        # clamped in the steps' own type, then widened: 8 + 4n overflows
+        # an int8 step, and an int64 one near its maximum
+        n = np.minimum(steps[esc], 62).astype(np.int64)
+        rgb[esc, 0] = np.minimum(255, 8 + 4 * n).astype(np.uint8)
         rgb[esc, 2] = 64
         rgb[kinds == KIND_BUDGET, 1] = 48
         rgb[kinds == KIND_UNDETERMINED] = (128, 128, 128)

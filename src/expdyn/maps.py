@@ -54,7 +54,7 @@ import enum
 import math
 import struct
 from collections import namedtuple
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "Family",
@@ -387,13 +387,18 @@ NODE_KINDS = {
 }
 
 
-def node_fields(expr: MapExpr) -> List[Tuple[str, str, object]]:
-    """(field name, argument kind, value) of each argument, in field order."""
-    kind = NODE_KINDS.get(type(expr))
-    if kind is None:
-        raise TypeError(f"not a map expression: {expr!r}")
-    return [(name, arg, getattr(expr, name))
-            for name, arg in zip(expr.__match_args__, kind.args)]
+# (field name, argument kind) of each argument of a node kind, in field
+# order, paired once here: validation and parser.format_map walk them
+_NODE_FIELDS = {cls: tuple(zip(cls.__match_args__, kind.args))
+                for cls, kind in NODE_KINDS.items()}
+
+
+def node_fields(expr: MapExpr) -> Tuple[Tuple[str, str], ...]:
+    """(field name, argument kind) of each argument, in field order."""
+    try:
+        return _NODE_FIELDS[type(expr)]
+    except KeyError:
+        raise TypeError(f"not a map expression: {expr!r}") from None
 
 
 def validate(expr: MapExpr) -> None:
@@ -416,7 +421,8 @@ _ARG_TYPES = {"c": ((int, float, complex), "a number"), "i": (int, "an int"),
 
 def _validate(expr: MapExpr, path: str) -> None:
     args = node_fields(expr)
-    for name, arg, value in args:
+    for name, arg in args:
+        value = getattr(expr, name)
         types, what = _ARG_TYPES[arg]
         if not isinstance(value, types) or \
                 (arg == "i" and isinstance(value, bool)):
@@ -424,7 +430,8 @@ def _validate(expr: MapExpr, path: str) -> None:
     for c in NODE_KINDS[type(expr)].constraints:
         if not c.holds(expr):
             raise InvalidMapError(path, c.text, f"got {c.got(expr)}" if c.got else "")
-    for name, arg, value in args:
+    for name, arg in args:
+        value = getattr(expr, name)
         if arg == "m":
             _validate(value, f"{path}.{name}" if path else name)
         elif arg == "c" and not cmath.isfinite(value):

@@ -145,5 +145,6 @@ def format_complex(z: complex) -> str:
 def format_map(expr: MapExpr) -> str:
     """Canonical text for an expression; parse_map(format_map(e)) == e."""
     write = {"c": format_complex, "i": str, "m": format_map}
-    args = ", ".join(write[kind](value) for _, kind, value in node_fields(expr))
+    args = ", ".join(write[kind](getattr(expr, name))
+                     for name, kind in node_fields(expr))
     return f"{NODE_KINDS[type(expr)].keyword}({args})"

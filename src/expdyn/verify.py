@@ -165,6 +165,19 @@ def _codes_at_images(classify: Callable, expr: MapExpr, re: np.ndarray,
 # half-plane bound
 # ---------------------------------------------------------------------------
 
+def _require_absorbing_window(ch: Tuple[MapExpr, complex, complex],
+                              window: Window) -> None:
+    """A ValueError unless window lies in the absorbing half plane H of u
+    in the chart ch = (f, a, b): the bound is a theorem about H only, and
+    H is convex, so a window lies inside it when its four corners do."""
+    if any(_real_u(complex(x, y), ch) > 0.0
+           for x in (window.x_min, window.x_max)
+           for y in (window.y_min, window.y_max)):
+        side = "Re u >= 0" if ch[0].sign < 0 else "Re u <= 0"
+        raise ValueError("halfplane-bound needs a window inside the absorbing "
+                         f"half plane {side} of the map, u = (z - b)/a")
+
+
 def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
                            k_max: int) -> VerificationReport:
     """Orbits started in the absorbing half plane stay within 1 + |const|.
@@ -186,14 +199,7 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
     f, a, b = ch
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    # the bound is a theorem about the absorbing half plane H of u only;
-    # H is convex, so a window lies inside it when its four corners do
-    w = samples.window
-    if any(_real_u(complex(x, y), ch) > 0.0
-           for x in (w.x_min, w.x_max) for y in (w.y_min, w.y_max)):
-        side = "Re u >= 0" if f.sign < 0 else "Re u <= 0"
-        raise ValueError("halfplane-bound needs a window inside the absorbing "
-                         f"half plane {side} of the map, u = (z - b)/a")
+    _require_absorbing_window(ch, samples.window)
     bound = 1.0 + abs(f.const) + BOUND_TOL
 
     def grade(re, im):

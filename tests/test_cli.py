@@ -235,13 +235,16 @@ def test_too_large_for_memory_exit_2(argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# runs `python -m expdyn <argv>` with fields.classify_grid replaced by a
-# function that raises, so that a run which classifies a grid fails
+# runs `python -m expdyn <argv>` with fields.classify_grid and the block
+# engine's step and classifier replaced by a function that raises (verify
+# imports the latter two when it loads, after this), so that a run which
+# classifies a grid or follows an orbit fails
 NO_GRID = ("import runpy\n"
-           "from expdyn import fields\n"
+           "from expdyn import blocks, fields\n"
            "def no_grid(*args, **kwargs):\n"
-           "    raise AssertionError('a grid was classified')\n"
+           "    raise AssertionError('a grid or orbit was run')\n"
            "fields.classify_grid = no_grid\n"
+           "blocks.evaluate_points = blocks._classify_points = no_grid\n"
            "runpy.run_module('expdyn', run_name='__main__', "
            "alter_sys=True)\n")
 
@@ -438,6 +441,18 @@ class TestVerifyCommand:
         assert err == ("error: conjugacy: phi(z) = a*z + b with "
                        "a = 1e+308+1e+308i, b = 1.0 is not finite on the "
                        "sample window\n")
+
+    def test_halfplane_window_checked_before_any_suite_runs(self):
+        # the window test is halfplane-bound's row check: with two faults,
+        # `all` reports halfplane-bound's, the first suite's, where the
+        # window test in the suite's run let conjugacy's check fail first
+        code, out, err = run_fresh(
+            "-c", NO_GRID, "verify", "--suite", "all", "--samples", "20",
+            "--res", "20,20", "--window=-10,10,-10,10", "--a", "1e308+1e308i")
+        assert (code, out) == (2, "")
+        assert err == ("error: halfplane-bound needs a window inside the "
+                       "absorbing half plane Re u >= 0 of the map, "
+                       "u = (z - b)/a\n")
 
     def test_halfplane_bound_of_a_conjugate(self, capsys):
         # F's default window [0,100]x[-100,100] leaves phi(H) = {Re z >= 1}

@@ -152,6 +152,17 @@ class TestClassifyGrid:
         assert field.cell(0, 0) == ("P", 0)
         assert field.center(0, 0) == complex(5, 0)
 
+    @pytest.mark.parametrize("max_iter, dtype", [
+        (127, np.int8), (128, np.int16), (32767, np.int16),
+        (32768, np.int32), (2 ** 31 - 1, np.int32), (2 ** 31, np.int64),
+        (10 ** 30, np.int64)])
+    def test_steps_in_smallest_signed_type(self, max_iter, dtype):
+        # every step lies in [-1, max_iter]; past int64 the steps stay int64
+        field = classify_grid(F11, Window(4.5, 5.5, -0.5, 0.5), 1, 1,
+                              IterationConfig(max_iter=max_iter))
+        assert field.steps.dtype == dtype
+        assert field.cell(0, 0) == ("P", 0)
+
     def test_escaping_cells_exist(self):
         field = classify_grid(F11, Window(-30, 5, -20, 20), 120, 120,
                               IterationConfig(max_iter=300), workers=1)
@@ -414,6 +425,23 @@ class TestRenderPpm:
         body = out.getvalue()[11:]
         assert body == bytes([255, 0, 64, 128, 128, 128])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32,
+                                       np.int64])
+    def test_escape_ramp_in_every_step_type(self, dtype):
+        # the ramp is taken on widened steps: in the step's own type an
+        # int8 raised OverflowError, an int16 10000 painted 72 and an
+        # int64 2**62 painted 8
+        top = int(np.iinfo(dtype).max)
+        ns = [n for n in (0, 61, 62, 63, 10000) if n <= top] + [top]
+        field = EscapeField(Window(0, 1, 0, 1), len(ns), 1,
+                            np.full(len(ns), ord("E"), dtype=np.uint8),
+                            np.array(ns, dtype=dtype))
+        out = io.BytesIO()
+        render_ppm(field, out)
+        body = out.getvalue()[len(f"P6\n{len(ns)} 1\n255\n"):]
+        assert body == b"".join(bytes((min(255, 8 + 4 * n), 0, 64))
+                                for n in ns)
+
     def test_marks_render_white(self):
         # dy = pi/2, so 3pi/2 is the bottom edge of row 0 and pi/2 the
         # bottom edge of row 2; half-open spans mark exactly those rows
@@ -460,6 +488,23 @@ def test_writer_holds_one_block(write, min_size):
         tracemalloc.stop()
     assert out.size >= min_size
     assert peak < 1 << 20
+
+
+def test_grid_holds_three_bytes_per_cell():
+    # at max_iter 250 a step fits in an int16: classify_grid's traced peak
+    # on 1024x1024 cells stays under 3 bytes per cell (a uint8 kind and an
+    # int16 step) plus 1 MiB for one block; int64 steps made it 9 bytes
+    n = 1024
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        field = classify_grid(F11, Window(-30, 5, -20, 20), n, n,
+                              IterationConfig(max_iter=250))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert field.steps.dtype == np.int16
+    assert peak < 3 * n * n + (1 << 20)
 
 
 class TestOverlay:
