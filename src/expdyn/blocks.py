@@ -13,15 +13,15 @@ setting, so ``evaluate_points`` takes no ``IterationConfig``: its
 ``max_iter`` is read by the orbit loops only.
 
 ``classify_points`` moves an array of seeds in lockstep through
-``evaluate_points`` and runs ``orbits._iterate``'s tests in the same
-order, each log as ``math.log``.  Complex quotients and products are
-CPython's in both engines, so they agree seed by seed, in verdict class
-and step.  Two numpy kernels reach a verdict: this complex exp, and the
-``hypot`` of verify's half-plane bound.  Results depend on the libm
-behind ``math`` and ``cmath`` and on numpy's complex exp being the
-platform ``cexp``, not on numpy's SIMD build: on a numpy built without
-the platform ``cexp`` (it then uses its own) bytes can move, and
-TestExpStep in tests/test_maps.py fails.
+``evaluate_points`` and stops them by ``maps._stop``, as
+``orbits._iterate`` does, each log as ``math.log``.  Complex quotients
+and products are CPython's in both engines, so they agree seed by seed,
+in verdict class and step.  Two numpy kernels reach a verdict: this
+complex exp, and the ``hypot`` of verify's half-plane bound.  Results
+depend on the libm behind ``math`` and ``cmath`` and on numpy's complex
+exp being the platform ``cexp``, not on numpy's SIMD build: on a numpy
+built without the platform ``cexp`` (it then uses its own) bytes can
+move, and TestExpStep in tests/test_maps.py fails.
 
 Only the commands that work on grids or sample sets (render, verify)
 import this module, and with it numpy.
@@ -39,9 +39,6 @@ from .maps import (
     _LOG_ESCAPE_RADIUS,
     DEFAULT_CONFIG,
     KIND_BUDGET,
-    KIND_ESCAPING,
-    KIND_PROVEN,
-    KIND_UNDETERMINED,
     PHASE_RESOLUTION_LIMIT,
     Chart,
     Compose,
@@ -56,6 +53,7 @@ from .maps import (
     _direction,
     _log_modulus,
     _log_polar,
+    _stop,
     chart,
     evaluate,
     validate,
@@ -277,9 +275,9 @@ def _points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
 
 def _real_u_points(re: np.ndarray, im: np.ndarray, d: np.ndarray,
                    ch: Optional[Chart]) -> np.ndarray:
-    """orbits._real_u of each point; without a chart re, which no test reads."""
+    """orbits._real_u of each point: NaN without a chart."""
     if ch is None:
-        return re
+        return np.full(len(re), math.nan)
     f, a, b = ch
     if not (a == 1 and b == 0):
         re, im = _to_u_points(re, im, d, a, b)
@@ -306,7 +304,7 @@ def _log_modulus_points(re: np.ndarray, im: np.ndarray,
 def _escaped_generic(re: np.ndarray, im: np.ndarray, d: np.ndarray,
                      nr: np.ndarray, ni: np.ndarray,
                      nd: np.ndarray) -> np.ndarray:
-    """orbits._escaped of each pair (z, nxt) of a map without a chart."""
+    """orbits._escaped_generic of each pair (z, nxt)."""
     both = ~d & ~nd
     lz = _log_modulus_points(re, im, both)
     far = both & (lz >= _LOG_ESCAPE_RADIUS)
@@ -314,57 +312,45 @@ def _escaped_generic(re: np.ndarray, im: np.ndarray, d: np.ndarray,
                     far & (_log_modulus_points(nr, ni, far) >= lz))
 
 
+# the kind of each code of maps._stop, and the step a stop at step n
+# records: n plus this, unless it is -1
+_STOP_KINDS = np.frombuffer(b"BUPEBP", dtype=np.uint8)
+_STOP_STEPS = np.array([-1, -1, 0, 0, -1, 1])
+
+
 def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
                      cfg: IterationConfig,
                      ch: Optional[Chart]) -> Tuple[np.ndarray, np.ndarray]:
     """classify_points of the seeds re + i*im for a caller that has
-    validated expr and passes maps.chart(expr).
-
-    Every step runs orbits._iterate's tests in their order on all live
-    seeds at once: nan, the half plane, the budget, the step itself
-    (degenerate phase), nan, underflow, escape and the repeated point
-    (_same_points).  Seeds that stop are compressed out.
-    """
+    validated expr and passes maps.chart(expr): orbits._iterate on all
+    live seeds at once.  Each step records the seeds that maps._stop stops
+    (a degenerate phase stops as a NaN) and compresses them out."""
     n = len(re)
     kinds = np.full(n, KIND_BUDGET, dtype=np.uint8)
     steps = np.full(n, -1, dtype=np.int64)
     idx = np.arange(n)
     d = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        # r = sign*Re u, which the half-plane, underflow and escape tests read
         r = _real_u_points(re, im, d, ch)
-        for step in range(cfg.max_iter + 1):
-            stop = ~d & (np.isnan(re) | np.isnan(im))
-            kinds[idx[stop]] = KIND_UNDETERMINED
-            if ch is not None:
-                hit = ~d & ~stop & (r <= 0.0)
-                kinds[idx[hit]] = KIND_PROVEN
-                steps[idx[hit]] = step
-                stop |= hit
+        code = _stop(np.isnan(re) | np.isnan(im), False, False, math.nan, r,
+                     False, False)
+        step = -1
+        while True:
+            stop = code > 0
+            k, c = idx[stop], code[stop]
+            kinds[k] = _STOP_KINDS[c]
+            steps[k] = np.where(_STOP_STEPS < 0, -1, step + _STOP_STEPS)[c]
             keep = ~stop
             idx, re, im, d, r = idx[keep], re[keep], im[keep], d[keep], r[keep]
+            step += 1
             if step == cfg.max_iter or not len(idx):
-                break  # what is left stays bounded at budget
-            nr, ni, nd, stop = evaluate_points(expr, re, im, d)
-            stop |= np.isnan(nr) | np.isnan(ni)
-            kinds[idx[stop]] = KIND_UNDETERMINED
+                return kinds, steps  # what is left stays bounded at budget
+            nr, ni, nd, failed = evaluate_points(expr, re, im, d)
             rn = _real_u_points(nr, ni, nd, ch)
-            if ch is None:
-                hit = ~stop & _escaped_generic(re, im, d, nr, ni, nd)
-            else:
-                # a ladder point in the absorbing half plane of u
-                hit = ~stop & d & (r <= 0.0)
-                kinds[idx[hit]] = KIND_PROVEN
-                steps[idx[hit]] = step
-                stop |= hit
-                hit = ~stop & (r >= cfg.escape_real_threshold) & (rn >= r)
-            kinds[idx[hit]] = KIND_ESCAPING
-            steps[idx[hit]] = step
-            # a seed at a fixed point of the step stays bounded at budget
-            keep = ~(stop | hit | _same_points((nr, ni, nd), (re, im, d)))
-            idx, re, im, d, r = (idx[keep], nr[keep], ni[keep], nd[keep],
-                                 rn[keep])
-    return kinds, steps
+            far = False if ch else _escaped_generic(re, im, d, nr, ni, nd)
+            code = _stop(failed | np.isnan(nr) | np.isnan(ni), d, nd, r, rn,
+                         far, _same_points((nr, ni, nd), (re, im, d)))
+            re, im, d, r = nr, ni, nd, rn
 
 
 def classify_points(expr: MapExpr, points: np.ndarray,
@@ -377,7 +363,7 @@ def classify_points(expr: MapExpr, points: np.ndarray,
     classify(expr, points[k], cfg), steps[k] the step of an Escaping or
     NonEscapingProven verdict and -1 otherwise.  The codes agree with
     classify seed by seed: the step is evaluate_points, which gives
-    each point evaluate's bits, and the tests are orbits._iterate's.
+    each point evaluate's bits, and the stops are maps._stop's.
     """
     validate(expr)
     pts = np.asarray(points, dtype=complex)

@@ -549,6 +549,29 @@ def _direction(m: complex, ca, sa):
     return dr, di, dr <= -eps, dr >= eps
 
 
+def _stop(nan, d, nd, r, rn, far, same):
+    """The one home of the stop rules of both orbit loops: which rule
+    stops an orbit at its step n, z to its image; 0 if none, else the
+    number of the first that fires of
+    1. nan: the image is NaN, or the step made none -> Undetermined;
+    2. underflow: z is on the ladder with r <= 0 -> NonEscapingProven(n);
+    3. escape: r >= escape_real_threshold and rn >= r, or far -> Escaping(n);
+    4. repeat: same, the image is z bit for bit -> BoundedAtBudget;
+    5. half plane: rn <= 0 off the ladder -> NonEscapingProven(n + 1).
+    d and nd: z and the image are on the ladder; r and rn: their sign*Re u
+    (orbits._real_u), NaN without a chart; far: the modulus test of a map
+    without one.  A seed is the image of a step -1.  Floats and bools or
+    arrays of them: comparisons, & and | only, as ~True == -2 (on bools,
+    a > b is a and not b); from the last rule to the first, each that
+    fires sets the code."""
+    code = 5 * ((rn <= 0.0) > nd)
+    code += same * (4 - code)
+    code += ((r >= IterationConfig.escape_real_threshold) & (rn >= r)
+             | far) * (3 - code)
+    code += (d & (r <= 0.0)) * (2 - code)
+    return code + nan * (1 - code)
+
+
 def _ladder_step(z: Directed, m: complex, p: complex, q: complex) -> ExtendedPoint:
     """exp(m*z + p) + q at a Directed z, the ladder step of F and G
     ((m, p, q) = (sign, param, const)) and of exp(lam) ((lam, 0, 0)).

@@ -25,14 +25,16 @@ orbit whose step returns the point it was given, bit for bit, ends
 step would repeat the same tests with the same outcome until the budget
 ran out.  Only the count of applications performed changes.
 
-Two engines run these rules.  ``_iterate`` follows one seed and backs
-``classify`` and ``run_orbit``.  Every exp, cos, sin and log it takes is
-the ``math`` function, or ``cmath.exp`` for a finite exponential (which
-calls the same libm exp, cos and sin), and this module imports no numpy.
-``blocks.classify_points`` runs the same tests in the same order on an
-array of seeds in lockstep, with the same bits (see ``blocks``), so the
-two agree seed by seed, in verdict class and step; it backs
-``classify_grid`` and the sample suites of ``verify``.
+``maps._stop`` is the one home of these rules and of their order, and
+two loops ask it once per step (a seed's own tests are a step -1).
+``_iterate`` follows one seed and backs ``classify`` and ``run_orbit``.
+Every exp, cos, sin and log it takes is the ``math`` function, or
+``cmath.exp`` for a finite exponential (which calls the same libm exp,
+cos and sin), and this module imports no numpy.
+``blocks.classify_points`` moves an array of seeds in lockstep with the
+same bits (see ``blocks``), so the two agree seed by seed, in verdict
+class and step; it backs ``classify_grid`` and the sample suites of
+``verify``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .maps import (  # KIND_*: callers may read the codes from here too
     _same_point,
     _scale,
     _set,
+    _stop,
     _to_u,
     _Value,
     chart,
@@ -142,16 +145,12 @@ def _is_nan(z: ExtendedPoint) -> bool:
     return math.isnan(z.log_modulus) or math.isnan(z.angle)
 
 
-def _escaped(r: Optional[float], rn: Optional[float], z: ExtendedPoint,
-             nxt: ExtendedPoint) -> bool:
-    # Maps with a chart (r, rn: sign*Re u of z and nxt): consecutive
-    # deepening into the repelling half plane sign*Re u > 0.
-    if r is not None:
-        return r >= IterationConfig.escape_real_threshold and rn >= r
-    # Generic shapes: two consecutive modulus checks on finite points, or
-    # a strictly growing chain of overflowed points.  A mixed pair proves
-    # nothing: a single jump onto the overflow rung can still collapse
-    # back next step when the exponent flips sign.
+def _escaped_generic(z: ExtendedPoint, nxt: ExtendedPoint) -> bool:
+    # The escape test of a map without a chart: two consecutive modulus
+    # checks on finite points, or a strictly growing chain of overflowed
+    # points.  A mixed pair proves nothing: a single jump onto the
+    # overflow rung can still collapse back next step when the exponent
+    # flips sign.
     if isinstance(z, Directed):
         return isinstance(nxt, Directed) and nxt.log_modulus > z.log_modulus
     if isinstance(nxt, Directed):
@@ -160,12 +159,13 @@ def _escaped(r: Optional[float], rn: Optional[float], z: ExtendedPoint,
     return lm >= _LOG_ESCAPE_RADIUS and _log_modulus(nxt) >= lm
 
 
-def _real_u(z: ExtendedPoint, ch: Optional[Chart]) -> Optional[float]:
+def _real_u(z: ExtendedPoint, ch: Optional[Chart]) -> float:
     """r = sign*Re u, u = (z - b)/a in the chart ch = (f, a, b) of
-    maps.chart, which every chart test reads; None without a chart.  With
-    blocks._real_u_points, the one place that knows the identity chart."""
+    maps.chart, which every chart test reads; NaN without a chart, which
+    no test passes.  With blocks._real_u_points, the one place that knows
+    the identity chart."""
     if ch is None:
-        return None
+        return math.nan
     f, a, b = ch
     if not (a == 1 and b == 0):
         z = _to_u(z, a, b)
@@ -176,27 +176,27 @@ def _real_u(z: ExtendedPoint, ch: Optional[Chart]) -> Optional[float]:
     return f.sign * _scale(_exp_sat(z.log_modulus), math.cos(z.angle))
 
 
+# the verdict of each code of maps._stop at step n (5 needs a chart)
+_VERDICTS = (None, lambda n, ch: Undetermined("nan"),
+             lambda n, ch: NonEscapingProven(
+                 AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, n),
+             lambda n, ch: Escaping(n), lambda n, ch: BoundedAtBudget(),
+             lambda n, ch: NonEscapingProven(_HALF_PLANE_RULE[ch[0].sign],
+                                             n + 1))
+
+
 def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig,
              ch: Optional[Chart]):
-    """The loop behind run_orbit, and so classify; callers validate expr
-    and pass maps.chart(expr).  blocks._classify_points repeats it on
-    arrays.  The termination tests read the chart through _real_u.
-
-    The orbit ends at the first step that returns its point bit for bit
-    (maps._same_point), once that step's escape test has not fired.
-    Returns (classification, points, steps_taken) where steps_taken
-    counts map applications actually performed.
-    """
+    """The loop behind run_orbit, and so classify, for callers that have
+    validated expr and pass maps.chart(expr): (classification, points,
+    steps_taken), steps_taken the map applications actually performed.
+    blocks._classify_points is its array twin."""
     z: ExtendedPoint = complex(z0)
     points = [z]
     r = _real_u(z, ch)
-    for n in range(cfg.max_iter + 1):
-        if isinstance(z, complex):
-            if _is_nan(z):
-                return Undetermined("nan"), points, n
-            if r is not None and r <= 0.0:
-                return (NonEscapingProven(_HALF_PLANE_RULE[ch[0].sign], n),
-                        points, n)
+    code, n = _stop(_is_nan(z), False, False, math.nan, r, False, False), -1
+    while not code:
+        n += 1
         if n == cfg.max_iter:
             return BoundedAtBudget(), points, n
         try:
@@ -204,24 +204,14 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig,
         except DegeneratePhaseError:
             return Undetermined("degenerate-phase"), points, n
         points.append(nxt)
-        if _is_nan(nxt):
-            return Undetermined("nan"), points, n + 1
-        if r is not None and isinstance(z, Directed) and r <= 0.0:
-            # a ladder point in the absorbing half plane of u whose step
-            # succeeded: under the identity chart, exactly the underflows
-            return (NonEscapingProven(AbsorptionRule.UNDERFLOW_TO_FIXED_NEIGHBORHOOD, n),
-                    points, n + 1)
         rn = _real_u(nxt, ch)
-        if _escaped(r, rn, z, nxt):
-            return Escaping(n), points, n + 1
-        # A fixed point of the step: every later step would repeat this
-        # one's tests on the same pair until the budget runs out.  `==`
-        # holds for any two equal points but NaNs, which ended above.
-        if nxt == z and _same_point(nxt, z):
-            return BoundedAtBudget(), points, n + 1
+        # `==` holds for any two equal points but NaNs, which code 1 takes
+        code = _stop(_is_nan(nxt), isinstance(z, Directed),
+                     isinstance(nxt, Directed), r, rn,
+                     ch is None and _escaped_generic(z, nxt),
+                     nxt == z and _same_point(nxt, z))
         z, r = nxt, rn
-
-    raise AssertionError("unreachable")
+    return _VERDICTS[code](n, ch), points, n + 1
 
 
 def classify(expr: MapExpr, z0: complex,

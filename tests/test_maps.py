@@ -671,6 +671,61 @@ class TestSamePoint:
                             batch([q for _, q, _ in self.PAIRS])).tolist() == want
 
 
+# r and rn at +-0, one ulp either side of 0 and of the escape threshold,
+# +-inf and NaN, under every combination of the five flags
+_T = IterationConfig.escape_real_threshold
+_REALS = [0.0, -0.0, math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0),
+          math.nextafter(_T, 0.0), _T, math.nextafter(_T, math.inf),
+          math.inf, -math.inf, math.nan]
+STOP_CASES = [(*flags[:3], r, rn, *flags[3:])
+              for flags in itertools.product((False, True), repeat=5)
+              for r in _REALS for rn in _REALS]
+
+
+def _stop_rule(nan, d, nd, r, rn, far, same):
+    """maps._stop's documented order, written as a chain of ifs."""
+    if nan:
+        return 1
+    if d and r <= 0.0:
+        return 2
+    if far or (r >= _T and rn >= r):
+        return 3
+    if same:
+        return 4
+    if not nd and rn <= 0.0:
+        return 5
+    return 0
+
+
+class TestStopKernel:
+    """maps._stop on Python floats and bools, as orbits._iterate calls it,
+    and on arrays, as blocks._classify_points does: the same codes, and
+    those of the documented order.  The scalar calls take Python bools,
+    not np.bool_: on them ~ is an int (~True == -2), so a kernel that
+    negates a flag with ~ and so moves a code fails here."""
+
+    def test_scalar_codes_follow_the_order(self):
+        for case in STOP_CASES:
+            assert all(type(v) in (bool, float) for v in case)
+            code = maps._stop(*case)
+            assert type(code) is int and code == _stop_rule(*case), case
+
+    def test_arrays_agree_with_scalars(self):
+        want = [maps._stop(*case) for case in STOP_CASES]
+        columns = [np.array(column) for column in zip(*STOP_CASES)]
+        assert maps._stop(*columns).tolist() == want
+        for case, code in zip(STOP_CASES, want):
+            assert maps._stop(*[np.array([v]) for v in case]).tolist() == \
+                [code]
+
+    def test_seed_form_mixes_scalars_and_arrays(self):
+        # a seed is the image of a step -1: its nan flag and rn are arrays
+        nan = np.array([True, False, False, False, False])
+        rn = np.array([-1.0, -0.0, 1e-300, math.nan, -math.inf])
+        assert maps._stop(nan, False, False, math.nan, rn, False,
+                          False).tolist() == [1, 5, 0, 0, 5]
+
+
 class TestEvaluateProperties:
     @given(map_exprs(), complexes(-8, 8, -8, 8), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)

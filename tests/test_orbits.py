@@ -507,3 +507,18 @@ class TestFixedPointStop:
             assert stopped == codes.count((ord("B"), -1))
             kinds, steps = classify_points(expr, samples.points, cfg)
             assert list(zip(kinds.tolist(), steps.tolist())) == codes
+
+
+class TestGenericEscape:
+    @pytest.mark.xfail(strict=True, reason=(
+        "the generic escape rule (|z| >= 1e10 and the next modulus no "
+        "smaller) calls a far bounded orbit escaping; charts through "
+        "shifted iterates are ROADMAP item 2"))
+    def test_far_bounded_orbit_is_not_escaping(self):
+        expr = Shift(Iterate(F11, 2), 1e11j)
+        z = complex(0.5, 0.5)
+        for _ in range(10):  # each iterate stays within 1.13 of 1e11*i
+            z = evaluate(expr, z)
+            assert abs(z - 1e11j) < 1.2
+        verdict = classify(expr, complex(0.5, 0.5), IterationConfig(10))
+        assert not isinstance(verdict, Escaping), verdict
