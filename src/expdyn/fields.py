@@ -27,7 +27,7 @@ import numpy as np
 from .blocks import _classify_points
 from .maps import (DEFAULT_CONFIG, KIND_BUDGET, KIND_ESCAPING,
                    KIND_UNDETERMINED, Family, IterationConfig, MapExpr, Window,
-                   _g17, _set, _Value, chart, validate)
+                   _g17, _Value, chart, validate)
 
 __all__ = [
     "Window",
@@ -67,11 +67,11 @@ class EscapeField(_Value):
         if steps.dtype.kind != "i":
             raise ValueError("steps array must be a signed integer type, "
                              f"not {steps.dtype}")
-        _set(self, "window", window)
-        _set(self, "nx", nx)
-        _set(self, "ny", ny)
-        _set(self, "kinds", kinds)
-        _set(self, "steps", steps)
+        # read-only views, so that a copy or a pickle is read-only too
+        kinds, steps = kinds.view(), steps.view()
+        kinds.setflags(write=False)
+        steps.setflags(write=False)
+        super().__init__(window, nx, ny, kinds, steps)
 
     @property
     def dx(self) -> float:
@@ -172,8 +172,6 @@ def classify_grid(expr: MapExpr, window: Window, nx: int, ny: int,
         k = np.arange(start, min(start + _BLOCK, nx * ny))
         kinds[k], steps[k] = _classify_points(
             expr, *_centers(window, nx, ny, k % nx, k // nx), cfg, ch)
-    kinds.setflags(write=False)
-    steps.setflags(write=False)
     return EscapeField(window=window, nx=nx, ny=ny, kinds=kinds, steps=steps)
 
 
@@ -343,6 +341,4 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
         dy = (ys[0] - ys[ny - 1]) / (ny - 1)
         window = Window(xs[0] - 0.5 * dx, xs[nx - 1] + 0.5 * dx,
                         ys[ny - 1] - 0.5 * dy, ys[0] + 0.5 * dy)
-    kinds.setflags(write=False)
-    steps.setflags(write=False)
     return EscapeField(window=window, nx=nx, ny=ny, kinds=kinds, steps=steps)

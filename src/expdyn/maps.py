@@ -39,12 +39,14 @@ Every value type of the package (the node kinds, ``Directed``,
 ``IterationConfig``, ``Window``, the verdicts and ``OrbitRecord`` of
 ``orbits``, ``EscapeField``, ``SampleSet``, ``StripId`` and
 ``VerificationReport``) is a ``__slots__`` class on ``_Value``.  A class
-lists its fields once, as ``__slots__ = __match_args__``, and its
-``__init__`` checks and sets them; ``_Value`` reads that tuple for
-==, hash, repr, copy and pickle and refuses assignment, as a frozen
-dataclass does.  It generates no code, so importing the package costs no
-class generation and no ``dataclasses`` (nor the ``inspect`` that module
-loads).
+lists its fields once, as ``__slots__ = __match_args__``; ``_Value``
+reads that tuple for its one ``__init__`` and for ==, hash, repr, copy
+and pickle, and refuses assignment, as a frozen dataclass does.  A class
+writes its own ``__init__`` only to check its fields (``Window``,
+``IterationConfig``, ``EscapeField``, ``SampleSet``) or, ``Directed``,
+to be built once per ladder step at less cost.  It generates no code,
+so importing the package costs no class generation and no
+``dataclasses`` (nor the ``inspect`` that module loads).
 """
 
 from __future__ import annotations
@@ -106,10 +108,27 @@ class DegeneratePhaseError(ArithmeticError):
 _set = object.__setattr__  # how an __init__ sets a field past _Value's guard
 
 
+def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+    """The fields of ``cls(*args, **kwargs)`` in order, or a TypeError
+    naming the class and its fields where the arguments do not bind to
+    them one to one."""
+    names = cls.__match_args__
+    given = dict(zip(names, args))
+    if len(args) > len(names) or given.keys() & kwargs.keys() or \
+            given.keys() | kwargs.keys() != set(names):
+        raise TypeError(f"{cls.__qualname__} takes the fields "
+                        f"({', '.join(names)}), given {len(args)} by "
+                        f"position and {list(kwargs)} by keyword")
+    given.update(kwargs)
+    return tuple([given[name] for name in names])
+
+
 class _Value:
     """Base of the value types: an immutable record of the fields named
     by ``__match_args__`` (also the class's ``__slots__``), in
-    constructor order, which its own ``__init__`` sets with ``_set``.
+    constructor order.  Its ``__init__`` binds positional and keyword
+    arguments to them, as a dataclass's does; a class writes its own,
+    only to check them (or, ``Directed``, to be built per step).
 
     Two values are equal when they are of the very same class and their
     fields are equal (as tuples: a field that is one object on both sides
@@ -123,6 +142,13 @@ class _Value:
     __slots__ = ()
     __match_args__: Tuple[str, ...] = ()
     _compared: Optional[Tuple[str, ...]] = None
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self), args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def _names(self) -> Tuple[str, ...]:
         return self.__match_args__ if self._compared is None else self._compared
@@ -172,10 +198,6 @@ class FamilyF(_Value):
     sign = -1.0
     family = Family.F
 
-    def __init__(self, lam: complex, xi: complex):
-        _set(self, "lam", lam)
-        _set(self, "xi", xi)
-
 
 class FamilyG(_Value):
     """z -> exp(z + mu) + zeta, with Re mu < 0 and Re zeta <= -1.
@@ -186,10 +208,6 @@ class FamilyG(_Value):
     __slots__ = __match_args__ = ("mu", "zeta")
     sign = 1.0
     family = Family.G
-
-    def __init__(self, mu: complex, zeta: complex):
-        _set(self, "mu", mu)
-        _set(self, "zeta", zeta)
 
 
 # One description of both families: z -> exp(sign*z + param) + const,
@@ -206,18 +224,11 @@ class ScaledExp(_Value):
 
     __slots__ = __match_args__ = ("lam",)
 
-    def __init__(self, lam: complex):
-        _set(self, "lam", lam)
-
 
 class Iterate(_Value):
     """s-fold composition of the base map, s >= 1."""
 
     __slots__ = __match_args__ = ("base", "s")
-
-    def __init__(self, base: "MapExpr", s: int):
-        _set(self, "base", base)
-        _set(self, "s", s)
 
 
 class Shift(_Value):
@@ -225,19 +236,11 @@ class Shift(_Value):
 
     __slots__ = __match_args__ = ("base", "c")
 
-    def __init__(self, base: "MapExpr", c: complex):
-        _set(self, "base", base)
-        _set(self, "c", c)
-
 
 class Compose(_Value):
     """outer after inner."""
 
     __slots__ = __match_args__ = ("outer", "inner")
-
-    def __init__(self, outer: "MapExpr", inner: "MapExpr"):
-        _set(self, "outer", outer)
-        _set(self, "inner", inner)
 
 
 class Conjugate(_Value):
@@ -248,11 +251,6 @@ class Conjugate(_Value):
     """
 
     __slots__ = __match_args__ = ("a", "b", "base")
-
-    def __init__(self, a: complex, b: complex, base: "MapExpr"):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "base", base)
 
 
 MapExpr = Union[FamilyF, FamilyG, ScaledExp, Iterate, Shift, Compose, Conjugate]
@@ -270,6 +268,7 @@ class Directed(_Value):
 
     __slots__ = __match_args__ = ("log_modulus", "angle")
 
+    # _Value's __init__, written out: evaluate builds one per ladder step
     def __init__(self, log_modulus: float, angle: float):
         _set(self, "log_modulus", log_modulus)
         _set(self, "angle", angle)
@@ -353,10 +352,7 @@ class Window(_Value):
         if not (math.isfinite(x_max - x_min) and math.isfinite(y_max - y_min)):
             # an infinite width would put every cell center at inf
             raise ValueError("window width and height must be finite")
-        _set(self, "x_min", x_min)
-        _set(self, "x_max", x_max)
-        _set(self, "y_min", y_min)
-        _set(self, "y_max", y_max)
+        super().__init__(x_min, x_max, y_min, y_max)
 
 
 # ---------------------------------------------------------------------------

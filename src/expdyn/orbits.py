@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional, TextIO, Tuple, Union
+from typing import Optional, TextIO, Union
 
 from .maps import (  # KIND_*: callers may read the codes from here too
     _LOG_ESCAPE_RADIUS,
@@ -62,7 +62,6 @@ from .maps import (  # KIND_*: callers may read the codes from here too
     _log_modulus,
     _same_point,
     _scale,
-    _set,
     _stop,
     _to_u,
     _Value,
@@ -101,16 +100,9 @@ _HALF_PLANE_RULE = {-1.0: AbsorptionRule.RIGHT_HALF_PLANE_F,
 class Escaping(_Value):
     __slots__ = __match_args__ = ("step",)
 
-    def __init__(self, step: int):
-        _set(self, "step", step)
-
 
 class NonEscapingProven(_Value):
     __slots__ = __match_args__ = ("rule", "step")
-
-    def __init__(self, rule: AbsorptionRule, step: int):
-        _set(self, "rule", rule)
-        _set(self, "step", step)
 
 
 class BoundedAtBudget(_Value):
@@ -120,9 +112,6 @@ class BoundedAtBudget(_Value):
 class Undetermined(_Value):
     __slots__ = __match_args__ = ("reason",)
 
-    def __init__(self, reason: str):
-        _set(self, "reason", reason)
-
 
 Classification = Union[Escaping, NonEscapingProven, BoundedAtBudget, Undetermined]
 
@@ -130,13 +119,6 @@ Classification = Union[Escaping, NonEscapingProven, BoundedAtBudget, Undetermine
 class OrbitRecord(_Value):
     __slots__ = __match_args__ = ("seed", "points", "classification",
                                   "steps_taken")
-
-    def __init__(self, seed: complex, points: Tuple[ExtendedPoint, ...],
-                 classification: Classification, steps_taken: int):
-        _set(self, "seed", seed)
-        _set(self, "points", points)
-        _set(self, "classification", classification)
-        _set(self, "steps_taken", steps_taken)
 
 
 def _is_nan(z: ExtendedPoint) -> bool:
@@ -227,8 +209,7 @@ def run_orbit(expr: MapExpr, z0: complex,
     """Classify one seed keeping the full trace (terminal point included)."""
     validate(expr)
     verdict, points, steps = _iterate(expr, z0, cfg, chart(expr))
-    return OrbitRecord(seed=complex(z0), points=tuple(points),
-                       classification=verdict, steps_taken=steps)
+    return OrbitRecord(complex(z0), tuple(points), verdict, steps)
 
 
 # ---------------------------------------------------------------------------

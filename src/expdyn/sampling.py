@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .maps import Window, _set, _Value
+from .maps import Window, _Value
 
 __all__ = ["SampleSet", "splitmix64"]
 
@@ -61,10 +61,10 @@ class SampleSet(_Value):
                 & (w.y_min <= p.imag) & (p.imag <= w.y_max)).all():
             raise ValueError(f"need {count} finite points inside the "
                              "closed window")
-        _set(self, "seed", seed)
-        _set(self, "count", count)
-        _set(self, "window", window)
-        _set(self, "points", points)
+        # a read-only view, so that a copy or a pickle is read-only too
+        points = points.view()
+        points.setflags(write=False)
+        super().__init__(seed, count, window, points)
 
     @classmethod
     def generate(cls, seed: int, count: int, window: Window) -> "SampleSet":
@@ -75,6 +75,4 @@ class SampleSet(_Value):
         u = (out >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
         x = window.x_min + u[0::2] * (window.x_max - window.x_min)
         y = window.y_min + u[1::2] * (window.y_max - window.y_min)
-        pts = x + 1j * y
-        pts.setflags(write=False)
-        return cls(seed=seed, count=count, window=window, points=pts)
+        return cls(seed, count, window, x + 1j * y)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional
 
-from .maps import Family, _set, _Value
+from .maps import Family, _Value
 
 __all__ = ["Family", "StripId", "strip_of", "strip_test",
            "strip_boundaries"]
@@ -30,10 +30,6 @@ _HALF_PI = math.pi / 2.0
 
 class StripId(_Value):
     __slots__ = __match_args__ = ("k", "family")
-
-    def __init__(self, k: int, family: Family):
-        _set(self, "k", k)
-        _set(self, "family", family)
 
 
 def _sign(family: Family) -> float:

@@ -18,7 +18,7 @@ as U), or call a classify_fn passed in (tests, tracing) once per seed.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .maps import (
     MapExpr,
     Shift,
     Window,
-    _set,
     _Value,
     chart,
     period_of,
@@ -85,14 +84,6 @@ def _classifier(classify_fn: Optional[ClassifyFn], expr: MapExpr,
 class VerificationReport(_Value):
     __slots__ = __match_args__ = ("suite_name", "total", "violations",
                                   "skipped_undetermined")
-
-    def __init__(self, suite_name: str, total: int,
-                 violations: Optional[List[Dict[str, str]]] = None,
-                 skipped_undetermined: int = 0):
-        _set(self, "suite_name", suite_name)
-        _set(self, "total", total)
-        _set(self, "violations", [] if violations is None else violations)
-        _set(self, "skipped_undetermined", skipped_undetermined)
 
     @property
     def verdict(self) -> str:

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import io
 import math
 import multiprocessing
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -95,6 +97,29 @@ def test_csv_import_skips_blank_lines():
     field = import_field_csv(io.StringIO(text), Window(0, 1, -1, 1))
     assert (field.nx, field.ny) == (1, 2)
     assert field.cell(0, 0) == ("P", 0) and field.cell(0, 1) == ("B", None)
+
+
+def test_arrays_read_only_in_copies():
+    # the constructor stores read-only views of the arrays it is given, so
+    # a copy or a pickle, which it rebuilds from writable arrays, is
+    # read-only too; a view shares the caller's memory and flags
+    kinds = np.array([ord("E"), ord("B")], dtype=np.uint8)
+    steps = np.array([3, -1], dtype=np.int16)
+    built = EscapeField(Window(0, 2, 0, 1), 2, 1, kinds, steps)
+    assert np.shares_memory(built.kinds, kinds) and kinds.flags.writeable
+    assert np.shares_memory(built.steps, steps) and steps.flags.writeable
+    grid = classify_grid(F11, Window(-3, 3, -3, 3), 4, 4,
+                         IterationConfig(max_iter=20))
+    text = io.StringIO()
+    export_field_csv(grid, text)
+    text.seek(0)
+    for field in (built, grid, import_field_csv(text)):
+        for same in (field, copy.copy(field), copy.deepcopy(field),
+                     pickle.loads(pickle.dumps(field))):
+            assert same == field
+            for cells in (same.kinds, same.steps):
+                with pytest.raises(ValueError, match="read-only"):
+                    cells[0] = 0
 
 
 class TestWindow:

@@ -488,6 +488,17 @@ class TestFixedPointStop:
         assert rec.classification == BoundedAtBudget()
         assert rec.steps_taken == 2
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the repeat stop compares a point with the last one only, so a "
+        "float cycle of period 2 spends the whole budget; Brent cycle "
+        "detection is the remainder of ROADMAP item 18"))
+    def test_period_two_cycle_stops_before_the_budget(self):
+        rec = run_orbit(ScaledExp(-5), 0.3, IterationConfig(250))
+        tail = rec.points[58:]
+        assert len(tail) > 2 and tail[2:] == tail[:-2]
+        assert tail[0] != tail[1]
+        assert rec.steps_taken < 250, rec.classification
+
     def test_composite_laws_sample(self):
         # the maps and seeds of verify_composite_laws(exp(1), 2, 1) at 314
         samples = SampleSet.generate(314, 2000, Window(-2, 2, -2, 2))

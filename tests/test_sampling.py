@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -59,13 +61,19 @@ class TestSampleSet:
         assert len(ss.points) == 17
 
     def test_points_immutable(self):
+        # a copy or a pickle is rebuilt through the constructor, which
+        # stores a read-only view: read-only too
         ss = SampleSet.generate(5, 4, Window(0, 1, 0, 1))
-        try:
-            ss.points[0] = 0
-            raised = False
-        except ValueError:
-            raised = True
-        assert raised
+        for same in (ss, copy.copy(ss), copy.deepcopy(ss),
+                     pickle.loads(pickle.dumps(ss))):
+            assert same == ss and (same.points == ss.points).all()
+            with pytest.raises(ValueError, match="read-only"):
+                same.points[0] = 0
+        pts = np.array([0.5 + 0.5j])
+        built = SampleSet(1, 1, Window(0, 1, 0, 1), pts)
+        assert np.shares_memory(built.points, pts) and pts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            built.points[0] = 0
 
     @pytest.mark.parametrize("make", [
         lambda: SampleSet.generate(1, -1, Window(0, 1, 0, 1)),

@@ -282,6 +282,8 @@ VALUES = [
 ]
 # whose fields hold an array or a list
 UNHASHABLE = (EscapeField, VerificationReport)
+# which check their fields, or (Directed) are built once per ladder step
+OWN_INIT = (Window, IterationConfig, EscapeField, SampleSet, Directed)
 
 
 @pytest.mark.parametrize("value, text, twin", VALUES,
@@ -312,6 +314,17 @@ def test_value_semantics(value, text, twin):
                       pickle.loads(pickle.dumps(value))):
         assert type(twin_copy) is cls and twin_copy == value
         assert repr(twin_copy) == text
+    # arguments that do not bind to the fields: a TypeError naming the
+    # class, from _Value's __init__ or a checking class's own
+    assert ("__init__" in vars(cls)) == (cls in OWN_INIT)
+    bad = [lambda: cls(*fields, 0), lambda: cls(*fields, other=0)]
+    if names:
+        bad.append(lambda: cls(*fields, **{names[0]: fields[0]}))
+        if cls is not IterationConfig:  # max_iter defaults to 1000
+            bad.append(lambda: cls(*fields[:-1]))
+    for make in bad:
+        with pytest.raises(TypeError, match=cls.__name__):
+            make()
 
 
 def test_every_value_class_is_pinned():

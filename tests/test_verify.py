@@ -704,6 +704,16 @@ class TestConjugacy:
         with pytest.raises(ValueError, match="is not finite on the sample"):
             verify_conjugacy(F11, a, b, ss, CFG)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "two seed-9 samples are proven at step 3 under f by the underflow "
+        "rule and escape under the conjugate; a margin on that rule is "
+        "ROADMAP item 1"))
+    def test_seed_9_conjugate_agrees(self):
+        ss = SampleSet.generate(9, 2000, Window(-10, 2, -8, 8))
+        rep = verify_conjugacy(F11, complex(3, 1), complex(-1, 0), ss,
+                               IterationConfig())
+        assert rep.verdict == "pass", rep.violations
+
     def test_phi_finite_at_the_corners_runs(self):
         rep = verify_conjugacy(F11, complex(1e307, 0), complex(0, 0),
                                SampleSet.generate(2, 30, Window(-1, 1, -1, 1)),
