@@ -43,8 +43,7 @@ lists its fields once, as ``__slots__ = __match_args__``; ``_Value``
 reads that tuple for its one ``__init__`` and for ==, hash, repr, copy
 and pickle, and refuses assignment, as a frozen dataclass does.  A class
 writes its own ``__init__`` only to check its fields (``Window``,
-``IterationConfig``, ``EscapeField``, ``SampleSet``) or, ``Directed``,
-to be built once per ladder step at less cost.  It generates no code,
+``IterationConfig``, ``EscapeField``, ``SampleSet``).  It generates no code,
 so importing the package costs no class generation and no
 ``dataclasses`` (nor the ``inspect`` that module loads).
 """
@@ -127,8 +126,8 @@ class _Value:
     """Base of the value types: an immutable record of the fields named
     by ``__match_args__`` (also the class's ``__slots__``), in
     constructor order.  Its ``__init__`` binds positional and keyword
-    arguments to them, as a dataclass's does; a class writes its own,
-    only to check them (or, ``Directed``, to be built per step).
+    arguments to them, as a dataclass's does; a class writes its own
+    only to check them.
 
     Two values are equal when they are of the very same class and their
     fields are equal (as tuples: a field that is one object on both sides
@@ -267,11 +266,6 @@ class Directed(_Value):
     """
 
     __slots__ = __match_args__ = ("log_modulus", "angle")
-
-    # _Value's __init__, written out: evaluate builds one per ladder step
-    def __init__(self, log_modulus: float, angle: float):
-        _set(self, "log_modulus", log_modulus)
-        _set(self, "angle", angle)
 
     # _Value's ==, written out: the orbit loop's fixed-point test compares
     # ladder points at every step on the ladder

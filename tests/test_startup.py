@@ -282,8 +282,8 @@ VALUES = [
 ]
 # whose fields hold an array or a list
 UNHASHABLE = (EscapeField, VerificationReport)
-# which check their fields, or (Directed) are built once per ladder step
-OWN_INIT = (Window, IterationConfig, EscapeField, SampleSet, Directed)
+# which check their fields in their own __init__
+OWN_INIT = (Window, IterationConfig, EscapeField, SampleSet)
 
 
 @pytest.mark.parametrize("value, text, twin", VALUES,
