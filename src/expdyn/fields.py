@@ -49,6 +49,11 @@ class EscapeField(_Value):
     arithmetic on them.  Cell (i, j) sits at
     index j*nx + i; its center is (x_min + (i+0.5)*dx, y_max - (j+0.5)*dy)
     (_centers).
+
+    The field keeps read-only views of the arrays it is given, not
+    copies: a caller that builds one directly and still holds a writable
+    reference to kinds or steps must not write through it.
+    classify_grid and import_field_csv keep no such reference.
     """
 
     __slots__ = __match_args__ = ("window", "nx", "ny", "kinds", "steps")
@@ -310,9 +315,10 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
         i, j, kind, step = int(parts[0]), int(parts[1]), parts[4], parts[5]
         if kind not in ("E", "P", "B", "U"):
             raise ValueError(f"unknown cell class {kind!r}")
-        # the export rule: a non-negative integer step for E and P, none
-        # for B and U
-        if not (step.isdigit() if kind in ("E", "P") else step == ""):
+        # the export rule: a non-negative int64 step in ASCII digits for E
+        # and P, none for B and U
+        if not (step.isascii() and step.isdigit() and int(step) < 2 ** 63
+                if kind in ("E", "P") else step == ""):
             raise ValueError(f"step {step!r} does not fit class {kind!r} "
                              f"in row {line!r}")
         rows.append((i, j, float(parts[2]), float(parts[3]), kind,

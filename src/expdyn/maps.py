@@ -267,16 +267,6 @@ class Directed(_Value):
 
     __slots__ = __match_args__ = ("log_modulus", "angle")
 
-    # _Value's ==, written out: the orbit loop's fixed-point test compares
-    # ladder points at every step on the ladder
-    def __eq__(self, other):
-        if other.__class__ is Directed:
-            return (self.log_modulus, self.angle) == \
-                (other.log_modulus, other.angle)
-        return NotImplemented
-
-    __hash__ = _Value.__hash__
-
 
 ExtendedPoint = Union[complex, Directed]
 

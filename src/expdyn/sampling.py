@@ -48,6 +48,10 @@ class SampleSet(_Value):
     (real part) and 2i+1 (imaginary part).  Each is finite and inside the
     closed window, so a suite may read the window for its points.  ==,
     hash and repr read (seed, count, window), which determine the points.
+
+    The set keeps a read-only view of the points it is given, not a copy:
+    a caller that builds one directly and still holds a writable
+    reference to them must not write through it.  generate keeps none.
     """
 
     __slots__ = __match_args__ = ("seed", "count", "window", "points")

@@ -221,8 +221,8 @@ UNDER_1GIB = ("import resource, runpy\n"
     ("render", "--map", "F(-1, 1)", "--window=0,1,0,1",
      "--res", "1000000,1000000", "--out", "m.ppm"),
     ("verify", "--suite", "halfplane-bound", "--samples", "10000000000"),
-    # strip-containment's grid, after halfplane-bound has run: its report
-    # was printed before the exit 2
+    # strip-containment's grid, after halfplane-bound has run: no report
+    # either, halfplane-bound's included
     ("verify", "--suite", "all", "--samples", "20", "--k-max", "5",
      "--res", "100000,100000"),
 ], ids=["render", "verify", "verify-all"])
@@ -382,8 +382,9 @@ class TestVerifyCommand:
         ("--suite", "period-shift", "--map", "exp(1e-310)")])
     def test_period_shift_needs_a_finite_period_exit_2(
             self, capsys, monkeypatch, argv):
-        # the period c = a*2*pi*i or 2*pi*i/lam is infinite: `all` printed
-        # three reports first, and the error named an internal node
+        # the period c = a*2*pi*i or 2*pi*i/lam is infinite: every suite
+        # is resolved before any runs, so `all` prints no report, and the
+        # error names no internal node
         def no_grid(*args, **kwargs):
             raise AssertionError("a grid was classified")
 
@@ -525,9 +526,23 @@ class TestVerifyCommand:
         (("--suite", "image-superset", "--map", "G(-1, -1)", "--seed", "7",
           "--samples", "300"),
          [("image-superset", 300, 3)]),
+        # strip-containment through the chart: render-deep's own map must
+        # pass, and so must a shift whose family map has a moved constant
+        (("--suite", "strip-containment", "--map", "conj(2, 1, F(-1, 1))",
+          "--window=-19,5,-16,16", "--res", "120,120"),
+         [("strip-containment", 14400, 46)]),
+        (("--suite", "strip-containment", "--map",
+          "shift(F(-1, 2), -0.5+1i)", "--window=-30,5,-20,20",
+          "--res", "120,120"),
+         [("strip-containment", 14400, 38)]),
+        # and halfplane-bound at its default sample count, inside phi(H)
+        (("--suite", "halfplane-bound", "--map", "conj(2, 1, F(-1, 1))",
+          "--window=2,100,-50,50"),
+         [("halfplane-bound", 10000, 0)]),
     ])
     def test_golden_stdout(self, capsys, argv, reports):
-        # the whole output of these runs, byte for byte
+        # the whole output of these runs, byte for byte: a verify run
+        # writes nothing to stderr
         code, out, err = run(capsys, "verify", *argv)
         assert code == 0
         assert err == ""

@@ -497,7 +497,8 @@ class _Sink:
 def test_writer_holds_one_block(write, min_size):
     # a render holds the field and one block: on 1024x1024 cells the
     # writer's own peak stays under 1 MiB (the whole image was 3 MiB,
-    # copied once more to bytes)
+    # copied once more to bytes), so a writer that builds the whole image
+    # or text again fails here
     n = 1024
     k = np.arange(n * n)
     kinds = np.frombuffer(b"EPBU", dtype=np.uint8)[k % 7 % 4]
@@ -815,8 +816,10 @@ class TestFieldCsv:
                 import_field_csv(io.StringIO(text))
 
     def test_import_rejects_negative_step(self):
-        # E,-9 would render red 228: 8 + 4*(-9) wraps in uint8
-        for row in ("E,-9", "P,-1", "E,+3", "E,1.5"):
+        # E,-9 would render red 228: 8 + 4*(-9) wraps in uint8; the export
+        # writes a step in ASCII digits that fits int64, and nothing else
+        for row in ("E,-9", "P,-1", "E,+3", "E,1.5",
+                    "E,99999999999999999999", "E,\u0663"):
             text = f"i,j,re,im,class,step\n0,0,0.5,0.5,{row}\n"
             with pytest.raises(ValueError, match="does not fit class"):
                 import_field_csv(io.StringIO(text))

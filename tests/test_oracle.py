@@ -1,5 +1,7 @@
 """The engines' NonEscapingProven verdicts against an independent replay
-in mpmath (tests/oracle.py)."""
+in mpmath (tests/oracle.py), which runs no code of the engines: it
+contradicts the two known lost-phase verdicts and confirms sampled early
+ones."""
 
 import numpy as np
 import pytest

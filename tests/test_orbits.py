@@ -279,7 +279,8 @@ class TestEngineProperties:
 
 
 class TestChartVerdicts:
-    """The family tests read through chart(expr) on conj and shift."""
+    """The family tests read through chart(expr) on conj and shift: conj's
+    u = (z - b)/a, and shift's family map with a moved constant."""
 
     CONJ_F = Conjugate(complex(2, 0), complex(1, 0), F11)
     # (map, its constant in the chart coordinate u = (z - b)/a)
