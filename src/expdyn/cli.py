@@ -46,7 +46,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
 
 from .maps import (DEFAULT_CONFIG, Family, IterationConfig, MapExpr, Window,
                    chart, period_of)
-from .parser import format_complex, format_map, parse_complex, parse_map
+from .parser import (_INT, _REAL, format_complex, format_map, parse_complex,
+                     parse_map)
 
 if TYPE_CHECKING:
     from .verify import VerificationReport
@@ -94,13 +95,22 @@ def load_config(path: str) -> List[str]:
     return argv
 
 
+def _decimal(text: str) -> float:
+    """text as the map grammar's decimal real, blanks around it allowed,
+    else float's error: float alone also reads other Unicode digits, '_',
+    'inf' and 'nan'."""
+    if _REAL.fullmatch(text.strip()) is None:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _parse_window(text: str) -> Window:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
             "window must be 'x_min,x_max,y_min,y_max'")
     try:
-        return Window(*(float(p) for p in parts))
+        return Window(*(_decimal(p) for p in parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad window: {exc}") from exc
 
@@ -113,14 +123,21 @@ def _parse_switch(text: str) -> bool:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # reported below like any other value below 1
+    # ASCII digits only: int alone also reads other Unicode digits, '_',
+    # a sign and blanks; anything else is reported like a value below 1
+    value = int(text) if _INT.fullmatch(text) else 0
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """ASCII digits after an optional '-', else type=int's usage error:
+    int alone also reads other Unicode digits, '_', '+' and blanks."""
+    if _INT.fullmatch(text.removeprefix("-")) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _checked(parse: Callable[[str], object]) -> Callable[[str], object]:
@@ -193,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "run verification suites, JSON on stdout")
     p.add_argument("--max-iter", type=_positive_int)
     p.add_argument("--suite", choices=SUITES + ("all",))
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--samples", type=_positive_int)
     p.add_argument("--map")
     p.add_argument("--map-g", type=_checked(parse_map), default="G(-1, -1)",

@@ -289,11 +289,20 @@ def export_field_csv(field: EscapeField, out: TextIO) -> None:
         out.write(m[m != 0].tobytes().decode("ascii"))
 
 
+def _digits(text: str) -> bool:
+    """text as the export writes a step, i or j: ASCII digits that fit
+    int64 (E and P cells carry a step, B and U none)."""
+    return text.isascii() and text.isdigit() and int(text) < 2 ** 63
+
+
 def import_field_csv(src: Union[TextIO, Iterable[str]],
                      window: Optional[Window] = None) -> EscapeField:
     """Rebuild a field from its CSV export.
 
-    Cells are recovered exactly.  The window is taken from the argument
+    Only rows the export could have written are read: a row with blanks
+    around it, or an i, j or step that is not ASCII digits fitting int64,
+    is a ValueError (a negative i or j is out of range).  Cells are
+    recovered exactly.  The window is taken from the argument
     when given; otherwise it is inferred from the cell centers, which
     needs at least a 2x2 grid and reproduces the original bounds only up
     to float rounding.
@@ -301,9 +310,9 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
     rows = []
     header_seen = False
     for line in src:
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
+        line = line.rstrip("\r\n")
         if not header_seen:
             if line != "i,j,re,im,class,step":
                 raise ValueError(f"unexpected CSV header: {line!r}")
@@ -312,16 +321,16 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
         parts = line.split(",")
         if len(parts) != 6:
             raise ValueError(f"malformed CSV row: {line!r}")
-        i, j, kind, step = int(parts[0]), int(parts[1]), parts[4], parts[5]
+        i, j, kind, step = parts[0], parts[1], parts[4], parts[5]
+        # i and j by the step's rule, a '-' kept for the range check below
+        if not (_digits(i.removeprefix("-")) and _digits(j.removeprefix("-"))):
+            raise ValueError(f"malformed CSV row: {line!r}")
         if kind not in ("E", "P", "B", "U"):
             raise ValueError(f"unknown cell class {kind!r}")
-        # the export rule: a non-negative int64 step in ASCII digits for E
-        # and P, none for B and U
-        if not (step.isascii() and step.isdigit() and int(step) < 2 ** 63
-                if kind in ("E", "P") else step == ""):
+        if not (_digits(step) if kind in ("E", "P") else step == ""):
             raise ValueError(f"step {step!r} does not fit class {kind!r} "
                              f"in row {line!r}")
-        rows.append((i, j, float(parts[2]), float(parts[3]), kind,
+        rows.append((int(i), int(j), float(parts[2]), float(parts[3]), kind,
                      int(step) if step else -1))
     if not rows:
         raise ValueError("empty CSV")

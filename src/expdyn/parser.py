@@ -4,9 +4,9 @@
           | "iter(" expr "," int ")" | "shift(" expr "," c ")"
           | "comp(" expr "," expr ")" | "conj(" c "," c "," expr ")"
 
-A complex literal c is "a", "a+bi" or "a-bi" with decimal reals (optional
-exponent part); b carries no sign of its own ("1+-2i" is an error), and
-the "i" suffix is the only accepted spelling, no "j".
+A complex literal c is "a", "a+bi" or "a-bi" with decimal reals (ASCII
+digits, optional exponent part); b carries no sign of its own ("1+-2i" is
+an error), and the "i" suffix is the only accepted spelling, no "j".
 A node kind's keyword and its arguments in field order are read from its
 row of ``maps.NODE_KINDS``, which holds its own constraints too.  A literal
 that overflows to infinity is a syntax error.  Whitespace is insignificant.
@@ -22,8 +22,9 @@ from .maps import NODE_KINDS, MapExpr, node_fields, validate
 
 __all__ = ["MapSyntaxError", "parse_map", "parse_complex", "format_map", "format_complex"]
 
-_REAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_INT = re.compile(r"\d+")
+# ASCII digits only: \d alone also matches every other Unicode digit
+_REAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_INT = re.compile(r"\d+", re.ASCII)
 
 
 class MapSyntaxError(ValueError):

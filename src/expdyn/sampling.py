@@ -46,8 +46,9 @@ class SampleSet(_Value):
 
     points is a complex128 array; sample i consumes stream outputs 2i
     (real part) and 2i+1 (imaginary part).  Each is finite and inside the
-    closed window, so a suite may read the window for its points.  ==,
-    hash and repr read (seed, count, window), which determine the points.
+    closed window, so a suite may read the window for its points.  ==
+    compares the points too: (seed, count, window) determine them only
+    for generate.  hash and repr read (seed, count, window).
 
     The set keeps a read-only view of the points it is given, not a copy:
     a caller that builds one directly and still holds a writable
@@ -69,6 +70,16 @@ class SampleSet(_Value):
         points = points.view()
         points.setflags(write=False)
         super().__init__(seed, count, window, points)
+
+    def __eq__(self, other):
+        # _Value's compare reads only (seed, count, window)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and \
+            np.array_equal(self.points, other.points)
+
+    # defining __eq__ resets __hash__; equal sets share the hashed fields
+    __hash__ = _Value.__hash__
 
     @classmethod
     def generate(cls, seed: int, count: int, window: Window) -> "SampleSet":

@@ -9,10 +9,10 @@ as pass or fail, and anything else passes.  Of the two determined
 verdicts, ``NonEscapingProven`` is rigorous and ``Escaping`` numerical
 (see ``orbits``), so what a violation proves is not settled here.  The
 grid suites likewise count budget-limited and undetermined cells as
-skipped.  Every suite grades verdict codes E/P/B/U: the sample suites
-classify fields._BLOCK samples at a time under each map through
-blocks.classify_points (an image without a finite complex value counts
-as U), or call a classify_fn passed in (tests, tracing) once per seed.
+skipped.  Every suite grades verdict codes E/P/B/U: a sample suite
+classifies a map only where a law reads the verdict (U elsewhere, and at
+an image without a finite complex value), fields._BLOCK samples at a time
+through blocks.classify_points, or per seed by a classify_fn (tests, tracing).
 """
 
 from __future__ import annotations
@@ -142,13 +142,11 @@ def _images(expr: MapExpr, re: np.ndarray,
     return wr, wi, ~bad & ~wd & _finite(wr, wi)
 
 
-def _codes_at_images(classify: Callable, expr: MapExpr, re: np.ndarray,
-                     im: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """classify at expr(z) where `where` holds; U elsewhere or no image."""
+def _codes_where(classify: Callable, re: np.ndarray, im: np.ndarray,
+                 where: np.ndarray) -> np.ndarray:
+    """classify at re + i*im where `where` holds; U elsewhere."""
     codes = np.full(len(re), KIND_UNDETERMINED, dtype=np.uint8)
-    at = np.flatnonzero(where)
-    wr, wi, ok = _images(expr, re[at], im[at])
-    codes[at[ok]] = classify(wr[ok], wi[ok])
+    codes[where] = classify(re[where], im[where])
     return codes
 
 
@@ -281,8 +279,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
     Both orbits of a block's seeds advance in lockstep, for up to
     max_iter steps, until an image is missing, the identity fails (one
     violation), a modulus passes MODULUS_CAP or both orbits repeat their
-    points of the step before.  Each block is then
-    classified under f and g, or classify_fn is called per seed.
+    points of the step before.  Each block is then classified under f,
+    and under g where f is determined, or classify_fn is called per seed.
     """
     validate(expr)
     if s < 1:
@@ -319,7 +317,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
                                     vr[keep], vi[keep])
             if not len(live):
                 break
-        k_f, k_g = classify_f(re, im), classify_g(re, im)
+        k_f = _codes_where(classify_f, re, im, np.full(len(re), True))
+        k_g = _codes_where(classify_g, re, im, _determined(k_f))
         return ~(_determined(k_f) & _determined(k_g)), [
             (~np.isnan(seen[0]),
              f"g^n(z) == f^(n*s)(z) + c within rel {REL_TOL}",
@@ -345,28 +344,26 @@ def verify_composite_laws(expr: MapExpr, i: int, j: int, samples: SampleSet,
     verdicts of h and of f^(i+j) may not conflict; (c) the escape set of
     h is invariant under g, so g of an escaping seed may not be proven
     non-escaping.  A sample with any skipped comparison counts as
-    skipped once.  Each block is classified under h, f^(i+j), f, g and h
-    at g(z) of its escaping seeds, or classify_fn is called per seed; g
-    = f^1 reuses f's verdicts where it has f's chart tests.
+    skipped once.  Each block is classified under h, under f^(i+j) where
+    h is determined, under f and h at g(z) where h escapes, and under g
+    where h escapes and f does not, or classify_fn is called per seed.
     """
     validate(expr)
     if i < 1 or j < 1:
         raise ValueError("iterate exponents must be >= 1")
     g = Iterate(expr, j)
-    composite = Compose(expr, g)
-    tall = Iterate(expr, i + j)
-    classifiers = [_classifier(classify_fn, e, cfg)
-                   for e in (composite, tall, expr)]
-    # g = f^1 takes f's steps; with f's chart (none: f has no chart) it
-    # runs f's tests too, so it gets f's verdicts and is not classified
-    classify_g = None if j == 1 and chart(g) == chart(expr) else \
-        _classifier(classify_fn, g, cfg)
+    classify_h, classify_tall, classify_f, classify_g = (
+        _classifier(classify_fn, e, cfg)
+        for e in (Compose(expr, g), Iterate(expr, i + j), expr, g))
 
     def grade(re, im):
-        k_comp, k_tall, k_f = (c(re, im) for c in classifiers)
-        k_g = k_f if classify_g is None else classify_g(re, im)
+        k_comp = _codes_where(classify_h, re, im, np.full(len(re), True))
+        k_tall = _codes_where(classify_tall, re, im, _determined(k_comp))
         esc = k_comp == KIND_ESCAPING
-        k_w = _codes_at_images(classifiers[0], g, re, im, esc)
+        k_f = _codes_where(classify_f, re, im, esc)
+        k_g = _codes_where(classify_g, re, im, esc & (k_f != KIND_ESCAPING))
+        wr, wi, ok = _images(g, re, im)
+        k_w = _codes_where(classify_h, wr, wi, esc & ok)
         # (a) "escapes under f or g" passes when either escapes, conflicts
         # when both are proven and is undetermined otherwise
         open_a = esc & (k_f != KIND_ESCAPING) & (k_g != KIND_ESCAPING)
@@ -407,8 +404,9 @@ def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
     classify_f = _classifier(classify_fn, expr, cfg)
 
     def grade(re, im):
-        k1 = classify_f(re, im)
-        k2 = _codes_at_images(classify_f, g, re, im, k1 == KIND_PROVEN)
+        k1 = _codes_where(classify_f, re, im, np.full(len(re), True))
+        wr, wi, ok = _images(g, re, im)
+        k2 = _codes_where(classify_f, wr, wi, ok & (k1 == KIND_PROVEN))
         return (k1 != KIND_ESCAPING) & ~_determined(k2), [
             (_conflict(k1, k2),
              "image of a proven non-escaping seed must not escape",
@@ -447,9 +445,10 @@ def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
     composed chart (maps.chart), so both orbits meet the same half plane
     and escape test; the suite then checks that rounding along g's orbit
     does not move a verdict.  A map without a chart is classified by the
-    generic modulus rule on both sides.  Blocks are classified under f and
-    g, or classify_fn is called per seed.  A phi that is not finite on
-    samples.window is a ValueError, raised before anything is classified.
+    generic modulus rule on both sides.  Blocks are classified under f,
+    and under g where f is determined, or classify_fn is called per seed.
+    A phi that is not finite on samples.window is a ValueError, raised
+    before anything is classified.
     """
     g = Conjugate(a, b, expr)
     validate(g)
@@ -458,8 +457,9 @@ def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
     classify_g = _classifier(classify_fn, g, cfg)
 
     def grade(re, im):
-        k1 = classify_f(re, im)
-        k2 = classify_g(*_from_u_points(re, im, False, a, b))
+        k1 = _codes_where(classify_f, re, im, np.full(len(re), True))
+        k2 = _codes_where(classify_g, *_from_u_points(re, im, False, a, b),
+                          _determined(k1))
         return ~(_determined(k1) & _determined(k2)), [
             (_conflict(k1, k2),
              "no escaping-vs-proven conflict between f and its conjugate",

@@ -72,6 +72,9 @@ class TestParse:
         ("F(-1, 1e400)", "decimal real overflows to infinity (at offset 6)"),
         ("iter(F(-1, 1), x)", "expected an integer (at offset 15)"),
         ("F(x, 1)", "expected a decimal real (at offset 2)"),
+        # Arabic-Indic digits, which \d matched and float and int read
+        ("F(-\u0661, \u0661)", "expected a decimal real (at offset 2)"),
+        ("iter(F(-1, 1), \u0662)", "expected an integer (at offset 15)"),
     ])
     def test_error_bytes_pinned(self, capsys, text, err):
         assert run(capsys, "parse", "--map", text) == (2, "", f"error: {err}\n")
@@ -501,7 +504,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--a", "1e400"), ("--b", "1e400"), ("--map-g", "G(-1, 1e400)"),
-        ("--a", "0"), ("--s", "0"), ("--i", "0"), ("--j", "-1")])
+        ("--a", "0"), ("--s", "0"), ("--i", "0"), ("--j", "-1"),
+        # numbers are ASCII decimals: int, float and \d also read these
+        ("--b", "\u0662+\u0663i"), ("--samples", "1_0"), ("--seed", "1_0"),
+        ("--seed", "\u0663"), ("--seed", "+3"), ("--window", "1_0,20,0,1")])
     def test_all_checks_suite_arguments_before_any_report(self, capsys, flag,
                                                            value):
         code, out, err = run(capsys, "verify", "--suite", "all", flag, value,
@@ -526,6 +532,10 @@ class TestVerifyCommand:
         (("--suite", "image-superset", "--map", "G(-1, -1)", "--seed", "7",
           "--samples", "300"),
          [("image-superset", 300, 3)]),
+        # the conjugate is classified only where f is determined
+        (("--suite", "conjugacy", "--map", "exp(1)", "--seed", "7",
+          "--samples", "300"),
+         [("conjugacy", 300, 4)]),
         # strip-containment through the chart: render-deep's own map must
         # pass, and so must a shift whose family map has a moved constant
         (("--suite", "strip-containment", "--map", "conj(2, 1, F(-1, 1))",
@@ -810,6 +820,11 @@ class TestArguments:
          "argument --res: resolution must be 'NX,NY'"),
         (("--window=0,1,0", "--res", "3,3", "--out", "x.ppm"),
          "argument --window: window must be 'x_min,x_max,y_min,y_max'"),
+        (("--window=0,1,0,1", "--res", "\u0662,\u0662", "--out", "x.ppm"),
+         "argument --res: expected a positive integer, got '\u0662'"),
+        (("--window=1_0,20,0,1", "--res", "3,3", "--out", "x.ppm"),
+         "argument --window: bad window: could not convert string to float: "
+         "'1_0'"),
     ])
     def test_render_usage_error_bytes(self, capsys, tmp_path, monkeypatch,
                                       extra, err):

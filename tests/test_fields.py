@@ -77,6 +77,12 @@ def render_four(marks):
     (lambda: render_four([True, False, False, True]), MARKS),
     (lambda: import_field_csv(io.StringIO(HEADER + "0,0,0.5,0.5,P\n")),
      "malformed CSV row"),
+    # i and j are ASCII digits, as the export writes them; int alone read
+    # each of these as 0, and 1_0 as 10
+    *[(lambda row=row: import_field_csv(io.StringIO(HEADER + row)),
+       "malformed CSV row")
+      for row in ("\u0660,0,0.5,0.5,P,0\n", "+0,0,0.5,0.5,P,0\n",
+                  " 0,0,0.5,0.5,P,0\n", "1_0,0,10.5,0.5,P,0\n")],
     (lambda: import_field_csv(io.StringIO(HEADER)), "empty CSV"),
     (lambda: import_field_csv(io.StringIO(
         HEADER + "0,0,0.5,0.5,P,0\n0,1,0.5,-0.5,B,\n")),
@@ -85,8 +91,9 @@ def render_four(marks):
          "escape-field-int64-kinds", "escape-field-uint16-kinds",
          "escape-field-float-steps", "escape-field-unsigned-steps",
          "classify-grid-nx", "ppm-int-marks", "ppm-short-marks",
-         "ppm-2d-marks", "ppm-list-marks", "csv-malformed-row", "csv-empty",
-         "csv-degenerate-grid"])
+         "ppm-2d-marks", "ppm-list-marks", "csv-malformed-row",
+         "csv-arabic-index", "csv-plus-index", "csv-blank-index",
+         "csv-underscore-index", "csv-empty", "csv-degenerate-grid"])
 def test_input_checks(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -86,6 +86,18 @@ class TestParse:
             parse_map("shift(F(-1, 1), 1e400)")
         assert exc.value.offset == 16
 
+    @pytest.mark.parametrize("parse, text, offset", [
+        (parse_map, "F(-\u0661, \u0661)", 2),
+        (parse_map, "iter(F(-1, 1), \u0662)", 15),
+        (parse_complex, "\u0662+\u0663i", 0),
+        (parse_complex, "1+\u0663i", 2),
+        (parse_complex, "1e\u0663", 1)])
+    def test_non_ascii_digits_rejected(self, parse, text, offset):
+        # \d alone matches every Unicode digit, and float and int read them
+        with pytest.raises(MapSyntaxError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
     def test_missing_i_suffix(self):
         with pytest.raises(MapSyntaxError, match="expected 'i'"):
             parse_complex("1+2")

@@ -60,6 +60,16 @@ class TestSampleSet:
         assert ss.count == 17 and ss.seed == 5 and ss.window == w
         assert len(ss.points) == 17
 
+    def test_equality_reads_the_points(self):
+        # (seed, count, window) fix the points only for generate, so sets
+        # built by hand with other points differ; their hashes may agree
+        w = Window(0, 1, 0, 1)
+        a = SampleSet(0, 1, w, np.array([0.25 + 0.25j]))
+        b = SampleSet(0, 1, w, np.array([0.75 + 0.75j]))
+        assert a != b and not a == b and hash(a) == hash(b)
+        drawn = SampleSet.generate(0, 1, w)
+        assert a != drawn and drawn == SampleSet(0, 1, w, drawn.points.copy())
+
     def test_points_immutable(self):
         # a copy or a pickle is rebuilt through the constructor, which
         # stores a read-only view: read-only too

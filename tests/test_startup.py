@@ -271,7 +271,7 @@ VALUES = [
                  np.array([-1])),
      f"EscapeField(window={W_REPR}, nx=1, ny=1, "
      "kinds=array([69], dtype=uint8), steps=array([-1]))", None),
-    # the points are left out of ==, hash and repr
+    # the points are left out of hash and repr
     (SampleSet(1, 1, WINDOW, np.array([0.5 + 0j])),
      f"SampleSet(seed=1, count=1, window={W_REPR})", (1, 1, WINDOW)),
     (StripId(1, Family.F), "StripId(k=1, family=<Family.F: 'F'>)",

@@ -124,14 +124,15 @@ class TestValidation:
 
 
     # classify_fn calls per suite (period-shift, composite-laws,
-    # image-superset, conjugacy) on the 40 seeds below, as the per-seed
-    # loops made them: the traced run's classify_calls are these counts
+    # image-superset, conjugacy) on the 40 seeds below, where each suite
+    # classifies only the samples whose verdict a law reads: the traced
+    # run's classify_calls are these counts
     HOOK_CALLS = [
-        (F11, (80, 160, 80, 80)),
-        (G11, (80, 160, 80, 80)),
-        (EXP1, (80, 130, 40, 80)),
-        (Conjugate(complex(2, 0), complex(1, 0), F11), (80, 160, 80, 80)),
-        (Compose(F11, G11), (80, 120, 40, 80)),
+        (F11, (80, 40, 80, 80)),
+        (G11, (80, 40, 80, 80)),
+        (EXP1, (77, 70, 40, 77)),
+        (Conjugate(complex(2, 0), complex(1, 0), F11), (80, 40, 80, 80)),
+        (Compose(F11, G11), (40, 40, 40, 40)),
     ]
 
     def test_each_chart_looked_up_once_per_suite(self, monkeypatch):
@@ -146,16 +147,12 @@ class TestValidation:
         a, b = complex(2, 0), complex(1, 0)
         for expr, calls in self.HOOK_CALLS:
             shifted = Shift(Iterate(expr, 2), period_of(expr))
-            # composite-laws compares the charts of g = f^1 and f, with or
-            # without a classify_fn, to decide whether g reuses f's verdicts
-            reuse = [Iterate(expr, 1), expr]
             for (run, maps, own), count in zip([
                     (lambda fn: verify_period_shift(expr, 2, ss, CFG, fn),
                      [expr, shifted], []),
                     (lambda fn: verify_composite_laws(expr, 2, 1, ss, CFG, fn),
-                     [Compose(expr, Iterate(expr, 1)), Iterate(expr, 3), expr]
-                     + reuse + ([Iterate(expr, 1)] if chart(expr) else []),
-                     reuse),
+                     [Compose(expr, Iterate(expr, 1)), Iterate(expr, 3), expr,
+                      Iterate(expr, 1)], []),
                     (lambda fn: verify_image_superset(expr, 2, ss, CFG, fn),
                      [expr], []),
                     (lambda fn: verify_conjugacy(expr, a, b, ss, CFG, fn),
@@ -207,7 +204,9 @@ class TestValidation:
         default = verify_conjugacy(F11, a, b, ss, CFG)
         assert verify_conjugacy(F11, a, b, ss, CFG,
                                 counting_classify).to_json() == default.to_json()
-        assert len(seen) == 2 * ss.count
+        # f at the 2000 samples, the conjugate at the 1991 where f is
+        # determined
+        assert len(seen) == 3991
         assert default.skipped_undetermined == 9
         assert [v["input"] for v in default.violations] == [
             "-4.812499579257532-3.7848942538105703i",
@@ -635,6 +634,29 @@ class TestCompositeLaws:
             classify_fn=self.invariance_liar(seeds, BoundedAtBudget()))
         assert rep.verdict == "pass"
         assert rep.skipped_undetermined == 4
+
+    def test_g_classified_only_where_its_verdict_is_read(self):
+        # only law (a) reads g's verdict, and only where f o g escapes and
+        # f does not: g is classified at those seeds and nowhere else
+        ss = SampleSet.generate(9, 40, Window(-8, 2, -6, 6))
+        seeds = [complex(z) for z in ss.points]
+        h_escapes, f_escapes = set(seeds[::2]), set(seeds[::3])
+        g_calls = []
+
+        def liar(expr, z, cfg):
+            if expr == Iterate(F11, 1):
+                g_calls.append(z)
+            if isinstance(expr, Compose):
+                return Escaping(2) if z in h_escapes else PROVEN
+            return Escaping(1) if expr == F11 and z in f_escapes else PROVEN
+
+        rep = verify_composite_laws(F11, 2, 1, ss, CFG, classify_fn=liar)
+        read = [z for z in seeds if z in h_escapes and z not in f_escapes]
+        assert g_calls == read and len(read) == 13
+        # where it is read, g's proven verdict breaks law (a)
+        assert [v["input"] for v in rep.violations
+                if v["expected"].endswith("f or g")] == \
+            [format_complex(z) for z in read]
 
 
 class TestImageSuperset:
