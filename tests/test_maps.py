@@ -595,6 +595,87 @@ class TestExpStep:
                      b"F" + _PAIR.pack(v.real, v.imag))
         assert h.hexdigest() == digest
 
+    @staticmethod
+    def pinned_steps():
+        """Seeded points for the step pin: 1,500 finite ones with Re in
+        [-760, 760] and |Im| up to 1e17, and 300 of modulus up to 1e308;
+        finite edges where the exponent of F(-1, 1), G(-1, -1), exp(1) or
+        exp(0.5+2i) is 700 or one ulp either side, with signed zero, huge
+        and non-finite Im; the conj crossings of TestLadderCrossings; and
+        ladder points, seeded ones and edges at the rung, the saturation
+        of exp and the phase limit 2^52."""
+        rng = np.random.default_rng(20140613)
+        pts = [complex(x, y) for x, y in zip(
+            rng.uniform(-760.0, 760.0, 1500).tolist(),
+            (rng.choice([-1.0, 1.0], 1500)
+             * 10.0 ** rng.uniform(-3, 17, 1500)).tolist())]
+        pts += [cmath.rect(r, t) for r, t in zip(
+            (10.0 ** rng.uniform(0, 308, 300)).tolist(),
+            rng.uniform(-math.pi, math.pi, 300).tolist())]
+        xs = [v for x in (700.0, 701.0, 1400.0) for s in (-1.0, 1.0)
+              for v in (math.nextafter(s * x, -math.inf), s * x,
+                        math.nextafter(s * x, math.inf))]
+        pts += [complex(x, y) for x in xs
+                for y in (0.0, -0.0, 1.0, -2.5, 2.0 ** 52, 1e17, math.inf,
+                          -math.inf, math.nan)]
+        pts += [z0 for _, z0 in TestLadderCrossings.CASES]
+        pts += [Directed(a, b) for a, b in zip(
+            (700.0 + 10.0 ** rng.uniform(-2, 5, 500)).tolist(),
+            (rng.choice([-1.0, 1.0], 500)
+             * 2.0 ** rng.uniform(-10, 52, 500)).tolist())]
+        pts += [Directed(a, b)
+                for a in (700.5, 709.0, 709.5, 1e5, math.inf)
+                for b in (0.0, -0.0, 1.0, math.pi / 2, -math.pi / 2, 2.0 ** 52,
+                          math.nextafter(2.0 ** 52, math.inf), math.inf,
+                          math.nan)]
+        return pts
+
+    # sha256 of each step's kind and bits, or of the raise: one map per
+    # node kind, then conj maps whose transport crosses onto the ladder
+    # (TestLadderCrossings) or drops a ladder point off it, on the way in
+    # or out
+    STEP_PINS = [
+        ("F(-1, 1)",
+         "f788bdb5ffe6997030061bd6e819c0d5b60787504e4d60c423f255a9c6cf4723"),
+        ("G(-2+3i, -1-2i)",
+         "702ea2471456f781193596e8946a3ef82c6a7e3aca0fafcdef1bb28456845d8d"),
+        ("exp(0.5+2i)",
+         "030aaa9ae4f58e6662c6251c871c4dab2ce6679492c0583ef41786d6bca8a120"),
+        ("iter(exp(1), 3)",
+         "25487f718c9b8b592890ee07689f8c16518171319f3c4feb15f069f0b90417ba"),
+        ("shift(iter(exp(1), 2), 0+6.283185307179586i)",
+         "462df3ce6bda23c556109545e4d7df3bbac0b7bed62a239add062166073b7ecf"),
+        ("comp(F(-1, 1), G(-1, -1))",
+         "8cce339f965cae3c97d5a2b9f1ecfb883acbe7680316bbde56c94e954a342e87"),
+        ("conj(2, 1, F(-1, 1))",
+         "1a8b169794b70a001b76fd41178fd103978af10de63c0e58950128e66601d491"),
+        ("conj(-1e-300, 0, F(-1, 1))",
+         "432b34d853f17385484a8f1d05ba2008009f58eceff28c7af5321eb45d378240"),
+        ("conj(1e10, 0, F(-1, 1e300))",
+         "07d9b28a959c1ab90c051ca6f5f9ff30a907efbf5dc996f512b61ea9b2b92909"),
+        ("conj(1e10, 0, exp(1))",
+         "6f890f15b9d36af6ae7fe1b1990d72692e88ebaffa3d68cb7ef244c4b408a606"),
+        ("conj(1e-10, 1, exp(1))",
+         "aded9e5ff4dbd2e97d6cdaecb2d218d1e199faeb3088620e3a5f593089491d4d"),
+    ]
+
+    @pytest.mark.parametrize("text, digest", STEP_PINS)
+    def test_step_bits_pinned(self, text, digest):
+        # evaluate on finite and ladder points, bit for bit;
+        # TestEvaluatePoints holds evaluate_points to it
+        expr = parse_map(text)
+        h = hashlib.sha256()
+        for p in self.pinned_steps():
+            try:
+                v = evaluate(expr, p)
+            except DegeneratePhaseError:
+                h.update(b"X")
+                continue
+            h.update(b"D" + _PAIR.pack(v.log_modulus, v.angle)
+                     if isinstance(v, Directed) else
+                     b"F" + _PAIR.pack(v.real, v.imag))
+        assert h.hexdigest() == digest
+
     def test_conjugate_demotion_matches_math(self):
         # a Directed point that drops below the rung in conj is demoted
         # to exp(log_modulus)*(cos, sin) angle
@@ -728,6 +809,88 @@ class TestStopKernel:
         rn = np.array([-1.0, -0.0, 1e-300, math.nan, -math.inf])
         assert maps._stop(nan, False, False, math.nan, rn, False,
                           False).tolist() == [1, 5, 0, 0, 5]
+
+
+def _batch(pts):
+    """(re, im, directed) arrays of a list of points."""
+    re, im, directed = zip(*[
+        (p.real, p.imag, False) if isinstance(p, complex)
+        else (p.log_modulus, p.angle, True) for p in pts])
+    return np.array(re), np.array(im), np.array(directed)
+
+
+def real_u_of_point(p, ch):
+    return orbits._real_u(p, ch)
+
+
+def real_u_of_batch(pts, ch):
+    with np.errstate(all="ignore"):  # as the orbit loop runs it
+        return blocks._real_u_points(*_batch(pts), ch)
+
+
+def far_of_point(p, q):
+    return orbits._escaped_generic(p, q)
+
+
+def far_of_batch(ps, qs):
+    with np.errstate(all="ignore"):
+        return blocks._escaped_generic(*_batch(ps), *_batch(qs))
+
+
+# points at the edges of r and far: finite ones with NaN and infinite
+# parts and |z| one ulp around the escape radius, and ladder points at
+# the saturation of exp and around the phase limit
+_LIM = maps.PHASE_RESOLUTION_LIMIT
+_ANGLES = [0.0, -0.0, 1.0, math.pi / 2, -math.pi, _LIM, -_LIM,
+          math.nextafter(_LIM, math.inf),
+          math.nextafter(-_LIM, -math.inf), math.inf, -math.inf,
+          math.nan]
+_LOG_MODULI = [700.5, math.nextafter(709.0, 0.0), 709.0,
+              math.nextafter(709.0, math.inf), 1e5, math.inf, math.nan]
+_R = IterationConfig.generic_escape_radius
+_FINITE = [complex(x, y) for x in (0.0, -3.5, 1e300, -math.inf, math.nan)
+          for y in (0.0, -0.0, 2.0, math.inf)] + [
+    complex(v, 0.0) for v in (math.nextafter(_R, 0.0), _R,
+                              math.nextafter(_R, math.inf), -_R)] + [
+    complex(0.0, _R), complex(6e9, 8e9), complex(6e9, 8.000000000000002e9),
+    complex(6e9, 7.999999999999999e9), complex(1.7e308, 1.7e308)]
+_LADDER = [Directed(lm, a) for lm in _LOG_MODULI for a in _ANGLES]
+
+
+class TestStopInputs:
+    """The inputs r and far of maps._stop on floats, as orbits._iterate
+    takes them, against arrays, as blocks._classify_points does, at their
+    edges: the same bits of r and the same far."""
+
+    # the identity chart, a conj chart of each family, and no chart
+    CHARTS = [chart(F11), chart(G11),
+              chart(parse_map("conj(2+1i, -1, G(-1, -1))")),
+              chart(parse_map("conj(1e-5, 3, F(-1, 1))")), None]
+
+    @pytest.mark.parametrize("ch", CHARTS)
+    def test_real_u(self, ch):
+        pts = _FINITE + _LADDER
+        got = real_u_of_batch(pts, ch)
+        want = [real_u_of_point(p, ch) for p in pts]
+        assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want]
+        if ch is not None:
+            kinds = {_bits(v) if not math.isfinite(v) else "finite"
+                     for v in want}
+            assert kinds == {"finite", "inf", "-inf", "nan"}
+
+    def test_far(self):
+        # every ordered pair: finite then finite, finite then ladder,
+        # ladder then finite, and two ladder points with equal log-modulus
+        pts = _FINITE + _LADDER
+        ps, qs = zip(*itertools.product(pts, repeat=2))
+        want = [far_of_point(p, q) for p, q in zip(ps, qs)]
+        assert far_of_batch(ps, qs).tolist() == want
+        assert any(want) and not all(want)
+        ladder = [isinstance(p, Directed) for p in pts]
+        reached = {(ladder[k // len(pts)], ladder[k % len(pts)], w)
+                   for k, w in enumerate(want)}
+        assert {(False, False, True), (True, True, True),
+                (True, True, False), (False, True, False)} <= reached
 
 
 class TestEvaluateProperties:
