@@ -19,6 +19,7 @@ size.
 
 from __future__ import annotations
 
+import math
 from typing import (BinaryIO, Iterable, Iterator, List, Optional, TextIO,
                     Tuple, Union)
 
@@ -28,6 +29,7 @@ from .blocks import _classify_points
 from .maps import (DEFAULT_CONFIG, KIND_BUDGET, KIND_ESCAPING,
                    KIND_UNDETERMINED, Family, IterationConfig, MapExpr, Window,
                    _g17, _Value, chart, validate)
+from .parser import _REAL
 
 __all__ = [
     "Window",
@@ -295,13 +297,20 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit() and int(text) < 2 ** 63
 
 
+def _finite_real(text: str) -> bool:
+    """text as the export writes a center's re or im: an ASCII decimal,
+    by the map literals' rule, of a finite double."""
+    return _REAL.fullmatch(text) is not None and math.isfinite(float(text))
+
+
 def import_field_csv(src: Union[TextIO, Iterable[str]],
                      window: Optional[Window] = None) -> EscapeField:
     """Rebuild a field from its CSV export.
 
     Only rows the export could have written are read: a row with blanks
-    around it, or an i, j or step that is not ASCII digits fitting int64,
-    is a ValueError (a negative i or j is out of range).  Cells are
+    around it, an i, j or step that is not ASCII digits fitting int64, or
+    a re or im that is not an ASCII decimal of a finite double, is a
+    ValueError (a negative i or j is out of range).  Cells are
     recovered exactly.  The window is taken from the argument
     when given; otherwise it is inferred from the cell centers, which
     needs at least a 2x2 grid and reproduces the original bounds only up
@@ -321,16 +330,17 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
         parts = line.split(",")
         if len(parts) != 6:
             raise ValueError(f"malformed CSV row: {line!r}")
-        i, j, kind, step = parts[0], parts[1], parts[4], parts[5]
+        i, j, x, y, kind, step = parts
         # i and j by the step's rule, a '-' kept for the range check below
-        if not (_digits(i.removeprefix("-")) and _digits(j.removeprefix("-"))):
+        if not (_digits(i.removeprefix("-")) and _digits(j.removeprefix("-"))
+                and _finite_real(x) and _finite_real(y)):
             raise ValueError(f"malformed CSV row: {line!r}")
         if kind not in ("E", "P", "B", "U"):
             raise ValueError(f"unknown cell class {kind!r}")
         if not (_digits(step) if kind in ("E", "P") else step == ""):
             raise ValueError(f"step {step!r} does not fit class {kind!r} "
                              f"in row {line!r}")
-        rows.append((int(i), int(j), float(parts[2]), float(parts[3]), kind,
+        rows.append((int(i), int(j), float(x), float(y), kind,
                      int(step) if step else -1))
     if not rows:
         raise ValueError("empty CSV")

@@ -83,6 +83,15 @@ def render_four(marks):
        "malformed CSV row")
       for row in ("\u0660,0,0.5,0.5,P,0\n", "+0,0,0.5,0.5,P,0\n",
                   " 0,0,0.5,0.5,P,0\n", "1_0,0,10.5,0.5,P,0\n")],
+    # re and im are ASCII decimals of finite doubles, as the export writes
+    # them; float read each of these, and with a window given nothing
+    # else looked at them
+    *[(lambda row=row: import_field_csv(io.StringIO(HEADER + row),
+                                        Window(0, 1, 0, 1)),
+       "malformed CSV row")
+      for row in ("0,0,1_0,0.5,P,0\n", "0,0,0.5,\u0661,P,0\n",
+                  "0,0, 0.5,0.5,P,0\n", "0,0,nan,0.5,P,0\n",
+                  "0,0,0.5,1e999,P,0\n", "0,0,inf,0.5,P,0\n")],
     (lambda: import_field_csv(io.StringIO(HEADER)), "empty CSV"),
     (lambda: import_field_csv(io.StringIO(
         HEADER + "0,0,0.5,0.5,P,0\n0,1,0.5,-0.5,B,\n")),
@@ -93,7 +102,9 @@ def render_four(marks):
          "classify-grid-nx", "ppm-int-marks", "ppm-short-marks",
          "ppm-2d-marks", "ppm-list-marks", "csv-malformed-row",
          "csv-arabic-index", "csv-plus-index", "csv-blank-index",
-         "csv-underscore-index", "csv-empty", "csv-degenerate-grid"])
+         "csv-underscore-index", "csv-underscore-re", "csv-arabic-im",
+         "csv-blank-re", "csv-nan-re", "csv-overflow-im", "csv-inf-re",
+         "csv-empty", "csv-degenerate-grid"])
 def test_input_checks(make, match):
     with pytest.raises(ValueError, match=match):
         make()
