@@ -15,25 +15,24 @@ Values too large for floating point are carried on a log scale: a
 ``Directed`` point stores the natural log of the modulus together with an
 (unreduced) angle, and its log-modulus is always above the rung (700).
 F, G and exp(lam) are all z -> exp(m*z + p) + q (m = -1, +1 or lam), and
-each engine writes their step on a Directed point once: it deepens, or
-the exponential underflows and it collapses onto q.  A step whose result
-is at or below the rung returns an ordinary complex with the map's
-constant added.  A finite point whose conjugation ``(z - b)/a`` or
+their step on a Directed point is written once (``_Engine.ladder``): it
+deepens, or the exponential underflows and it collapses onto q.  A step
+whose result is at or below the rung returns an ordinary complex with the
+map's constant added.  A finite point whose conjugation ``(z - b)/a`` or
 ``a*v + b`` overflows moves onto the ladder the same way.
 
-Each engine builds a point from its exponent in one place (``_exp``
-here, ``blocks._exp_points``) and drops an additive constant on the
-ladder in one place (``_plus``, ``blocks._plus_points``).  ``_exp``
-takes a finite exponential exp(w), Re w at most the rung and Im w
-finite, as one ``cmath.exp`` call.  Below Re w = 708.3 CPython computes
-it as exactly exp(Re w)*cos(Im w) and exp(Re w)*sin(Im w), with the libm
-functions that ``math.exp``, ``math.cos`` and ``math.sin`` call, so the
-bits are those of the three ``math`` calls.
-
-``blocks.evaluate_points`` applies a map once to a whole batch of points
-on numpy arrays and gives each point ``evaluate``'s bits.  This module
-imports no numpy, so the commands that step one seed at a time (parse,
-orbit) start without it.
+There is one evaluation engine, ``_Engine``: each step and stop helper of
+the orbit loops is written once, on a point as the triple (re, im,
+directed), over a few primitives.  Here the primitives take Python
+floats (``_FLOATS``, behind ``evaluate`` and ``orbits._iterate``);
+``blocks._Arrays`` gives them numpy arrays of points (behind
+``evaluate_points`` and ``classify_points``).  ``_Engine.exp`` takes a
+finite exponential exp(w), Re w at most the rung and Im w finite, as one
+``cmath.exp`` call.  Below Re w = 708.3 CPython computes it as exactly
+exp(Re w)*cos(Im w) and exp(Re w)*sin(Im w), with the libm functions
+that ``math.exp``, ``math.cos`` and ``math.sin`` call, so the bits are
+those of the three ``math`` calls.  This module imports no numpy, so the
+commands that step one seed at a time (parse, orbit) start without it.
 
 Every value type of the package (the node kinds, ``Directed``,
 ``IterationConfig``, ``Window``, the verdicts and ``OrbitRecord`` of
@@ -53,6 +52,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 import struct
 from collections import namedtuple
 from typing import Optional, Tuple, Union
@@ -419,35 +419,8 @@ def _validate(expr: MapExpr, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# one-step evaluation
+# one-step evaluation and the stop inputs: one engine, on floats or arrays
 # ---------------------------------------------------------------------------
-
-def _exp_sat(x: float) -> float:
-    # math.exp raises OverflowError past ~709.78; saturate instead
-    return math.exp(x) if x < _EXP_OVERFLOW else math.inf
-
-
-def _scale(mag: float, x: float) -> float:
-    # mag * x avoiding inf * 0 -> nan; an exact zero factor wins
-    return 0.0 if x == 0.0 else mag * x
-
-
-def _exp(wr: float, wi: float) -> ExtendedPoint:
-    """exp(wr + i*wi): one cmath.exp where wr <= the rung, else (NaN too)
-    Directed(wr, wi); with wi not finite only a zero modulus survives, and
-    anything else is NaN.  The scalar twin of blocks._exp_points."""
-    if wr <= IterationConfig.overflow_log_threshold:
-        if math.isfinite(wi):
-            return cmath.exp(complex(wr, wi))
-        return 0j if math.exp(wr) == 0.0 else complex(math.nan, math.nan)
-    return Directed(wr, wi)
-
-
-def _plus(v: ExtendedPoint, c: complex) -> ExtendedPoint:
-    """v + c; on the ladder c is ~1e-300 relative and is dropped.  The
-    scalar twin of blocks._plus_points."""
-    return v + c if isinstance(v, complex) else v
-
 
 _LN2 = math.log(2.0)
 
@@ -460,20 +433,6 @@ def _log_modulus(z: complex) -> float:
     except OverflowError:
         return math.log(abs(0.5 * z)) + _LN2
     return math.log(m) if m > 0.0 else -math.inf
-
-
-_PAIR = struct.Struct("dd")
-
-
-def _same_point(p: ExtendedPoint, q: ExtendedPoint) -> bool:
-    """p and q are the same point bit for bit: the same kind and the same
-    bits of both floats (0.0 and -0.0 differ; a NaN equals itself).
-    The scalar twin of blocks._same_points."""
-    if isinstance(p, complex):
-        return isinstance(q, complex) and \
-            _PAIR.pack(p.real, p.imag) == _PAIR.pack(q.real, q.imag)
-    return isinstance(q, Directed) and \
-        _PAIR.pack(p.log_modulus, p.angle) == _PAIR.pack(q.log_modulus, q.angle)
 
 
 def _normalize(log_modulus: float, angle: float) -> ExtendedPoint:
@@ -492,29 +451,6 @@ def _log_polar(w: complex) -> Tuple[float, float]:
     return _log_modulus(w), math.atan2(w.imag, w.real)
 
 
-def _to_u(z: ExtendedPoint, a: complex, b: complex) -> ExtendedPoint:
-    """phi^-1(z) = (z - b)/a of the chart phi(u) = a*u + b; a ladder point
-    shifts by -ln|a| and -arg a.  Twin of blocks._to_u_points."""
-    if isinstance(z, complex):
-        return (z - b) / a
-    log_a, arg_a = _log_polar(a)
-    return Directed(z.log_modulus - log_a, z.angle - arg_a)
-
-
-def _from_u(v: ExtendedPoint, a: complex, b: complex) -> ExtendedPoint:
-    """phi(v) = a*v + b; a ladder point shifts by ln|a| and arg a (b is
-    negligible there).  Twin of blocks._from_u_points."""
-    if isinstance(v, complex):
-        return a * v + b
-    log_a, arg_a = _log_polar(a)
-    return Directed(v.log_modulus + log_a, v.angle + arg_a)
-
-
-def _crossed(p: ExtendedPoint, q: ExtendedPoint) -> bool:
-    # q, a transport of p, overflowed from a finite p: p crosses onto the ladder
-    return isinstance(q, complex) and cmath.isfinite(p) and not cmath.isfinite(q)
-
-
 # Above this magnitude one ulp of the angle exceeds half a radian, so the
 # reduced phase is pure rounding noise.
 PHASE_RESOLUTION_LIMIT = 2.0 ** 52
@@ -522,7 +458,7 @@ PHASE_RESOLUTION_LIMIT = 2.0 ** 52
 
 def _direction(m: complex, ca, sa):
     """dr + i*di = m*(ca + i*sa), CPython's product, and whether dr is at
-    most -eps*|m| or at least eps*|m|; on floats or arrays (both engines)."""
+    most -eps*|m| or at least eps*|m|; on floats or arrays."""
     dr = m.real * ca - m.imag * sa
     di = m.real * sa + m.imag * ca
     eps = IterationConfig.degeneracy_eps * abs(m)
@@ -539,7 +475,7 @@ def _stop(nan, d, nd, r, rn, far, same):
     4. repeat: same, the image is z bit for bit -> BoundedAtBudget;
     5. half plane: rn <= 0 off the ladder -> NonEscapingProven(n + 1).
     d and nd: z and the image are on the ladder; r and rn: their sign*Re u
-    (orbits._real_u), NaN without a chart; far: the modulus test of a map
+    (_Engine.real_u), NaN without a chart; far: the modulus test of a map
     without one.  A seed is the image of a step -1.  Floats and bools or
     arrays of them: comparisons, & and | only, as ~True == -2 (on bools,
     a > b is a and not b); from the last rule to the first, each that
@@ -552,78 +488,315 @@ def _stop(nan, d, nd, r, rn, far, same):
     return code + nan * (1 - code)
 
 
-def _ladder_step(z: Directed, m: complex, p: complex, q: complex) -> ExtendedPoint:
-    """exp(m*z + p) + q at a Directed z, the ladder step of F and G
-    ((m, p, q) = (sign, param, const)) and of exp(lam) ((lam, 0, 0)).
-    z collapses onto q or deepens to _exp(|z|*dr + Re p, |z|*di + Im p) + q
-    as _direction says; else, or past PHASE_RESOLUTION_LIMIT (where the
-    angle carries no usable phase), its phase is degenerate."""
-    if not (-PHASE_RESOLUTION_LIMIT <= z.angle <= PHASE_RESOLUTION_LIMIT):
-        raise DegeneratePhaseError(f"angle {z.angle} beyond phase resolution")
-    dr, di, under, over = _direction(m, math.cos(z.angle), math.sin(z.angle))
-    if under:
-        return complex(q)  # q may be real: a map built with real parameters
-    if over:
-        mag = _exp_sat(z.log_modulus)
-        return _plus(_exp(mag * dr + p.real, _scale(mag, di) + p.imag), q)
-    eps = IterationConfig.degeneracy_eps
-    raise DegeneratePhaseError(f"direction cosine {dr / abs(m)} below {eps}")
+# The three rare moves, which only the float path makes (_Engine.rare):
+# each returns the point it moves to, as a (re, im, directed) triple.
+
+def _lost_phase(wr: float):
+    # exp(wr + i*wi), wr at most the rung and wi not finite: only a zero
+    # modulus survives, and anything else is NaN
+    return (0.0, 0.0, False) if math.exp(wr) == 0.0 else \
+        (math.nan, math.nan, False)
+
+
+def _degenerate(angle: float):
+    raise DegeneratePhaseError(
+        f"ladder point at angle {angle}: past PHASE_RESOLUTION_LIMIT, or "
+        "its direction cosine within degeneracy_eps of 0")
+
+
+def _transported(z, t, a: complex, b: complex, sign: float):
+    """A conj transport t = (tr, ti) of z = (re, im, directed), by phi^-1
+    (sign -1) or by phi (sign +1, b = 0), that crosses onto the ladder or
+    drops off it: a finite z moves onto the ladder at ln|z - b| and
+    arg(z - b), shifted by sign*ln|a| and sign*arg a, as a ladder point is;
+    then _normalize demotes a point at the rung or below."""
+    re, im, d = z
+    lm, angle = t
+    if not d:
+        lm, angle = _log_polar(complex(re, im) - b)
+        log_a, arg_a = _log_polar(a)
+        lm, angle = lm + sign * log_a, angle + sign * arg_a
+    v = _normalize(lm, angle)
+    if isinstance(v, Directed):
+        return v.log_modulus, v.angle, True
+    return v.real, v.imag, False
+
+
+_F64 = struct.Struct("d")
+
+
+class _Engine:
+    """The one evaluation engine: each step and stop helper of the orbit
+    loops, written once.
+
+    A point is the triple (re, im, directed): complex(re, im), or
+    Directed(re, im) where directed.  The helpers reach numbers only
+    through the primitives at the top, which here take Python floats and
+    bools (_FLOATS: evaluate and orbits._iterate); blocks._Arrays takes
+    numpy arrays of points instead, with the same bits (blocks._ARRAYS:
+    evaluate_points and classify_points).  Flags combine by &, |,
+    comparisons and not_ only: on a bool ~True is -2, and on bools a > b
+    is a and not b.  Where a point makes a rare move (_lost_phase,
+    _degenerate, _transported), ``rare`` makes it at once on floats and
+    marks the point slow on arrays, for evaluate_points to step by
+    evaluate.
+    """
+
+    # -- primitives, on Python floats and bools -----------------------------
+
+    @staticmethod
+    def where(c, x, y):
+        return x if c else y
+
+    @staticmethod
+    def any(mask):
+        return mask
+
+    not_ = staticmethod(operator.not_)
+    isfinite = staticmethod(math.isfinite)
+    isnan = staticmethod(math.isnan)
+
+    @staticmethod
+    def cexp(wr, wi, where):
+        # exp(wr + i*wi) where `where` holds, 0 elsewhere
+        return cmath.exp(complex(wr, wi)) if where else 0j
+
+    @staticmethod
+    def rexp(x, where):
+        # exp(x) where `where` holds (x below the cut), 0 elsewhere
+        return math.exp(x) if where else 0.0
+
+    @staticmethod
+    def log_modulus(re, im, where):
+        # _log_modulus where `where` holds, 0 elsewhere
+        return _log_modulus(complex(re, im)) if where else 0.0
+
+    @staticmethod
+    def quot(xr, xi, a):
+        # (xr + i*xi) / a by CPython's complex division
+        q = complex(xr, xi) / a
+        return q.real, q.imag
+
+    @staticmethod
+    def bits(x):
+        # the bits of a double, for equality (0.0 and -0.0 differ; a NaN
+        # equals itself)
+        return _F64.pack(x)
+
+    @staticmethod
+    def rare(slow, pt, move, *args):
+        # pt and its slow flag: on floats move(*args) replaces pt where slow
+        return (*(move(*args) if slow else pt), False)
+
+    # -- one step ------------------------------------------------------------
+
+    def finite(self, re, im):
+        return self.isfinite(re) & self.isfinite(im)
+
+    def exp(self, wr, wi, where):
+        """exp(w), w = wr + i*wi, where `where` holds, as the point
+        (re, im, directed, slow): one cexp where Re w is at most the rung,
+        Directed(w) past it (NaN too).  Below the rung cexp is exactly
+        exp(Re w)*cos(Im w) and exp(Re w)*sin(Im w), with the libm
+        functions that math calls.  An Im w that is not finite there is
+        a rare move (_lost_phase)."""
+        low = where & (wr <= IterationConfig.overflow_log_threshold)
+        ok = low & self.isfinite(wi)
+        e = self.cexp(wr, wi, ok)
+        return self.rare(low > ok, (self.where(ok, e.real, wr),
+                                    self.where(ok, e.imag, wi), where > low),
+                         _lost_phase, wr)
+
+    def plus(self, pt, c: complex):
+        """pt + c; on the ladder c is ~1e-300 relative and is dropped."""
+        re, im, d, slow = pt
+        return (self.where(d, re, re + c.real), self.where(d, im, im + c.imag),
+                d, slow)
+
+    def scale(self, mag, x):
+        # mag * x avoiding inf * 0 -> nan; an exact zero factor wins
+        return self.where(x == 0.0, 0.0, mag * x)
+
+    def exp_sat(self, x, where):
+        # exp(x) where `where` holds, saturating to +inf from _EXP_OVERFLOW
+        # on (where math.exp raises OverflowError) and for NaN
+        low = where & (x < _EXP_OVERFLOW)
+        return self.where(low, self.rexp(x, low), math.inf)
+
+    def ladder(self, re, im, d, m: complex, p: complex, q: complex, out):
+        """exp(m*z + p) + q at each Directed z (where d holds) over out,
+        the step of the other points: the ladder step of F and G ((m, p,
+        q) = (sign, param, const)) and of exp(lam) ((lam, 0, 0)).  z
+        collapses onto q or deepens to exp(|z|*dr + Re p + i(|z|*di +
+        Im p)) + q as _direction says; else, or past
+        PHASE_RESOLUTION_LIMIT (where the angle carries no usable phase),
+        its phase is degenerate, a rare move (_degenerate)."""
+        if not self.any(d):
+            return out
+        out_re, out_im, out_d, slow = out
+        ph = d & (abs(im) <= PHASE_RESOLUTION_LIMIT)
+        cs = self.cexp(0.0, im, ph)  # (cos, sin) of the angle, 0 off ph
+        dr, di, under, over = _direction(m, cs.real, cs.imag)
+        under, over = ph & under, ph & over  # dr = 0 off ph passes a 0 eps*|m|
+        mag = self.exp_sat(re, over)
+        re, im_next, past, s = self.plus(self.exp(
+            mag * dr + p.real, self.scale(mag, di) + p.imag, over), q)
+        # a collapse is q itself, not 0 + q: complex(q) keeps q's -0.0
+        *pt, bad = self.rare(
+            d > (under | over),
+            (self.where(over, re, self.where(d, q.real, out_re)),
+             self.where(over, im_next, self.where(d, q.imag, out_im)),
+             out_d | past), _degenerate, im)
+        return (*pt, slow | s | bad)
+
+    def to_u(self, re, im, d, a: complex, b: complex):
+        """phi^-1(z) = (z - b)/a of the chart phi(u) = a*u + b at each
+        point, by CPython's complex division; a ladder point shifts by
+        -ln|a| and -arg a."""
+        qr, qi = self.quot(re - b.real, im - b.imag, a)
+        if not self.any(d):
+            return qr, qi
+        log_a, arg_a = _log_polar(a)
+        return self.where(d, re - log_a, qr), self.where(d, im - arg_a, qi)
+
+    def from_u(self, re, im, d, a: complex, b: complex):
+        """phi(v) = a*v + b at each point, by CPython's complex product; a
+        ladder point shifts by ln|a| and arg a (b is negligible there)."""
+        pr = a.real * re - a.imag * im + b.real
+        pi = a.real * im + a.imag * re + b.imag
+        if not self.any(d):
+            return pr, pi
+        log_a, arg_a = _log_polar(a)
+        return self.where(d, re + log_a, pr), self.where(d, im + arg_a, pi)
+
+    def crossings(self, re, im, d, tr, ti):
+        # where a transport (tr, ti) of the points crosses onto the ladder
+        # (a finite point, a transport not finite) or drops off it, to the
+        # rung or below
+        rung = IterationConfig.overflow_log_threshold
+        return self.where(d, self.not_(tr > rung),
+                          self.finite(re, im) > self.finite(tr, ti))
+
+    def step(self, expr: MapExpr, re, im, d):
+        """expr applied once to each point: (re, im, directed, slow).
+        Composite nodes step structurally; Iterate applies its base s
+        times."""
+        sign = getattr(expr, "sign", None)
+        if sign is not None:
+            p, q = expr.param, expr.const
+            return self.ladder(re, im, d, sign, p, q, self.plus(self.exp(
+                sign * re + p.real, sign * im + p.imag, self.not_(d)), q))
+
+        if isinstance(expr, ScaledExp):
+            lam = expr.lam
+            return self.ladder(re, im, d, lam, 0.0, 0.0, self.exp(
+                lam.real * re - lam.imag * im, lam.real * im + lam.imag * re,
+                self.not_(d)))
+
+        if isinstance(expr, Iterate):
+            slow = False
+            for _ in range(expr.s):
+                re, im, d, s = self.step(expr.base, re, im, d)
+                slow = slow | s
+            return re, im, d, slow
+
+        if isinstance(expr, Shift):
+            return self.plus(self.step(expr.base, re, im, d), expr.c)
+
+        if isinstance(expr, Compose):
+            re, im, d, slow = self.step(expr.inner, re, im, d)
+            re, im, d, s = self.step(expr.outer, re, im, d)
+            return re, im, d, slow | s
+
+        if isinstance(expr, Conjugate):
+            # phi^-1, the base, then phi; a transport that crosses onto the
+            # ladder or drops off it is a rare move, b dropped on the ladder
+            # as Shift drops c there
+            a, b = expr.a, expr.b
+            u = self.to_u(re, im, d, a, b)
+            ur, ui, ud, slow = self.rare(self.crossings(re, im, d, *u), (*u, d),
+                                         _transported, (re, im, d), u, a, b,
+                                         -1.0)
+            vr, vi, vd, s = self.step(expr.base, ur, ui, ud)
+            w = self.from_u(vr, vi, vd, a, b)
+            wr, wi, wd, t = self.rare(self.crossings(vr, vi, vd, *w), (*w, vd),
+                                      _transported, (vr, vi, vd), w, a, 0.0,
+                                      1.0)
+            return wr, wi, wd, slow | s | t
+
+        raise TypeError(f"not a map expression: {expr!r}")
+
+    # -- the stop inputs -----------------------------------------------------
+
+    def real_u(self, re, im, d, ch: Optional[Chart]):
+        """r = sign*Re u, u = (z - b)/a in the chart ch = (f, a, b) of
+        chart, which every chart test reads; NaN without a chart, which
+        no test passes.  The one place that knows the identity chart."""
+        if ch is None:
+            return re + math.nan
+        f, a, b = ch
+        if not (a == 1 and b == 0):
+            re, im = self.to_u(re, im, d, a, b)
+        if self.any(d):
+            # past the phase limit the sign is unresolvable: NaN, so that
+            # no comparison fires
+            ph = d & (abs(im) <= PHASE_RESOLUTION_LIMIT)
+            re = self.where(ph, self.scale(self.exp_sat(re, ph),
+                                           self.cexp(0.0, im, ph).real),
+                            self.where(d, math.nan, re))
+        return f.sign * re
+
+    def far(self, re, im, d, nr, ni, nd):
+        """The escape test of a map without a chart, at each step z to nxt:
+        two consecutive modulus checks on finite points, or a strictly
+        growing chain of ladder points.  A mixed pair proves nothing: a
+        single jump onto the rung can still collapse back next step when
+        the exponent flips sign."""
+        both = self.not_(d | nd)
+        lz = self.log_modulus(re, im, both)
+        far = both & (lz >= _LOG_ESCAPE_RADIUS)
+        return self.where(d, nd & (nr > re),
+                          far & (self.log_modulus(nr, ni, far) >= lz))
+
+    def same(self, p, q):
+        """Where the points p and q are equal bit for bit."""
+        return ((self.bits(p[0]) == self.bits(q[0]))
+                & (self.bits(p[1]) == self.bits(q[1])) & (p[2] == q[2]))
+
+    def start(self, re, im, ch: Optional[Chart]):
+        """(_stop's code, r) of the seeds re + i*im, images of a step -1."""
+        r = self.real_u(re, im, False, ch)
+        return _stop(self.isnan(re) | self.isnan(im), False, False, math.nan,
+                     r, False, False), r
+
+    def stop(self, z, r, nxt, ch: Optional[Chart], failed=False):
+        """(_stop's code, rn) of the step from z, whose r is given, to nxt;
+        failed: the step made no image."""
+        nr, ni, nd = nxt
+        rn = self.real_u(nr, ni, nd, ch)
+        far = False if ch else self.far(*z, *nxt)
+        return _stop(failed | self.isnan(nr) | self.isnan(ni), z[2], nd, r, rn,
+                     far, self.same(nxt, z)), rn
+
+
+_FLOATS = _Engine()
 
 
 def evaluate(expr: MapExpr, z: ExtendedPoint,
              cfg: IterationConfig = DEFAULT_CONFIG) -> ExtendedPoint:
-    """Apply the map once to a finite or overflowed point.
+    """Apply the map once to a finite or overflowed point (_Engine.step on
+    floats).
 
-    Composite nodes evaluate structurally; Iterate applies its base s
-    times.  Raises :class:`DegeneratePhaseError` where the phase of a
-    Directed point is degenerate for an F, G or exp(lam) node (_ladder_step).
-    A step reads no setting: cfg is accepted and not read (max_iter is
-    read by the orbit loops only).
+    Raises :class:`DegeneratePhaseError` where the phase of a Directed
+    point is degenerate for an F, G or exp(lam) node (_Engine.ladder).  A
+    step reads no setting: cfg is accepted and not read (max_iter is read
+    by the orbit loops only).
     """
-    sign = getattr(expr, "sign", None)
-    if sign is not None:
-        p = expr.param
-        if isinstance(z, Directed):
-            return _ladder_step(z, sign, p, expr.const)
-        return _plus(_exp(sign * z.real + p.real, sign * z.imag + p.imag),
-                     expr.const)
-
-    if isinstance(expr, ScaledExp):
-        lam = expr.lam
-        if isinstance(z, Directed):
-            return _ladder_step(z, lam, 0.0, 0.0)
-        return _exp(lam.real * z.real - lam.imag * z.imag,
-                    lam.real * z.imag + lam.imag * z.real)
-
-    if isinstance(expr, Iterate):
-        for _ in range(expr.s):
-            z = evaluate(expr.base, z)
-        return z
-
-    if isinstance(expr, Shift):
-        return _plus(evaluate(expr.base, z), expr.c)
-
-    if isinstance(expr, Compose):
-        return evaluate(expr.outer, evaluate(expr.inner, z))
-
-    if isinstance(expr, Conjugate):
-        # phi^-1, the base, then phi; a finite point whose transport overflows
-        # crosses onto the ladder first, b dropped as Shift drops c there
-        a, b = expr.a, expr.b
-        u = _to_u(z, a, b)
-        if _crossed(z, u):
-            u = _to_u(Directed(*_log_polar(z - b)), a, b)
-        if isinstance(u, Directed):
-            u = _normalize(u.log_modulus, u.angle)
-        v = evaluate(expr.base, u)
-        w = _from_u(v, a, b)
-        if _crossed(v, w):
-            w = _from_u(Directed(*_log_polar(v)), a, b)
-        if isinstance(w, Directed):
-            return _normalize(w.log_modulus, w.angle)
-        return w
-
-    raise TypeError(f"not a map expression: {expr!r}")
+    if isinstance(z, Directed):
+        re, im, d, _ = _FLOATS.step(expr, z.log_modulus, z.angle, True)
+    else:
+        re, im, d, _ = _FLOATS.step(expr, z.real, z.imag, False)
+    return Directed(re, im) if d else complex(re, im)
 
 
 # ---------------------------------------------------------------------------

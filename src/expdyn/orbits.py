@@ -26,47 +26,39 @@ step would repeat the same tests with the same outcome until the budget
 ran out.  Only the count of applications performed changes.
 
 ``maps._stop`` is the one home of these rules and of their order, and
-two loops ask it once per step (a seed's own tests are a step -1).
-``_iterate`` follows one seed and backs ``classify`` and ``run_orbit``.
+two loops ask it once per step (a seed's own tests are a step -1)
+through the engine's ``start`` and ``stop`` (``maps._Engine``), which
+write once the inputs r, far and same that the rules read.  ``_iterate``
+follows one seed on the engine's float path and backs ``classify`` and
+``run_orbit``; it keeps only the bookkeeping (points, count, verdict).
 Every exp, cos, sin and log it takes is the ``math`` function, or
-``cmath.exp`` for a finite exponential (which calls the same libm exp,
-cos and sin), and this module imports no numpy.
-``blocks.classify_points`` moves an array of seeds in lockstep with the
-same bits (see ``blocks``), so the two agree seed by seed, in verdict
-class and step; it backs ``classify_grid`` and the sample suites of
-``verify``.
+``cmath.exp`` (which calls the same libm exp, cos and sin), and this
+module imports no numpy.  ``blocks.classify_points`` runs the same
+helpers on arrays of seeds in lockstep (see ``blocks``), so the two agree
+seed by seed, in verdict class and step; it backs ``classify_grid`` and
+the sample suites of ``verify``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import Optional, TextIO, Union
 
 from .maps import (  # KIND_*: callers may read the codes from here too
-    _LOG_ESCAPE_RADIUS,
+    _FLOATS,
     DEFAULT_CONFIG,
     KIND_BUDGET,
     KIND_ESCAPING,
     KIND_PROVEN,
     KIND_UNDETERMINED,
-    PHASE_RESOLUTION_LIMIT,
     Chart,
     DegeneratePhaseError,
     Directed,
-    ExtendedPoint,
     IterationConfig,
     MapExpr,
-    _exp_sat,
     _g17,
-    _log_modulus,
-    _same_point,
-    _scale,
-    _stop,
-    _to_u,
     _Value,
     chart,
-    evaluate,
     validate,
 )
 
@@ -121,43 +113,6 @@ class OrbitRecord(_Value):
                                   "steps_taken")
 
 
-def _is_nan(z: ExtendedPoint) -> bool:
-    if isinstance(z, complex):
-        return math.isnan(z.real) or math.isnan(z.imag)
-    return math.isnan(z.log_modulus) or math.isnan(z.angle)
-
-
-def _escaped_generic(z: ExtendedPoint, nxt: ExtendedPoint) -> bool:
-    # The escape test of a map without a chart: two consecutive modulus
-    # checks on finite points, or a strictly growing chain of overflowed
-    # points.  A mixed pair proves nothing: a single jump onto the
-    # overflow rung can still collapse back next step when the exponent
-    # flips sign.
-    if isinstance(z, Directed):
-        return isinstance(nxt, Directed) and nxt.log_modulus > z.log_modulus
-    if isinstance(nxt, Directed):
-        return False
-    lm = _log_modulus(z)
-    return lm >= _LOG_ESCAPE_RADIUS and _log_modulus(nxt) >= lm
-
-
-def _real_u(z: ExtendedPoint, ch: Optional[Chart]) -> float:
-    """r = sign*Re u, u = (z - b)/a in the chart ch = (f, a, b) of
-    maps.chart, which every chart test reads; NaN without a chart, which
-    no test passes.  With blocks._real_u_points, the one place that knows
-    the identity chart."""
-    if ch is None:
-        return math.nan
-    f, a, b = ch
-    if not (a == 1 and b == 0):
-        z = _to_u(z, a, b)
-    if isinstance(z, complex):
-        return f.sign * z.real
-    if not (-PHASE_RESOLUTION_LIMIT <= z.angle <= PHASE_RESOLUTION_LIMIT):
-        return math.nan  # unresolvable sign; comparisons must not fire
-    return f.sign * _scale(_exp_sat(z.log_modulus), math.cos(z.angle))
-
-
 # the verdict of each code of maps._stop at step n (5 needs a chart)
 _VERDICTS = (None, lambda n, ch: Undetermined("nan"),
              lambda n, ch: NonEscapingProven(
@@ -172,27 +127,24 @@ def _iterate(expr: MapExpr, z0: complex, cfg: IterationConfig,
     """The loop behind run_orbit, and so classify, for callers that have
     validated expr and pass maps.chart(expr): (classification, points,
     steps_taken), steps_taken the map applications actually performed.
-    blocks._classify_points is its array twin."""
-    z: ExtendedPoint = complex(z0)
+    Its step and stop inputs are the engine's on floats (maps._FLOATS)."""
+    z = complex(z0)
     points = [z]
-    r = _real_u(z, ch)
-    code, n = _stop(_is_nan(z), False, False, math.nan, r, False, False), -1
+    pt = (z.real, z.imag, False)
+    code, r = _FLOATS.start(z.real, z.imag, ch)
+    n = -1
     while not code:
         n += 1
         if n == cfg.max_iter:
             return BoundedAtBudget(), points, n
         try:
-            nxt = evaluate(expr, z)
+            nxt = _FLOATS.step(expr, *pt)[:3]
         except DegeneratePhaseError:
             return Undetermined("degenerate-phase"), points, n
-        points.append(nxt)
-        rn = _real_u(nxt, ch)
-        # `==` holds for any two equal points but NaNs, which code 1 takes
-        code = _stop(_is_nan(nxt), isinstance(z, Directed),
-                     isinstance(nxt, Directed), r, rn,
-                     ch is None and _escaped_generic(z, nxt),
-                     nxt == z and _same_point(nxt, z))
-        z, r = nxt, rn
+        points.append(Directed(nxt[0], nxt[1]) if nxt[2] else
+                      complex(nxt[0], nxt[1]))
+        code, r = _FLOATS.stop(pt, r, nxt, ch)
+        pt = nxt
     return _VERDICTS[code](n, ch), points, n + 1
 
 

@@ -23,8 +23,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from . import fields
-from .blocks import (_classify_points, _finite, _from_u_points, _same_points,
-                     _to_u_points, evaluate_points)
+from .blocks import _ARRAYS, _classify_points, evaluate_points
 from .fields import EscapeField
 from .maps import (
     Compose,
@@ -34,6 +33,7 @@ from .maps import (
     MapExpr,
     Shift,
     Window,
+    _FLOATS,
     _Value,
     chart,
     period_of,
@@ -41,7 +41,7 @@ from .maps import (
 )
 from .orbits import (KIND_BUDGET, KIND_ESCAPING, KIND_PROVEN,
                      KIND_UNDETERMINED, BoundedAtBudget, Classification,
-                     Escaping, NonEscapingProven, Undetermined, _real_u)
+                     Escaping, NonEscapingProven, Undetermined)
 from .parser import format_complex
 from .sampling import SampleSet
 from .strips import strip_test
@@ -139,7 +139,7 @@ def _images(expr: MapExpr, re: np.ndarray,
     degenerate or the image is Directed, NaN or infinite."""
     wr, wi, wd, bad = evaluate_points(expr, re, im,
                                       np.zeros(len(re), dtype=bool))
-    return wr, wi, ~bad & ~wd & _finite(wr, wi)
+    return wr, wi, ~bad & ~wd & _ARRAYS.finite(wr, wi)
 
 
 def _codes_where(classify: Callable, re: np.ndarray, im: np.ndarray,
@@ -159,7 +159,7 @@ def _require_absorbing_window(ch: Tuple[MapExpr, complex, complex],
     """A ValueError unless window lies in the absorbing half plane H of u
     in the chart ch = (f, a, b): the bound is a theorem about H only, and
     H is convex, so a window lies inside it when its four corners do."""
-    if any(_real_u(complex(x, y), ch) > 0.0
+    if any(_FLOATS.real_u(x, y, False, ch) > 0.0
            for x in (window.x_min, window.x_max)
            for y in (window.y_min, window.y_max)):
         side = "Re u >= 0" if ch[0].sign < 0 else "Re u <= 0"
@@ -200,12 +200,12 @@ def verify_halfplane_bound(expr: MapExpr, samples: SampleSet,
             *nxt, bad = evaluate_points(expr, *z)
             nr, ni, nd = nxt
             with np.errstate(all="ignore"):  # where nd | bad: unused
-                nr, ni = _to_u_points(nr, ni, nd, a, b)
+                nr, ni = _ARRAYS.to_u(nr, ni, nd, a, b)
             worst[live] = np.maximum(
                 worst[live], np.where(nd | bad, np.inf, np.hypot(nr, ni)))
-            keep = ~bad & ~_same_points(nxt, z)
+            keep = ~bad & ~_ARRAYS.same(nxt, z)
             if before is not None:
-                keep &= ~_same_points(nxt, before)
+                keep &= ~_ARRAYS.same(nxt, before)
             live = live[keep]
             before = [a[keep] for a in z]
             z = [a[keep] for a in nxt]
@@ -232,7 +232,7 @@ def verify_strip_containment(fld: EscapeField,
     f, a, b = ch
     j, i = np.divmod(fld.escaping_indices(), fld.nx)
     x, y = fields._centers(fld.window, fld.nx, fld.ny, i, j)
-    ux, uy = _to_u_points(x, y, False, a, b)
+    ux, uy = _ARRAYS.to_u(x, y, False, a, b)
     _, inside = strip_test(ux, uy, f.family, f.param)
     violations = [_violation(
         complex(x[k], y[k]),
@@ -310,8 +310,8 @@ def verify_period_shift(expr: MapExpr, s: int, samples: SampleSet,
                     & (np.hypot(ur, ui) <= MODULUS_CAP)
             # u and v both back at their points of the step before: every
             # later step would repeat this one's comparison
-            keep &= ~(_same_points((ur, ui, finite), u_was)
-                      & _same_points((vr, vi, finite), v_was))
+            keep &= ~(_ARRAYS.same((ur, ui, finite), u_was)
+                      & _ARRAYS.same((vr, vi, finite), v_was))
             seen[:, live[parted]] = diff[parted], mod_v[parted]
             live, ur, ui, vr, vi = (live[keep], ur[keep], ui[keep],
                                     vr[keep], vi[keep])
@@ -421,12 +421,12 @@ def verify_image_superset(expr: MapExpr, j: int, samples: SampleSet,
 def _require_finite_phi(a: complex, b: complex, window: Window) -> None:
     """A ValueError naming a and b unless phi(z) = a*z + b is finite at
     the four corners of window, and so on all of it: each part of phi,
-    fl(fl(c1*x) -+ fl(c2*y)) + c3 as blocks._from_u_points takes it, is
+    fl(fl(c1*x) -+ fl(c2*y)) + c3 as maps._Engine.from_u takes it, is
     monotone in x and in y."""
     x = np.array([window.x_min, window.x_max] * 2)
     y = np.repeat([window.y_min, window.y_max], 2)
     with np.errstate(all="ignore"):
-        finite = _finite(*_from_u_points(x, y, False, a, b)).all()
+        finite = _ARRAYS.finite(*_ARRAYS.from_u(x, y, False, a, b)).all()
     if not finite:
         raise ValueError(
             f"conjugacy: phi(z) = a*z + b with a = {format_complex(a)}, "
@@ -458,7 +458,7 @@ def verify_conjugacy(expr: MapExpr, a: complex, b: complex, samples: SampleSet,
 
     def grade(re, im):
         k1 = _codes_where(classify_f, re, im, np.full(len(re), True))
-        k2 = _codes_where(classify_g, *_from_u_points(re, im, False, a, b),
+        k2 = _codes_where(classify_g, *_ARRAYS.from_u(re, im, False, a, b),
                           _determined(k1))
         return ~(_determined(k1) & _determined(k2)), [
             (_conflict(k1, k2),

@@ -4,6 +4,7 @@ fresh interpreters."""
 import cmath
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import expdyn
 from expdyn.maps import (
     Compose,
     Conjugate,
+    Directed,
     FamilyF,
     FamilyG,
     Iterate,
@@ -33,6 +35,19 @@ def run_fresh(*args: str, cwd=None, env=None):
     run = subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                          capture_output=True, text=True)
     return run.returncode, run.stdout, run.stderr
+
+
+_PAIR = struct.Struct("dd")
+
+
+def same_point(p, q) -> bool:
+    """p and q are the same point bit for bit: the same kind and the same
+    bits of both floats (0.0 and -0.0 differ; a NaN equals itself)."""
+    if isinstance(p, complex):
+        return isinstance(q, complex) and \
+            _PAIR.pack(p.real, p.imag) == _PAIR.pack(q.real, q.imag)
+    return isinstance(q, Directed) and \
+        _PAIR.pack(p.log_modulus, p.angle) == _PAIR.pack(q.log_modulus, q.angle)
 
 
 # ---------------------------------------------------------------------------

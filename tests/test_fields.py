@@ -369,7 +369,7 @@ class TestBlockEngine:
         # on arrays; it marks slow, for evaluate, only the ladder points
         # whose phase is degenerate and the finite points whose exponent
         # is not finite
-        ladder = blocks._ladder_points
+        ladder = blocks._ARRAYS.ladder
         deepened = []
 
         def checking(re, im, d, m, p, q, out):
@@ -387,7 +387,7 @@ class TestBlockEngine:
             assert not (np.isfinite(wr) & np.isfinite(wi))[slow & ~d].any()
             return out
 
-        monkeypatch.setattr(blocks, "_ladder_points", checking)
+        monkeypatch.setattr(blocks._ARRAYS, "ladder", checking)
         text, window, res, max_iter, _ = case
         classify_grid(parse_map(text), Window(*window), *res,
                       IterationConfig(max_iter=max_iter), workers=1)

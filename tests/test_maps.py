@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expdyn import blocks, maps, orbits
-from expdyn.blocks import _same_points, evaluate_points
+from expdyn.blocks import _ARRAYS, evaluate_points
 from expdyn.maps import (
     Compose,
     Conjugate,
@@ -25,7 +25,6 @@ from expdyn.maps import (
     MapExpr,
     ScaledExp,
     Shift,
-    _same_point,
     chart,
     evaluate,
     period_of,
@@ -33,7 +32,7 @@ from expdyn.maps import (
 )
 from expdyn.parser import parse_map
 
-from helpers import complexes, family_f_maps, map_exprs, naive_apply
+from helpers import complexes, family_f_maps, map_exprs, naive_apply, same_point
 
 F11 = FamilyF(complex(-1, 0), complex(1, 0))
 G11 = FamilyG(complex(-1, 0), complex(-1, 0))
@@ -292,7 +291,7 @@ class TestStepReadsNoSetting:
             if got[0] is None:
                 assert got == [None] * 3, z
             else:
-                assert all(v is not None and _same_point(v, got[0])
+                assert all(v is not None and same_point(v, got[0])
                            for v in got[1:]), (z, got)
             reached.add(type(got[0]))
         assert reached == {complex, Directed, type(None)}
@@ -439,7 +438,7 @@ class TestExpStep:
     def test_evaluate_matches_math(self, expr):
         for z in self.points(expr):
             want, got = math_exp_step(expr, z), evaluate(expr, z)
-            assert _same_point(got, want), (z, got, want)
+            assert same_point(got, want), (z, got, want)
 
     @pytest.mark.parametrize("expr", MAPS)
     def test_evaluate_points_matches_math(self, expr):
@@ -453,7 +452,7 @@ class TestExpStep:
             got = Directed(out_re[k], out_im[k]) if out_d[k] else \
                 complex(out_re[k], out_im[k])
             want = math_exp_step(expr, z)
-            assert _same_point(got, want), (z, got, want)
+            assert same_point(got, want), (z, got, want)
 
     @staticmethod
     def ladder():
@@ -489,7 +488,7 @@ class TestExpStep:
             assert not bad[k], p
             got = Directed(out_re[k], out_im[k]) if out_d[k] else \
                 complex(out_re[k], out_im[k])
-            assert _same_point(got, want), (p, got, want)
+            assert same_point(got, want), (p, got, want)
 
     @pytest.mark.parametrize("expr", MAPS + [Conjugate(2, 1, F11),
                                              Conjugate(complex(3, 1), -1, G11)])
@@ -683,7 +682,7 @@ class TestExpStep:
             for angle in (0.0, -0.0, 2.5, -1e-300, 2.0 ** 52, -1e17):
                 m = math.exp(lm)
                 want = complex(m * math.cos(angle), m * math.sin(angle))
-                assert _same_point(maps._normalize(lm, angle), want)
+                assert same_point(maps._normalize(lm, angle), want)
 
 
 class TestLadderCrossings:
@@ -751,8 +750,8 @@ class TestSamePoint:
             return np.array(re), np.array(im), np.array(directed)
 
         want = [same for _, _, same in self.PAIRS]
-        assert [_same_point(p, q) for p, q, _ in self.PAIRS] == want
-        assert _same_points(batch([p for p, _, _ in self.PAIRS]),
+        assert [same_point(p, q) for p, q, _ in self.PAIRS] == want
+        assert _ARRAYS.same(batch([p for p, _, _ in self.PAIRS]),
                             batch([q for _, q, _ in self.PAIRS])).tolist() == want
 
 
@@ -819,22 +818,29 @@ def _batch(pts):
     return np.array(re), np.array(im), np.array(directed)
 
 
+def _point(p):
+    """The (re, im, directed) triple of a point."""
+    if isinstance(p, complex):
+        return p.real, p.imag, False
+    return p.log_modulus, p.angle, True
+
+
 def real_u_of_point(p, ch):
-    return orbits._real_u(p, ch)
+    return maps._FLOATS.real_u(*_point(p), ch)
 
 
 def real_u_of_batch(pts, ch):
     with np.errstate(all="ignore"):  # as the orbit loop runs it
-        return blocks._real_u_points(*_batch(pts), ch)
+        return _ARRAYS.real_u(*_batch(pts), ch)
 
 
 def far_of_point(p, q):
-    return orbits._escaped_generic(p, q)
+    return maps._FLOATS.far(*_point(p), *_point(q))
 
 
 def far_of_batch(ps, qs):
     with np.errstate(all="ignore"):
-        return blocks._escaped_generic(*_batch(ps), *_batch(qs))
+        return _ARRAYS.far(*_batch(ps), *_batch(qs))
 
 
 # points at the edges of r and far: finite ones with NaN and infinite
