@@ -297,10 +297,11 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit() and int(text) < 2 ** 63
 
 
-def _finite_real(text: str) -> bool:
-    """text as the export writes a center's re or im: an ASCII decimal,
-    by the map literals' rule, of a finite double."""
-    return _REAL.fullmatch(text) is not None and math.isfinite(float(text))
+def _finite_real(text: str) -> Optional[float]:
+    """text as the export writes a center's re or im, an ASCII decimal by
+    the map literals' rule, read as a finite double; None otherwise."""
+    x = float(text) if _REAL.fullmatch(text) else math.nan
+    return x if math.isfinite(x) else None
 
 
 def import_field_csv(src: Union[TextIO, Iterable[str]],
@@ -331,17 +332,17 @@ def import_field_csv(src: Union[TextIO, Iterable[str]],
         if len(parts) != 6:
             raise ValueError(f"malformed CSV row: {line!r}")
         i, j, x, y, kind, step = parts
+        x, y = _finite_real(x), _finite_real(y)
         # i and j by the step's rule, a '-' kept for the range check below
         if not (_digits(i.removeprefix("-")) and _digits(j.removeprefix("-"))
-                and _finite_real(x) and _finite_real(y)):
+                and x is not None and y is not None):
             raise ValueError(f"malformed CSV row: {line!r}")
         if kind not in ("E", "P", "B", "U"):
             raise ValueError(f"unknown cell class {kind!r}")
         if not (_digits(step) if kind in ("E", "P") else step == ""):
             raise ValueError(f"step {step!r} does not fit class {kind!r} "
                              f"in row {line!r}")
-        rows.append((int(i), int(j), float(x), float(y), kind,
-                     int(step) if step else -1))
+        rows.append((int(i), int(j), x, y, kind, int(step) if step else -1))
     if not rows:
         raise ValueError("empty CSV")
     nx = max(r[0] for r in rows) + 1

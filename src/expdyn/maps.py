@@ -600,6 +600,8 @@ class _Engine:
         exp(Re w)*cos(Im w) and exp(Re w)*sin(Im w), with the libm
         functions that math calls.  An Im w that is not finite there is
         a rare move (_lost_phase)."""
+        if not self.any(where):
+            return wr, wi, where, where
         low = where & (wr <= IterationConfig.overflow_log_threshold)
         ok = low & self.isfinite(wi)
         e = self.cexp(wr, wi, ok)
@@ -638,14 +640,17 @@ class _Engine:
         cs = self.cexp(0.0, im, ph)  # (cos, sin) of the angle, 0 off ph
         dr, di, under, over = _direction(m, cs.real, cs.imag)
         under, over = ph & under, ph & over  # dr = 0 off ph passes a 0 eps*|m|
-        mag = self.exp_sat(re, over)
-        re, im_next, past, s = self.plus(self.exp(
-            mag * dr + p.real, self.scale(mag, di) + p.imag, over), q)
+        nr = ni = 0.0  # where no point deepens, nr and ni are not read
+        past = s = False
+        if self.any(over):
+            mag = self.exp_sat(re, over)
+            nr, ni, past, s = self.plus(self.exp(
+                mag * dr + p.real, self.scale(mag, di) + p.imag, over), q)
         # a collapse is q itself, not 0 + q: complex(q) keeps q's -0.0
         *pt, bad = self.rare(
             d > (under | over),
-            (self.where(over, re, self.where(d, q.real, out_re)),
-             self.where(over, im_next, self.where(d, q.imag, out_im)),
+            (self.where(over, nr, self.where(d, q.real, out_re)),
+             self.where(over, ni, self.where(d, q.imag, out_im)),
              out_d | past), _degenerate, im)
         return (*pt, slow | s | bad)
 

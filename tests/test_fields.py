@@ -395,7 +395,7 @@ class TestBlockEngine:
 
     def test_deepening_to_the_rung_stays_on_arrays(self, monkeypatch):
         # the exp(1e-305) window deepens ladder points to the rung and
-        # below; _exp_points makes each a finite point, so no point of
+        # below; _Engine.exp makes each a finite point, so no point of
         # the grid is stepped by the scalar evaluate
         calls = []
         scalar = blocks.evaluate

@@ -731,7 +731,8 @@ class TestLadderCrossings:
 
 
 class TestSamePoint:
-    """Bit equality of two points, the scalar twin against the array one."""
+    """Bit equality of two points: the tests' same_point against the
+    engine's on arrays."""
 
     PAIRS = [(0j, 0j, True), (0j, complex(-0.0, 0.0), False),
              (complex(1, -0.0), complex(1, 0.0), False),
@@ -753,6 +754,12 @@ class TestSamePoint:
         assert [same_point(p, q) for p, q, _ in self.PAIRS] == want
         assert _ARRAYS.same(batch([p for p, _, _ in self.PAIRS]),
                             batch([q for _, q, _ in self.PAIRS])).tolist() == want
+
+    def test_float_path_agrees(self):
+        # the kernel orbits._iterate reads, on Python floats and bools
+        got = [maps._FLOATS.same(_point(p), _point(q)) for p, q, _ in self.PAIRS]
+        assert got == [same for _, _, same in self.PAIRS]
+        assert all(type(v) is bool for v in got)
 
 
 # r and rn at +-0, one ulp either side of 0 and of the escape threshold,
