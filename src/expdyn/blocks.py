@@ -7,10 +7,13 @@ numpy's complex exp, which calls libm's ``cexp``: glibc's computes the
 same products with the same libm functions, so the bits are again those
 of the ``math`` calls of the float path.  ``evaluate_points`` steps a
 batch by it.  A node only marks each point that makes a rare move (a
-degenerate phase, a non-finite exponent, a conj crossing onto or off the
-ladder) as slow; ``evaluate``, the float path, then steps each slow point
-once per batch, on the whole map, and makes the move itself, so each
-point gets the bits ``evaluate`` gives it.  A step reads no setting, so
+non-finite exponent, a conj crossing onto or off the ladder) as slow;
+``evaluate``, the float path, then steps each slow point once per batch,
+on the whole map, and makes the move itself, so each point gets the bits
+``evaluate`` gives it.  A degenerate phase, where ``evaluate`` raises, is
+decided on arrays unless the point also makes a rare move in the step.
+The escape test of a map without a chart takes no log where ``np.hypot``
+puts a point below R/2.  A step reads no setting, so
 ``evaluate_points`` takes no ``IterationConfig``: its ``max_iter`` is
 read by the orbit loops only.
 
@@ -20,11 +23,12 @@ read by the orbit loops only.
 Complex quotients and products are CPython's on both paths, so the two
 loops agree seed by seed, in verdict class and step.  Two numpy kernels
 reach a verdict: this complex exp, and the ``hypot`` of verify's
-half-plane bound.  Results depend on the libm behind ``math`` and
-``cmath`` and on numpy's complex exp being the platform ``cexp``, not on
-numpy's SIMD build: on a numpy built without the platform ``cexp`` (it
-then uses its own) bytes can move, and TestExpStep in tests/test_maps.py
-fails.
+half-plane bound (the escape test's ``hypot`` leaves a factor of 2 to
+its exact test, so its last bits reach none).  Results depend on the
+libm behind ``math`` and ``cmath`` and on numpy's complex exp being the
+platform ``cexp``, not on numpy's SIMD build: on a numpy built without
+the platform ``cexp`` (it then uses its own) bytes can move, and
+TestExpStep in tests/test_maps.py fails.
 
 Only the commands that work on grids or sample sets (render, verify)
 import this module, and with it numpy.
@@ -68,6 +72,11 @@ __all__ = ["evaluate_points", "classify_points"]
 
 Points = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+# whether any point of a mask is set: np.count_nonzero costs 0.3 us a
+# call, ndarray.any 1 us and np.any 2.4 us (numpy 2.4, 10 to 4096 points,
+# 2-core x86-64)
+_nonzero = np.count_nonzero
+
 
 def _cexp(wr, wi, where: np.ndarray) -> np.ndarray:
     """exp(wr + i*wi) where `where` holds (0 elsewhere), as a complex array;
@@ -80,7 +89,7 @@ def _cexp(wr, wi, where: np.ndarray) -> np.ndarray:
     wr = 0 of math.cos(wi) and math.sin(wi).  TestExpStep in
     tests/test_maps.py fails where a numpy build or libm breaks this."""
     out = np.zeros(len(where), dtype=complex)
-    if where.any():
+    if _nonzero(where):
         w = np.empty(len(where), dtype=complex)
         w.real, w.imag = wr, wi
         np.exp(w, out=out, where=where)
@@ -104,23 +113,31 @@ def _log_modulus_points(re: np.ndarray, im: np.ndarray,
     """_log_modulus of each finite point where `where` holds (0 elsewhere),
     one call per point."""
     out = np.zeros(len(re))
-    if where.any():
+    if _nonzero(where):
         out[where] = np.fromiter(
             map(_log_modulus, map(complex, re[where].tolist(),
                                   im[where].tolist())), dtype=float)
     return out
 
 
+# bit 2 of a point's rare flag: its phase is degenerate (bit 1 is slow).
+# An int: the flags become int64, as maps._stop's codes are (uint8 flags
+# raised render-deep's peak RSS by about 0.24 MB)
+_DEGENERATE = 2
+
+
 class _Arrays(_Engine):
     """maps._Engine's primitives on numpy arrays of points; its step and
     stop helpers are the float path's, unchanged.  ``rare`` leaves each
-    rare move to evaluate: it only marks the point slow."""
+    rare move to evaluate: it only marks the point slow.  ``degenerate``
+    only sets the point's _DEGENERATE bit, for evaluate_points to read."""
 
     where = staticmethod(np.where)
-    any = staticmethod(np.any)
+    any = staticmethod(_nonzero)
     not_ = staticmethod(np.logical_not)
     isfinite = staticmethod(np.isfinite)
     isnan = staticmethod(np.isnan)
+    hypot = staticmethod(np.hypot)
     cexp = staticmethod(_cexp)
     quot = staticmethod(_quot)
     log_modulus = staticmethod(_log_modulus_points)
@@ -137,6 +154,10 @@ class _Arrays(_Engine):
     def rare(slow, pt, move, *args):
         return (*pt, slow)
 
+    @staticmethod
+    def degenerate(where, angle):
+        return where * _DEGENERATE
+
 
 _ARRAYS = _Arrays()
 
@@ -149,13 +170,20 @@ def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
     directed[k].  Returns (re, im, directed, degenerate): degenerate[k]
     is true exactly where evaluate raises DegeneratePhaseError, and the
     other arrays mean nothing there.  Elsewhere every point has the bits
-    evaluate gives it: _ARRAYS.step takes the same step on arrays, and a
-    point that makes a rare move at some node is stepped by evaluate on
-    the whole map, which is compositional.
+    evaluate gives it: _ARRAYS.step takes the same step on arrays.  A
+    point with a degenerate phase that makes no rare move in the step is
+    decided on arrays: up to that node it had evaluate's bits, so
+    evaluate raises at it.  A point that makes a rare move (a non-finite
+    exponent, a conj crossing onto or off the ladder), before or after a
+    degenerate phase, is stepped by evaluate on the whole map, which is
+    compositional.
     """
     with np.errstate(all="ignore"):
-        out_re, out_im, out_d, slow = _ARRAYS.step(expr, re, im, directed)
-    degenerate = np.zeros(len(out_re), dtype=bool)
+        out_re, out_im, out_d, rare = _ARRAYS.step(expr, re, im, directed)
+    degenerate = rare == _DEGENERATE
+    slow = rare & 1
+    if not _nonzero(slow):
+        return out_re, out_im, out_d, degenerate
     for k in np.flatnonzero(slow).tolist():
         z = complex(re[k], im[k])
         try:
@@ -196,11 +224,13 @@ def _classify_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
         step = -1
         while True:
             stop = code > 0
-            k, c = idx[stop], code[stop]
-            kinds[k] = _STOP_KINDS[c]
-            steps[k] = np.where(_STOP_STEPS < 0, -1, step + _STOP_STEPS)[c]
-            keep = ~stop
-            idx, re, im, d, r = idx[keep], re[keep], im[keep], d[keep], r[keep]
+            if _nonzero(stop):
+                k, c = idx[stop], code[stop]
+                kinds[k] = _STOP_KINDS[c]
+                steps[k] = np.where(_STOP_STEPS < 0, -1, step + _STOP_STEPS)[c]
+                keep = ~stop
+                idx, re, im, d, r = (idx[keep], re[keep], im[keep], d[keep],
+                                     r[keep])
             step += 1
             if step == cfg.max_iter or not len(idx):
                 return kinds, steps  # what is left stays bounded at budget

@@ -314,6 +314,7 @@ KIND_BUDGET = ord("B")
 KIND_UNDETERMINED = ord("U")
 
 _LOG_ESCAPE_RADIUS = math.log(IterationConfig.generic_escape_radius)
+_HALF_ESCAPE_RADIUS = IterationConfig.generic_escape_radius / 2
 
 
 def _g17(x: float) -> str:
@@ -488,7 +489,7 @@ def _stop(nan, d, nd, r, rn, far, same):
     return code + nan * (1 - code)
 
 
-# The three rare moves, which only the float path makes (_Engine.rare):
+# The two rare moves, which only the float path makes (_Engine.rare):
 # each returns the point it moves to, as a (re, im, directed) triple.
 
 def _lost_phase(wr: float):
@@ -496,12 +497,6 @@ def _lost_phase(wr: float):
     # modulus survives, and anything else is NaN
     return (0.0, 0.0, False) if math.exp(wr) == 0.0 else \
         (math.nan, math.nan, False)
-
-
-def _degenerate(angle: float):
-    raise DegeneratePhaseError(
-        f"ladder point at angle {angle}: past PHASE_RESOLUTION_LIMIT, or "
-        "its direction cosine within degeneracy_eps of 0")
 
 
 def _transported(z, t, a: complex, b: complex, sign: float):
@@ -536,10 +531,12 @@ class _Engine:
     numpy arrays of points instead, with the same bits (blocks._ARRAYS:
     evaluate_points and classify_points).  Flags combine by &, |,
     comparisons and not_ only: on a bool ~True is -2, and on bools a > b
-    is a and not b.  Where a point makes a rare move (_lost_phase,
-    _degenerate, _transported), ``rare`` makes it at once on floats and
-    marks the point slow on arrays, for evaluate_points to step by
-    evaluate.
+    is a and not b.  A step gives each point (re, im, directed, rare),
+    rare False on floats.  Where a point makes a rare move (_lost_phase,
+    _transported), ``rare`` makes it at once on floats and marks the
+    point slow on arrays (rare bit 1), for evaluate_points to step by
+    evaluate.  A degenerate phase raises DegeneratePhaseError at once on
+    floats (``degenerate``) and sets rare bit 2 on arrays.
     """
 
     # -- primitives, on Python floats and bools -----------------------------
@@ -555,6 +552,7 @@ class _Engine:
     not_ = staticmethod(operator.not_)
     isfinite = staticmethod(math.isfinite)
     isnan = staticmethod(math.isnan)
+    hypot = staticmethod(math.hypot)  # inf past DBL_MAX: it does not raise
 
     @staticmethod
     def cexp(wr, wi, where):
@@ -588,6 +586,16 @@ class _Engine:
         # pt and its slow flag: on floats move(*args) replaces pt where slow
         return (*(move(*args) if slow else pt), False)
 
+    @staticmethod
+    def degenerate(where, angle):
+        # the rare flag of a degenerate phase where `where` holds: on
+        # floats it raises
+        if where:
+            raise DegeneratePhaseError(
+                f"ladder point at angle {angle}: past PHASE_RESOLUTION_LIMIT, "
+                "or its direction cosine within degeneracy_eps of 0")
+        return False
+
     # -- one step ------------------------------------------------------------
 
     def finite(self, re, im):
@@ -595,7 +603,7 @@ class _Engine:
 
     def exp(self, wr, wi, where):
         """exp(w), w = wr + i*wi, where `where` holds, as the point
-        (re, im, directed, slow): one cexp where Re w is at most the rung,
+        (re, im, directed, rare): one cexp where Re w is at most the rung,
         Directed(w) past it (NaN too).  Below the rung cexp is exactly
         exp(Re w)*cos(Im w) and exp(Re w)*sin(Im w), with the libm
         functions that math calls.  An Im w that is not finite there is
@@ -612,6 +620,8 @@ class _Engine:
     def plus(self, pt, c: complex):
         """pt + c; on the ladder c is ~1e-300 relative and is dropped."""
         re, im, d, slow = pt
+        if not self.any(d):
+            return re + c.real, im + c.imag, d, slow
         return (self.where(d, re, re + c.real), self.where(d, im, im + c.imag),
                 d, slow)
 
@@ -632,7 +642,7 @@ class _Engine:
         collapses onto q or deepens to exp(|z|*dr + Re p + i(|z|*di +
         Im p)) + q as _direction says; else, or past
         PHASE_RESOLUTION_LIMIT (where the angle carries no usable phase),
-        its phase is degenerate, a rare move (_degenerate)."""
+        its phase is degenerate (``degenerate``)."""
         if not self.any(d):
             return out
         out_re, out_im, out_d, slow = out
@@ -646,13 +656,11 @@ class _Engine:
             mag = self.exp_sat(re, over)
             nr, ni, past, s = self.plus(self.exp(
                 mag * dr + p.real, self.scale(mag, di) + p.imag, over), q)
+        bad = self.degenerate(d > (under | over), im)
         # a collapse is q itself, not 0 + q: complex(q) keeps q's -0.0
-        *pt, bad = self.rare(
-            d > (under | over),
-            (self.where(over, nr, self.where(d, q.real, out_re)),
-             self.where(over, ni, self.where(d, q.imag, out_im)),
-             out_d | past), _degenerate, im)
-        return (*pt, slow | s | bad)
+        return (self.where(over, nr, self.where(d, q.real, out_re)),
+                self.where(over, ni, self.where(d, q.imag, out_im)),
+                out_d | past, slow | s | bad)
 
     def to_u(self, re, im, d, a: complex, b: complex):
         """phi^-1(z) = (z - b)/a of the chart phi(u) = a*u + b at each
@@ -683,7 +691,7 @@ class _Engine:
                           self.finite(re, im) > self.finite(tr, ti))
 
     def step(self, expr: MapExpr, re, im, d):
-        """expr applied once to each point: (re, im, directed, slow).
+        """expr applied once to each point: (re, im, directed, rare).
         Composite nodes step structurally; Iterate applies its base s
         times."""
         sign = getattr(expr, "sign", None)
@@ -757,11 +765,16 @@ class _Engine:
         growing chain of ladder points.  A mixed pair proves nothing: a
         single jump onto the rung can still collapse back next step when
         the exponent flips sign."""
-        both = self.not_(d | nd)
-        lz = self.log_modulus(re, im, both)
-        far = both & (lz >= _LOG_ESCAPE_RADIUS)
-        return self.where(d, nd & (nr > re),
-                          far & (self.log_modulus(nr, ni, far) >= lz))
+        far, lz = self.beyond(re, im, self.not_(d | nd), _LOG_ESCAPE_RADIUS)
+        return self.where(d, nd & (nr > re), self.beyond(nr, ni, far, lz)[0])
+
+    def beyond(self, re, im, where, lo):
+        """(where `where` holds and ln|z| >= lo, ln|z| there), lo at least
+        ln R: below R/2 the test cannot pass, so no log is taken there
+        (NaN and inf parts take it)."""
+        big = where > (self.hypot(re, im) < _HALF_ESCAPE_RADIUS)
+        lz = self.log_modulus(re, im, big)
+        return big & (lz >= lo), lz
 
     def same(self, p, q):
         """Where the points p and q are equal bit for bit."""

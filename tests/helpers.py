@@ -37,6 +37,16 @@ def run_fresh(*args: str, cwd=None, env=None):
     return run.returncode, run.stdout, run.stderr
 
 
+def count_evaluate_calls(monkeypatch) -> list:
+    """A list that gets the arguments of each call evaluate_points makes
+    to the float evaluate (blocks.evaluate) from now on."""
+    from expdyn import blocks  # numpy: only for the tests that ask
+    calls, scalar = [], blocks.evaluate
+    monkeypatch.setattr(blocks, "evaluate",
+                        lambda *args: calls.append(args) or scalar(*args))
+    return calls
+
+
 _PAIR = struct.Struct("dd")
 
 

@@ -26,7 +26,7 @@ from expdyn.orbits import (BoundedAtBudget, Escaping, NonEscapingProven,
 from expdyn.parser import parse_map
 from expdyn.strips import Family, strip_boundaries
 
-from helpers import run_fresh
+from helpers import count_evaluate_calls, run_fresh
 
 F11 = FamilyF(complex(-1, 0), complex(1, 0))
 G11 = FamilyG(complex(-1, 0), complex(-1, 0))
@@ -366,25 +366,27 @@ class TestBlockEngine:
                              ids=["composite", "exp"])
     def test_exponential_ladder_moves_on_arrays(self, case, monkeypatch):
         # an F, G or exp(lam) node collapses and deepens its ladder points
-        # on arrays; it marks slow, for evaluate, only the ladder points
-        # whose phase is degenerate and the finite points whose exponent
-        # is not finite
+        # on arrays; it flags degenerate only ladder points whose phase is
+        # degenerate, and marks slow, for evaluate, only the finite points
+        # whose exponent is not finite
         ladder = blocks._ARRAYS.ladder
         deepened = []
 
         def checking(re, im, d, m, p, q, out):
             out = ladder(re, im, d, m, p, q, out)
-            slow = out[3]
+            slow = (out[3] & 1).astype(bool)
+            degenerate = (out[3] & blocks._DEGENERATE).astype(bool)
             deepened.append(np.count_nonzero(d & out[2]))
             # the node: F and G have Re p < 0, exp(lam) has p = q = 0
             node = maps.ScaledExp(m) if p == 0 else \
                 (maps.FamilyF if m == -1 else maps.FamilyG)(p, q)
-            for k in np.flatnonzero(slow & d).tolist():
+            assert not (degenerate & ~d).any() and not (slow & d).any()
+            for k in np.flatnonzero(degenerate).tolist():
                 with pytest.raises(DegeneratePhaseError):
                     maps.evaluate(node, Directed(float(re[k]), float(im[k])))
             wr = m.real * re - m.imag * im + p.real
             wi = m.real * im + m.imag * re + p.imag
-            assert not (np.isfinite(wr) & np.isfinite(wi))[slow & ~d].any()
+            assert not (np.isfinite(wr) & np.isfinite(wi))[slow].any()
             return out
 
         monkeypatch.setattr(blocks._ARRAYS, "ladder", checking)
@@ -397,14 +399,31 @@ class TestBlockEngine:
         # the exp(1e-305) window deepens ladder points to the rung and
         # below; _Engine.exp makes each a finite point, so no point of
         # the grid is stepped by the scalar evaluate
-        calls = []
-        scalar = blocks.evaluate
-        monkeypatch.setattr(blocks, "evaluate",
-                            lambda *args: calls.append(args) or scalar(*args))
+        calls = count_evaluate_calls(monkeypatch)
         text, window, res, max_iter, _ = self.CASES[-1]
         classify_grid(parse_map(text), Window(*window), *res,
                       IterationConfig(max_iter=max_iter), workers=1)
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("text, window, res, max_iter", [
+        ("F(-1, 1)", (-30, 5, -20, 20), (128, 128), 250),
+        ("conj(2, 1, F(-1, 1))", (-19, 5, -16, 16), (80, 80), 60)],
+        ids=["render-shallow", "render-deep"])
+    def test_degenerate_phases_stay_on_arrays(self, text, window, res,
+                                               max_iter, monkeypatch):
+        # the render windows' degenerate phases are decided on arrays: no
+        # point is stepped by the scalar evaluate, and the scalar loop
+        # ends some of the grid's U cells with a degenerate phase
+        calls = count_evaluate_calls(monkeypatch)
+        expr, window = parse_map(text), Window(*window)
+        cfg = IterationConfig(max_iter=max_iter)
+        field = classify_grid(expr, window, *res, cfg, workers=1)
+        assert len(calls) == 0
+        nx = res[0]
+        reasons = {_iterate(expr, field.center(k % nx, k // nx), cfg,
+                            chart(expr))[0]
+                   for k in np.flatnonzero(field.kinds == ord("U")).tolist()}
+        assert Undetermined("degenerate-phase") in reasons
 
     def test_overflow_seed_window(self):
         # the cells of this window sit next to 13999800+47123.88980384689i,

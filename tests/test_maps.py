@@ -319,6 +319,13 @@ class TestEvaluatePoints:
                 for lm in (700.5, 705, 709.0, 709.5, 800, 1e300, math.inf)
                 for angle in (0.0, 1.0, math.pi / 2, -math.pi / 2 + 1e-13,
                               math.pi, 2.0 ** 53, -5e15, math.nan)]
+    # a point makes a degenerate phase and another rare move in one step,
+    # in each order: a conj crossing off the ladder feeds F's ladder step
+    # (F is not degenerate at the demoted point, so evaluate steps it), and
+    # an iter's first application is degenerate and its second makes a
+    # non-finite exponent from the collapsed point (evaluate raises)
+    BOTH_ORDERS = [Conjugate(1e5, 0, F11),
+                   Iterate(Shift(ScaledExp(1e300), complex(-1, 1e10)), 2)]
 
     @pytest.mark.parametrize("expr", [
         F11, G11, FamilyF(-1, 1), FamilyF(complex(-0.5, 2), complex(3, -1)),
@@ -336,7 +343,8 @@ class TestEvaluatePoints:
                   Compose(ScaledExp(1j), Iterate(ScaledExp(710), 2))),
         # ladder steps that deepen to the rung or below: F's constant and
         # a tiny lam pull the log-modulus down from above 700
-        Compose(FamilyF(-1e300, 1), ScaledExp(1)), ScaledExp(1e-305)])
+        Compose(FamilyF(-1e300, 1), ScaledExp(1)), ScaledExp(1e-305),
+        *BOTH_ORDERS])
     def test_matches_evaluate(self, expr):
         pts = self.FINITE + self.DIRECTED
         re = np.array([p.real if isinstance(p, complex) else p.log_modulus
@@ -363,6 +371,30 @@ class TestEvaluatePoints:
                 assert [_bits(v) for v in got] == \
                     [_bits(want.real), _bits(want.imag)], p
         assert not np.any(out_d & ~bad & (out_re <= 700.0))
+
+    def test_both_orders_of_a_degenerate_phase_and_another_move(self):
+        # the array step flags such a point both slow and degenerate, so
+        # evaluate_points steps it by evaluate: with the other move first
+        # evaluate steps it, with the degenerate phase first it raises, at
+        # the iter's first application
+        pts = self.FINITE + self.DIRECTED
+        crossing, iterate = self.BOTH_ORDERS
+        reached = set()
+        for expr in self.BOTH_ORDERS:
+            with np.errstate(all="ignore"):
+                rare = _ARRAYS.step(expr, *_batch(pts))[3]
+            both = rare == (1 | blocks._DEGENERATE)  # slow and degenerate
+            for k in np.flatnonzero(both).tolist():
+                try:
+                    evaluate(expr, pts[k])
+                except DegeneratePhaseError:
+                    if expr is iterate:
+                        with pytest.raises(DegeneratePhaseError):
+                            evaluate(iterate.base, pts[k])
+                    reached.add((expr, "raises"))
+                else:
+                    reached.add((expr, "stepped"))
+        assert {(crossing, "stepped"), (iterate, "raises")} <= reached
 
 
 def math_exp_step(expr, z: complex):
@@ -868,6 +900,13 @@ _FINITE = [complex(x, y) for x in (0.0, -3.5, 1e300, -math.inf, math.nan)
     complex(0.0, _R), complex(6e9, 8e9), complex(6e9, 8.000000000000002e9),
     complex(6e9, 7.999999999999999e9), complex(1.7e308, 1.7e308)]
 _LADDER = [Directed(lm, a) for lm in _LOG_MODULI for a in _ANGLES]
+# |z| at R/2, where far's log starts, and one ulp either side, on an axis
+# and off it; the modulus past DBL_MAX and the NaN and inf parts are in
+# _FINITE
+_HALF_R = [complex(v, 0.0) for v in (math.nextafter(_R / 2, 0.0), _R / 2,
+                                     math.nextafter(_R / 2, math.inf))] + [
+    complex(3e9, y) for y in (math.nextafter(4e9, 0.0), 4e9,
+                              math.nextafter(4e9, math.inf))]
 
 
 class TestStopInputs:
@@ -891,13 +930,30 @@ class TestStopInputs:
                      for v in want}
             assert kinds == {"finite", "inf", "-inf", "nan"}
 
-    def test_far(self):
+    def test_far(self, monkeypatch):
         # every ordered pair: finite then finite, finite then ladder,
-        # ladder then finite, and two ladder points with equal log-modulus
-        pts = _FINITE + _LADDER
+        # ladder then finite, and two ladder points with equal log-modulus;
+        # no log is taken below R/2, where the test cannot pass
+        logged, log_modulus = [], maps._log_modulus
+
+        def logging(z):
+            logged.append(z)
+            return log_modulus(z)
+
+        monkeypatch.setattr(maps, "_log_modulus", logging)
+        monkeypatch.setattr(blocks, "_log_modulus", logging)
+        pts = _FINITE + _HALF_R + _LADDER
         ps, qs = zip(*itertools.product(pts, repeat=2))
         want = [far_of_point(p, q) for p, q in zip(ps, qs)]
         assert far_of_batch(ps, qs).tolist() == want
+        assert logged and not any(math.hypot(z.real, z.imag) < _R / 2
+                                  for z in logged)
+        # on finite pairs, the two log tests themselves
+        for p, q, w in zip(ps, qs, want):
+            if isinstance(p, complex) and isinstance(q, complex):
+                lz = log_modulus(p)
+                assert w == (lz >= maps._LOG_ESCAPE_RADIUS
+                             and log_modulus(q) >= lz), (p, q)
         assert any(want) and not all(want)
         ladder = [isinstance(p, Directed) for p in pts]
         reached = {(ladder[k // len(pts)], ladder[k % len(pts)], w)
