@@ -6,14 +6,13 @@ once, on numpy arrays of points.  It takes every exp, cos and sin as
 numpy's complex exp, which calls libm's ``cexp``: glibc's computes the
 same products with the same libm functions, so the bits are again those
 of the ``math`` calls of the float path.  ``evaluate_points`` steps a
-batch by it.  A node only marks each point that makes a rare move (a
-non-finite exponent, a conj crossing onto or off the ladder) as slow;
-``evaluate``, the float path, then steps each slow point once per batch,
-on the whole map, and makes the move itself, so each point gets the bits
-``evaluate`` gives it.  A degenerate phase, where ``evaluate`` raises, is
-decided on arrays unless the point also makes a rare move in the step.
-The escape test of a map without a chart takes no log where ``np.hypot``
-puts a point below R/2.  A step reads no setting, so
+batch by it, rare moves included (a lost phase, a conj transport that
+crosses onto or off the ladder), so each point gets the bits
+``evaluate`` gives it and no point leaves the arrays (a point that
+crosses onto the ladder takes ``maps._log_polar``, one call per point).
+A degenerate phase, where ``evaluate`` raises, is a flag.  The escape
+test of a map without a chart takes no log where ``np.hypot`` puts a
+point below R/2.  A step reads no setting, so
 ``evaluate_points`` takes no ``IterationConfig``: its ``max_iter`` is
 read by the orbit loops only.
 
@@ -44,14 +43,12 @@ from .maps import (
     DEFAULT_CONFIG,
     KIND_BUDGET,
     Chart,
-    DegeneratePhaseError,
-    Directed,
     IterationConfig,
     MapExpr,
     _Engine,
     _log_modulus,
+    _log_polar,
     chart,
-    evaluate,
     validate,
 )
 
@@ -108,29 +105,35 @@ def _quot(xr: np.ndarray, xi: np.ndarray, a: complex):
     return (xr * ratio + xi) / denom, (xi * ratio - xr) / denom
 
 
+def _each(fn, re: np.ndarray, im: np.ndarray, where: np.ndarray) -> list:
+    """fn(complex(re[k], im[k])) for each k where `where` holds, in order."""
+    return list(map(fn, map(complex, re[where].tolist(), im[where].tolist())))
+
+
 def _log_modulus_points(re: np.ndarray, im: np.ndarray,
                         where: np.ndarray) -> np.ndarray:
     """_log_modulus of each finite point where `where` holds (0 elsewhere),
     one call per point."""
     out = np.zeros(len(re))
     if _nonzero(where):
-        out[where] = np.fromiter(
-            map(_log_modulus, map(complex, re[where].tolist(),
-                                  im[where].tolist())), dtype=float)
+        out[where] = _each(_log_modulus, re, im, where)
     return out
 
 
-# bit 2 of a point's rare flag: its phase is degenerate (bit 1 is slow).
-# An int: the flags become int64, as maps._stop's codes are (uint8 flags
-# raised render-deep's peak RSS by about 0.24 MB)
-_DEGENERATE = 2
+def _log_polar_points(re: np.ndarray, im: np.ndarray,
+                      where: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """_log_polar of each point where `where` holds ((0, 0) elsewhere),
+    one call per point."""
+    out = np.zeros((2, len(re)))
+    if _nonzero(where):
+        out[:, where] = np.array(_each(_log_polar, re, im, where)).T
+    return out[0], out[1]
 
 
 class _Arrays(_Engine):
     """maps._Engine's primitives on numpy arrays of points; its step and
-    stop helpers are the float path's, unchanged.  ``rare`` leaves each
-    rare move to evaluate: it only marks the point slow.  ``degenerate``
-    only sets the point's _DEGENERATE bit, for evaluate_points to read."""
+    stop helpers are the float path's, unchanged.  ``degenerate`` only
+    flags the points, for the caller to read."""
 
     where = staticmethod(np.where)
     any = staticmethod(_nonzero)
@@ -141,6 +144,7 @@ class _Arrays(_Engine):
     cexp = staticmethod(_cexp)
     quot = staticmethod(_quot)
     log_modulus = staticmethod(_log_modulus_points)
+    log_polar = staticmethod(_log_polar_points)
 
     @staticmethod
     def rexp(x, where):
@@ -151,12 +155,8 @@ class _Arrays(_Engine):
         return x.view(np.int64)
 
     @staticmethod
-    def rare(slow, pt, move, *args):
-        return (*pt, slow)
-
-    @staticmethod
     def degenerate(where, angle):
-        return where * _DEGENERATE
+        return where
 
 
 _ARRAYS = _Arrays()
@@ -164,37 +164,18 @@ _ARRAYS = _Arrays()
 
 def evaluate_points(expr: MapExpr, re: np.ndarray, im: np.ndarray,
                     directed: np.ndarray) -> Points:
-    """evaluate applied to each point of a batch.
+    """evaluate applied to each point of a batch: _ARRAYS.step, the same
+    step on arrays, rare moves included.
 
     Point k is complex(re[k], im[k]), or Directed(re[k], im[k]) where
     directed[k].  Returns (re, im, directed, degenerate): degenerate[k]
     is true exactly where evaluate raises DegeneratePhaseError, and the
     other arrays mean nothing there.  Elsewhere every point has the bits
-    evaluate gives it: _ARRAYS.step takes the same step on arrays.  A
-    point with a degenerate phase that makes no rare move in the step is
-    decided on arrays: up to that node it had evaluate's bits, so
-    evaluate raises at it.  A point that makes a rare move (a non-finite
-    exponent, a conj crossing onto or off the ladder), before or after a
-    degenerate phase, is stepped by evaluate on the whole map, which is
-    compositional.
+    evaluate gives it.  Where no point is on the ladder, degenerate can
+    be the all-false directed itself: read the results, do not write them.
     """
     with np.errstate(all="ignore"):
-        out_re, out_im, out_d, rare = _ARRAYS.step(expr, re, im, directed)
-    degenerate = rare == _DEGENERATE
-    slow = rare & 1
-    if not _nonzero(slow):
-        return out_re, out_im, out_d, degenerate
-    for k in np.flatnonzero(slow).tolist():
-        z = complex(re[k], im[k])
-        try:
-            v = evaluate(expr, Directed(z.real, z.imag) if directed[k] else z)
-        except DegeneratePhaseError:
-            degenerate[k] = True
-            continue
-        out_d[k] = isinstance(v, Directed)
-        out_re[k], out_im[k] = (v.log_modulus, v.angle) if out_d[k] else \
-            (v.real, v.imag)
-    return out_re, out_im, out_d, degenerate
+        return _ARRAYS.step(expr, re, im, directed)
 
 
 # ---------------------------------------------------------------------------

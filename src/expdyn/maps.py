@@ -26,7 +26,10 @@ the orbit loops is written once, on a point as the triple (re, im,
 directed), over a few primitives.  Here the primitives take Python
 floats (``_FLOATS``, behind ``evaluate`` and ``orbits._iterate``);
 ``blocks._Arrays`` gives them numpy arrays of points (behind
-``evaluate_points`` and ``classify_points``).  ``_Engine.exp`` takes a
+``evaluate_points`` and ``classify_points``).  Both make every move of
+a step, the rare ones too: a lost phase (``_Engine.exp``) and a conj
+transport that crosses onto or off the ladder (``_Engine.transport``).
+``_Engine.exp`` takes a
 finite exponential exp(w), Re w at most the rung and Im w finite, as one
 ``cmath.exp`` call.  Below Re w = 708.3 CPython computes it as exactly
 exp(Re w)*cos(Im w) and exp(Re w)*sin(Im w), with the libm functions
@@ -428,22 +431,16 @@ _LN2 = math.log(2.0)
 
 def _log_modulus(z: complex) -> float:
     """ln|z|, also where |z| passes DBL_MAX with finite parts: abs then
-    raises OverflowError, and z is halved first, which is exact."""
+    raises OverflowError, and z is halved first, which is exact.  abs of a
+    NaN part sets no errno, so it raises on a stale ERANGE too (an
+    overflowing np.hypot leaves one): the NaN is kept."""
     try:
         m = abs(z)
     except OverflowError:
-        return math.log(abs(0.5 * z)) + _LN2
+        if not cmath.isnan(z):
+            return math.log(abs(0.5 * z)) + _LN2
+        m = math.nan
     return math.log(m) if m > 0.0 else -math.inf
-
-
-def _normalize(log_modulus: float, angle: float) -> ExtendedPoint:
-    # Directed values must stay above the rung; anything representable is
-    # demoted back to an ordinary complex number.
-    if log_modulus > IterationConfig.overflow_log_threshold:
-        return Directed(log_modulus, angle)
-    if not math.isfinite(angle):
-        raise DegeneratePhaseError("angle saturated past phase resolution")
-    return cmath.exp(complex(log_modulus, angle))
 
 
 def _log_polar(w: complex) -> Tuple[float, float]:
@@ -489,40 +486,12 @@ def _stop(nan, d, nd, r, rn, far, same):
     return code + nan * (1 - code)
 
 
-# The two rare moves, which only the float path makes (_Engine.rare):
-# each returns the point it moves to, as a (re, im, directed) triple.
-
-def _lost_phase(wr: float):
-    # exp(wr + i*wi), wr at most the rung and wi not finite: only a zero
-    # modulus survives, and anything else is NaN
-    return (0.0, 0.0, False) if math.exp(wr) == 0.0 else \
-        (math.nan, math.nan, False)
-
-
-def _transported(z, t, a: complex, b: complex, sign: float):
-    """A conj transport t = (tr, ti) of z = (re, im, directed), by phi^-1
-    (sign -1) or by phi (sign +1, b = 0), that crosses onto the ladder or
-    drops off it: a finite z moves onto the ladder at ln|z - b| and
-    arg(z - b), shifted by sign*ln|a| and sign*arg a, as a ladder point is;
-    then _normalize demotes a point at the rung or below."""
-    re, im, d = z
-    lm, angle = t
-    if not d:
-        lm, angle = _log_polar(complex(re, im) - b)
-        log_a, arg_a = _log_polar(a)
-        lm, angle = lm + sign * log_a, angle + sign * arg_a
-    v = _normalize(lm, angle)
-    if isinstance(v, Directed):
-        return v.log_modulus, v.angle, True
-    return v.real, v.imag, False
-
-
 _F64 = struct.Struct("d")
 
 
 class _Engine:
     """The one evaluation engine: each step and stop helper of the orbit
-    loops, written once.
+    loops, written once, with every move a point can make.
 
     A point is the triple (re, im, directed): complex(re, im), or
     Directed(re, im) where directed.  The helpers reach numbers only
@@ -531,12 +500,12 @@ class _Engine:
     numpy arrays of points instead, with the same bits (blocks._ARRAYS:
     evaluate_points and classify_points).  Flags combine by &, |,
     comparisons and not_ only: on a bool ~True is -2, and on bools a > b
-    is a and not b.  A step gives each point (re, im, directed, rare),
-    rare False on floats.  Where a point makes a rare move (_lost_phase,
-    _transported), ``rare`` makes it at once on floats and marks the
-    point slow on arrays (rare bit 1), for evaluate_points to step by
-    evaluate.  A degenerate phase raises DegeneratePhaseError at once on
-    floats (``degenerate``) and sets rare bit 2 on arrays.
+    is a and not b.  A step gives each point (re, im, directed,
+    degenerate).  A degenerate phase raises DegeneratePhaseError at once
+    on floats (``degenerate``) and sets the point's degenerate flag on
+    arrays.  The rare moves (a lost phase in ``exp``, a conj transport
+    that crosses onto or off the ladder in ``transport``) are made with
+    ``where`` on both, each behind one ``any`` test.
     """
 
     # -- primitives, on Python floats and bools -----------------------------
@@ -570,6 +539,11 @@ class _Engine:
         return _log_modulus(complex(re, im)) if where else 0.0
 
     @staticmethod
+    def log_polar(re, im, where):
+        # _log_polar where `where` holds, (0, 0) elsewhere
+        return _log_polar(complex(re, im)) if where else (0.0, 0.0)
+
+    @staticmethod
     def quot(xr, xi, a):
         # (xr + i*xi) / a by CPython's complex division
         q = complex(xr, xi) / a
@@ -582,18 +556,13 @@ class _Engine:
         return _F64.pack(x)
 
     @staticmethod
-    def rare(slow, pt, move, *args):
-        # pt and its slow flag: on floats move(*args) replaces pt where slow
-        return (*(move(*args) if slow else pt), False)
-
-    @staticmethod
     def degenerate(where, angle):
-        # the rare flag of a degenerate phase where `where` holds: on
-        # floats it raises
+        # the degenerate flag where `where` holds: on floats it raises
         if where:
             raise DegeneratePhaseError(
-                f"ladder point at angle {angle}: past PHASE_RESOLUTION_LIMIT, "
-                "or its direction cosine within degeneracy_eps of 0")
+                f"no usable phase at angle {angle}: not finite, past "
+                "PHASE_RESOLUTION_LIMIT, or a direction cosine within "
+                "degeneracy_eps of 0")
         return False
 
     # -- one step ------------------------------------------------------------
@@ -603,27 +572,30 @@ class _Engine:
 
     def exp(self, wr, wi, where):
         """exp(w), w = wr + i*wi, where `where` holds, as the point
-        (re, im, directed, rare): one cexp where Re w is at most the rung,
+        (re, im, directed): one cexp where Re w is at most the rung,
         Directed(w) past it (NaN too).  Below the rung cexp is exactly
         exp(Re w)*cos(Im w) and exp(Re w)*sin(Im w), with the libm
-        functions that math calls.  An Im w that is not finite there is
-        a rare move (_lost_phase)."""
+        functions that math calls.  An Im w that is not finite there
+        leaves no phase: the point is 0 where exp(Re w) is 0, NaN
+        elsewhere."""
         if not self.any(where):
-            return wr, wi, where, where
+            return wr, wi, where
         low = where & (wr <= IterationConfig.overflow_log_threshold)
         ok = low & self.isfinite(wi)
         e = self.cexp(wr, wi, ok)
-        return self.rare(low > ok, (self.where(ok, e.real, wr),
-                                    self.where(ok, e.imag, wi), where > low),
-                         _lost_phase, wr)
+        re, im = self.where(ok, e.real, wr), self.where(ok, e.imag, wi)
+        lost = low > ok
+        if self.any(lost):
+            gone = self.where(self.rexp(wr, lost) == 0.0, 0.0, math.nan)
+            re, im = self.where(lost, gone, re), self.where(lost, gone, im)
+        return re, im, where > low
 
-    def plus(self, pt, c: complex):
-        """pt + c; on the ladder c is ~1e-300 relative and is dropped."""
-        re, im, d, slow = pt
+    def plus(self, re, im, d, c: complex):
+        """The point (re, im, d) plus c; on the ladder c is ~1e-300
+        relative and is dropped."""
         if not self.any(d):
-            return re + c.real, im + c.imag, d, slow
-        return (self.where(d, re, re + c.real), self.where(d, im, im + c.imag),
-                d, slow)
+            return re + c.real, im + c.imag, d
+        return self.where(d, re, re + c.real), self.where(d, im, im + c.imag), d
 
     def scale(self, mag, x):
         # mag * x avoiding inf * 0 -> nan; an exact zero factor wins
@@ -637,30 +609,29 @@ class _Engine:
 
     def ladder(self, re, im, d, m: complex, p: complex, q: complex, out):
         """exp(m*z + p) + q at each Directed z (where d holds) over out,
-        the step of the other points: the ladder step of F and G ((m, p,
-        q) = (sign, param, const)) and of exp(lam) ((lam, 0, 0)).  z
-        collapses onto q or deepens to exp(|z|*dr + Re p + i(|z|*di +
-        Im p)) + q as _direction says; else, or past
-        PHASE_RESOLUTION_LIMIT (where the angle carries no usable phase),
-        its phase is degenerate (``degenerate``)."""
+        the step of the other points, as (re, im, directed, degenerate):
+        the ladder step of F and G ((m, p, q) = (sign, param, const)) and
+        of exp(lam) ((lam, 0, 0)).  z collapses onto q or deepens to
+        exp(|z|*dr + Re p + i(|z|*di + Im p)) + q as _direction says;
+        else, or past PHASE_RESOLUTION_LIMIT (where the angle carries no
+        usable phase), its phase is degenerate (``degenerate``)."""
         if not self.any(d):
-            return out
-        out_re, out_im, out_d, slow = out
+            return (*out, d)  # d flags no point: none is on the ladder
+        out_re, out_im, out_d = out
         ph = d & (abs(im) <= PHASE_RESOLUTION_LIMIT)
         cs = self.cexp(0.0, im, ph)  # (cos, sin) of the angle, 0 off ph
         dr, di, under, over = _direction(m, cs.real, cs.imag)
         under, over = ph & under, ph & over  # dr = 0 off ph passes a 0 eps*|m|
         nr = ni = 0.0  # where no point deepens, nr and ni are not read
-        past = s = False
+        past = False
         if self.any(over):
             mag = self.exp_sat(re, over)
-            nr, ni, past, s = self.plus(self.exp(
+            nr, ni, past = self.plus(*self.exp(
                 mag * dr + p.real, self.scale(mag, di) + p.imag, over), q)
-        bad = self.degenerate(d > (under | over), im)
         # a collapse is q itself, not 0 + q: complex(q) keeps q's -0.0
         return (self.where(over, nr, self.where(d, q.real, out_re)),
                 self.where(over, ni, self.where(d, q.imag, out_im)),
-                out_d | past, slow | s | bad)
+                out_d | past, self.degenerate(d > (under | over), im))
 
     def to_u(self, re, im, d, a: complex, b: complex):
         """phi^-1(z) = (z - b)/a of the chart phi(u) = a*u + b at each
@@ -682,22 +653,43 @@ class _Engine:
         log_a, arg_a = _log_polar(a)
         return self.where(d, re + log_a, pr), self.where(d, im + arg_a, pi)
 
-    def crossings(self, re, im, d, tr, ti):
-        # where a transport (tr, ti) of the points crosses onto the ladder
-        # (a finite point, a transport not finite) or drops off it, to the
-        # rung or below
+    def transport(self, z, t, a: complex, b: complex, sign: float):
+        """The point (re, im, directed, degenerate) that a conj transport
+        t = (tr, ti) of z = (re, im, directed) reaches, by phi^-1 (sign
+        -1) or by phi (sign +1, b = 0): t, unless it crosses onto the
+        ladder (a finite z, t not finite) or drops off it (t at the rung
+        or below).  A finite z that crosses moves onto the ladder at
+        ln|z - b| and arg(z - b), shifted by sign*ln|a| and sign*arg a,
+        as a ladder point is; a point that ends at the rung or below is
+        demoted by cexp, its phase degenerate where the angle is not
+        finite."""
+        re, im, d = z
+        tr, ti = t
         rung = IterationConfig.overflow_log_threshold
-        return self.where(d, self.not_(tr > rung),
-                          self.finite(re, im) > self.finite(tr, ti))
+        cross = self.where(d, self.not_(tr > rung),
+                           self.finite(re, im) > self.finite(tr, ti))
+        if not self.any(cross):
+            return tr, ti, d, False
+        onto = cross > d
+        lm, angle = self.log_polar(re - b.real, im - b.imag, onto)
+        log_a, arg_a = _log_polar(a)
+        tr = self.where(onto, lm + sign * log_a, tr)
+        ti = self.where(onto, angle + sign * arg_a, ti)
+        up = tr > rung
+        down = cross > up
+        ok = down & self.isfinite(ti)
+        e = self.cexp(tr, ti, ok)
+        return (self.where(ok, e.real, tr), self.where(ok, e.imag, ti),
+                self.where(cross, up, d), self.degenerate(down > ok, ti))
 
     def step(self, expr: MapExpr, re, im, d):
-        """expr applied once to each point: (re, im, directed, rare).
-        Composite nodes step structurally; Iterate applies its base s
-        times."""
+        """expr applied once to each point: (re, im, directed,
+        degenerate).  Composite nodes step structurally; Iterate applies
+        its base s times."""
         sign = getattr(expr, "sign", None)
         if sign is not None:
             p, q = expr.param, expr.const
-            return self.ladder(re, im, d, sign, p, q, self.plus(self.exp(
+            return self.ladder(re, im, d, sign, p, q, self.plus(*self.exp(
                 sign * re + p.real, sign * im + p.imag, self.not_(d)), q))
 
         if isinstance(expr, ScaledExp):
@@ -707,35 +699,32 @@ class _Engine:
                 self.not_(d)))
 
         if isinstance(expr, Iterate):
-            slow = False
+            bad = False
             for _ in range(expr.s):
                 re, im, d, s = self.step(expr.base, re, im, d)
-                slow = slow | s
-            return re, im, d, slow
+                bad = bad | s
+            return re, im, d, bad
 
         if isinstance(expr, Shift):
-            return self.plus(self.step(expr.base, re, im, d), expr.c)
+            re, im, d, bad = self.step(expr.base, re, im, d)
+            re, im, d = self.plus(re, im, d, expr.c)
+            return re, im, d, bad
 
         if isinstance(expr, Compose):
-            re, im, d, slow = self.step(expr.inner, re, im, d)
+            re, im, d, bad = self.step(expr.inner, re, im, d)
             re, im, d, s = self.step(expr.outer, re, im, d)
-            return re, im, d, slow | s
+            return re, im, d, bad | s
 
         if isinstance(expr, Conjugate):
-            # phi^-1, the base, then phi; a transport that crosses onto the
-            # ladder or drops off it is a rare move, b dropped on the ladder
-            # as Shift drops c there
+            # phi^-1, the base, then phi, b dropped on the ladder as Shift
+            # drops c there
             a, b = expr.a, expr.b
-            u = self.to_u(re, im, d, a, b)
-            ur, ui, ud, slow = self.rare(self.crossings(re, im, d, *u), (*u, d),
-                                         _transported, (re, im, d), u, a, b,
-                                         -1.0)
+            ur, ui, ud, bad = self.transport(
+                (re, im, d), self.to_u(re, im, d, a, b), a, b, -1.0)
             vr, vi, vd, s = self.step(expr.base, ur, ui, ud)
-            w = self.from_u(vr, vi, vd, a, b)
-            wr, wi, wd, t = self.rare(self.crossings(vr, vi, vd, *w), (*w, vd),
-                                      _transported, (vr, vi, vd), w, a, 0.0,
-                                      1.0)
-            return wr, wi, wd, slow | s | t
+            wr, wi, wd, t = self.transport(
+                (vr, vi, vd), self.from_u(vr, vi, vd, a, b), a, 0.0, 1.0)
+            return wr, wi, wd, bad | s | t
 
         raise TypeError(f"not a map expression: {expr!r}")
 
@@ -806,7 +795,9 @@ def evaluate(expr: MapExpr, z: ExtendedPoint,
     floats).
 
     Raises :class:`DegeneratePhaseError` where the phase of a Directed
-    point is degenerate for an F, G or exp(lam) node (_Engine.ladder).  A
+    point is degenerate for an F, G or exp(lam) node (_Engine.ladder), or
+    where a conj demotes a point whose angle is not finite
+    (_Engine.transport).  A
     step reads no setting: cfg is accepted and not read (max_iter is read
     by the orbit loops only).
     """

@@ -2,6 +2,7 @@
 fresh interpreters."""
 
 import cmath
+import contextlib
 import math
 import os
 import struct
@@ -11,6 +12,7 @@ import sys
 from hypothesis import strategies as st
 
 import expdyn
+from expdyn import maps
 from expdyn.maps import (
     Compose,
     Conjugate,
@@ -37,14 +39,20 @@ def run_fresh(*args: str, cwd=None, env=None):
     return run.returncode, run.stdout, run.stderr
 
 
-def count_evaluate_calls(monkeypatch) -> list:
-    """A list that gets the arguments of each call evaluate_points makes
-    to the float evaluate (blocks.evaluate) from now on."""
-    from expdyn import blocks  # numpy: only for the tests that ask
-    calls, scalar = [], blocks.evaluate
-    monkeypatch.setattr(blocks, "evaluate",
-                        lambda *args: calls.append(args) or scalar(*args))
-    return calls
+@contextlib.contextmanager
+def floats_refused():
+    """Within the block the float engine raises AssertionError: both
+    maps._FLOATS.step and maps.evaluate (which steps by it, wherever it is
+    imported), so the code run there steps every point on arrays."""
+    def refuse(*args):
+        raise AssertionError(f"stepped on floats: {args!r}")
+    evaluate = maps.evaluate
+    maps._FLOATS.step = maps.evaluate = refuse
+    try:
+        yield
+    finally:
+        del maps._FLOATS.step
+        maps.evaluate = evaluate
 
 
 _PAIR = struct.Struct("dd")

@@ -32,7 +32,8 @@ from expdyn.maps import (
 )
 from expdyn.parser import parse_map
 
-from helpers import complexes, family_f_maps, map_exprs, naive_apply, same_point
+from helpers import (complexes, family_f_maps, floats_refused, map_exprs,
+                     naive_apply, same_point)
 
 F11 = FamilyF(complex(-1, 0), complex(1, 0))
 G11 = FamilyG(complex(-1, 0), complex(-1, 0))
@@ -327,7 +328,7 @@ class TestEvaluatePoints:
     BOTH_ORDERS = [Conjugate(1e5, 0, F11),
                    Iterate(Shift(ScaledExp(1e300), complex(-1, 1e10)), 2)]
 
-    @pytest.mark.parametrize("expr", [
+    MAPS = [
         F11, G11, FamilyF(-1, 1), FamilyF(complex(-0.5, 2), complex(3, -1)),
         ScaledExp(complex(1, 0)), ScaledExp(complex(-0.5, 2)),
         Iterate(F11, 3), Iterate(ScaledExp(1), 2),
@@ -338,13 +339,15 @@ class TestEvaluatePoints:
         Conjugate(complex(1e5, 1e5), 0j, ScaledExp(1)),
         Conjugate(1e5, 0, ScaledExp(1)), Conjugate(1e-5, 0, ScaledExp(1j)),
         # a base that is degenerate at 0: a pre-image that drops below the
-        # rung is stepped by evaluate, whatever the base gives at 0
+        # rung is demoted, whatever the base gives at 0
         Conjugate(math.e, 0,
                   Compose(ScaledExp(1j), Iterate(ScaledExp(710), 2))),
         # ladder steps that deepen to the rung or below: F's constant and
         # a tiny lam pull the log-modulus down from above 700
         Compose(FamilyF(-1e300, 1), ScaledExp(1)), ScaledExp(1e-305),
-        *BOTH_ORDERS])
+        *BOTH_ORDERS]
+
+    @pytest.mark.parametrize("expr", MAPS)
     def test_matches_evaluate(self, expr):
         pts = self.FINITE + self.DIRECTED
         re = np.array([p.real if isinstance(p, complex) else p.log_modulus
@@ -352,7 +355,9 @@ class TestEvaluatePoints:
         im = np.array([p.imag if isinstance(p, complex) else p.angle
                        for p in pts])
         directed = np.array([isinstance(p, Directed) for p in pts])
-        out_re, out_im, out_d, bad = evaluate_points(expr, re, im, directed)
+        with floats_refused():
+            out_re, out_im, out_d, bad = evaluate_points(expr, re, im,
+                                                         directed)
         for k, p in enumerate(pts):
             try:
                 want = evaluate(expr, p)
@@ -372,28 +377,76 @@ class TestEvaluatePoints:
                     [_bits(want.real), _bits(want.imag)], p
         assert not np.any(out_d & ~bad & (out_re <= 700.0))
 
+    def test_each_rare_move_is_made_on_arrays(self, monkeypatch):
+        # over test_matches_evaluate's maps and points the array engine
+        # makes every rare move itself: a lost phase (to 0 and to NaN) in
+        # _Engine.exp; in _Engine.transport a finite point that moves onto
+        # the ladder, a demotion, and a demotion angle that is not finite
+        exp, transport = _ARRAYS.exp, _ARRAYS.transport
+        made = set()
+
+        def exp_checking(wr, wi, where):
+            out = exp(wr, wi, where)
+            lost = where & (wr <= 700.0) & ~np.isfinite(wi)
+            if (out[0][lost] == 0.0).any():
+                made.add("lost phase to 0")
+            if np.isnan(out[0][lost]).any():
+                made.add("lost phase to NaN")
+            return out
+
+        def transport_checking(z, t, a, b, sign):
+            out = transport(z, t, a, b, sign)
+            (re, im, d), (tr, ti) = z, t
+            cross = np.where(d, ~(tr > 700.0), _ARRAYS.finite(re, im)
+                             & ~_ARRAYS.finite(tr, ti))
+            for move, where in (("onto the ladder", cross & ~d & out[2]),
+                                ("demotion", cross & ~out[2] & ~out[3]),
+                                ("demotion angle not finite", cross & out[3])):
+                if where.any():
+                    made.add(move)
+            return out
+
+        monkeypatch.setattr(_ARRAYS, "exp", exp_checking)
+        monkeypatch.setattr(_ARRAYS, "transport", transport_checking)
+        pts = _batch(self.FINITE + self.DIRECTED)
+        for expr in self.MAPS:
+            evaluate_points(expr, *pts)
+        assert made == {"lost phase to 0", "lost phase to NaN",
+                        "onto the ladder", "demotion",
+                        "demotion angle not finite"}
+
     def test_both_orders_of_a_degenerate_phase_and_another_move(self):
-        # the array step flags such a point both slow and degenerate, so
-        # evaluate_points steps it by evaluate: with the other move first
-        # evaluate steps it, with the degenerate phase first it raises, at
-        # the iter's first application
+        # both orders are decided on arrays, and the array step flags
+        # exactly the points where evaluate raises: a ladder point that
+        # conj demotes is stepped by F as a finite point, though F is
+        # degenerate at the ladder point it was; an iter's first
+        # application is degenerate, and its second makes a non-finite
+        # exponent from the collapsed point
         pts = self.FINITE + self.DIRECTED
         crossing, iterate = self.BOTH_ORDERS
+        log_a = math.log(crossing.a)
         reached = set()
         for expr in self.BOTH_ORDERS:
             with np.errstate(all="ignore"):
-                rare = _ARRAYS.step(expr, *_batch(pts))[3]
-            both = rare == (1 | blocks._DEGENERATE)  # slow and degenerate
-            for k in np.flatnonzero(both).tolist():
+                bad = _ARRAYS.step(expr, *_batch(pts))[3]
+            for k, p in enumerate(pts):
                 try:
-                    evaluate(expr, pts[k])
+                    evaluate(expr, p)
                 except DegeneratePhaseError:
+                    assert bad[k], p
                     if expr is iterate:
-                        with pytest.raises(DegeneratePhaseError):
-                            evaluate(iterate.base, pts[k])
-                    reached.add((expr, "raises"))
-                else:
-                    reached.add((expr, "stepped"))
+                        try:  # the first application
+                            evaluate(iterate.base, p)
+                        except DegeneratePhaseError:
+                            reached.add((expr, "raises"))
+                    continue
+                assert not bad[k], p
+                if expr is crossing and isinstance(p, Directed) and \
+                        p.log_modulus - log_a <= 700.0:
+                    try:  # F at the ladder point that conj demotes
+                        evaluate(F11, Directed(p.log_modulus - log_a, p.angle))
+                    except DegeneratePhaseError:
+                        reached.add((expr, "stepped"))
         assert {(crossing, "stepped"), (iterate, "raises")} <= reached
 
 
@@ -709,12 +762,25 @@ class TestExpStep:
 
     def test_conjugate_demotion_matches_math(self):
         # a Directed point that drops below the rung in conj is demoted
-        # to exp(log_modulus)*(cos, sin) angle
-        for lm in (-745.0, -700.5, -1.0, 0.0, 3.5, 699.0, 700.0):
-            for angle in (0.0, -0.0, 2.5, -1e-300, 2.0 ** 52, -1e17):
-                m = math.exp(lm)
-                want = complex(m * math.cos(angle), m * math.sin(angle))
-                assert same_point(maps._normalize(lm, angle), want)
+        # to exp(log_modulus)*(cos, sin) angle, on floats and on arrays
+        grid = [(lm, angle)
+                for lm in (-745.0, -700.5, -1.0, 0.0, 3.5, 699.0, 700.0)
+                for angle in (0.0, -0.0, 2.5, -1e-300, 2.0 ** 52, -1e17)]
+        lms = np.array([lm for lm, _ in grid])
+        angles = np.array([angle for _, angle in grid])
+        with np.errstate(all="ignore"):
+            got = _ARRAYS.transport((lms, angles, np.ones(len(grid), bool)),
+                                    (lms, angles), 1 + 0j, 0j, -1.0)
+        assert not got[2].any() and not got[3].any()
+        for k, (lm, angle) in enumerate(grid):
+            m = math.exp(lm)
+            want = complex(m * math.cos(angle), m * math.sin(angle))
+            re, im, d, bad = maps._FLOATS.transport((lm, angle, True),
+                                                    (lm, angle), 1 + 0j, 0j,
+                                                    -1.0)
+            assert not d and not bad
+            assert same_point(complex(re, im), want), (lm, angle)
+            assert same_point(complex(got[0][k], got[1][k]), want), (lm, angle)
 
 
 class TestLadderCrossings:

@@ -433,6 +433,14 @@ class TestModulusOverflow:
         assert maps._log_modulus(complex(3.0, 4.0)) == math.log(5.0)
         assert maps._log_modulus(0j) == -math.inf
 
+    def test_log_modulus_of_nan_after_a_stale_erange(self):
+        # abs of a NaN part sets no errno, so it raised OverflowError after
+        # an overflowing np.hypot; ln|z| is then what it is with errno 0
+        want = maps._log_modulus(complex(math.nan, 0))
+        with np.errstate(all="ignore"):
+            assert np.hypot(np.array([1.5e308]), np.array([1.5e308]))[0] == math.inf
+        assert maps._log_modulus(complex(math.nan, 0)) == want == -math.inf
+
     def test_classify_past_dbl_max(self):
         cfg = IterationConfig(max_iter=5)
         rec = run_orbit(OVERFLOW_MAP, OVERFLOW_SEED, cfg)
